@@ -355,24 +355,6 @@ BENCHMARK(BM_IbeEncryptPrecomputed)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_IbsVerifyPrecomputed(benchmark::State& state) {
-  const curve::CurveCtx& ctx = ctx_for(state.range(0));
-  cipher::Drbg rng(to_bytes("bench-ibs-pre"));
-  ibc::Domain domain(ctx, rng);
-  Bytes msg = to_bytes("emergency passcode request");
-  ibc::IbsSignature sig =
-      ibc::ibs_sign(ctx, domain.extract("dr-a"), "dr-a", msg, rng);
-  ibc::IbsVerifier verifier(domain.pub(), "dr-a");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify(msg, sig));
-  }
-  state.SetLabel(set_name(state.range(0)));
-}
-BENCHMARK(BM_IbsVerifyPrecomputed)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // CCA (FullIdent/FO) vs CPA (BasicIdent) overhead.
 void BM_IbeCcaEncrypt(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));

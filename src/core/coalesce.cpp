@@ -57,13 +57,9 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
   obs::count(obs::kCoalesceDrains);
   obs::count(obs::kCoalesceRequests, total);
 
-  if (!sigs_.empty() && !ppub_pre_.has_value()) {
-    ppub_pre_.emplace(*ctx_, pub_->p_pub);
-  }
-
   // Stage 1: Miller evaluations over cached line tables. Shared-key millers
   // occupy slots [0, key_unique_.size()); each valid signature appends its
-  // fused product ê_miller(W, P)·ê_miller(−v·H1(ID), Ppub) after them.
+  // fused product ê_miller(W, P)·ê_miller(H1(ID), Ppub)^{−v} after them.
   std::vector<field::Fp2> millers;
   millers.reserve(key_unique_.size() + sigs_.size());
   for (const KeyReq& kr : key_unique_) {
@@ -73,27 +69,19 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
   constexpr size_t kInvalid = static_cast<size_t>(-1);
   std::vector<size_t> sig_slot(sigs_.size(), kInvalid);
   size_t fused = 0;
-  size_t id_cache_hits = 0;
   if (!sigs_.empty()) {
     const curve::PairingPrecomp& gen_pre = curve::generator_precomp(*ctx_);
-    // H1(ID) cache: audit rounds and emergency bursts repeat identities.
-    std::unordered_map<std::string_view, curve::Point> q_ids;
     for (size_t i = 0; i < sigs_.size(); ++i) {
       const SigReq& sr = sigs_[i];
       const ibc::IbsSignature& sig = sr.sig;
       if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx_->q)) {
         continue;  // malformed: rejected without any pairing work
       }
-      auto [it, inserted] = q_ids.try_emplace(std::string_view(sr.id));
-      if (inserted) {
-        it->second = ibc::Domain::public_key(*ctx_, sr.id);
-      } else {
-        ++id_cache_hits;
-      }
       mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx_->q);
       field::Fp2 f =
           gen_pre.miller_with(sig.w) *
-          ppub_pre_->miller_with(curve::mul(*ctx_, it->second, neg_v));
+          pub_->ppub_pre->miller_with(ibc::Domain::public_key(*ctx_, sr.id))
+              .pow(neg_v);
       sig_slot[i] = millers.size();
       millers.push_back(f);
       ++fused;
@@ -128,7 +116,7 @@ PairingCoalescer::Drained PairingCoalescer::drain(par::ThreadPool* pool) {
   // One pairing saved per deduplicated key request (skipped outright) and
   // per fused signature (two one-at-a-time pairings became one product).
   d.pairings_saved = dedup_hits_ + fused;
-  obs::count(obs::kCoalesceDedupHits, dedup_hits_ + id_cache_hits);
+  obs::count(obs::kCoalesceDedupHits, dedup_hits_);
   obs::count(obs::kCoalescePairingsSaved, d.pairings_saved);
 
   key_unique_.clear();

@@ -42,9 +42,8 @@ class PairingCoalescer {
  public:
   /// Shared-key-only coalescer (no IBS verification queue).
   explicit PairingCoalescer(const curve::CurveCtx& ctx);
-  /// Full coalescer; `pub` supplies Ppub for IBS verification. The Miller
-  /// line table of Ppub is built lazily on the first drain that needs it and
-  /// reused for the coalescer's lifetime.
+  /// Full coalescer; `pub` supplies Ppub and its shared Miller line table
+  /// for IBS verification.
   explicit PairingCoalescer(const ibc::PublicParams& pub);
 
   /// Queues K = KDF(ê(deriver's private, peer)) — the value
@@ -90,7 +89,6 @@ class PairingCoalescer {
 
   const curve::CurveCtx* ctx_;
   std::optional<ibc::PublicParams> pub_;
-  std::optional<curve::PairingPrecomp> ppub_pre_;  // lazy Ppub line table
 
   std::vector<KeyReq> key_unique_;   // deduplicated shared-key requests
   std::vector<size_t> key_tickets_;  // ticket -> index into key_unique_

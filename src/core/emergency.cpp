@@ -296,14 +296,13 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
     const EmergencyAuthRequest& req) {
   if (!is_on_duty(req.physician_id)) return std::nullopt;
 
+  // Small-subgroup guard: the passcode IBE keys to ê(TP, Ppub)^r.
   curve::Point tp;
   try {
-    tp = curve::point_from_bytes(domain_.ctx(), req.tp);
+    tp = curve::checked_point_from_bytes(domain_.ctx(), req.tp);
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  // Small-subgroup guard: the passcode IBE keys to ê(TP, Ppub)^r.
-  if (!curve::in_prime_subgroup(domain_.ctx(), tp)) return std::nullopt;
 
   Bytes nonce = rng_.bytes(16);
   uint64_t t11 = net_->clock().now();

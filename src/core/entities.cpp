@@ -102,14 +102,8 @@ std::map<std::string, AccountSnapshot> SServer::snapshot_accounts() const {
 
 Bytes SServer::shared_key_for(BytesView tp_bytes) const {
   obs::Span span("crypto:shared_key");
-  curve::Point tp = curve::point_from_bytes(*ctx_, tp_bytes);
-  // Reject on-curve points outside the order-q subgroup: pairing a private
-  // key against a small-order point would leak it into a brute-forceable
-  // subgroup of GT.
-  if (!curve::in_prime_subgroup(*ctx_, tp)) {
-    throw std::invalid_argument("SServer: pseudonym not in prime subgroup");
-  }
-  return nu_deriver_.with_point(tp);
+  return nu_deriver_.with_point(
+      curve::checked_point_from_bytes(*ctx_, tp_bytes));
 }
 
 std::vector<std::string> SServer::visible_account_ids() const {

@@ -150,11 +150,11 @@ SearchService::search_batch_privileged(
   std::vector<size_t> ticket(reqs.size(), kNone);
   for (size_t i = 0; i < reqs.size(); ++i) {
     try {
-      curve::Point tp = curve::point_from_bytes(ctx, reqs[i].tp);
-      if (!curve::in_prime_subgroup(ctx, tp)) continue;
-      ticket[i] = co.add_shared_key(server.nu_deriver(), tp);
+      ticket[i] = co.add_shared_key(
+          server.nu_deriver(),
+          curve::checked_point_from_bytes(ctx, reqs[i].tp));
     } catch (const std::exception&) {
-      // malformed pseudonym point: rejected below
+      // malformed or small-order pseudonym point: rejected below
     }
   }
   PairingCoalescer::Drained drained = co.drain(pool_);

@@ -248,12 +248,14 @@ bool SServer::handle_update(const UpdateRequest& req) {
     acct->log.entries[label] = entry;
     store_put_log(key, label, entry);
   }
+  // Removes before upserts, matching the order the patient builds them in:
+  // a remove-then-readd of one id inside a request keeps the new blob.
+  for (sse::FileId id : req.files_remove) {
+    if (acct->files.files.erase(id) > 0) store_erase_file(key, id);
+  }
   for (const auto& [id, blob] : req.files_upsert) {
     acct->files.files[id] = blob;
     store_put_file(key, id, blob);
-  }
-  for (sse::FileId id : req.files_remove) {
-    if (acct->files.files.erase(id) > 0) store_erase_file(key, id);
   }
   return true;
 }

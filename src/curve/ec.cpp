@@ -1,5 +1,6 @@
 #include "src/curve/ec.h"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -34,6 +35,19 @@ CurveCtx::CurveCtx(const mp::U512& p_in, const mp::U512& q_in,
 }
 
 CurveCtx::~CurveCtx() = default;
+
+std::optional<Point> PointMemo::find(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
+}
+
+void PointMemo::insert(std::string key, const Point& pt) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (map_.size() >= kCapacity) map_.clear();
+  map_.insert_or_assign(std::move(key), pt);
+}
 
 bool operator==(const Point& a, const Point& b) noexcept {
   if (a.infinity || b.infinity) return a.infinity == b.infinity;
@@ -243,11 +257,11 @@ Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
   return from_jac(ctx, acc);
 }
 
-Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
-  obs::count(obs::kPointMul);
-  if (a.infinity || k.is_zero()) return Point::at_infinity();
-  // Width-4 NAF recoding: digits in {0, ±1, ±3, …, ±15}, no two adjacent
-  // nonzero digits.
+namespace {
+
+// Width-4 NAF recoding, least significant digit first: digits in
+// {0, ±1, ±3, …, ±15}, no two adjacent nonzero digits.
+std::vector<int8_t> wnaf4(const mp::U512& k) {
   std::vector<int8_t> naf;
   naf.reserve(k.bit_length() + 1);
   mp::U512 rem = k;
@@ -267,20 +281,58 @@ Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
     naf.push_back(digit);
     rem = mp::shr1(rem);
   }
-  // Odd multiples 1a, 3a, …, 15a, grown in Jacobian form and flattened to
-  // affine with one batch inversion (down from the eight inversions of the
-  // old affine dbl/add chain); the main loop then uses mixed additions.
-  Jac jtab[8];
-  jtab[0] = to_jac(ctx, a);
-  Jac twice = jac_dbl(ctx, jtab[0]);
-  for (int i = 1; i < 8; ++i) jtab[i] = jac_add(ctx, jtab[i - 1], twice);
-  std::vector<Point> table = jac_normalize_batch(ctx, std::span<const Jac>(jtab));
+  return naf;
+}
+
+// Odd multiples 1a, 3a, …, 15a of every point in `pts`, grown in Jacobian
+// form and flattened to affine with one shared batch inversion; entry
+// 8·i + j is (2j+1)·pts[i]. An infinite input yields infinite entries.
+std::vector<Point> odd_multiples(const CurveCtx& ctx,
+                                 std::span<const Point> pts) {
+  std::vector<Jac> jtab(8 * pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    Jac* t = &jtab[8 * i];
+    t[0] = to_jac(ctx, pts[i]);
+    Jac twice = jac_dbl(ctx, t[0]);
+    for (int j = 1; j < 8; ++j) t[j] = jac_add(ctx, t[j - 1], twice);
+  }
+  return jac_normalize_batch(ctx, jtab);
+}
+
+// acc + d·a for a wNAF digit d, with table = odd multiples of a.
+Jac add_digit(const CurveCtx& ctx, const Jac& acc, const Point* table,
+              int8_t d) {
+  if (d > 0) return jac_add_affine(ctx, acc, table[(d - 1) / 2]);
+  if (d < 0) return jac_add_affine(ctx, acc, negate(table[(-d - 1) / 2]));
+  return acc;
+}
+
+}  // namespace
+
+Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
+  obs::count(obs::kPointMul);
+  if (a.infinity || k.is_zero()) return Point::at_infinity();
+  std::vector<int8_t> naf = wnaf4(k);
+  std::vector<Point> table = odd_multiples(ctx, std::span(&a, 1));
   Jac acc;
   for (size_t i = naf.size(); i-- > 0;) {
+    acc = add_digit(ctx, jac_dbl(ctx, acc), table.data(), naf[i]);
+  }
+  return from_jac(ctx, acc);
+}
+
+Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
+           const Point& q, const mp::U512& b) {
+  obs::count(obs::kPointMul);
+  std::vector<int8_t> na = wnaf4(a);
+  std::vector<int8_t> nb = wnaf4(b);
+  const Point pts[2] = {p, q};
+  std::vector<Point> table = odd_multiples(ctx, pts);
+  Jac acc;
+  for (size_t i = std::max(na.size(), nb.size()); i-- > 0;) {
     acc = jac_dbl(ctx, acc);
-    int8_t d = naf[i];
-    if (d > 0) acc = jac_add_affine(ctx, acc, table[(d - 1) / 2]);
-    if (d < 0) acc = jac_add_affine(ctx, acc, negate(table[(-d - 1) / 2]));
+    if (i < na.size()) acc = add_digit(ctx, acc, &table[0], na[i]);
+    if (i < nb.size()) acc = add_digit(ctx, acc, &table[8], nb[i]);
   }
   return from_jac(ctx, acc);
 }
@@ -413,6 +465,23 @@ Point point_from_bytes(const CurveCtx& ctx, BytesView b) {
   if (!on_curve(ctx, pt)) {
     throw std::invalid_argument("point_from_bytes: not on curve");
   }
+  return pt;
+}
+
+Point checked_point_from_bytes(const CurveCtx& ctx, BytesView b) {
+  std::string key = to_string(b);
+  if (std::optional<Point> hit = ctx.checked_point_memo.find(key)) {
+    obs::count(obs::kCheckedPointMemoHits);
+    return *hit;
+  }
+  obs::count(obs::kCheckedPointMemoMisses);
+  Point pt = point_from_bytes(ctx, b);
+  // An on-curve point of small order would confine ê(Γ, P) to a small,
+  // brute-forceable subgroup of GT (small-subgroup attack).
+  if (!in_prime_subgroup(ctx, pt)) {
+    throw std::invalid_argument("point not in the prime-order subgroup");
+  }
+  ctx.checked_point_memo.insert(std::move(key), pt);
   return pt;
 }
 

@@ -7,7 +7,9 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/random.h"
@@ -16,8 +18,32 @@
 
 namespace hcpp::curve {
 
-struct Point;
+/// Affine point (infinity encoded explicitly). Value type; all operations
+/// take the context explicitly.
+struct Point {
+  field::Fp x, y;
+  bool infinity = true;
+
+  static Point at_infinity() { return Point{}; }
+  friend bool operator==(const Point& a, const Point& b) noexcept;
+};
+
 class PairingPrecomp;  // pairing.h
+
+/// Thread-safe memo from an exact input encoding to a point, holding at most
+/// kCapacity entries (a full memo is emptied before the next insert). A miss
+/// costs the caller exactly what the uncached call costs.
+class PointMemo {
+ public:
+  static constexpr size_t kCapacity = 1024;
+
+  [[nodiscard]] std::optional<Point> find(const std::string& key) const;
+  void insert(std::string key, const Point& pt);
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Point> map_;
+};
 
 /// Domain parameters plus derived contexts. Construct via Params (params.h)
 /// or from a freshly generated set (tools/gen_params).
@@ -42,16 +68,11 @@ struct CurveCtx {
   // generator_precomp in pairing.h).
   mutable std::once_flag gen_precomp_once;
   mutable std::unique_ptr<PairingPrecomp> gen_precomp;
-};
-
-/// Affine point (infinity encoded explicitly). Value type; all operations
-/// take the context explicitly.
-struct Point {
-  field::Fp x, y;
-  bool infinity = true;
-
-  static Point at_infinity() { return Point{}; }
-  friend bool operator==(const Point& a, const Point& b) noexcept;
+  // H1(ID) by identity (ibc::Domain::public_key) and accepted received
+  // points by encoding (checked_point_from_bytes). They live here, not in a
+  // global keyed by context address, so they die with the context.
+  mutable PointMemo h1_memo;
+  mutable PointMemo checked_point_memo;
 };
 
 /// Generator of G1.
@@ -74,6 +95,10 @@ Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k);
 /// Width-4 wNAF scalar multiplication — same result, ~25% fewer additions;
 /// benchmark E2 carries the ablation.
 Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k);
+/// a·P + b·Q in one interleaved width-4 wNAF pass (Straus–Shamir): the two
+/// scalars share every doubling. Counts as one point multiplication.
+Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
+           const Point& q, const mp::U512& b);
 /// k·P (generator) via the context's cached fixed-base window table: only
 /// point additions, no doublings. Built lazily, thread-safe.
 Point mul_generator(const CurveCtx& ctx, const mp::U512& k);
@@ -93,6 +118,12 @@ mp::U512 hash_to_scalar(const CurveCtx& ctx, BytesView msg,
 /// Serialization: 1 flag byte + two 64-byte coordinates (infinity: 1 byte).
 Bytes point_to_bytes(const Point& pt);
 Point point_from_bytes(const CurveCtx& ctx, BytesView b);
+
+/// point_from_bytes plus in_prime_subgroup, for points received from a peer
+/// that will be paired against a private key. Throws std::invalid_argument
+/// unless the encoding is an on-curve point of order q. Accepted encodings
+/// are memoised on the context, so a repeated pseudonym skips the check.
+Point checked_point_from_bytes(const CurveCtx& ctx, BytesView b);
 
 /// Compressed serialization: 1 flag byte (2 | y-parity) + 64-byte x; the
 /// decoder recovers y via the curve equation (p ≡ 3 mod 4 square root).

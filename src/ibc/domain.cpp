@@ -1,6 +1,7 @@
 #include "src/ibc/domain.h"
 
 #include "src/hash/hkdf.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::ibc {
 
@@ -11,6 +12,8 @@ Domain::Domain(const curve::CurveCtx& ctx, const mp::U512& master_secret)
     : ctx_(&ctx), s0_(mp::mod(master_secret, ctx.q)) {
   pub_.ctx = ctx_;
   pub_.p_pub = curve::mul_generator(ctx, s0_);
+  pub_.ppub_pre =
+      std::make_shared<const curve::PairingPrecomp>(ctx, pub_.p_pub);
 }
 
 curve::Point Domain::extract(std::string_view id) const {
@@ -19,7 +22,15 @@ curve::Point Domain::extract(std::string_view id) const {
 
 curve::Point Domain::public_key(const curve::CurveCtx& ctx,
                                 std::string_view id) {
-  return curve::hash_to_point(ctx, to_bytes(id));
+  std::string key(id);
+  if (std::optional<curve::Point> hit = ctx.h1_memo.find(key)) {
+    obs::count(obs::kH1MemoHits);
+    return *hit;
+  }
+  obs::count(obs::kH1MemoMisses);
+  curve::Point pk = curve::hash_to_point(ctx, to_bytes(id));
+  ctx.h1_memo.insert(std::move(key), pk);
+  return pk;
 }
 
 Domain::Pseudonym Domain::issue_pseudonym(RandomSource& rng) const {

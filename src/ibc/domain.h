@@ -10,6 +10,7 @@
 // domain member (ν = ê(Γp, H1(ID_S)) = ê(TPp, Γ_S)).
 #pragma once
 
+#include <memory>
 #include <string_view>
 
 #include "src/curve/pairing.h"
@@ -21,6 +22,9 @@ namespace hcpp::ibc {
 struct PublicParams {
   const curve::CurveCtx* ctx = nullptr;
   curve::Point p_pub;  // s0 · P
+  // Miller lines of Ppub, built once by the Domain and shared by every copy:
+  // each ê(X, Ppub) is ppub_pre->pairing_with(X) (ê is symmetric).
+  std::shared_ptr<const curve::PairingPrecomp> ppub_pre;
 };
 
 class Domain {
@@ -36,7 +40,9 @@ class Domain {
   /// Γ_ID = s0 · H1(ID).
   [[nodiscard]] curve::Point extract(std::string_view id) const;
 
-  /// PK_ID = H1(ID) — public, needs no master secret.
+  /// PK_ID = H1(ID) — public, needs no master secret. Memoised on the
+  /// context (CurveCtx::h1_memo): the same identities sign and receive over
+  /// and over.
   static curve::Point public_key(const curve::CurveCtx& ctx,
                                  std::string_view id);
 

@@ -17,7 +17,7 @@ IbeCiphertext encrypt_to_q(const PublicParams& pub, const curve::Point& q_id,
   mp::U512 r = curve::random_scalar(ctx, rng);
   IbeCiphertext ct;
   ct.u = curve::mul_generator(ctx, r);
-  curve::Gt g = curve::pairing(ctx, q_id, pub.p_pub).pow(r);
+  curve::Gt g = pub.ppub_pre->pairing_with(q_id).pow(r);
   Bytes key = kem_key(g);
   ct.box = cipher::aead_encrypt(key, plaintext, {}, rng);
   secure_wipe(key);
@@ -60,12 +60,11 @@ Bytes IbeDecryptor::decrypt(const IbeCiphertext& ct) const {
 
 IbePrecomputed::IbePrecomputed(const PublicParams& pub, std::string_view id)
     : ctx_(pub.ctx),
-      g_id_(curve::pairing(*pub.ctx, Domain::public_key(*pub.ctx, id),
-                           pub.p_pub)) {}
+      g_id_(pub.ppub_pre->pairing_with(Domain::public_key(*pub.ctx, id))) {}
 
 IbePrecomputed::IbePrecomputed(const PublicParams& pub,
                                const curve::Point& recipient)
-    : ctx_(pub.ctx), g_id_(curve::pairing(*pub.ctx, recipient, pub.p_pub)) {}
+    : ctx_(pub.ctx), g_id_(pub.ppub_pre->pairing_with(recipient)) {}
 
 IbeCiphertext IbePrecomputed::encrypt(BytesView plaintext,
                                       RandomSource& rng) const {
@@ -104,8 +103,7 @@ IbeCcaCiphertext ibe_encrypt_cca(const PublicParams& pub, std::string_view id,
   mp::U512 r = fo_scalar(ctx, sigma, plaintext);
   IbeCcaCiphertext ct;
   ct.u = curve::mul_generator(ctx, r);
-  curve::Gt g =
-      curve::pairing(ctx, Domain::public_key(ctx, id), pub.p_pub).pow(r);
+  curve::Gt g = pub.ppub_pre->pairing_with(Domain::public_key(ctx, id)).pow(r);
   ct.v = xor_bytes(sigma, fo_mask(g.to_bytes(), kSigmaLen, "hcpp-ibe-fo-h2"));
   ct.w = xor_bytes(Bytes(plaintext.begin(), plaintext.end()),
                    fo_mask(sigma, plaintext.size(), "hcpp-ibe-fo-h5"));

@@ -31,8 +31,7 @@ IbsSignature ibs_sign(const curve::CurveCtx& ctx,
   IbsSignature sig;
   sig.v = challenge(ctx, message, u);
   // W = v·Γ + k·H1(ID)
-  sig.w = curve::add(ctx, curve::mul(ctx, private_key, sig.v),
-                     curve::mul(ctx, q_id, k));
+  sig.w = curve::mul2(ctx, private_key, sig.v, q_id, k);
   return sig;
 }
 
@@ -41,26 +40,13 @@ bool ibs_verify(const PublicParams& pub, std::string_view id,
   const curve::CurveCtx& ctx = *pub.ctx;
   if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q)) return false;
   curve::Point q_id = Domain::public_key(ctx, id);
-  // u' = ê(W, P) · ê(H1(ID), Ppub)^{-v}
-  curve::Gt e1 = curve::generator_precomp(ctx).pairing_with(sig.w);
+  // u' = ê(W, P) · ê(H1(ID), Ppub)^{-v}: two fixed-argument Miller values
+  // sharing one final exponentiation, which is a group homomorphism.
   mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
-  curve::Gt e2 = curve::pairing(ctx, q_id, pub.p_pub).pow(neg_v);
-  curve::Gt u = e1 * e2;
+  const field::Fp2 f = curve::generator_precomp(ctx).miller_with(sig.w) *
+                       pub.ppub_pre->miller_with(q_id).pow(neg_v);
+  curve::Gt u = curve::final_exp_batch(ctx, std::span(&f, 1))[0];
   return challenge(ctx, message, u) == sig.v;
-}
-
-IbsVerifier::IbsVerifier(const PublicParams& pub, std::string_view id)
-    : ctx_(pub.ctx),
-      id_(id),
-      q_id_(Domain::public_key(*pub.ctx, id)),
-      g_id_(curve::pairing(*pub.ctx, q_id_, pub.p_pub)) {}
-
-bool IbsVerifier::verify(BytesView message, const IbsSignature& sig) const {
-  if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx_->q)) return false;
-  curve::Gt e1 = curve::generator_precomp(*ctx_).pairing_with(sig.w);
-  mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx_->q);
-  curve::Gt u = e1 * g_id_.pow(neg_v);
-  return challenge(*ctx_, message, u) == sig.v;
 }
 
 std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
@@ -70,42 +56,29 @@ std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
   std::vector<uint8_t> out(items.size(), 0);
   if (items.empty()) return out;
 
-  // Per-identity precomputation, shared read-only by every worker. q_id is
-  // always worth caching (hash-to-point); g_id = ê(H1(ID), Ppub) only pays
-  // for itself when the identity repeats — singletons fold that pairing into
-  // their product check below instead.
-  struct IdCtx {
-    curve::Point q_id;
-    size_t uses = 0;
-    std::optional<curve::Gt> g_id;
+  // ê(H1(ID), Ppub) once per distinct identity through the Ppub line table,
+  // shared read-only by every worker; each check then adds one
+  // fixed-argument ê(W, P).
+  auto malformed = [&ctx](const IbsSignature& sig) {
+    return sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q);
   };
-  std::unordered_map<std::string_view, IdCtx> ids;
-  for (const IbsBatchItem& it : items) ++ids[it.id].uses;
-  for (auto& [id, ic] : ids) {
-    ic.q_id = Domain::public_key(ctx, id);
-    if (ic.uses >= 2) ic.g_id = curve::pairing(ctx, ic.q_id, pub.p_pub);
+  std::unordered_map<std::string_view, curve::Gt> g_ids;
+  for (const IbsBatchItem& it : items) {
+    if (malformed(it.sig)) continue;  // rejected without any pairing work
+    auto [slot, inserted] = g_ids.try_emplace(it.id);
+    if (inserted) {
+      slot->second =
+          pub.ppub_pre->pairing_with(Domain::public_key(ctx, it.id));
+    }
   }
 
   auto verify_one = [&](size_t i) {
     const IbsBatchItem& it = items[i];
     const IbsSignature& sig = it.sig;
-    if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q)) return;
-    const IdCtx& ic = ids.find(std::string_view(it.id))->second;
+    if (malformed(sig)) return;
     mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
-    curve::Gt u;
-    if (ic.g_id.has_value()) {
-      // Repeated identity: fixed-argument ê(W, P) plus the cached base.
-      u = curve::generator_precomp(ctx).pairing_with(sig.w) *
-          ic.g_id->pow(neg_v);
-    } else {
-      // Singleton: ê(W, P) · ê(−v·H1(ID), Ppub) as one multi-pairing —
-      // shared squaring chain, one final exponentiation.
-      curve::PairingTerm terms[2] = {
-          {sig.w, curve::generator(ctx)},
-          {curve::mul(ctx, ic.q_id, neg_v), pub.p_pub},
-      };
-      u = curve::pairing_product(ctx, terms);
-    }
+    curve::Gt u = curve::generator_precomp(ctx).pairing_with(sig.w) *
+                  g_ids.find(std::string_view(it.id))->second.pow(neg_v);
     out[i] = challenge(ctx, it.message, u) == sig.v ? 1 : 0;
   };
 

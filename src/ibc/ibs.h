@@ -39,23 +39,6 @@ mp::U512 ibs_challenge(const curve::CurveCtx& ctx, BytesView message,
 bool ibs_verify(const PublicParams& pub, std::string_view id,
                 BytesView message, const IbsSignature& sig);
 
-/// Precomputed verification context for a fixed signer identity: hoists
-/// ê(H1(ID), Ppub) so each verification costs a single pairing — the
-/// "two pairings with precomputation" budget §V.B.3 assigns to the P-device
-/// (one here plus one IBE decryption).
-class IbsVerifier {
- public:
-  IbsVerifier(const PublicParams& pub, std::string_view id);
-
-  [[nodiscard]] bool verify(BytesView message, const IbsSignature& sig) const;
-
- private:
-  const curve::CurveCtx* ctx_;
-  std::string id_;
-  curve::Point q_id_;
-  curve::Gt g_id_;  // ê(H1(ID), Ppub)
-};
-
 /// One signature to check in a batch.
 struct IbsBatchItem {
   std::string id;
@@ -65,11 +48,9 @@ struct IbsBatchItem {
 
 /// Batch verification: result[i] == ibs_verify(pub, items[i]...). Hess IBS
 /// cannot be merged into one product check (each u' feeds its own H3), so
-/// the batch wins come from structure instead: identities appearing more
-/// than once get ê(H1(ID), Ppub) computed exactly once (IbsVerifier-style),
-/// singletons fold their two pairings into one pairing_product (shared
-/// squaring chain, one final exponentiation), and the per-item checks spread
-/// across the pool — every input is const, so no locks.
+/// the batch wins come from structure instead: ê(H1(ID), Ppub) is computed
+/// once per distinct identity, and the per-item checks spread across the
+/// pool — every input is const, so no locks.
 std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
                                       std::span<const IbsBatchItem> items,
                                       par::ThreadPool* pool = nullptr);

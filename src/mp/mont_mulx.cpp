@@ -18,10 +18,11 @@ using ull = unsigned long long;
 // The algorithms here are limb-for-limb transcriptions of the portable
 // kernels in mont.cpp; only the inner multiply-accumulate rows change shape.
 // A row "acc[0..N] += x * y[0..N-1]" is computed as two independent carry
-// chains — the MULX low products added at offset j (CF chain) and the high
-// products at offset j+1 (OF chain) — which is exactly the dual-chain
-// pattern ADCX/ADOX exist for; _addcarry_u64 on a BMI2+ADX target lets the
-// compiler assign the two chains to the two carry flags.
+// chains — the MULX low products added at offset j and the high products at
+// offset j+1 — the dual-chain pattern ADCX/ADOX exist for. GCC 12 does not
+// map _addcarry_u64 onto them, though: the Release object holds MULX, ADD/ADC
+// and SETC (131 of them) but no ADCX or ADOX, so both chains run through the
+// one carry flag and the win over mont.cpp comes from MULX alone.
 
 inline uint64_t add_n(uint64_t* r, const uint64_t* a, const uint64_t* b,
                       size_t n) noexcept {

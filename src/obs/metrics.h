@@ -55,11 +55,20 @@ inline constexpr const char* kFinalExp = "crypto.final_exp";
 inline constexpr const char* kFinalExpBatched = "crypto.final_exp_batched";
 inline constexpr const char* kPointMul = "crypto.point_mul";
 inline constexpr const char* kHashToPoint = "crypto.hash_to_point";
+// Per-context memos (curve::CurveCtx): H1(ID) behind ibc::Domain::public_key
+// and received points accepted by curve::checked_point_from_bytes. A hit
+// skips a hash-to-point or a subgroup check.
+inline constexpr const char* kH1MemoHits = "crypto.h1_memo_hits";
+inline constexpr const char* kH1MemoMisses = "crypto.h1_memo_misses";
+inline constexpr const char* kCheckedPointMemoHits =
+    "crypto.checked_point_memo_hits";
+inline constexpr const char* kCheckedPointMemoMisses =
+    "crypto.checked_point_memo_misses";
 
 // Cross-request pairing coalescer (core::PairingCoalescer): drains executed,
 // requests folded into drains, pairings avoided versus the one-at-a-time
 // path (dedup hits plus inversions shared by batched final exponentiation),
-// and cache hits from identical shared-key / identity-hash inputs.
+// and cache hits from identical shared-key inputs.
 inline constexpr const char* kCoalesceDrains = "coalesce.drains";
 inline constexpr const char* kCoalesceRequests = "coalesce.requests";
 inline constexpr const char* kCoalescePairingsSaved = "coalesce.pairings_saved";

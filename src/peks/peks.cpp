@@ -39,9 +39,7 @@ mp::U512 keyword_set_scalar(const curve::CurveCtx& ctx,
 // role is a power of. This is the value PeksEncryptor caches per epoch.
 curve::Gt role_pairing_base(const ibc::PublicParams& pub,
                             std::string_view role_id) {
-  const curve::CurveCtx& ctx = *pub.ctx;
-  curve::Point pk_r = ibc::Domain::public_key(ctx, role_id);
-  return curve::pairing(ctx, pk_r, pub.p_pub);
+  return pub.ppub_pre->pairing_with(ibc::Domain::public_key(*pub.ctx, role_id));
 }
 
 // Shared tail of the cold and cached encrypt paths. Draws from `rng` in the

@@ -4,6 +4,7 @@
 #include "src/cipher/drbg.h"
 #include "src/curve/params.h"
 #include "src/mp/prime.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::curve {
 namespace {
@@ -141,6 +142,82 @@ TEST(Curve, WnafMatchesDoubleAndAdd) {
   }
   EXPECT_TRUE(mul_wnaf(ctx(), Point::at_infinity(), mp::U512::from_u64(3))
                   .infinity);
+}
+
+TEST(Curve, Mul2MatchesTwoMulsAndAdd) {
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    cipher::Drbg rng(to_bytes("curve-mul2-" + c.name));
+    Point p = mul_generator(c, random_scalar(c, rng));
+    Point q = mul_generator(c, random_scalar(c, rng));
+    auto oracle = [&c](const Point& x, const mp::U512& a, const Point& y,
+                       const mp::U512& b) {
+      return add(c, mul(c, x, a), mul(c, y, b));
+    };
+    for (int i = 0; i < 4; ++i) {
+      mp::U512 a = random_scalar(c, rng);
+      mp::U512 b = random_scalar(c, rng);
+      EXPECT_EQ(mul2(c, p, a, q, b), oracle(p, a, q, b)) << c.name;
+    }
+    const mp::U512 zero;
+    const mp::U512 k = random_scalar(c, rng);
+    const Point inf = Point::at_infinity();
+    // Zero scalars and infinite points drop their term.
+    EXPECT_EQ(mul2(c, p, zero, q, k), mul(c, q, k));
+    EXPECT_EQ(mul2(c, p, k, q, zero), mul(c, p, k));
+    EXPECT_TRUE(mul2(c, p, zero, q, zero).infinity);
+    EXPECT_EQ(mul2(c, inf, k, q, k), mul(c, q, k));
+    EXPECT_TRUE(mul2(c, inf, k, inf, k).infinity);
+    // P == Q: the two terms collide and must double, not cancel.
+    mp::U512 b = random_scalar(c, rng);
+    EXPECT_EQ(mul2(c, p, k, p, b), oracle(p, k, p, b));
+    EXPECT_EQ(mul2(c, p, k, p, k), mul(c, p, mp::add_mod(k, k, c.q)));
+    // a·P = −b·Q: the sum is the identity.
+    EXPECT_TRUE(mul2(c, p, k, negate(p), k).infinity);
+    mp::U512 two_k = mp::add_mod(k, k, c.q);
+    EXPECT_TRUE(mul2(c, p, two_k, negate(mul(c, p, mp::U512::from_u64(2))), k)
+                    .infinity);
+  }
+}
+
+// An on-curve point whose order divides the cofactor (not q).
+Point small_order_point(const CurveCtx& c, RandomSource& rng) {
+  for (;;) {
+    field::Fp x(&c.fp, mp::random_below(c.p, rng));
+    std::optional<field::Fp> y = (x.sqr() * x + x).sqrt();
+    if (!y.has_value()) continue;
+    Point low = mul(c, Point{x, *y, false}, c.q);
+    if (!low.infinity) return low;
+  }
+}
+
+TEST(Curve, CheckedPointMemoAcceptsOnlySubgroupPoints) {
+  const CurveCtx& c = ctx();
+  cipher::Drbg rng(to_bytes("curve-checked"));
+  Point good = mul_generator(c, random_scalar(c, rng));
+  Bytes good_enc = point_to_bytes(good);
+  Point low = small_order_point(c, rng);
+  ASSERT_TRUE(on_curve(c, low));
+  Bytes low_enc = point_to_bytes(low);
+  Bytes off_enc = good_enc;
+  off_enc.back() ^= 1;
+  const Bytes inf_enc = point_to_bytes(Point::at_infinity());
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  // Rejections are never memoised: the second call checks and rejects again.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(checked_point_from_bytes(c, good_enc), good) << round;
+    EXPECT_THROW(checked_point_from_bytes(c, low_enc), std::invalid_argument)
+        << round;
+    EXPECT_THROW(checked_point_from_bytes(c, off_enc), std::invalid_argument)
+        << round;
+    EXPECT_THROW(checked_point_from_bytes(c, inf_enc), std::invalid_argument)
+        << round;
+  }
+  obs::attach(previous);
+  EXPECT_EQ(reg.counter(obs::kCheckedPointMemoHits), 1u);  // good, round 2
+  EXPECT_EQ(reg.counter(obs::kCheckedPointMemoMisses), 7u);
 }
 
 TEST(Curve, FixedBaseGeneratorMatchesGeneric) {

@@ -7,6 +7,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/setup.h"
+#include "src/obs/metrics.h"
 #include "src/sim/transport.h"
 
 namespace hcpp::core {
@@ -70,6 +71,35 @@ TEST(PDeviceEmergency, FullFlowSucceeds) {
   // TR was recorded at the A-server.
   ASSERT_EQ(d.aserver->traces().size(), 1u);
   EXPECT_EQ(d.aserver->traces()[0].physician_id, d.on_duty->id());
+}
+
+// Pins the §V.B.3 operation count of one P-device emergency (button to
+// records) at 16 pairings, whichever mix of one-shot, fixed-argument and
+// multi-pairing evaluations carries them; with identities warm, no H1(ID)
+// is hashed again.
+TEST(PDeviceEmergency, SixteenPairingsAndNoHashToPointWhenWarm) {
+  Deployment d = Deployment::create(small_config(14));
+  std::vector<std::string> kws = {d.all_keywords().front()};
+  auto emergency = [&] {
+    d.pdevice->press_emergency_button();
+    auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
+    ASSERT_TRUE(pass.has_value());
+    ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
+    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+    EXPECT_FALSE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+  };
+  emergency();  // warms the identity and pseudonym memos
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  emergency();
+  obs::attach(previous);
+  EXPECT_EQ(reg.counter(obs::kPairing) + reg.counter(obs::kPairingFixed) +
+                reg.counter(obs::kPairingProductTerms),
+            16u);
+  EXPECT_EQ(reg.counter(obs::kHashToPoint), 0u);
+  EXPECT_GT(reg.counter(obs::kH1MemoHits), 0u);
+  EXPECT_EQ(reg.counter(obs::kH1MemoMisses), 0u);
 }
 
 TEST(PDeviceEmergency, OffDutyPhysicianDenied) {

@@ -4,6 +4,7 @@
 #include "src/cipher/drbg.h"
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
+#include "src/obs/metrics.h"
 #include "src/par/pool.h"
 
 namespace hcpp::ibc {
@@ -38,6 +39,38 @@ TEST(Domain, SharedKeysAgreeBothDirections) {
   // Third parties derive something different.
   curve::Point gamma_c = d.extract("carol");
   EXPECT_NE(shared_key_with_id(ctx(), gamma_c, "bob"), k_ab);
+}
+
+TEST(Domain, MemoisedPublicKeyEqualsHashToPoint) {
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  for (int round = 0; round < 2; ++round) {
+    for (std::string_view id : {"memo-dr-a", "memo-dr-b", ""}) {
+      EXPECT_EQ(Domain::public_key(ctx(), id),
+                curve::hash_to_point(ctx(), to_bytes(id)))
+          << id << " round " << round;
+    }
+  }
+  obs::attach(previous);
+  EXPECT_EQ(reg.counter(obs::kH1MemoMisses), 3u);
+  EXPECT_EQ(reg.counter(obs::kH1MemoHits), 3u);
+}
+
+TEST(Domain, PpubLineTableMatchesFullPairing) {
+  Domain d = make_domain("dom-ppub");
+  cipher::Drbg rng(to_bytes("dom-ppub-rng"));
+  const PublicParams& pub = d.pub();
+  ASSERT_NE(pub.ppub_pre, nullptr);
+  for (const curve::Point& x :
+       {Domain::public_key(ctx(), "dr-a"), d.issue_pseudonym(rng).tp,
+        curve::generator(ctx()), curve::Point::at_infinity()}) {
+    EXPECT_EQ(pub.ppub_pre->pairing_with(x),
+              curve::pairing(ctx(), x, pub.p_pub));
+  }
+  // Copies of the public parameters share the one table.
+  PublicParams copy = pub;
+  EXPECT_EQ(copy.ppub_pre.get(), pub.ppub_pre.get());
 }
 
 TEST(Domain, PseudonymValidityAndSharedKey) {
@@ -191,23 +224,6 @@ TEST(IbeCca, SerializationRoundTrip) {
   IbeCcaCiphertext back = IbeCcaCiphertext::from_bytes(ctx(), ct.to_bytes());
   EXPECT_EQ(ibe_decrypt_cca(ctx(), d.pub(), d.extract("id"), back),
             to_bytes("m"));
-}
-
-TEST(IbsPrecomp, VerifierMatchesPlainVerify) {
-  Domain d = make_domain("ibs-pre");
-  cipher::Drbg rng(to_bytes("ibs-pre-rng"));
-  IbsVerifier verifier(d.pub(), "dr-a");
-  Bytes msg = to_bytes("m");
-  IbsSignature sig = ibs_sign(ctx(), d.extract("dr-a"), "dr-a", msg, rng);
-  EXPECT_TRUE(verifier.verify(msg, sig));
-  EXPECT_FALSE(verifier.verify(to_bytes("x"), sig));
-  IbsSignature bad = sig;
-  bad.v = mp::add_mod(bad.v, mp::U512::from_u64(1), ctx().q);
-  EXPECT_FALSE(verifier.verify(msg, bad));
-  // A signature from a different identity fails on this verifier.
-  IbsSignature other =
-      ibs_sign(ctx(), d.extract("dr-b"), "dr-b", msg, rng);
-  EXPECT_FALSE(verifier.verify(msg, other));
 }
 
 TEST(Ibs, SignVerify) {

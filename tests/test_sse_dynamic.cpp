@@ -390,6 +390,33 @@ TEST(SseDynamicProtocol, UpdatesWriteThroughAndHydrate) {
   fs::remove_all(dir);
 }
 
+// Removing a file and re-adding the same id in one UPDATE (the retagging
+// recipe) must leave the new blob, both in memory and in the store.
+TEST(SseDynamicProtocol, RemoveThenReaddInOneUpdateKeepsNewBlob) {
+  fs::path dir = fs::temp_directory_path() / "hcpp-test-dyn-readd";
+  fs::remove_all(dir);
+  Deployment d = Deployment::create({.n_phi_files = 3});
+  ASSERT_TRUE(d.sserver->attach_store(dir.string()));
+  const sse::FileId id = d.patient->files().front().id;
+  sse::PlainFile retagged{id, "retagged", to_bytes("new body"),
+                          {"kw-retagged"}};
+  std::vector<sse::FileId> rm = {id};
+  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {retagged}, rm));
+  EXPECT_TRUE(d.sserver->store_consistent());
+
+  std::vector<std::string> kws = {"kw-retagged"};
+  auto got = d.patient->retrieve(*d.sserver, kws);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].content, retagged.content);
+
+  SServer restored(*d.net, *d.aserver, d.sserver->id());
+  ASSERT_TRUE(restored.attach_store(dir.string()));
+  auto again = d.patient->retrieve(restored, kws);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].content, retagged.content);
+  fs::remove_all(dir);
+}
+
 TEST(SseDynamicProtocol, ExportImportCarriesUpdateLog) {
   Deployment d = Deployment::create({.n_phi_files = 3});
   sse::FileId nid = d.patient->files().back().id + 1;
