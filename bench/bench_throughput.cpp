@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   ibc::Domain domain(ctx, drng);
   std::vector<ibc::IbsBatchItem> sigs;
   for (int i = 0; i < 24; ++i) {
-    // Half the identities repeat (cached-g_id path), half are singletons.
+    // Twelve identities, each signing twice (the repeat hits the H1 memo).
     std::string id = "dr-" + std::to_string(i % 12);
     Bytes msg = to_bytes("audit-statement-" + std::to_string(i));
     sigs.push_back(

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <optional>
 
-#include "src/core/coalesce.h"
 #include "src/par/pool.h"
 
 namespace hcpp::core {
@@ -83,30 +82,28 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
                   par::ThreadPool* pool) {
   AuditReport report;
 
-  // Both verification rounds share one PairingCoalescer: the drains fuse
-  // each signature's two pairings into a single Miller product and batch
-  // the final exponentiations (one modular inversion per round), and the
-  // Ppub line table carries over from round 1 to round 2. H1(ID) hashing is
-  // cached per identity inside each drain — round 1's single shared
-  // A-server identity hashes exactly once.
-  PairingCoalescer verifier(pub);
+  // Two ibs_verify_batch rounds, each one miller_batch: every signature's
+  // two pairings fused into a single Miller product, the final
+  // exponentiations batched (one modular inversion per round).
 
   // Round 1: every RD carries an A-server signature.
   std::vector<size_t> rd_slot(records.size(), SIZE_MAX);
+  std::vector<ibc::IbsBatchItem> items;
   for (size_t i = 0; i < records.size(); ++i) {
     std::optional<ibc::IbsBatchItem> item =
         rd_batch_item(pub, aserver_id, records[i]);
     if (item.has_value()) {
-      rd_slot[i] =
-          verifier.add_ibs_verify(item->id, item->message, item->sig);
+      rd_slot[i] = items.size();
+      items.push_back(std::move(*item));
     }
   }
-  std::vector<uint8_t> rd_ok = verifier.drain(pool).ibs_ok;
+  std::vector<uint8_t> rd_ok = ibc::ibs_verify_batch(pub, items, pool);
 
   // Round 2: traces matched by a verified RD, keyed by trace pointer so a
   // trace referenced twice is only verified once.
   std::vector<const TraceRecord*> rd_match(records.size(), nullptr);
   std::vector<const TraceRecord*> tr_of_item;
+  items.clear();
   for (size_t i = 0; i < records.size(); ++i) {
     if (rd_slot[i] == SIZE_MAX || !rd_ok[rd_slot[i]]) continue;
     const TraceRecord* match = find_trace(traces, records[i]);
@@ -116,12 +113,12 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
         tr_of_item.end()) {
       std::optional<ibc::IbsBatchItem> item = trace_batch_item(pub, *match);
       if (item.has_value()) {
-        verifier.add_ibs_verify(item->id, item->message, item->sig);
+        items.push_back(std::move(*item));
         tr_of_item.push_back(match);
       }
     }
   }
-  std::vector<uint8_t> tr_ok = verifier.drain(pool).ibs_ok;
+  std::vector<uint8_t> tr_ok = ibc::ibs_verify_batch(pub, items, pool);
   auto trace_verified = [&](const TraceRecord* tr) {
     for (size_t j = 0; j < tr_of_item.size(); ++j) {
       if (tr_of_item[j] == tr) return tr_ok[j] != 0;

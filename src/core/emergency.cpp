@@ -22,7 +22,6 @@
 #include "src/cipher/aead.h"
 #include "src/core/accountability.h"
 #include "src/core/cluster.h"
-#include "src/core/coalesce.h"
 #include "src/core/entities.h"
 #include "src/obs/trace.h"
 #include "src/sim/transport.h"
@@ -268,26 +267,24 @@ AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
   // Freshness and signature decoding stay serial and in arrival order, so a
   // duplicate inside the batch hits the replay cache exactly as it would
   // have arriving one request later.
-  PairingCoalescer co(pub());
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  std::vector<size_t> ticket(reqs.size(), kNone);
+  std::vector<size_t> verified;  // request index of each batch item
+  std::vector<ibc::IbsBatchItem> items;
   for (size_t i = 0; i < reqs.size(); ++i) {
     const EmergencyAuthRequest& req = reqs[i];
     if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) continue;
     try {
-      ibc::IbsSignature sig =
-          ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-      ticket[i] = co.add_ibs_verify(req.physician_id, req.body(), sig);
+      items.push_back({req.physician_id, req.body(),
+                       ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig)});
+      verified.push_back(i);
     } catch (const std::exception&) {
     }
   }
 
-  // One drain: all verification pairings fused and final-exponentiated
-  // together (coalesce.h).
-  PairingCoalescer::Drained drained = co.drain(pool);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (ticket[i] == kNone || !drained.ibs_ok[ticket[i]]) continue;
-    out[i] = finish_emergency_auth(reqs[i]);
+  // One ibs_verify_batch: all verification pairings fused and
+  // final-exponentiated together.
+  std::vector<uint8_t> ok = ibc::ibs_verify_batch(pub(), items, pool);
+  for (size_t k = 0; k < items.size(); ++k) {
+    if (ok[k]) out[verified[k]] = finish_emergency_auth(reqs[verified[k]]);
   }
   return out;
 }

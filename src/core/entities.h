@@ -98,13 +98,13 @@ class AServer {
   std::optional<EmergencyAuthOutcome> handle_emergency_auth(
       const EmergencyAuthRequest& req);
 
-  /// Coalesced form for a burst of §IV.E.2 step-1 requests drained from one
+  /// Batched form for a burst of §IV.E.2 step-1 requests drained from one
   /// queue: every physician IBS in the batch goes through a single
-  /// PairingCoalescer drain (fused Miller products, one batched final
-  /// exponentiation), instead of two full pairings per request. result[i]
-  /// is exactly what handle_emergency_auth(reqs[i]) would have returned had
-  /// the requests arrived one at a time in order (including replay-cache
-  /// effects between duplicates).
+  /// ibc::ibs_verify_batch (fused Miller products sharded onto `pool`, one
+  /// batched final exponentiation). result[i] is exactly what
+  /// handle_emergency_auth(reqs[i]) would have returned had the requests
+  /// arrived one at a time in order (including replay-cache effects between
+  /// duplicates).
   std::vector<std::optional<EmergencyAuthOutcome>> handle_emergency_auth_batch(
       std::span<const EmergencyAuthRequest> reqs,
       par::ThreadPool* pool = nullptr);
@@ -198,15 +198,16 @@ class SServer {
   [[nodiscard]] const MhiStreamHub& mhi_hub() const noexcept {
     return mhi_hub_;
   }
-  /// Shards the hub's and the retrieval path's batched final exponentiations
-  /// onto `pool` (nullptr = serial). The pool must outlive the server.
+  /// Shards the hub's and the retrieval path's batched PEKS tests
+  /// (curve::miller_batch) onto `pool` (nullptr = serial). The pool must
+  /// outlive the server.
   void attach_mhi_pool(par::ThreadPool* pool) noexcept { mhi_pool_ = pool; }
 
   /// ν for a presented pseudonym: ê(Γ_S, TPp).
   [[nodiscard]] Bytes shared_key_for(BytesView tp_bytes) const;
   /// The fixed-Γ_S precomputation behind shared_key_for, exposed so the
   /// SEARCH front-end's batch path (SearchService::search_batch_privileged)
-  /// can queue its ν derivations on a cross-request PairingCoalescer.
+  /// can derive a whole batch's ν values with one with_points call.
   [[nodiscard]] const ibc::SharedKeyDeriver& nu_deriver() const noexcept {
     return nu_deriver_;
   }

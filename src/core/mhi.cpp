@@ -232,17 +232,17 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
   }
   MhiRetrieveResponse resp;
   // Only this role's bucket is scanned, and the whole bucket is tested as
-  // one batch: the trapdoor's Miller lines are cached once, each tag costs a
-  // precomputed Miller loop, and one pool-sharded final_exp_batch finishes
-  // every (entry, tag) pair.
+  // one peks_test_batch: the trapdoor's Miller lines are cached once, each
+  // tag costs a precomputed Miller loop, and one pool-sharded miller_batch
+  // finishes every (entry, tag) pair.
   auto bucket = mhi_store_.find(req.role_id);
   if (bucket != mhi_store_.end() && !bucket->second.empty()) {
     std::vector<peks::PeksCiphertext> flat;
     for (const MhiEntry& entry : bucket->second) {
       flat.insert(flat.end(), entry.tags.begin(), entry.tags.end());
     }
-    peks::TrapdoorPrecomp pre(*ctx_, td);
-    std::vector<uint8_t> match = pre.test_batch(flat, mhi_pool_);
+    std::vector<uint8_t> match =
+        peks::peks_test_batch(*ctx_, flat, td, mhi_pool_);
     size_t k = 0;
     for (const MhiEntry& entry : bucket->second) {
       bool hit = false;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "src/obs/metrics.h"
-#include "src/par/pool.h"
 
 namespace hcpp::core {
 
@@ -85,19 +84,14 @@ size_t MhiStreamHub::ingest(const std::string& role_id,
 
   auto t0 = std::chrono::steady_clock::now();
   // One Miller value per (registration, tag) pair — all over cached lines —
-  // then one batched final exponentiation for the whole window.
-  std::vector<field::Fp2> millers(regs.size() * tags.size());
-  auto run = [&](size_t, size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      millers[k] = regs[k / tags.size()].precomp.miller(tags[k % tags.size()]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->for_shards(millers.size(), run);
-  } else {
-    par::serial_shards(millers.size(), run);
-  }
-  std::vector<curve::Gt> gs = curve::final_exp_batch(*ctx_, millers, pool);
+  // finished by one batched final exponentiation for the whole window.
+  const size_t tested = regs.size() * tags.size();
+  std::vector<curve::Gt> gs = curve::miller_batch(
+      *ctx_, tested,
+      [&](size_t k) {
+        return regs[k / tags.size()].precomp.miller(tags[k % tags.size()]);
+      },
+      pool);
 
   size_t queued = 0;
   size_t k = 0;
@@ -113,9 +107,9 @@ size_t MhiStreamHub::ingest(const std::string& role_id,
       ++queued;
     }
   }
-  tags_tested_ += millers.size();
+  tags_tested_ += tested;
   hits_total_ += queued;
-  obs::count(obs::kMhiTagsTested, millers.size());
+  obs::count(obs::kMhiTagsTested, tested);
   if (queued > 0) obs::count(obs::kMhiHits, queued);
   obs::observe(obs::kMhiIngestNs,
                static_cast<double>(

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/core/cluster.h"
-#include "src/core/coalesce.h"
 #include "src/obs/trace.h"
 #include "src/par/pool.h"
 #include "src/sse/sse.h"
@@ -142,46 +141,42 @@ SearchService::search_batch_privileged(
   const curve::CurveCtx& ctx = *server.nu_deriver().ctx();
   sim::Network& net = server.net();
 
-  // Stage 1: one coalescer drain derives every ν of the batch — requests
-  // presenting the same pseudonym share a single pairing. The subgroup
-  // guard mirrors SServer::shared_key_for.
-  PairingCoalescer co(ctx);
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  std::vector<size_t> ticket(reqs.size(), kNone);
+  // Stage 1: one SharedKeyDeriver::with_points derives every ν of the
+  // batch — requests presenting the same pseudonym share a single pairing.
+  // The subgroup guard mirrors SServer::shared_key_for.
+  std::vector<size_t> keyed;  // request index of each peer
+  std::vector<curve::Point> peers;
   for (size_t i = 0; i < reqs.size(); ++i) {
     try {
-      ticket[i] = co.add_shared_key(
-          server.nu_deriver(),
-          curve::checked_point_from_bytes(ctx, reqs[i].tp));
+      peers.push_back(curve::checked_point_from_bytes(ctx, reqs[i].tp));
+      keyed.push_back(i);
     } catch (const std::exception&) {
       // malformed or small-order pseudonym point: rejected below
     }
   }
-  PairingCoalescer::Drained drained = co.drain(pool_);
+  std::vector<Bytes> nus = server.nu_deriver().with_points(peers, pool_);
 
   // Stage 2: MAC and freshness in arrival order — the replay cache mutates,
   // so a duplicate inside the batch is rejected exactly as if it had
   // arrived one request later.
-  std::vector<uint8_t> accepted(reqs.size(), 0);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (ticket[i] == kNone) continue;
-    const PrivilegedRetrieveRequest& req = reqs[i];
-    const Bytes& nu = drained.shared_keys[ticket[i]];
-    if (!protocol_mac_ok(nu, kPrivilegedRetrieveLabel, req.body(), req.t,
+  std::vector<const Bytes*> accepted_nu(reqs.size(), nullptr);
+  for (size_t k = 0; k < keyed.size(); ++k) {
+    const PrivilegedRetrieveRequest& req = reqs[keyed[k]];
+    if (!protocol_mac_ok(nus[k], kPrivilegedRetrieveLabel, req.body(), req.t,
                          req.mac)) {
       continue;
     }
     if (!net.accept_fresh(server.id(), req.mac, req.t, kFreshnessWindowNs)) {
       continue;
     }
-    accepted[i] = 1;
+    accepted_nu[keyed[k]] = &nus[k];
   }
 
   // Stage 3: answer the accepted queries from the snapshot, parallel over
   // requests — const snapshot state only, like search_batch.
   const uint64_t now = net.clock().now();
   auto answer_one = [&](size_t i) {
-    if (!accepted[i]) return;
+    if (accepted_nu[i] == nullptr) return;
     const PrivilegedRetrieveRequest& req = reqs[i];
     std::string key = SServer::account_key(req.tp, req.collection);
     const SnapshotMap& snap = view_for(views, key);
@@ -199,8 +194,8 @@ SearchService::search_batch_privileged(
       }
     }
     resp.t = now;
-    resp.mac = protocol_mac(drained.shared_keys[ticket[i]],
-                            kPrivilegedRetrieveLabel, resp.body(), resp.t);
+    resp.mac = protocol_mac(*accepted_nu[i], kPrivilegedRetrieveLabel,
+                            resp.body(), resp.t);
     out[i] = std::move(resp);
   };
   if (pool_ == nullptr || reqs.size() <= 1) {

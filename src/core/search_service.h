@@ -97,10 +97,10 @@ class SearchService {
 
   /// §IV.E.1 messages 3–4 answered as one authenticated batch on behalf of
   /// `server`: the ν = ê(Γ_S, TPp) derivations of the whole batch go through
-  /// one PairingCoalescer drain (requests presenting the same pseudonym
-  /// share a single pairing), then MAC/freshness checks run in arrival order
-  /// against the live server's replay cache, and the accepted queries are
-  /// answered from the current snapshot in parallel. result[i] is what
+  /// one SharedKeyDeriver::with_points call (requests presenting the same
+  /// pseudonym share a single pairing), then MAC/freshness checks run in
+  /// arrival order against the live server's replay cache, and the accepted
+  /// queries are answered from the current snapshot in parallel. result[i] is what
   /// server.handle_privileged_retrieve(reqs[i]) returns — nullopt on a bad
   /// pseudonym, MAC, stale timestamp, or unknown account — except that file
   /// data comes from the published snapshot (snapshot isolation, as above).

@@ -290,6 +290,19 @@ std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
   return out;
 }
 
+std::vector<Gt> miller_batch(const CurveCtx& ctx, size_t n,
+                             const std::function<Fp2(size_t)>& miller_of_i,
+                             par::ThreadPool* pool) {
+  std::vector<Fp2> fs(n);
+  auto run = [&](size_t i) { fs[i] = miller_of_i(i); };
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(n, run);
+  } else {
+    for (size_t i = 0; i < n; ++i) run(i);
+  }
+  return final_exp_batch(ctx, fs, pool);
+}
+
 const PairingPrecomp& generator_precomp(const CurveCtx& ctx) {
   std::call_once(ctx.gen_precomp_once, [&ctx] {
     ctx.gen_precomp =

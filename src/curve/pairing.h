@@ -25,6 +25,7 @@
 // for all of the above (tests/test_pairing.cpp, ctest pairing_consistency).
 #pragma once
 
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -91,10 +92,9 @@ class PairingPrecomp {
   /// The Miller-loop value of ê(P_fixed, Q) *before* the final
   /// exponentiation. Raising it with final_exp_batch (or multiplying several
   /// such values first — FE is a group homomorphism) yields the same Gt as
-  /// pairing_with; the cross-request coalescer in core uses this to share
-  /// the per-pairing inversion across a whole drain. Returns 1 for a
-  /// trivial precomp or infinite Q (throws if default-constructed, like
-  /// pairing_with).
+  /// pairing_with; miller_batch uses this to share the per-pairing
+  /// inversion across a whole batch. Returns 1 for a trivial precomp or
+  /// infinite Q (throws if default-constructed, like pairing_with).
   [[nodiscard]] field::Fp2 miller_with(const Point& q) const;
 
   /// True when default-constructed or built from the point at infinity
@@ -130,6 +130,16 @@ Gt pairing_product(const CurveCtx& ctx, std::span<const PairingTerm> terms);
 std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
                                 std::span<const field::Fp2> fs,
                                 par::ThreadPool* pool = nullptr);
+
+/// The one batched-pairing path: evaluates miller_of_i(i) for every i < n —
+/// element-wise on `pool`, serially when nullptr — and finishes all n Miller
+/// values with one final_exp_batch. Element i is the Gt of miller_of_i(i).
+/// miller_of_i runs concurrently on a pool, so it must only read shared
+/// state.
+std::vector<Gt> miller_batch(
+    const CurveCtx& ctx, size_t n,
+    const std::function<field::Fp2(size_t)>& miller_of_i,
+    par::ThreadPool* pool);
 
 /// Per-context PairingPrecomp for the group generator, built lazily and
 /// cached on the CurveCtx (thread-safe). Every protocol pairing with P as

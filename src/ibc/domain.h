@@ -11,7 +11,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "src/curve/pairing.h"
 #include "src/curve/params.h"
@@ -69,12 +71,6 @@ Domain::Pseudonym rerandomize_pseudonym(const curve::CurveCtx& ctx,
 /// Validity check ê(TP, Ppub) == ê(Γ, P) — anyone can run it.
 bool pseudonym_valid(const PublicParams& pub, const Domain::Pseudonym& pn);
 
-/// The KDF every shared-key derivation applies to its pairing value:
-/// K = HKDF(g.to_bytes(), "hcpp-shared-key", 32). Exposed so the
-/// cross-request coalescer (core::PairingCoalescer) can batch the pairing
-/// evaluations and still produce byte-identical keys.
-Bytes shared_key_kdf(const curve::Gt& g);
-
 /// Non-interactive shared key (the paper's ν, ϖ and ρ), named-identity side:
 /// K = KDF(ê(my_private, H1(peer_id))). Symmetric pairing makes both
 /// directions agree.
@@ -103,13 +99,14 @@ class SharedKeyDeriver {
   /// K = KDF(ê(my_private, peer)). Same value as shared_key_with_point.
   [[nodiscard]] Bytes with_point(const curve::Point& peer_public) const;
 
-  /// The cached Miller lines of my_private — the coalescer evaluates these
-  /// directly (miller_with) so several derivations can share one batched
-  /// final exponentiation. False for a default-constructed deriver.
-  [[nodiscard]] bool ready() const noexcept { return ctx_ != nullptr; }
-  [[nodiscard]] const curve::PairingPrecomp& precomp() const noexcept {
-    return pre_;
-  }
+  /// with_point(peers[i]) for every i. Each distinct peer is paired once
+  /// (repeats copy its key) and all of them share one curve::miller_batch,
+  /// sharded onto `pool` when given. Throws std::logic_error when
+  /// default-constructed.
+  [[nodiscard]] std::vector<Bytes> with_points(
+      std::span<const curve::Point> peers,
+      par::ThreadPool* pool = nullptr) const;
+
   [[nodiscard]] const curve::CurveCtx* ctx() const noexcept { return ctx_; }
 
  private:

@@ -1,24 +1,37 @@
 #include "src/ibc/ibs.h"
 
-#include <unordered_map>
+#include <stdexcept>
 
 #include "src/common/serialize.h"
-#include "src/par/pool.h"
 
 namespace hcpp::ibc {
 
-mp::U512 ibs_challenge(const curve::CurveCtx& ctx, BytesView message,
-                       const curve::Gt& u) {
+namespace {
+
+/// H3(m ‖ u), the challenge both sign and verify compute.
+mp::U512 challenge(const curve::CurveCtx& ctx, BytesView message,
+                   const curve::Gt& u) {
   Bytes input = u.to_bytes();
   append(input, message);
   return curve::hash_to_scalar(ctx, input, "hcpp-ibs-h3");
 }
 
-namespace {
-mp::U512 challenge(const curve::CurveCtx& ctx, BytesView message,
-                   const curve::Gt& u) {
-  return ibs_challenge(ctx, message, u);
+/// Rejected without any pairing work.
+bool malformed(const curve::CurveCtx& ctx, const IbsSignature& sig) {
+  return sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q);
 }
+
+/// u' = ê(W, P) · ê(H1(ID), Ppub)^{-v} before its final exponentiation: two
+/// fixed-argument Miller values fused into one, since the final
+/// exponentiation is a group homomorphism.
+field::Fp2 verify_miller(const PublicParams& pub, std::string_view id,
+                         const IbsSignature& sig) {
+  const curve::CurveCtx& ctx = *pub.ctx;
+  mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
+  return curve::generator_precomp(ctx).miller_with(sig.w) *
+         pub.ppub_pre->miller_with(Domain::public_key(ctx, id)).pow(neg_v);
+}
+
 }  // namespace
 
 IbsSignature ibs_sign(const curve::CurveCtx& ctx,
@@ -38,13 +51,8 @@ IbsSignature ibs_sign(const curve::CurveCtx& ctx,
 bool ibs_verify(const PublicParams& pub, std::string_view id,
                 BytesView message, const IbsSignature& sig) {
   const curve::CurveCtx& ctx = *pub.ctx;
-  if (sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q)) return false;
-  curve::Point q_id = Domain::public_key(ctx, id);
-  // u' = ê(W, P) · ê(H1(ID), Ppub)^{-v}: two fixed-argument Miller values
-  // sharing one final exponentiation, which is a group homomorphism.
-  mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
-  const field::Fp2 f = curve::generator_precomp(ctx).miller_with(sig.w) *
-                       pub.ppub_pre->miller_with(q_id).pow(neg_v);
+  if (malformed(ctx, sig)) return false;
+  const field::Fp2 f = verify_miller(pub, id, sig);
   curve::Gt u = curve::final_exp_batch(ctx, std::span(&f, 1))[0];
   return challenge(ctx, message, u) == sig.v;
 }
@@ -53,39 +61,20 @@ std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
                                       std::span<const IbsBatchItem> items,
                                       par::ThreadPool* pool) {
   const curve::CurveCtx& ctx = *pub.ctx;
-  std::vector<uint8_t> out(items.size(), 0);
-  if (items.empty()) return out;
-
-  // ê(H1(ID), Ppub) once per distinct identity through the Ppub line table,
-  // shared read-only by every worker; each check then adds one
-  // fixed-argument ê(W, P).
-  auto malformed = [&ctx](const IbsSignature& sig) {
-    return sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q);
-  };
-  std::unordered_map<std::string_view, curve::Gt> g_ids;
-  for (const IbsBatchItem& it : items) {
-    if (malformed(it.sig)) continue;  // rejected without any pairing work
-    auto [slot, inserted] = g_ids.try_emplace(it.id);
-    if (inserted) {
-      slot->second =
-          pub.ppub_pre->pairing_with(Domain::public_key(ctx, it.id));
-    }
+  std::vector<size_t> live;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!malformed(ctx, items[i].sig)) live.push_back(i);
   }
-
-  auto verify_one = [&](size_t i) {
-    const IbsBatchItem& it = items[i];
-    const IbsSignature& sig = it.sig;
-    if (malformed(sig)) return;
-    mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
-    curve::Gt u = curve::generator_precomp(ctx).pairing_with(sig.w) *
-                  g_ids.find(std::string_view(it.id))->second.pow(neg_v);
-    out[i] = challenge(ctx, it.message, u) == sig.v ? 1 : 0;
-  };
-
-  if (pool == nullptr || items.size() <= 1) {
-    for (size_t i = 0; i < items.size(); ++i) verify_one(i);
-  } else {
-    pool->parallel_for(items.size(), verify_one);
+  std::vector<curve::Gt> us = curve::miller_batch(
+      ctx, live.size(),
+      [&](size_t k) {
+        return verify_miller(pub, items[live[k]].id, items[live[k]].sig);
+      },
+      pool);
+  std::vector<uint8_t> out(items.size(), 0);
+  for (size_t k = 0; k < live.size(); ++k) {
+    const IbsBatchItem& it = items[live[k]];
+    out[live[k]] = challenge(ctx, it.message, us[k]) == it.sig.v ? 1 : 0;
   }
   return out;
 }
@@ -103,6 +92,9 @@ IbsSignature IbsSignature::from_bytes(const curve::CurveCtx& ctx,
   IbsSignature sig;
   sig.v = mp::U512::from_bytes_be(r.raw(64));
   sig.w = curve::point_from_bytes(ctx, r.bytes());
+  if (!r.done()) {
+    throw std::invalid_argument("IbsSignature: trailing bytes");
+  }
   return sig;
 }
 

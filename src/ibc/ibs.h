@@ -22,6 +22,9 @@ struct IbsSignature {
   curve::Point w;  // response point
 
   [[nodiscard]] Bytes to_bytes() const;
+  /// Throws on a malformed encoding, trailing bytes included: the A-server
+  /// keys its replay cache on the raw bytes, so one signature must have
+  /// exactly one accepted encoding.
   static IbsSignature from_bytes(const curve::CurveCtx& ctx, BytesView b);
   [[nodiscard]] size_t size() const;
 };
@@ -29,12 +32,6 @@ struct IbsSignature {
 IbsSignature ibs_sign(const curve::CurveCtx& ctx,
                       const curve::Point& private_key, std::string_view id,
                       BytesView message, RandomSource& rng);
-
-/// The challenge hash H3(m ‖ u) both sign and verify compute. Exposed so the
-/// cross-request coalescer (core::PairingCoalescer) can finish verifications
-/// whose pairing work was batched; must stay in lock-step with ibs_sign.
-mp::U512 ibs_challenge(const curve::CurveCtx& ctx, BytesView message,
-                       const curve::Gt& u);
 
 bool ibs_verify(const PublicParams& pub, std::string_view id,
                 BytesView message, const IbsSignature& sig);
@@ -48,9 +45,10 @@ struct IbsBatchItem {
 
 /// Batch verification: result[i] == ibs_verify(pub, items[i]...). Hess IBS
 /// cannot be merged into one product check (each u' feeds its own H3), so
-/// the batch wins come from structure instead: ê(H1(ID), Ppub) is computed
-/// once per distinct identity, and the per-item checks spread across the
-/// pool — every input is const, so no locks.
+/// each well-formed signature contributes its fused Miller product
+/// ê_miller(W, P)·ê_miller(H1(ID), Ppub)^{−v} to one curve::miller_batch:
+/// the Miller loops spread across the pool and every u' shares one batched
+/// final exponentiation (one modular inversion for the whole batch).
 std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
                                       std::span<const IbsBatchItem> items,
                                       par::ThreadPool* pool = nullptr);

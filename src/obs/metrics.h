@@ -65,14 +65,9 @@ inline constexpr const char* kCheckedPointMemoHits =
 inline constexpr const char* kCheckedPointMemoMisses =
     "crypto.checked_point_memo_misses";
 
-// Cross-request pairing coalescer (core::PairingCoalescer): drains executed,
-// requests folded into drains, pairings avoided versus the one-at-a-time
-// path (dedup hits plus inversions shared by batched final exponentiation),
-// and cache hits from identical shared-key inputs.
-inline constexpr const char* kCoalesceDrains = "coalesce.drains";
-inline constexpr const char* kCoalesceRequests = "coalesce.requests";
+// Pairings a batch skipped outright versus the one-at-a-time path: repeated
+// peers that ibc::SharedKeyDeriver::with_points did not pair again.
 inline constexpr const char* kCoalescePairingsSaved = "coalesce.pairings_saved";
-inline constexpr const char* kCoalesceDedupHits = "coalesce.dedup_hits";
 
 // Network substrate (src/sim/network.cpp).
 inline constexpr const char* kNetMessages = "net.messages";

@@ -42,12 +42,6 @@ size_t ThreadPool::default_threads() {
   return n == 0 ? 1 : n;
 }
 
-void serial_shards(size_t n,
-                   const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  fn(0, 0, n);
-}
-
 // One for_shards call: counts outstanding shards and carries the first
 // exception back to the submitting thread.
 struct ThreadPool::Batch {

@@ -92,10 +92,4 @@ class ThreadPool {
   std::string m_queue_depth_, m_task_ns_, m_tasks_;
 };
 
-/// Shards [0, n) exactly as ThreadPool::for_shards does, serially on the
-/// caller — the `pool == nullptr` fallback every parallel entry point uses.
-void serial_shards(size_t n,
-                   const std::function<void(size_t shard, size_t begin,
-                                            size_t end)>& fn);
-
 }  // namespace hcpp::par

@@ -5,7 +5,6 @@
 #include "src/common/serialize.h"
 #include "src/hash/hkdf.h"
 #include "src/hash/sha256.h"
-#include "src/par/pool.h"
 
 namespace hcpp::peks {
 
@@ -121,16 +120,19 @@ std::vector<uint8_t> peks_test_batch(const curve::CurveCtx& ctx,
                                      std::span<const PeksCiphertext> cts,
                                      const Trapdoor& td,
                                      par::ThreadPool* pool) {
-  return TrapdoorPrecomp(ctx, td).test_batch(cts, pool);
+  const TrapdoorPrecomp pre(ctx, td);
+  std::vector<curve::Gt> gs = curve::miller_batch(
+      ctx, cts.size(), [&](size_t i) { return pre.miller(cts[i]); }, pool);
+  std::vector<uint8_t> out(cts.size());
+  for (size_t i = 0; i < cts.size(); ++i) {
+    out[i] = TrapdoorPrecomp::matches(cts[i], gs[i]) ? 1 : 0;
+  }
+  return out;
 }
 
 TrapdoorPrecomp::TrapdoorPrecomp(const curve::CurveCtx& ctx,
                                  const Trapdoor& td)
-    : ctx_(&ctx), td_(td), pre_(ctx, td.td) {}
-
-bool TrapdoorPrecomp::test(const PeksCiphertext& ct) const {
-  return tag_matches(ct, pre_.pairing_with(ct.a));
-}
+    : pre_(ctx, td.td) {}
 
 field::Fp2 TrapdoorPrecomp::miller(const PeksCiphertext& ct) const {
   return pre_.miller_with(ct.a);
@@ -138,25 +140,6 @@ field::Fp2 TrapdoorPrecomp::miller(const PeksCiphertext& ct) const {
 
 bool TrapdoorPrecomp::matches(const PeksCiphertext& ct, const curve::Gt& g) {
   return tag_matches(ct, g);
-}
-
-std::vector<uint8_t> TrapdoorPrecomp::test_batch(
-    std::span<const PeksCiphertext> cts, par::ThreadPool* pool) const {
-  std::vector<field::Fp2> millers(cts.size());
-  auto run = [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) millers[i] = pre_.miller_with(cts[i].a);
-  };
-  if (pool != nullptr) {
-    pool->for_shards(cts.size(), run);
-  } else {
-    par::serial_shards(cts.size(), run);
-  }
-  std::vector<curve::Gt> gs = curve::final_exp_batch(*ctx_, millers, pool);
-  std::vector<uint8_t> out(cts.size());
-  for (size_t i = 0; i < cts.size(); ++i) {
-    out[i] = tag_matches(cts[i], gs[i]) ? 1 : 0;
-  }
-  return out;
 }
 
 Bytes PeksCiphertext::to_bytes() const {

@@ -60,40 +60,30 @@ Trapdoor peks_trapdoor(const curve::CurveCtx& ctx,
 bool peks_test(const curve::CurveCtx& ctx, const PeksCiphertext& ct,
                const Trapdoor& td);
 
-/// Batched server-side test: one `PairingPrecomp` on the trapdoor caches its
+/// Batched server-side test: one `TrapdoorPrecomp` caches the trapdoor's
 /// Miller lines, each candidate tag then costs one cheap precomputed Miller
-/// loop, and a single `final_exp_batch` (one shared modular inversion,
-/// pool-sharded cofactor powers) finishes all of them. Element i equals
-/// `peks_test(ctx, cts[i], td)`.
+/// loop, and one curve::miller_batch (one shared modular inversion,
+/// pool-sharded Miller loops and cofactor powers) finishes all of them.
+/// Element i equals `peks_test(ctx, cts[i], td)`.
 std::vector<uint8_t> peks_test_batch(const curve::CurveCtx& ctx,
                                      std::span<const PeksCiphertext> cts,
                                      const Trapdoor& td,
                                      par::ThreadPool* pool = nullptr);
 
-/// Standing-query form of the batched test: the trapdoor's Miller line cache
-/// is built once at registration time and reused across many ingest batches
-/// (see src/core/mhi_stream.h). `miller()` exposes the pre-final-
-/// exponentiation pairing value so callers testing several trapdoors against
-/// the same tags can drain ONE `final_exp_batch` over all (trapdoor, tag)
-/// pairs; `matches()` applies the per-variant tag comparison to the finished
-/// value.
+/// A trapdoor's Miller line cache, built once and reused across many tags
+/// (peks_test_batch, and the standing registrations of src/core/mhi_stream.h).
+/// `miller()` is the pre-final-exponentiation pairing value, so callers can
+/// finish many (trapdoor, tag) pairs in one curve::miller_batch; `matches()`
+/// applies the per-variant tag comparison to the finished value.
 class TrapdoorPrecomp {
  public:
   TrapdoorPrecomp(const curve::CurveCtx& ctx, const Trapdoor& td);
 
-  [[nodiscard]] bool test(const PeksCiphertext& ct) const;
-  [[nodiscard]] std::vector<uint8_t> test_batch(
-      std::span<const PeksCiphertext> cts,
-      par::ThreadPool* pool = nullptr) const;
-
   [[nodiscard]] field::Fp2 miller(const PeksCiphertext& ct) const;
   [[nodiscard]] static bool matches(const PeksCiphertext& ct,
                                     const curve::Gt& g);
-  [[nodiscard]] const Trapdoor& trapdoor() const { return td_; }
 
  private:
-  const curve::CurveCtx* ctx_;
-  Trapdoor td_;
   curve::PairingPrecomp pre_;
 };
 

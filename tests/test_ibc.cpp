@@ -284,6 +284,10 @@ TEST(Ibs, SerializationRoundTrip) {
       ibs_sign(ctx(), d.extract("dr-alice"), "dr-alice", msg, rng);
   IbsSignature back = IbsSignature::from_bytes(ctx(), sig.to_bytes());
   EXPECT_TRUE(ibs_verify(d.pub(), "dr-alice", msg, back));
+  // One signature, one accepted encoding: trailing bytes are rejected.
+  Bytes padded = sig.to_bytes();
+  padded.push_back(0x00);
+  EXPECT_THROW(IbsSignature::from_bytes(ctx(), padded), std::exception);
 }
 
 TEST(Ibs, SignaturesAreRandomized) {
@@ -303,8 +307,8 @@ TEST(Ibs, SignaturesAreRandomized) {
 TEST(IbsBatch, MatchesSerialVerifyWithRepeatsAndSingletons) {
   Domain d = make_domain("ibs-batch");
   cipher::Drbg rng(to_bytes("ibs-batch-rng"));
-  // Two signatures from dr-alice (repeated identity: cached g_id path) and
-  // one each from dr-bob and dr-carol (singletons: multi-pairing path).
+  // Two signatures from dr-alice (a repeated identity) and one each from
+  // dr-bob and dr-carol.
   std::vector<IbsBatchItem> items;
   for (const char* id : {"dr-alice", "dr-bob", "dr-alice", "dr-carol"}) {
     Bytes msg = to_bytes(std::string("msg-for-") + id);
@@ -329,24 +333,74 @@ TEST(IbsBatch, FlagsExactlyTheBadSignatures) {
   Domain d = make_domain("ibs-batch-bad");
   cipher::Drbg rng(to_bytes("ibs-batch-bad-rng"));
   std::vector<IbsBatchItem> items;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 11; ++i) {
     std::string id = i % 2 == 0 ? "dr-alice" : "dr-bob";
     Bytes msg = to_bytes("m" + std::to_string(i));
     items.push_back(
         {id, msg, ibs_sign(ctx(), d.extract(id), id, msg, rng)});
   }
-  // Corrupt one repeated-identity slot and one singleton-shaped slot.
+  // v + 1 and a small v are both forged challenges.
   items[2].sig.v = mp::add_mod(items[2].sig.v, mp::U512::from_u64(1), ctx().q);
-  items[5].message = to_bytes("different message");
+  items[5].message = to_bytes("different message");  // tampered message
+  items[6].sig.v = mp::U512::from_u64(7);
+  items[7].sig.w = curve::Point{};                    // infinity W
+  items[8].sig.v = mp::U512{};                        // zero challenge
+  items[9].id = "dr-imposter";  // valid signature, wrong identity
+  items[10].sig.v = ctx().q;    // challenge out of range
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
   par::ThreadPool pool(2, "ibs");
   std::vector<uint8_t> ok = ibs_verify_batch(d.pub(), items, &pool);
-  std::vector<uint8_t> want = {1, 1, 0, 1, 1, 0};
+  obs::attach(previous);
+  std::vector<uint8_t> want = {1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0};
   EXPECT_EQ(ok, want);
+  EXPECT_EQ(ibs_verify_batch(d.pub(), items, nullptr), want);
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(ok[i] != 0, ibs_verify(d.pub(), items[i].id, items[i].message,
+                                     items[i].sig))
+        << "item " << i;
+  }
+  // Two fused pairings per well-formed signature; items 7, 8 and 10 are
+  // rejected without any pairing work.
+  EXPECT_EQ(reg.counter(obs::kPairingFixed), 2u * (items.size() - 3));
 }
 
 TEST(IbsBatch, EmptyBatchIsEmpty) {
   Domain d = make_domain("ibs-batch-empty");
   EXPECT_TRUE(ibs_verify_batch(d.pub(), {}, nullptr).empty());
+}
+
+TEST(SharedKeyDeriver, WithPoints) {
+  Domain d = make_domain("skd-points");
+  cipher::Drbg rng(to_bytes("skd-points-rng"));
+  SharedKeyDeriver deriver(ctx(), d.extract("sserver"));
+  const curve::Point tp = d.issue_pseudonym(rng).tp;
+  std::vector<curve::Point> peers = {
+      tp,
+      Domain::public_key(ctx(), "peer-a"),
+      Domain::public_key(ctx(), "peer-b"),
+      tp,                                   // repeat
+      Domain::public_key(ctx(), "peer-a"),  // repeat
+  };
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  std::vector<Bytes> serial = deriver.with_points(peers, nullptr);
+  obs::attach(previous);
+  ASSERT_EQ(serial.size(), peers.size());
+  for (size_t i = 0; i < peers.size(); ++i) {
+    EXPECT_EQ(serial[i], deriver.with_point(peers[i])) << "peer " << i;
+  }
+  // Each distinct peer paired once: the two repeats are the saving.
+  EXPECT_EQ(reg.counter(obs::kPairingFixed), 3u);
+  EXPECT_EQ(reg.counter(obs::kCoalescePairingsSaved), 2u);
+
+  par::ThreadPool pool(3, "skd");
+  EXPECT_EQ(deriver.with_points(peers, &pool), serial);
+  EXPECT_TRUE(deriver.with_points({}, &pool).empty());
+  EXPECT_THROW((void)SharedKeyDeriver().with_points(peers),
+               std::logic_error);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "src/core/accountability.h"
 #include "src/core/setup.h"
+#include "src/par/pool.h"
 #include "src/sim/transport.h"
 
 namespace hcpp::core {
@@ -231,6 +232,72 @@ TEST(LedgerChaos, FullLedgerAuditPassesUnderChaosAndCatchesForks) {
       expected, permitted);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.trace_chain.defect, lg::ChainVerdict::Defect::kTruncated);
+}
+
+TEST(LedgerChaos, AnchorVerificationRejectsBadCountersignatures) {
+  LedgerFixture f(66);
+  f.run_emergency();
+  ASSERT_TRUE(f.anchor_traces(/*epoch=*/0).anchored);
+  const lg::Ledger& tr = f.d.aserver->trace_ledger();
+  const lg::AnchoredCheckpoint good = tr.anchors()[0];
+  ASSERT_EQ(good.sigs.size(), 3u);
+  const ibc::PublicParams& pub = f.d.aserver->pub();
+  const curve::CurveCtx& ctx = *pub.ctx;
+  std::vector<std::string> expected = lg::default_anchor_authorities();
+  std::vector<std::string> all = f.d.all_keywords();
+  std::set<std::string> permitted(all.begin(), all.end());
+  par::ThreadPool pool(2, "anchor-verify");
+
+  std::vector<std::pair<std::string, lg::AnchoredCheckpoint>> bad;
+  {
+    lg::AnchoredCheckpoint a = good;
+    a.sigs[1].sig[63] ^= 0x01;  // low byte of the challenge v
+    bad.emplace_back("challenge byte flipped", std::move(a));
+  }
+  {
+    lg::AnchoredCheckpoint a = good;
+    ibc::IbsSignature sig = ibc::IbsSignature::from_bytes(ctx, a.sigs[2].sig);
+    sig.v = mp::U512{};
+    a.sigs[2].sig = sig.to_bytes();
+    bad.emplace_back("zero challenge", std::move(a));
+  }
+  {
+    lg::AnchoredCheckpoint a = good;
+    std::swap(a.sigs[0], a.sigs[1]);
+    bad.emplace_back("authorities swapped", std::move(a));
+  }
+  {
+    lg::AnchoredCheckpoint a = good;
+    std::swap(a.sigs[0].sig, a.sigs[1].sig);
+    bad.emplace_back("signatures swapped between authorities", std::move(a));
+  }
+  {
+    lg::AnchoredCheckpoint a = good;
+    a.sigs.pop_back();
+    bad.emplace_back("signature missing", std::move(a));
+  }
+
+  EXPECT_TRUE(lg::verify_anchor_sigs(pub, good, expected, nullptr));
+  EXPECT_TRUE(lg::verify_anchor_sigs(pub, good, expected, &pool));
+  for (const auto& [what, anchor] : bad) {
+    EXPECT_FALSE(lg::verify_anchor_sigs(pub, anchor, expected, nullptr))
+        << what;
+    EXPECT_FALSE(lg::verify_anchor_sigs(pub, anchor, expected, &pool)) << what;
+    lg::Ledger presented = lg::Ledger::from_entries(tr.id(), tr.entries());
+    presented.record_anchor(anchor);
+    LedgerAuditReport serial =
+        audit_ledgers(pub, f.d.aserver->id(), presented,
+                      f.d.pdevice->rd_ledger(), expected, permitted, nullptr);
+    LedgerAuditReport pooled =
+        audit_ledgers(pub, f.d.aserver->id(), presented,
+                      f.d.pdevice->rd_ledger(), expected, permitted, &pool);
+    EXPECT_FALSE(serial.anchors_ok) << what;
+    EXPECT_FALSE(pooled.anchors_ok) << what;
+    EXPECT_FALSE(serial.ok()) << what;
+    // Only the anchor is bad: the chain and record tiers still pass.
+    EXPECT_TRUE(serial.trace_chain.ok()) << what;
+    EXPECT_EQ(serial.records.inconsistencies(), 0u) << what;
+  }
 }
 
 }  // namespace

@@ -85,15 +85,6 @@ TEST(ThreadPool, SingleThreadRunsInlineInAscendingOrder) {
   EXPECT_EQ(order[0], 0u);
 }
 
-TEST(ThreadPool, SerialShardsMatchesSingleThreadPool) {
-  std::vector<std::tuple<size_t, size_t, size_t>> serial;
-  serial_shards(42, [&](size_t s, size_t b, size_t e) {
-    serial.emplace_back(s, b, e);
-  });
-  ThreadPool pool(1, "t");
-  EXPECT_EQ(record_shards(pool, 42), ShardVec(serial.begin(), serial.end()));
-}
-
 TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
   ThreadPool pool(4, "t");
   EXPECT_THROW(pool.parallel_for(100,
