@@ -414,8 +414,7 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
     case 4:
       if (mulx_) {
         mulx::fp2_mul4(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_,
-                       mm2_.data());
+                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_);
       } else {
         fp2_mul_impl<4>(re.w.data(), im.w.data(), a_re.w.data(),
                         a_im.w.data(), b_re.w.data(), b_im.w.data(),
@@ -425,8 +424,7 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
     case 8:
       if (mulx_) {
         mulx::fp2_mul8(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_,
-                       mm2_.data());
+                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_);
       } else {
         fp2_mul_impl<8>(re.w.data(), im.w.data(), a_re.w.data(),
                         a_im.w.data(), b_re.w.data(), b_im.w.data(),

@@ -52,12 +52,15 @@ class MontCtx {
   /// same contract as per-element inv().
   void batch_inv(std::span<U512> xs) const;
 
-  /// Lazy-reduction F_{p^2} = F_p[i]/(i^2+1) kernels: Karatsuba over
-  /// double-width accumulators with one Montgomery reduction per output
-  /// coefficient (instead of three fully reduced multiplications).
-  /// Intermediate sums are kept subtraction-free in [0, 2m) resp. [0, 5m^2)
-  /// wide; outputs are fully reduced to [0, m). Inputs/outputs are
-  /// Montgomery residues; output references may alias the inputs.
+  /// F_{p^2} = F_p[i]/(i^2+1) product and square. The portable kernels use
+  /// lazy reduction: Karatsuba over double-width accumulators with one
+  /// Montgomery reduction per output coefficient, intermediate sums kept
+  /// subtraction-free in [0, 2m) resp. [0, 5m^2) wide. The MULX/ADX kernels
+  /// (mont_mulx.h) instead compose fully reduced asm CIOS products — three
+  /// for the product (Karatsuba), two for the square — with modular adds
+  /// and subtracts; both give the same fully reduced outputs in [0, m).
+  /// Inputs/outputs are Montgomery residues; output references may alias
+  /// the inputs.
   void fp2_mul(U512& c_re, U512& c_im, const U512& a_re, const U512& a_im,
                const U512& b_re, const U512& b_im) const noexcept;
   void fp2_sqr(U512& c_re, U512& c_im, const U512& a_re,
@@ -72,9 +75,9 @@ class MontCtx {
   U512 r3_;             // R^3 mod m
   U512 one_;            // R mod m
   // 2·m^2 as a wide little-endian constant: the non-negativity bias added to
-  // the a_re·b_re − a_im·b_im channel of fp2_mul before the single
-  // reduction (2m^2 can exceed 2^{1024} for a full-width modulus, hence the
-  // extra limbs).
+  // the a_re·b_re − a_im·b_im channel of the portable fp2_mul before its
+  // single reduction (2m^2 can exceed 2^{1024} for a full-width modulus,
+  // hence the extra limbs).
   std::array<uint64_t, 2 * kLimbs + 2> mm2_{};
 };
 

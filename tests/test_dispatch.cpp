@@ -174,6 +174,11 @@ TEST(DispatchChaCha, KernelNameReflectsForcedGeneric) {
 }
 
 // ---- Montgomery: MULX/ADX contexts vs forced-generic contexts --------------
+//
+// The MULX/ADCX/ADOX kernels are hand-written carry chains, so they are
+// checked on 10^5 seeded random operand pairs per width plus every pair of
+// adversarial operands, with outputs aliasing inputs, and with both outcomes
+// of the CIOS final conditional subtraction observed.
 
 mp::U512 random_residue(cipher::Drbg& rng, const mp::U512& m) {
   mp::U512 x;
@@ -182,9 +187,12 @@ mp::U512 random_residue(cipher::Drbg& rng, const mp::U512& m) {
   return mp::mod(x, m);
 }
 
+constexpr int kRandomPairs = 100000;
+
 struct WidthModulus {
   const char* name;
   mp::U512 m;
+  int random_pairs = kRandomPairs;
 };
 
 std::vector<WidthModulus> width_moduli() {
@@ -194,28 +202,136 @@ std::vector<WidthModulus> width_moduli() {
   };
 }
 
+/// The deployed moduli, plus moduli whose high limbs are all ones: under
+/// those the asm rows' rare carries (t[N] overflowing into t[N+1], the final
+/// subtraction's top borrow) happen on ordinary operands. Any odd modulus is
+/// a valid MontCtx.
+std::vector<WidthModulus> kernel_moduli() {
+  std::vector<WidthModulus> ms = width_moduli();
+  for (size_t n : {4, 8}) {
+    mp::U512 ones;
+    for (size_t i = 0; i < n; ++i) ones.w[i] = ~0ull;
+    mp::U512 top = ones;
+    top.w[0] = 0x9E3779B97F4A7C15ull;
+    top.w[1] = 0x0123456789ABCDEFull;
+    ms.push_back({n == 4 ? "ones-256" : "ones-512", ones, kRandomPairs / 10});
+    ms.push_back(
+        {n == 4 ? "top-ones-256" : "top-ones-512", top, kRandomPairs / 10});
+  }
+  return ms;
+}
+
+/// splitmix64: seeded bulk operands (the DRBG would dominate the runtime).
+struct SplitMix {
+  uint64_t s;
+  uint64_t next() {
+    uint64_t z = (s += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+};
+
+/// Uniform-ish residue < m: random limbs cut to m's bit length (< 2m), then
+/// one conditional subtraction.
+mp::U512 fast_residue(SplitMix& g, const mp::U512& m) {
+  mp::U512 x;
+  size_t bits = m.bit_length();
+  for (size_t i = 0; i * 64 < bits; ++i) x.w[i] = g.next();
+  if (bits % 64 != 0) x.w[bits / 64] &= (1ull << (bits % 64)) - 1;
+  if (!(x < m)) mp::sub(x, x, m);
+  return x;
+}
+
+/// 0, 1, R mod m, m − 1, m − (R mod m), and for every limb boundary k the
+/// residues 2^{64k} − 1 and ⌊m / 2^{64k}⌋·2^{64k} − 1, whose low k limbs
+/// are all ones.
+std::vector<mp::U512> adversarial(const mp::MontCtx& ctx) {
+  const mp::U512& m = ctx.modulus();
+  const mp::U512 one = mp::U512::from_u64(1);
+  std::vector<mp::U512> xs = {mp::U512{}, one, ctx.one(),
+                              mp::sub_mod(mp::U512{}, one, m),
+                              mp::sub_mod(mp::U512{}, ctx.one(), m)};
+  for (size_t k = 1; k < ctx.limbs(); ++k) {
+    mp::U512 low;
+    for (size_t i = 0; i < k; ++i) low.w[i] = ~0ull;
+    mp::U512 high = m;
+    for (size_t i = 0; i < k; ++i) high.w[i] = 0;
+    mp::sub(high, high, one);
+    xs.push_back(low);
+    xs.push_back(high);
+  }
+  return xs;
+}
+
+/// Whether CIOS took its final subtraction for r = a·b·R^{-1}: before it the
+/// kernel holds t = (a·b + q·m)/R with 0 ≤ q < R, so t·R ≥ a·b, while
+/// r = t − m gives r·R = a·b − (R − q)·m < a·b. Hence: subtracted iff
+/// r·R < a·b.
+bool took_final_subtraction(const mp::U512& a, const mp::U512& b,
+                            const mp::U512& r, size_t n) {
+  mp::U1024 ab;
+  mp::mul_wide(ab, a, b);
+  mp::U1024 rr{};
+  for (size_t i = 0; i < n; ++i) rr[n + i] = r.w[i];
+  for (size_t i = ab.size(); i-- > 0;) {
+    if (rr[i] != ab[i]) return rr[i] < ab[i];
+  }
+  return false;
+}
+
+/// A fast (dispatched) and a forced-generic context for one modulus.
+struct CtxPair {
+  mp::MontCtx fast;
+  mp::MontCtx slow;
+};
+
+CtxPair ctx_pair(const mp::U512& m) {
+  ForceGenericGuard fast_env(false);
+  mp::MontCtx fast(m);
+  ForceGenericGuard slow_env(true);
+  return {fast, mp::MontCtx(m)};
+}
+
 TEST(DispatchMont, MulSqrPowMatchForcedGeneric) {
   cipher::Drbg rng(to_bytes("dispatch-mont"));
-  for (const WidthModulus& wc : width_moduli()) {
+  for (const WidthModulus& wc : kernel_moduli()) {
     SCOPED_TRACE(wc.name);
-    ForceGenericGuard fast_env(false);
-    mp::MontCtx fast(wc.m);
-    mp::MontCtx slow = [&] {
-      ForceGenericGuard slow_env(true);
-      return mp::MontCtx(wc.m);
-    }();
+    auto [fast, slow] = ctx_pair(wc.m);
     EXPECT_STREQ(slow.kernel_name(), "generic");
+    size_t mismatches = 0;
+    size_t subtracted = 0;
+    size_t kept = 0;
+    auto check = [&](const mp::U512& a, const mp::U512& b) {
+      mp::U512 r = fast.mul(a, b);
+      mp::U512 s = fast.sqr(a);
+      if (r != slow.mul(a, b) || s != slow.sqr(a) || !(r < wc.m) ||
+          !(s < wc.m)) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "a=" << a.to_hex() << " b=" << b.to_hex();
+        }
+      }
+      (took_final_subtraction(a, b, r, fast.limbs()) ? subtracted : kept)++;
+    };
+    const std::vector<mp::U512> adv = adversarial(fast);
+    for (const mp::U512& a : adv) {
+      for (const mp::U512& b : adv) check(a, b);
+    }
+    SplitMix g{0x5EED0000u + fast.limbs()};
+    for (int i = 0; i < wc.random_pairs; ++i) {
+      mp::U512 a = fast_residue(g, wc.m);
+      check(a, fast_residue(g, wc.m));
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(subtracted, 0u);
+    EXPECT_GT(kept, 0u);
 
-    // Boundary operands first: 0, R mod m (Montgomery 1), m − (R mod m)
-    // (Montgomery −1, all-high limbs), then randoms.
-    std::vector<mp::U512> xs = {mp::U512{}, fast.one(),
-                                mp::sub_mod(mp::U512{}, fast.one(), wc.m)};
-    for (int i = 0; i < 24; ++i) xs.push_back(random_residue(rng, wc.m));
+    // pow and the to/from-Montgomery conversions ride on mul.
+    std::vector<mp::U512> xs = adv;
+    for (int i = 0; i < 8; ++i) xs.push_back(random_residue(rng, wc.m));
     for (size_t i = 0; i + 1 < xs.size(); ++i) {
       const mp::U512& a = xs[i];
       const mp::U512& b = xs[i + 1];
-      EXPECT_EQ(fast.mul(a, b), slow.mul(a, b));
-      EXPECT_EQ(fast.sqr(a), slow.sqr(a));
       EXPECT_EQ(fast.pow(a, b), slow.pow(a, b));
       EXPECT_EQ(fast.to_mont(a), slow.to_mont(a));
       EXPECT_EQ(fast.from_mont(a), slow.from_mont(a));
@@ -224,32 +340,65 @@ TEST(DispatchMont, MulSqrPowMatchForcedGeneric) {
 }
 
 TEST(DispatchMont, Fp2KernelsMatchForcedGeneric) {
-  cipher::Drbg rng(to_bytes("dispatch-mont-fp2"));
-  for (const WidthModulus& wc : width_moduli()) {
+  for (const WidthModulus& wc : kernel_moduli()) {
     SCOPED_TRACE(wc.name);
-    mp::MontCtx fast(wc.m);
-    mp::MontCtx slow = [&] {
-      ForceGenericGuard slow_env(true);
-      return mp::MontCtx(wc.m);
-    }();
-    for (int i = 0; i < 32; ++i) {
-      mp::U512 ar = random_residue(rng, wc.m);
-      mp::U512 ai = random_residue(rng, wc.m);
-      mp::U512 br = random_residue(rng, wc.m);
-      mp::U512 bi = random_residue(rng, wc.m);
-      if (i == 0) ar = mp::U512{};                                 // re zero
-      if (i == 1) ai = mp::U512{};                                 // im zero
-      if (i == 2) ar = mp::sub_mod(mp::U512{}, fast.one(), wc.m);  // Mont −1
-      mp::U512 fr, fi, sr, si;
+    auto [fast, slow] = ctx_pair(wc.m);
+    size_t mismatches = 0;
+    // Outcomes of the Karatsuba sum a_re + a_im (wraps past m or not) and
+    // difference a_re − a_im (borrows or not), so both branches of the
+    // kernels' modular add and subtract run.
+    size_t sum_wraps = 0, sum_fits = 0, diff_borrows = 0, diff_fits = 0;
+    auto check = [&](const mp::U512& ar, const mp::U512& ai,
+                     const mp::U512& br, const mp::U512& bi, bool alias) {
+      mp::U512 fr, fi, sr, si, qr, qi, tr, ti;
       fast.fp2_mul(fr, fi, ar, ai, br, bi);
       slow.fp2_mul(sr, si, ar, ai, br, bi);
-      EXPECT_EQ(fr, sr);
-      EXPECT_EQ(fi, si);
-      fast.fp2_sqr(fr, fi, ar, ai);
-      slow.fp2_sqr(sr, si, ar, ai);
-      EXPECT_EQ(fr, sr);
-      EXPECT_EQ(fi, si);
+      fast.fp2_sqr(qr, qi, ar, ai);
+      slow.fp2_sqr(tr, ti, ar, ai);
+      bool ok = fr == sr && fi == si && qr == tr && qi == ti && fr < wc.m &&
+                fi < wc.m && qr < wc.m && qi < wc.m;
+      if (alias) {  // outputs aliasing the first operand, the second, both
+        mp::U512 xr = ar, xi = ai;
+        fast.fp2_mul(xr, xi, xr, xi, br, bi);
+        ok = ok && xr == fr && xi == fi;
+        mp::U512 yr = br, yi = bi;
+        fast.fp2_mul(yr, yi, ar, ai, yr, yi);
+        ok = ok && yr == fr && yi == fi;
+        xr = ar, xi = ai;
+        fast.fp2_sqr(xr, xi, xr, xi);
+        ok = ok && xr == qr && xi == qi;
+        xr = ar, xi = ai;
+        fast.fp2_mul(xr, xi, xr, xi, xr, xi);
+        ok = ok && xr == qr && xi == qi;
+      }
+      if (!ok && mismatches++ == 0) {
+        ADD_FAILURE() << "a=(" << ar.to_hex() << ", " << ai.to_hex()
+                      << ") b=(" << br.to_hex() << ", " << bi.to_hex() << ")";
+      }
+      mp::U512 t;
+      (mp::add(t, ar, ai) != 0 || !(t < wc.m) ? sum_wraps : sum_fits)++;
+      (ar < ai ? diff_borrows : diff_fits)++;
+    };
+    const std::vector<mp::U512> adv = adversarial(fast);
+    const mp::U512 top = mp::sub_mod(mp::U512{}, mp::U512::from_u64(1), wc.m);
+    for (const mp::U512& x : adv) {
+      for (const mp::U512& y : adv) {
+        check(x, y, y, x, true);
+        check(x, y, top, top, true);
+      }
     }
+    SplitMix g{0xF2F20000u + fast.limbs()};
+    for (int i = 0; i < wc.random_pairs; ++i) {
+      mp::U512 ar = fast_residue(g, wc.m);
+      mp::U512 ai = fast_residue(g, wc.m);
+      mp::U512 br = fast_residue(g, wc.m);
+      check(ar, ai, br, fast_residue(g, wc.m), i % 16 == 0);
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(sum_wraps, 0u);
+    EXPECT_GT(sum_fits, 0u);
+    EXPECT_GT(diff_borrows, 0u);
+    EXPECT_GT(diff_fits, 0u);
   }
 }
 
@@ -257,11 +406,7 @@ TEST(DispatchMont, BatchInvAndInvMatchForcedGeneric) {
   cipher::Drbg rng(to_bytes("dispatch-mont-inv"));
   for (const WidthModulus& wc : width_moduli()) {
     SCOPED_TRACE(wc.name);
-    mp::MontCtx fast(wc.m);
-    mp::MontCtx slow = [&] {
-      ForceGenericGuard slow_env(true);
-      return mp::MontCtx(wc.m);
-    }();
+    auto [fast, slow] = ctx_pair(wc.m);
     std::vector<mp::U512> xs;
     for (int i = 0; i < 16; ++i) {
       mp::U512 x = random_residue(rng, wc.m);

@@ -1,6 +1,7 @@
 // Smoke tests at the production parameter set (512-bit p / 160-bit q — the
 // paper's "1024-bit RSA equivalent" timing setting). Kept small: parameter
-// generation runs once per process and each pairing costs ~17 ms.
+// generation runs once per process and each pairing costs about 1 ms
+// (Release, MULX/ADX kernels).
 #include <gtest/gtest.h>
 
 #include "src/cipher/drbg.h"
