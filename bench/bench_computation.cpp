@@ -101,6 +101,41 @@ void BM_MontMulGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_MontMulGeneric)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 
+// Field inversion: the divstep MontCtx::inv (with its one-product
+// self-check) against the binary extended Euclid mp::inv_mod it replaced,
+// which stays only as the test oracle. A serial dependency (a <- a^{-1}·b)
+// keeps each inversion on a fresh operand.
+void BM_MontInv(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-montinv"));
+  const mp::MontCtx& mont = ctx.fp.mont;
+  mp::U512 a = mont.to_mont(mp::random_below(ctx.p, rng));
+  const mp::U512 b = mont.to_mont(mp::random_below(ctx.p, rng));
+  for (auto _ : state) {
+    a = mont.mul(mont.inv(a), b);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_MontInv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_InvModReference(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-montinv"));
+  const mp::MontCtx& mont = ctx.fp.mont;
+  mp::U512 a = mont.to_mont(mp::random_below(ctx.p, rng));
+  const mp::U512 b = mont.to_mont(mp::random_below(ctx.p, rng));
+  for (auto _ : state) {
+    a = mont.mul(mp::inv_mod(a, ctx.p), b);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_InvModReference)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Fp2Mul(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));
   cipher::Drbg rng(to_bytes("bench-fp2mul"));
@@ -294,6 +329,21 @@ void BM_IbsSign(benchmark::State& state) {
   state.SetLabel(set_name(state.range(0)));
 }
 BENCHMARK(BM_IbsSign)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The same signature through a fixed-key ibc::IbsSigner: W from the two
+// fixed-base tables built once, outside the timed loop.
+void BM_IbsSignerSign(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-ibs"));
+  ibc::Domain domain(ctx, rng);
+  const ibc::IbsSigner signer(ctx, domain.extract("dr-a"), "dr-a");
+  Bytes msg = to_bytes("emergency passcode request");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(signer.sign(msg, rng));
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_IbsSignerSign)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_IbsVerify(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));

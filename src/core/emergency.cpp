@@ -311,8 +311,7 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
       cipher::aead_encrypt(varpi, nonce, {}, rng_);
   out.to_physician.t = t11;
   out.to_physician.sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    out.to_physician.body(req.physician_id, req.tp), rng_)
+      signer_.sign(out.to_physician.body(req.physician_id, req.tp), rng_)
           .to_bytes();
 
   // Step 3: passcode to the P-device under IBE_TPp.
@@ -325,12 +324,9 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
       ibc::ibe_encrypt_to_point(pub(), tp, inner.data(), rng_).to_bytes();
   out.to_pdevice.t = t11;
   out.to_pdevice.sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    out.to_pdevice.body(req.tp), rng_)
-          .to_bytes();
+      signer_.sign(out.to_pdevice.body(req.tp), rng_).to_bytes();
   out.to_pdevice.audit_sig =
-      ibc::ibs_sign(domain_.ctx(), self_key_, id_,
-                    rd_statement(req.physician_id, req.tp, t11), rng_)
+      signer_.sign(rd_statement(req.physician_id, req.tp, t11), rng_)
           .to_bytes();
 
   // TR: the accountability trace (§IV.E.2) — the loose log the legacy audit
@@ -350,8 +346,7 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
   req.physician_id = id_;
   req.tp = Bytes(patient_tp.begin(), patient_tp.end());
   req.t = net_->clock().now();
-  req.sig = ibc::ibs_sign(*ctx_, private_key_, id_, req.body(), rng_)
-                .to_bytes();
+  req.sig = signer_.sign(req.body(), rng_).to_bytes();
 
   sim::CallOutcome<AServer::EmergencyAuthOutcome> out =
       net_->transport().request<AServer::EmergencyAuthOutcome>(

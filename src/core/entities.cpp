@@ -27,22 +27,22 @@ AServer::AServer(sim::Network& net, const curve::CurveCtx& ctx, std::string id,
         cipher::Drbg boot(seed_for(seed, "aserver-master"));
         return curve::random_scalar(ctx, boot);
       }()),
+      self_key_(domain_.extract(id_)),
+      key_deriver_(domain_.ctx(), self_key_),
+      signer_(domain_.ctx(), self_key_, id_),
       trace_ledger_(id_ + "/tr"),
-      rng_(seed_for(seed, "aserver-rng")) {
-  self_key_ = domain_.extract(id_);
-  key_deriver_ = ibc::SharedKeyDeriver(domain_.ctx(), self_key_);
-}
+      rng_(seed_for(seed, "aserver-rng")) {}
 
 AServer::AServer(sim::Network& net, const ibc::Domain& shared_domain,
                  std::string id, RandomSource& seed)
     : net_(&net),
       id_(std::move(id)),
       domain_(shared_domain),
+      self_key_(domain_.extract(id_)),
+      key_deriver_(domain_.ctx(), self_key_),
+      signer_(domain_.ctx(), self_key_, id_),
       trace_ledger_(id_ + "/tr"),
-      rng_(seed_for(seed, "aserver-replica-rng")) {
-  self_key_ = domain_.extract(id_);
-  key_deriver_ = ibc::SharedKeyDeriver(domain_.ctx(), self_key_);
-}
+      rng_(seed_for(seed, "aserver-replica-rng")) {}
 
 curve::Point AServer::provision(std::string_view entity_id) const {
   return domain_.extract(entity_id);
@@ -555,6 +555,7 @@ Physician::Physician(sim::Network& net, const AServer& authority,
       authority_id_(authority.id()),
       private_key_(authority.provision(id_)),
       key_deriver_(*ctx_, private_key_),
+      signer_(*ctx_, private_key_, id_),
       rng_(to_bytes("physician-" + id_)) {}
 
 }  // namespace hcpp::core

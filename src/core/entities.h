@@ -140,6 +140,7 @@ class AServer {
   ibc::Domain domain_;
   curve::Point self_key_;  // Γ_A (signing / shared keys)
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_A NIKE precomputation
+  ibc::IbsSigner signer_;              // fixed-Γ_A IBS signing tables
   std::map<std::string, bool> on_duty_;
   std::vector<TraceRecord> traces_;
   ledger::Ledger trace_ledger_;
@@ -692,6 +693,7 @@ class Physician {
   std::string authority_id_;
   curve::Point private_key_;  // Γ_i
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_i NIKE precomputation
+  ibc::IbsSigner signer_;              // fixed-Γ_i IBS signing tables
   mutable cipher::Drbg rng_;
 };
 

@@ -113,8 +113,7 @@ Result<curve::Point> Physician::try_request_role_key(
   req.physician_id = id_;
   req.role_id = role_id;
   req.t = net_->clock().now();
-  req.sig =
-      ibc::ibs_sign(*ctx_, private_key_, id_, req.body(), rng_).to_bytes();
+  req.sig = signer_.sign(req.body(), rng_).to_bytes();
   sim::CallOutcome<curve::Point> out =
       net_->transport().request<curve::Point>(
           id_, authority.id(), req.wire_size(), req.sig, kRoleKeyLabel,

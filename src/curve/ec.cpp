@@ -284,15 +284,24 @@ std::vector<int8_t> wnaf4(const mp::U512& k) {
   return naf;
 }
 
+// Bits [lo, lo + len) of k as a scalar.
+mp::U512 bit_slice(const mp::U512& k, size_t lo, size_t len) {
+  mp::U512 r;
+  for (size_t i = 0; i < len && lo + i < mp::kBits; ++i) {
+    if (k.bit(lo + i)) r.w[i / 64] |= 1ull << (i % 64);
+  }
+  return r;
+}
+
 // Odd multiples 1a, 3a, …, 15a of every point in `pts`, grown in Jacobian
 // form and flattened to affine with one shared batch inversion; entry
 // 8·i + j is (2j+1)·pts[i]. An infinite input yields infinite entries.
 std::vector<Point> odd_multiples(const CurveCtx& ctx,
-                                 std::span<const Point> pts) {
+                                 std::span<const Jac> pts) {
   std::vector<Jac> jtab(8 * pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
     Jac* t = &jtab[8 * i];
-    t[0] = to_jac(ctx, pts[i]);
+    t[0] = pts[i];
     Jac twice = jac_dbl(ctx, t[0]);
     for (int j = 1; j < 8; ++j) t[j] = jac_add(ctx, t[j - 1], twice);
   }
@@ -313,7 +322,8 @@ Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
   obs::count(obs::kPointMul);
   if (a.infinity || k.is_zero()) return Point::at_infinity();
   std::vector<int8_t> naf = wnaf4(k);
-  std::vector<Point> table = odd_multiples(ctx, std::span(&a, 1));
+  const Jac base = to_jac(ctx, a);
+  std::vector<Point> table = odd_multiples(ctx, std::span(&base, 1));
   Jac acc;
   for (size_t i = naf.size(); i-- > 0;) {
     acc = add_digit(ctx, jac_dbl(ctx, acc), table.data(), naf[i]);
@@ -326,13 +336,61 @@ Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
   obs::count(obs::kPointMul);
   std::vector<int8_t> na = wnaf4(a);
   std::vector<int8_t> nb = wnaf4(b);
-  const Point pts[2] = {p, q};
+  const Jac pts[2] = {to_jac(ctx, p), to_jac(ctx, q)};
   std::vector<Point> table = odd_multiples(ctx, pts);
   Jac acc;
   for (size_t i = std::max(na.size(), nb.size()); i-- > 0;) {
     acc = jac_dbl(ctx, acc);
     if (i < na.size()) acc = add_digit(ctx, acc, &table[0], na[i]);
     if (i < nb.size()) acc = add_digit(ctx, acc, &table[8], nb[i]);
+  }
+  return from_jac(ctx, acc);
+}
+
+FixedBaseTable::FixedBaseTable(const CurveCtx& ctx, const Point& base)
+    : chunk_bits((ctx.q.bit_length() + kChunks - 1) / kChunks) {
+  Jac shifted[kChunks];  // 2^{c·j}·B
+  shifted[0] = to_jac(ctx, base);
+  for (size_t j = 1; j < kChunks; ++j) {
+    shifted[j] = shifted[j - 1];
+    for (size_t d = 0; d < chunk_bits; ++d) {
+      shifted[j] = jac_dbl(ctx, shifted[j]);
+    }
+  }
+  odd = odd_multiples(ctx, shifted);
+}
+
+Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
+                 const mp::U512& a, const FixedBaseTable& q,
+                 const mp::U512& b) {
+  obs::count(obs::kPointMul);
+  const FixedBaseTable* tables[2] = {&p, &q};
+  const mp::U512* scalars[2] = {&a, &b};
+  // One wNAF stream per (base, chunk): scalar = Σ_j chunk_j·2^{c·j}, and
+  // chunk_j multiplies the table's 2^{c·j}·B entries.
+  constexpr size_t kStreams = 2 * FixedBaseTable::kChunks;
+  std::vector<int8_t> nafs[kStreams];
+  size_t len = 0;
+  for (size_t t = 0; t < 2; ++t) {
+    const size_t c = tables[t]->chunk_bits;
+    if (scalars[t]->bit_length() > FixedBaseTable::kChunks * c) {
+      throw std::invalid_argument("mul2_fixed: scalar wider than the table");
+    }
+    for (size_t j = 0; j < FixedBaseTable::kChunks; ++j) {
+      std::vector<int8_t>& naf = nafs[FixedBaseTable::kChunks * t + j];
+      naf = wnaf4(bit_slice(*scalars[t], c * j, c));
+      len = std::max(len, naf.size());
+    }
+  }
+  Jac acc;
+  for (size_t i = len; i-- > 0;) {
+    acc = jac_dbl(ctx, acc);
+    for (size_t s = 0; s < kStreams; ++s) {
+      if (i >= nafs[s].size()) continue;
+      const Point* table = &tables[s / FixedBaseTable::kChunks]
+                                ->odd[8 * (s % FixedBaseTable::kChunks)];
+      acc = add_digit(ctx, acc, table, nafs[s][i]);
+    }
   }
   return from_jac(ctx, acc);
 }

@@ -99,6 +99,26 @@ Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k);
 /// scalars share every doubling. Counts as one point multiplication.
 Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
            const Point& q, const mp::U512& b);
+/// Fixed-base table of one point B for mul2_fixed: the affine odd multiples
+/// {1, 3, …, 15}·2^{c·j}·B for j = 0..3, with c = ⌈|q|/4⌉ — 32 points built
+/// with one batch normalization (about 5 KB on the production set). Read-only
+/// after construction, so one table serves concurrent callers.
+struct FixedBaseTable {
+  static constexpr size_t kChunks = 4;
+
+  FixedBaseTable(const CurveCtx& ctx, const Point& base);
+
+  size_t chunk_bits = 0;   // c
+  std::vector<Point> odd;  // entry 8·j + i is (2i+1)·2^{c·j}·B
+};
+/// a·P + b·Q from the fixed-base tables of P and Q: each scalar splits into
+/// four c-bit chunks, and the eight width-4 wNAF chunk streams share c + 1
+/// doublings. Same point as mul2, and likewise one point multiplication.
+/// Scalars must be below 2^{4c} (every scalar mod q is); throws
+/// std::invalid_argument otherwise.
+Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
+                 const mp::U512& a, const FixedBaseTable& q,
+                 const mp::U512& b);
 /// k·P (generator) via the context's cached fixed-base window table: only
 /// point additions, no doublings. Built lazily, thread-safe.
 Point mul_generator(const CurveCtx& ctx, const mp::U512& k);

@@ -16,6 +16,19 @@ mp::U512 challenge(const curve::CurveCtx& ctx, BytesView message,
   return curve::hash_to_scalar(ctx, input, "hcpp-ibs-h3");
 }
 
+/// k ∈R Zq*, u = ê(H1(ID), P)^k and v = H3(m ‖ u): everything of a
+/// signature but W, shared by ibs_sign and IbsSigner::sign.
+struct Commitment {
+  mp::U512 k, v;
+};
+Commitment commit(const curve::CurveCtx& ctx, const curve::Point& q_id,
+                  BytesView message, RandomSource& rng) {
+  mp::U512 k = curve::random_scalar(ctx, rng);
+  // ê(H1(ID), P): the generator's cached Miller lines apply by symmetry.
+  curve::Gt u = curve::generator_precomp(ctx).pairing_with(q_id).pow(k);
+  return {k, challenge(ctx, message, u)};
+}
+
 /// Rejected without any pairing work.
 bool malformed(const curve::CurveCtx& ctx, const IbsSignature& sig) {
   return sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q);
@@ -38,14 +51,21 @@ IbsSignature ibs_sign(const curve::CurveCtx& ctx,
                       const curve::Point& private_key, std::string_view id,
                       BytesView message, RandomSource& rng) {
   curve::Point q_id = Domain::public_key(ctx, id);
-  mp::U512 k = curve::random_scalar(ctx, rng);
-  // ê(H1(ID), P): the generator's cached Miller lines apply by symmetry.
-  curve::Gt u = curve::generator_precomp(ctx).pairing_with(q_id).pow(k);
-  IbsSignature sig;
-  sig.v = challenge(ctx, message, u);
+  auto [k, v] = commit(ctx, q_id, message, rng);
   // W = v·Γ + k·H1(ID)
-  sig.w = curve::mul2(ctx, private_key, sig.v, q_id, k);
-  return sig;
+  return {v, curve::mul2(ctx, private_key, v, q_id, k)};
+}
+
+IbsSigner::IbsSigner(const curve::CurveCtx& ctx,
+                     const curve::Point& private_key, std::string_view id)
+    : ctx_(&ctx),
+      q_id_(Domain::public_key(ctx, id)),
+      gamma_table_(ctx, private_key),
+      q_id_table_(ctx, q_id_) {}
+
+IbsSignature IbsSigner::sign(BytesView message, RandomSource& rng) const {
+  auto [k, v] = commit(*ctx_, q_id_, message, rng);
+  return {v, curve::mul2_fixed(*ctx_, gamma_table_, v, q_id_table_, k)};
 }
 
 bool ibs_verify(const PublicParams& pub, std::string_view id,

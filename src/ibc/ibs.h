@@ -29,9 +29,32 @@ struct IbsSignature {
   [[nodiscard]] size_t size() const;
 };
 
+/// One-shot signing, for a key used once. A party that signs repeatedly
+/// holds an IbsSigner instead.
 IbsSignature ibs_sign(const curve::CurveCtx& ctx,
                       const curve::Point& private_key, std::string_view id,
                       BytesView message, RandomSource& rng);
+
+/// Fixed-key signing context: holds H1(ID) and the curve::FixedBaseTable of
+/// Γ_ID and of H1(ID) (about 10 KB on the production set), so W costs one
+/// curve::mul2_fixed — about c + 1 doublings and no table build or extra
+/// inversion per signature. sign() draws k and pairs exactly as ibs_sign
+/// does, so both give byte-identical signatures from the same RNG stream.
+/// sign() is const and safe to call from several threads at once, each with
+/// its own RandomSource.
+class IbsSigner {
+ public:
+  IbsSigner(const curve::CurveCtx& ctx, const curve::Point& private_key,
+            std::string_view id);
+
+  [[nodiscard]] IbsSignature sign(BytesView message, RandomSource& rng) const;
+
+ private:
+  const curve::CurveCtx* ctx_;
+  curve::Point q_id_;  // H1(ID)
+  curve::FixedBaseTable gamma_table_;
+  curve::FixedBaseTable q_id_table_;
+};
 
 bool ibs_verify(const PublicParams& pub, std::string_view id,
                 BytesView message, const IbsSignature& sig);

@@ -17,10 +17,10 @@ std::vector<std::string> default_anchor_authorities() {
 // ---- AnchorAuthority -------------------------------------------------------
 
 AnchorAuthority::AnchorAuthority(const ibc::PublicParams& pub, std::string id,
-                                 curve::Point signing_key)
+                                 const curve::Point& signing_key)
     : pub_(pub),
       id_(std::move(id)),
-      key_(std::move(signing_key)),
+      signer_(*pub.ctx, signing_key, id_),
       rng_(to_bytes("hcpp-anchor-authority-" + id_)) {}
 
 std::optional<Bytes> AnchorAuthority::handle_anchor(
@@ -53,7 +53,7 @@ std::optional<Bytes> AnchorAuthority::handle_anchor(
     return std::nullopt;
   }
 
-  Bytes sig = ibc::ibs_sign(*pub_.ctx, key_, id_, stmt, rng_).to_bytes();
+  Bytes sig = signer_.sign(stmt, rng_).to_bytes();
   accepted_.emplace(std::move(key), std::make_pair(std::move(stmt), sig));
   return sig;
 }

@@ -53,7 +53,7 @@ class AnchorAuthority {
   };
 
   AnchorAuthority(const ibc::PublicParams& pub, std::string id,
-                  curve::Point signing_key);
+                  const curve::Point& signing_key);
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
 
@@ -70,7 +70,7 @@ class AnchorAuthority {
  private:
   ibc::PublicParams pub_;
   std::string id_;
-  curve::Point key_;
+  ibc::IbsSigner signer_;
   cipher::Drbg rng_;
   // (ledger_id, epoch) → (statement signed, serialized signature).
   std::map<std::pair<std::string, uint64_t>, std::pair<Bytes, Bytes>>

@@ -5,6 +5,8 @@
 
 #include "src/mp/dispatch.h"
 #include "src/mp/mont_mulx.h"
+#include "src/mp/safegcd.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::mp {
 
@@ -381,10 +383,17 @@ U512 MontCtx::pow(const U512& base, const U512& exp) const noexcept {
 }
 
 U512 MontCtx::inv(const U512& a) const {
-  // a is xR; inv_mod gives (xR)^{-1} = x^{-1}R^{-1}; multiply by R^3 with one
-  // Montgomery product to land on x^{-1}R.
-  U512 plain_inv = inv_mod(a, m_);
-  return mul(plain_inv, r3_);
+  obs::count(obs::kFieldInv);
+  if (a.is_zero()) throw std::domain_error("MontCtx::inv: zero input");
+  // a is xR; the divstep inverse gives (xR)^{-1} = x^{-1}R^{-1}; one
+  // Montgomery product with R^3 lands on x^{-1}R.
+  U512 r = mul(safegcd_inv(a, m_), r3_);
+  // Self-check, which also rejects a non-invertible a (composite modulus):
+  // (xR)(x^{-1}R)R^{-1} = R.
+  if (mul(a, r) != one_) {
+    throw std::domain_error("MontCtx::inv: not invertible");
+  }
+  return r;
 }
 
 void MontCtx::batch_inv(std::span<U512> xs) const {

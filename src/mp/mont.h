@@ -43,7 +43,9 @@ class MontCtx {
   [[nodiscard]] U512 sub(const U512& a, const U512& b) const noexcept;
   /// (base in Montgomery form)^exp, result in Montgomery form. `exp` plain.
   [[nodiscard]] U512 pow(const U512& base, const U512& exp) const noexcept;
-  /// Inverse of a Montgomery residue, in Montgomery form.
+  /// Inverse of a Montgomery residue, in Montgomery form: the divstep
+  /// inversion of safegcd.h (variable time), checked with one Montgomery
+  /// product. Throws std::domain_error on zero or a non-invertible input.
   [[nodiscard]] U512 inv(const U512& a) const;
 
   /// Montgomery's trick: inverts every residue in `xs` in place at the cost

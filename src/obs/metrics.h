@@ -40,7 +40,7 @@ class Tracer;
 // ---------------------------------------------------------------------------
 // Canonical metric names.
 
-// Crypto-op accounting (src/curve, src/ibc).
+// Crypto-op accounting (src/mp, src/curve, src/ibc).
 inline constexpr const char* kPairing = "crypto.pairing";
 inline constexpr const char* kPairingReference = "crypto.pairing_reference";
 inline constexpr const char* kPairingFixed = "crypto.pairing_fixed";
@@ -54,6 +54,9 @@ inline constexpr const char* kFinalExp = "crypto.final_exp";
 // batch counts once; the batch shares a single modular inversion).
 inline constexpr const char* kFinalExpBatched = "crypto.final_exp_batched";
 inline constexpr const char* kPointMul = "crypto.point_mul";
+// Modular inversions through mp::MontCtx::inv (every Fp/Fp2 inverse, batch
+// inversion, Jacobian→affine conversion and final exponentiation).
+inline constexpr const char* kFieldInv = "crypto.field_inv";
 inline constexpr const char* kHashToPoint = "crypto.hash_to_point";
 // Per-context memos (curve::CurveCtx): H1(ID) behind ibc::Domain::public_key
 // and received points accepted by curve::checked_point_from_bytes. A hit

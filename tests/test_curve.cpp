@@ -180,6 +180,61 @@ TEST(Curve, Mul2MatchesTwoMulsAndAdd) {
   }
 }
 
+// mul2_fixed splits each scalar into four c-bit chunks; the listed scalars
+// sit on the chunk boundaries (2^c − 1 fills chunk 0, 2^c starts chunk 1,
+// 2^{3c} + 1 touches the first and the last) and at the top of the range.
+TEST(Curve, Mul2FixedMatchesMul2) {
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    cipher::Drbg rng(to_bytes("curve-mul2-fixed-" + c.name));
+    Point p = mul_generator(c, random_scalar(c, rng));
+    Point q = mul_generator(c, random_scalar(c, rng));
+    FixedBaseTable tp(c, p);
+    FixedBaseTable tq(c, q);
+    const size_t chunk = tp.chunk_bits;
+    ASSERT_EQ(chunk, (c.q.bit_length() + 3) / 4) << c.name;
+    ASSERT_EQ(tp.odd.size(), 32u) << c.name;
+    auto pow2 = [](size_t k) {
+      mp::U512 r;
+      r.w[k / 64] = 1ull << (k % 64);
+      return r;
+    };
+    mp::U512 chunk_max;  // 2^c − 1
+    mp::sub(chunk_max, pow2(chunk), mp::U512::from_u64(1));
+    mp::U512 top_plus1;  // 2^{3c} + 1
+    mp::add(top_plus1, pow2(3 * chunk), mp::U512::from_u64(1));
+    mp::U512 q_minus1;
+    mp::sub(q_minus1, c.q, mp::U512::from_u64(1));
+    std::vector<mp::U512> edges = {mp::U512{},         mp::U512::from_u64(1),
+                                   chunk_max,          pow2(chunk),
+                                   top_plus1,          q_minus1};
+    for (const mp::U512& a : edges) {
+      for (const mp::U512& b : edges) {
+        EXPECT_EQ(mul2_fixed(c, tp, a, tq, b), mul2(c, p, a, q, b))
+            << c.name << " a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      mp::U512 a = random_scalar(c, rng);
+      mp::U512 b = random_scalar(c, rng);
+      EXPECT_EQ(mul2_fixed(c, tp, a, tq, b), mul2(c, p, a, q, b)) << c.name;
+    }
+    // The same base on both sides: the streams collide and must double.
+    mp::U512 k = random_scalar(c, rng);
+    EXPECT_EQ(mul2_fixed(c, tp, k, tp, k), mul2(c, p, k, p, k)) << c.name;
+    // One point multiplication, like mul2.
+    obs::Registry reg;
+    obs::Registry* previous = obs::attached();
+    obs::attach(&reg);
+    (void)mul2_fixed(c, tp, k, tq, k);
+    obs::attach(previous);
+    EXPECT_EQ(reg.counter(obs::kPointMul), 1u);
+    // Scalars wider than the four chunks are refused.
+    EXPECT_THROW((void)mul2_fixed(c, tp, pow2(4 * chunk), tq, k),
+                 std::invalid_argument);
+  }
+}
+
 // An on-curve point whose order divides the cofactor (not q).
 Point small_order_point(const CurveCtx& c, RandomSource& rng) {
   for (;;) {

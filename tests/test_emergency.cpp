@@ -84,7 +84,7 @@ TEST(PDeviceEmergency, FullFlowSucceeds) {
 // Pins the §V.B.3 operation count of one P-device emergency (button to
 // records) at 16 pairings, whichever mix of one-shot, fixed-argument and
 // multi-pairing evaluations carries them; with identities warm, no H1(ID)
-// is hashed again.
+// is hashed again. The curve work around the pairings is pinned too.
 TEST(PDeviceEmergency, SixteenPairingsAndNoHashToPointWhenWarm) {
   Deployment d = Deployment::create(small_config(14));
   std::vector<std::string> kws = {d.all_keywords().front()};
@@ -108,6 +108,14 @@ TEST(PDeviceEmergency, SixteenPairingsAndNoHashToPointWhenWarm) {
   EXPECT_EQ(reg.counter(obs::kHashToPoint), 0u);
   EXPECT_GT(reg.counter(obs::kH1MemoHits), 0u);
   EXPECT_EQ(reg.counter(obs::kH1MemoMisses), 0u);
+  // Around the pairings: 13 final exponentiations, 5 point multiplications
+  // (the 4 IBS signatures' W from fixed-base tables, the passcode IBE's
+  // r·P) and 18 field inversions. A per-signature table build would add an
+  // inversion per signature.
+  EXPECT_EQ(reg.counter(obs::kFinalExp) + reg.counter(obs::kFinalExpBatched),
+            13u);
+  EXPECT_EQ(reg.counter(obs::kPointMul), 5u);
+  EXPECT_EQ(reg.counter(obs::kFieldInv), 18u);
 }
 
 TEST(PDeviceEmergency, OffDutyPhysicianDenied) {

@@ -1,6 +1,8 @@
 // IBC domain, pseudonyms, shared keys, BF-IBE and Hess IBS.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/cipher/drbg.h"
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
@@ -303,6 +305,80 @@ TEST(Ibs, SignaturesAreRandomized) {
   EXPECT_TRUE(ibs_verify(d.pub(), "dr-alice", msg, s2));
 }
 
+// The fixed-key signer is the one-shot ibs_sign with W from fixed-base
+// tables: the same RNG stream gives the same bytes, on both parameter sets.
+TEST(IbsSigner, ByteIdenticalToIbsSignAndVerifies) {
+  for (curve::ParamSet set :
+       {curve::ParamSet::kTest, curve::ParamSet::kProduction}) {
+    const curve::CurveCtx& c = curve::params(set);
+    cipher::Drbg dom_rng(to_bytes("ibs-signer-dom"));
+    Domain d(c, dom_rng);
+    const curve::Point gamma = d.extract("dr-alice");
+    const IbsSigner signer(c, gamma, "dr-alice");
+    cipher::Drbg rng_a(to_bytes("ibs-signer-rng"));
+    cipher::Drbg rng_b(to_bytes("ibs-signer-rng"));
+    std::vector<IbsBatchItem> items;
+    for (int i = 0; i < 6; ++i) {
+      Bytes msg = to_bytes("signed message " + std::to_string(i));
+      IbsSignature fixed = signer.sign(msg, rng_a);
+      IbsSignature one_shot = ibs_sign(c, gamma, "dr-alice", msg, rng_b);
+      EXPECT_EQ(fixed.to_bytes(), one_shot.to_bytes()) << c.name << " " << i;
+      EXPECT_TRUE(ibs_verify(d.pub(), "dr-alice", msg, fixed)) << c.name;
+      items.push_back({"dr-alice", msg, fixed});
+    }
+    EXPECT_EQ(ibs_verify_batch(d.pub(), items, nullptr),
+              std::vector<uint8_t>(items.size(), 1))
+        << c.name;
+  }
+}
+
+// A signature costs one fixed pairing and one point multiplication, with no
+// table build: two inversions, W's Jacobian→affine conversion and the final
+// exponentiation's.
+TEST(IbsSigner, OnePairingOnePointMulPerSignature) {
+  Domain d = make_domain("ibs-signer-count");
+  const IbsSigner signer(ctx(), d.extract("dr-alice"), "dr-alice");
+  cipher::Drbg rng(to_bytes("ibs-signer-count-rng"));
+  (void)signer.sign(to_bytes("warm"), rng);  // generator Miller lines
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  (void)signer.sign(to_bytes("m"), rng);
+  obs::attach(previous);
+  EXPECT_EQ(reg.counter(obs::kPairingFixed), 1u);
+  EXPECT_EQ(reg.counter(obs::kPointMul), 1u);
+  EXPECT_EQ(reg.counter(obs::kFieldInv), 2u);
+}
+
+// sign() is const: four threads share one signer, each with its own RNG,
+// and every signature still matches the one-shot path and verifies.
+TEST(IbsSigner, ConcurrentSignersShareOneContext) {
+  Domain d = make_domain("ibs-signer-mt");
+  const curve::Point gamma = d.extract("dr-alice");
+  const IbsSigner signer(ctx(), gamma, "dr-alice");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::vector<std::vector<IbsSignature>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      cipher::Drbg rng(to_bytes("ibs-signer-mt-" + std::to_string(t)));
+      for (int i = 0; i < kPerThread; ++i) {
+        got[t].push_back(signer.sign(to_bytes("m" + std::to_string(i)), rng));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    cipher::Drbg rng(to_bytes("ibs-signer-mt-" + std::to_string(t)));
+    for (int i = 0; i < kPerThread; ++i) {
+      Bytes msg = to_bytes("m" + std::to_string(i));
+      EXPECT_EQ(got[t][i].to_bytes(),
+                ibs_sign(ctx(), gamma, "dr-alice", msg, rng).to_bytes());
+      EXPECT_TRUE(ibs_verify(d.pub(), "dr-alice", msg, got[t][i]));
+    }
+  }
+}
 
 TEST(IbsBatch, MatchesSerialVerifyWithRepeatsAndSingletons) {
   Domain d = make_domain("ibs-batch");

@@ -3,7 +3,8 @@
 // at both deployed widths (n = 4 for the 256-bit test prime, n = 8 for the
 // 512-bit production prime), on random, boundary and all-high-limb inputs.
 // The lazy-reduction fp2_mul/fp2_sqr kernels and batch_inv are covered here
-// too, independently of the Fp/Fp2 wrappers.
+// too, independently of the Fp/Fp2 wrappers. The divstep inversion is
+// checked against the mp::inv_mod oracle at every width it runs at.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -137,17 +138,86 @@ TEST(MontCtx, PowMatchesSquareAndMultiply) {
   }
 }
 
+// Every modulus width the divstep inversion runs at: both field primes
+// (n = 4, 8), both scalar-field primes (n = 3), a one-limb prime, and the
+// 512-bit prime 2^512 − 569, whose top limb is all ones.
+std::vector<WidthCase> inv_cases() {
+  U512 top_ones;
+  top_ones.w.fill(~0ull);
+  sub(top_ones, top_ones, U512::from_u64(568));  // 2^512 − 569
+  std::vector<WidthCase> cases = width_cases();
+  cases.push_back({"test-q", curve::params(curve::ParamSet::kTest).q, 3});
+  cases.push_back(
+      {"production-q", curve::params(curve::ParamSet::kProduction).q, 3});
+  cases.push_back({"one-limb", U512::from_u64(0xffffffffffffffc5ull), 1});
+  cases.push_back({"512-all-ones-top", top_ones, 8});
+  return cases;
+}
+
+// Differential check of the divstep MontCtx::inv against the binary
+// extended Euclid oracle mp::inv_mod. inv() maps a raw residue a to
+// a^{-1}R^2, so two Montgomery reductions recover the plain inverse.
 TEST(MontCtx, InvMatchesInvMod) {
-  for (const WidthCase& wc : width_cases()) {
+  for (const WidthCase& wc : inv_cases()) {
     MontCtx mont(wc.m);
+    ASSERT_EQ(mont.limbs(), wc.expect_limbs) << wc.name;
     auto rng = test_rng("mont-inv");
-    for (int i = 0; i < 15; ++i) {
-      U512 a = random_below(wc.m, rng);
-      if (a.is_zero()) continue;
-      U512 ainv = mont.from_mont(mont.inv(mont.to_mont(a)));
-      EXPECT_EQ(ainv, inv_mod(a, wc.m)) << wc.name;
-      EXPECT_EQ(mul_mod(a, ainv, wc.m), U512::from_u64(1)) << wc.name;
+    ASSERT_TRUE(is_probable_prime(wc.m, rng)) << wc.name;
+    U512 half;  // (m + 1) / 2
+    add(half, wc.m, U512::from_u64(1));
+    half = shr1(half);
+    U512 m_minus1;
+    sub(m_minus1, wc.m, U512::from_u64(1));
+    std::vector<U512> pool = boundary_values(wc.m, wc.expect_limbs);
+    for (const U512& v : {U512::from_u64(1), U512::from_u64(2), m_minus1,
+                          half, mont.one()}) {
+      pool.push_back(v);
     }
+    for (size_t k = 1; k < wc.m.bit_length(); ++k) {
+      U512 pow2;
+      pow2.w[k / 64] = 1ull << (k % 64);
+      pool.push_back(pow2);
+    }
+    for (int i = 0; i < 10000; ++i) pool.push_back(random_below(wc.m, rng));
+    for (const U512& a : pool) {
+      if (a.is_zero()) continue;
+      EXPECT_EQ(mont.from_mont(mont.from_mont(mont.inv(a))), inv_mod(a, wc.m))
+          << wc.name << " a=" << a.to_hex();
+    }
+    EXPECT_THROW((void)mont.inv(U512{}), std::domain_error) << wc.name;
+  }
+}
+
+// Under a composite odd modulus a shared factor has no inverse: inv() must
+// throw instead of returning the garbage the divsteps end on, while
+// coprime inputs still match the oracle.
+TEST(MontCtx, InvThrowsOnNonInvertibleInput) {
+  const curve::CurveCtx& test = curve::params(curve::ParamSet::kTest);
+  U512 small_composite = U512::from_u64(3 * 5 * 7 * 0x1fffffffffffull);
+  U1024 wide;
+  mul_wide(wide, test.p, test.q);
+  U512 pq;  // 406 bits, 7 limbs
+  for (size_t i = 0; i < kLimbs; ++i) pq.w[i] = wide[i];
+  struct Case {
+    U512 m;
+    std::vector<U512> shared, coprime;
+  };
+  U512 five_q = mul_mod(test.q, U512::from_u64(5), pq);
+  const Case cases[] = {
+      {small_composite,
+       {U512::from_u64(3), U512::from_u64(35), U512::from_u64(21 * 12345)},
+       {U512::from_u64(2), U512::from_u64(11)}},
+      {pq, {test.q, five_q, test.p}, {U512::from_u64(2), test.gx}},
+  };
+  for (const Case& c : cases) {
+    MontCtx mont(c.m);
+    for (const U512& a : c.shared) {
+      EXPECT_THROW((void)mont.inv(a), std::domain_error) << a.to_hex();
+    }
+    for (const U512& a : c.coprime) {
+      EXPECT_EQ(mont.from_mont(mont.from_mont(mont.inv(a))), inv_mod(a, c.m));
+    }
+    EXPECT_THROW((void)mont.inv(U512{}), std::domain_error);
   }
 }
 
