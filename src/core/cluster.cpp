@@ -22,26 +22,15 @@ AServerCluster::AServerCluster(sim::Network& net, const curve::CurveCtx& ctx,
         net, replicas_[0]->domain(), base_id + "-" + std::to_string(i),
         seed));
   }
-  anchors_ = std::make_unique<ledger::AnchorChain>(
-      replicas_[0]->domain(), ledger::default_anchor_authorities());
-  up_.assign(replicas, true);
 }
 
 void AServerCluster::set_up(size_t i, bool up) {
-  up_.at(i) = up;
-  net_->set_node_up(replicas_[i]->id(), up);
+  net_->set_node_up(replicas_.at(i)->id(), up);
 }
 
 void AServerCluster::set_on_duty(const std::string& physician_id,
                                  bool on_duty) {
   for (auto& replica : replicas_) replica->set_on_duty(physician_id, on_duty);
-}
-
-AServer* AServerCluster::first_available() {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (up_[i]) return replicas_[i].get();
-  }
-  return nullptr;
 }
 
 std::vector<TraceRecord> AServerCluster::all_traces() const {

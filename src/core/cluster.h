@@ -21,7 +21,6 @@
 #pragma once
 
 #include "src/core/entities.h"
-#include "src/ledger/anchor.h"
 
 namespace hcpp::core {
 
@@ -35,36 +34,19 @@ class AServerCluster {
   [[nodiscard]] size_t size() const noexcept { return replicas_.size(); }
   [[nodiscard]] AServer& replica(size_t i) { return *replicas_.at(i); }
 
-  /// Simulated outage control. Also marks the office down on the network, so
+  /// Simulated outage control: marks the office down on the network, so
   /// transport-routed requests to it time out instead of being served.
   void set_up(size_t i, bool up);
-  [[nodiscard]] bool is_up(size_t i) const { return up_.at(i); }
 
   /// Mirrors the published on-duty list to every office.
   void set_on_duty(const std::string& physician_id, bool on_duty);
 
-  /// First reachable office, or nullptr if the attacker downed them all.
-  ///
-  /// DEPRECATED: manual polling predates the retrying transport. Callers
-  /// should let Physician::request_passcode(AServerCluster&, …) fail over
-  /// automatically; this remains only for the legacy path and its test.
-  [[nodiscard]] AServer* first_available();
-
   /// Union of all offices' TR logs (for audits spanning a failover).
   [[nodiscard]] std::vector<TraceRecord> all_traces() const;
-
-  /// Checkpoint-anchoring hierarchy rooted in the shared domain (office 0
-  /// mints it): the hospital → state → federal authorities every office's
-  /// trace ledger anchors its epochs through (src/ledger/anchor.h).
-  [[nodiscard]] ledger::AnchorChain& anchor_chain() noexcept {
-    return *anchors_;
-  }
 
  private:
   sim::Network* net_;
   std::vector<std::unique_ptr<AServer>> replicas_;
-  std::unique_ptr<ledger::AnchorChain> anchors_;
-  std::vector<bool> up_;
 };
 
 // ---------------------------------------------------------------------------
@@ -106,7 +88,6 @@ class SServerGroup {
 
   /// Simulated outage control, mirrored to the network substrate.
   void set_up(size_t i, bool up);
-  [[nodiscard]] bool is_up(size_t i) const { return up_.at(i); }
 
   /// Recovery: copies the authoritative state (first up replica's export)
   /// onto every other up replica — the catch-up a real mirror would run

@@ -21,18 +21,13 @@
 
 #include "src/cipher/aead.h"
 #include "src/core/accountability.h"
+#include "src/core/call.h"
 #include "src/core/cluster.h"
-#include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
-
-constexpr const char* kBeLabel = "emergency-be-request";
-constexpr const char* kPrivLabel = kPrivilegedRetrieveLabel;
-constexpr const char* kAuthLabel = "emergency-auth";
 
 /// Messages 1–4 of the family-based approach, shared by Family and PDevice.
 /// Two transport-routed rounds; under no faults this is exactly the paper's
@@ -46,30 +41,16 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
   req1.tp = pb.tp;
   req1.collection = pb.collection;
   req1.t = net.clock().now();
-  req1.mac = protocol_mac(pb.nu, kBeLabel, req1.body(), req1.t);
-  sim::CallOutcome<BeBlobResponse> out1 =
-      net.transport().request<BeBlobResponse>(
-          actor, server.id(), req1.wire_size(), req1.mac, kBeLabel,
-          [&]() { return server.handle_be_request(req1); },
-          [](const BeBlobResponse& r) { return r.wire_size(); });
-  if (out1.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out1.attempts,
-                           "BE-blob request undelivered after retries");
-  }
-  if (out1.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out1.attempts,
-                           "S-server refused the BE-blob request");
-  }
-  const BeBlobResponse& resp1 = *out1.response;
-  if (!protocol_mac_ok(pb.nu, kBeLabel, resp1.body(), resp1.t, resp1.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out1.attempts,
-                           "BE-blob response failed authentication");
-  }
-  std::optional<Bytes> d = be::decrypt(pb.member_keys, resp1.be_blob);
+  req1.mac = protocol_mac(pb.nu, req1.kLabel, req1.body(), req1.t);
+  uint32_t attempts = 0;  // both rounds, reported on any later error
+  Result<BeBlobResponse> resp1 = call<BeBlobResponse>(
+      net, actor, server, req1, "BE-blob request", pb.nu, &attempts);
+  if (!resp1.ok()) return resp1.error();
+  std::optional<Bytes> d = be::decrypt(pb.member_keys, resp1.value().be_blob);
   if (!d.has_value()) {
     // Not in the current broadcast cover: this member was revoked. No retry
     // or failover can help — every replica will serve the same BE_{U'}(d).
-    return permanent_error(ErrorCode::kRevoked, out1.attempts,
+    return permanent_error(ErrorCode::kRevoked, attempts,
                            "member keys outside the current BE cover");
   }
 
@@ -98,28 +79,16 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
     }
   }
   req2.t = net.clock().now();
-  req2.mac = protocol_mac(pb.nu, kPrivLabel, req2.body(), req2.t);
-  sim::CallOutcome<RetrieveResponse> out2 =
-      net.transport().request<RetrieveResponse>(
-          actor, server.id(), req2.wire_size(), req2.mac, kPrivLabel,
-          [&]() { return server.handle_privileged_retrieve(req2); },
-          [](const RetrieveResponse& r) { return r.wire_size(); });
-  uint32_t attempts = out1.attempts + out2.attempts;
-  if (out2.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, attempts,
-                           "privileged retrieval undelivered after retries");
-  }
-  if (out2.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "S-server refused the privileged retrieval");
-  }
-  const RetrieveResponse& resp2 = *out2.response;
-  if (!protocol_mac_ok(pb.nu, kPrivLabel, resp2.body(), resp2.t, resp2.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, attempts,
-                           "privileged response failed authentication");
+  req2.mac = protocol_mac(pb.nu, req2.kLabel, req2.body(), req2.t);
+  Result<RetrieveResponse> resp2 = call<RetrieveResponse>(
+      net, actor, server, req2, "privileged retrieval", pb.nu, &attempts);
+  if (!resp2.ok()) {
+    ProtocolError e = resp2.error();
+    e.attempts = attempts;
+    return e;
   }
   std::vector<sse::PlainFile> out;
-  for (const auto& [id, blob] : resp2.files) {
+  for (const auto& [id, blob] : resp2.value().files) {
     try {
       out.push_back(sse::decrypt_file(pb.keys, blob));
     } catch (const std::exception&) {
@@ -164,7 +133,7 @@ std::optional<BeBlobResponse> SServer::handle_be_request(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!protocol_mac_ok(nu, kBeLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return std::nullopt;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -175,7 +144,7 @@ std::optional<BeBlobResponse> SServer::handle_be_request(
   BeBlobResponse resp;
   resp.be_blob = acct->be_blob;
   resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kBeLabel, resp.body(), resp.t);
+  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
   return resp;
 }
 
@@ -188,7 +157,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!protocol_mac_ok(nu, kPrivLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return std::nullopt;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -208,7 +177,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
   resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kPrivLabel, resp.body(), resp.t);
+  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
   return resp;
 }
 
@@ -348,46 +317,35 @@ Result<Physician::PasscodeResult> Physician::try_request_passcode(
   req.t = net_->clock().now();
   req.sig = signer_.sign(req.body(), rng_).to_bytes();
 
-  sim::CallOutcome<AServer::EmergencyAuthOutcome> out =
-      net_->transport().request<AServer::EmergencyAuthOutcome>(
-          id_, authority.id(), req.wire_size(), req.sig, kAuthLabel,
-          [&]() { return authority.handle_emergency_auth(req); },
-          [](const AServer::EmergencyAuthOutcome& o) {
-            return o.to_physician.wire_size();
-          });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "A-server unreachable for emergency auth");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "A-server refused the emergency authentication");
-  }
-  AServer::EmergencyAuthOutcome& outcome = *out.response;
-  // Step 3 "takes place simultaneously": the A-server's push to the
-  // P-device, charged as the protocol's third message.
-  net_->transmit(authority.id(), "p-device", outcome.to_pdevice.wire_size(),
-                 kAuthLabel);
-
-  // Verify the answering office's signature before trusting the passcode.
-  // The office is addressed by parameter (not by the enrolment-time
-  // authority) so that any §VI.D replica can serve the request.
-  try {
-    ibc::IbsSignature sig = ibc::IbsSignature::from_bytes(
-        *ctx_, outcome.to_physician.sig);
-    if (!ibc::ibs_verify(authority.pub(), authority.id(),
-                         outcome.to_physician.body(id_, req.tp), sig)) {
-      return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                             "office signature failed verification");
-    }
-    Bytes varpi = key_deriver_.with_id(authority.id());
-    Bytes nonce =
-        cipher::aead_decrypt(varpi, outcome.to_physician.enc_nonce, {});
-    return PasscodeResult{std::move(nonce), std::move(outcome.to_pdevice)};
-  } catch (const std::exception&) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "passcode message failed to decrypt");
-  }
+  using Outcome = AServer::EmergencyAuthOutcome;
+  return call<PasscodeResult, Outcome>(
+      *net_, id_, authority.id(), req.to_wire().size(), req.sig, req.kLabel,
+      [&] { return authority.handle_emergency_auth(req); },
+      [](const Outcome& o) { return o.to_physician.to_wire().size(); },
+      "emergency authentication",
+      [&](Outcome& o) -> std::optional<PasscodeResult> {
+        // Step 3 "takes place simultaneously": the A-server's push to the
+        // P-device, charged as the protocol's third message.
+        net_->transmit(authority.id(), "p-device",
+                       o.to_pdevice.to_wire().size(), std::string(req.kLabel));
+        // Verify the answering office's signature before trusting the
+        // passcode. The office is addressed by parameter (not by the
+        // enrolment-time authority) so that any §VI.D replica can serve.
+        try {
+          ibc::IbsSignature sig =
+              ibc::IbsSignature::from_bytes(*ctx_, o.to_physician.sig);
+          if (!ibc::ibs_verify(authority.pub(), authority.id(),
+                               o.to_physician.body(id_, req.tp), sig)) {
+            return std::nullopt;
+          }
+          Bytes varpi = key_deriver_.with_id(authority.id());
+          return PasscodeResult{
+              cipher::aead_decrypt(varpi, o.to_physician.enc_nonce, {}),
+              std::move(o.to_pdevice)};
+        } catch (const std::exception&) {
+          return std::nullopt;
+        }
+      });
 }
 
 std::optional<Physician::PasscodeResult> Physician::request_passcode(

@@ -15,6 +15,20 @@ Bytes seed_for(RandomSource& seed, std::string_view tag) {
   append(s, to_bytes(tag));
   return s;
 }
+
+/// Parse → handle → encode for one request type: a bool handler answers
+/// with an empty ack, an optional one with its encoded response.
+template <class Req, class Out>
+std::optional<Bytes> serve(SServer& server, Out (SServer::*handle)(const Req&),
+                           BytesView wire) {
+  Out out = (server.*handle)(Req::from_wire(wire));
+  if constexpr (std::is_same_v<Out, bool>) {
+    if (out) return Bytes{};
+  } else if (out.has_value()) {
+    return out->to_wire();
+  }
+  return std::nullopt;
+}
 }  // namespace
 
 // ---- AServer ---------------------------------------------------------------
@@ -72,6 +86,48 @@ SServer::SServer(sim::Network& net, const AServer& authority, std::string id,
       self_key_(authority.provision(service_id_)),
       nu_deriver_(*ctx_, self_key_),
       mhi_hub_(*ctx_) {}
+
+std::optional<Bytes> SServer::dispatch(std::string_view label,
+                                       BytesView wire) {
+  try {
+    if (label == StoreRequest::kLabel) {
+      return serve(*this, &SServer::handle_store, wire);
+    }
+    if (label == RetrieveRequest::kLabel) {
+      return serve(*this, &SServer::handle_retrieve, wire);
+    }
+    if (label == BeBlobRequest::kLabel) {
+      return serve(*this, &SServer::handle_be_request, wire);
+    }
+    if (label == PrivilegedRetrieveRequest::kLabel) {
+      return serve(*this, &SServer::handle_privileged_retrieve, wire);
+    }
+    if (label == UpdateRequest::kLabel) {
+      return serve(*this, &SServer::handle_update, wire);
+    }
+    if (label == CompactRequest::kLabel) {
+      return serve(*this, &SServer::handle_compact, wire);
+    }
+    if (label == RevokeRequest::kLabel) {
+      return serve(*this, &SServer::handle_revoke, wire);
+    }
+    if (label == MhiStoreRequest::kLabel) {
+      return serve(*this, &SServer::handle_mhi_store, wire);
+    }
+    if (label == MhiRetrieveRequest::kLabel) {
+      return serve(*this, &SServer::handle_mhi_retrieve, wire);
+    }
+    if (label == MhiRegisterRequest::kLabel) {
+      return serve(*this, &SServer::handle_mhi_register, wire);
+    }
+    if (label == MhiHitsRequest::kLabel) {
+      return serve(*this, &SServer::handle_mhi_hits, wire);
+    }
+  } catch (const std::exception&) {
+    // Malformed bytes: refused before any handler state is touched.
+  }
+  return std::nullopt;
+}
 
 std::string SServer::account_key(BytesView tp, const std::string& collection) {
   return hex_encode(tp) + "/" + collection;

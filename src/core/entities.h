@@ -166,6 +166,11 @@ class SServer {
   }
   [[nodiscard]] sim::Network& net() const noexcept { return *net_; }
 
+  /// The wire seam: strictly parses the request named by `label`, runs its
+  /// handle_* and returns the encoded reply (empty for a bare ack). nullopt
+  /// when the bytes do not parse or the handler refuses.
+  std::optional<Bytes> dispatch(std::string_view label, BytesView wire);
+
   // §IV.B — accepts (SI, Λ) plus the privilege material.
   bool handle_store(const StoreRequest& req);
   // §IV.D — owner search with plain trapdoors.
@@ -366,9 +371,6 @@ class Patient {
   /// aliases; retrievals rotate through them so the server cannot tell two
   /// searches for the same keyword apart. Call before store_phi. n >= 1.
   void set_keyword_aliases(size_t n);
-  [[nodiscard]] size_t keyword_aliases() const noexcept {
-    return alias_count_;
-  }
   [[nodiscard]] const std::vector<sse::PlainFile>& files() const noexcept {
     return files_;
   }
@@ -538,9 +540,6 @@ class PDevice {
 
   /// The emergency button: arms the device and connects to the A-server.
   void press_emergency_button();
-  [[nodiscard]] bool in_emergency_mode() const noexcept {
-    return emergency_mode_;
-  }
 
   /// A-server → P-device delivery (§IV.E.2 step 3). Verifies the A-server's
   /// IBS and decrypts the nonce with the bundled Γp.
@@ -563,9 +562,6 @@ class PDevice {
 
   // ---- MHI (§IV.E.2) ----
   void collect_mhi(MhiWindow window);
-  [[nodiscard]] const std::vector<MhiWindow>& collected_mhi() const noexcept {
-    return mhi_;
-  }
   /// Encrypts each collected window under `role_id` with IBE, tags it with
   /// PEKS keywords (the window's day plus `extra_keywords`), uploads.
   bool store_mhi(const AServer& authority, SServer& server,
@@ -647,10 +643,10 @@ class Physician {
                                                  BytesView patient_tp);
   Result<PasscodeResult> try_request_passcode(AServer& authority,
                                               BytesView patient_tp);
-  /// §VI.D automatic failover: retries the next local office on timeout
-  /// instead of making the caller poll first_available(). On success
-  /// `serving_office` (if non-null) receives the index of the office that
-  /// answered, so the caller can address follow-up messages to it.
+  /// §VI.D automatic failover: retries the next local office on timeout.
+  /// On success `serving_office` (if non-null) receives the index of the
+  /// office that answered, so the caller can address follow-up messages to
+  /// it.
   Result<PasscodeResult> request_passcode(AServerCluster& cluster,
                                           BytesView patient_tp,
                                           size_t* serving_office = nullptr);

@@ -4,18 +4,30 @@
 // A-server, computes TDr(kw), and the S-server returns the matching
 // role-encrypted windows. All exchanges ride the retrying transport.
 #include "src/cipher/aead.h"
-#include "src/core/entities.h"
+#include "src/core/call.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
-constexpr const char* kStoreLabel = "mhi-storage";
-constexpr const char* kRetrieveLabel = "mhi-retrieval";
-constexpr const char* kRoleKeyLabel = "mhi-role-key";
-constexpr const char* kRegisterLabel = "mhi-register";
-constexpr const char* kHitsLabel = "mhi-hits";
+/// Decrypts the role-encrypted windows of an MHI reply with Γr. One
+/// precomputation of Γr's Miller lines amortizes across the whole batch:
+/// each blob's pairing ê(Γr, U) is line evaluations only.
+std::vector<MhiWindow> decrypt_windows(const curve::CurveCtx& ctx,
+                                       const curve::Point& role_key,
+                                       const std::vector<Bytes>& blobs) {
+  std::vector<MhiWindow> windows;
+  ibc::IbeDecryptor decryptor(ctx, role_key);
+  for (const Bytes& blob : blobs) {
+    try {
+      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(ctx, blob);
+      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
+    } catch (const std::exception&) {
+      // skip undecryptable entries
+    }
+  }
+  return windows;
+}
 }  // namespace
 
 Result<void> PDevice::try_store_mhi(
@@ -47,18 +59,12 @@ Result<void> PDevice::try_store_mhi(
           peks::peks_encrypt(authority.pub(), role_id, kw, rng_).to_bytes());
     }
     req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, kStoreLabel, req.body(), req.t);
-    // One-message upload: like PHI storage, the ack is not charged.
-    sim::CallOutcome<bool> out = net_->transport().request<bool>(
-        id_, server.id(), req.wire_size(), req.mac, kStoreLabel,
-        [&]() -> std::optional<bool> {
-          return server.handle_mhi_store(req) ? std::optional<bool>(true)
-                                              : std::nullopt;
-        },
-        [](const bool&) { return size_t{0}; });
-    attempts += out.attempts;
-    if (out.status == sim::CallStatus::kRejected) any_rejected = true;
-    if (out.status == sim::CallStatus::kExhausted) any_timeout = true;
+    req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+    Result<void> r = call(*net_, id_, server, req, "MHI window", {}, &attempts);
+    if (!r.ok()) {
+      any_timeout |= r.error().transient();
+      any_rejected |= !r.error().transient();
+    }
   }
   if (any_rejected) {
     return permanent_error(ErrorCode::kRejected, attempts,
@@ -85,7 +91,7 @@ bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   } catch (const std::exception&) {
     return false;
   }
-  if (!protocol_mac_ok(nu, kStoreLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return false;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -114,22 +120,12 @@ Result<curve::Point> Physician::try_request_role_key(
   req.role_id = role_id;
   req.t = net_->clock().now();
   req.sig = signer_.sign(req.body(), rng_).to_bytes();
-  sim::CallOutcome<curve::Point> out =
-      net_->transport().request<curve::Point>(
-          id_, authority.id(), req.wire_size(), req.sig, kRoleKeyLabel,
-          [&]() { return authority.handle_role_key_request(req); },
-          [](const curve::Point& k) {
-            return curve::point_to_bytes(k).size();
-          });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "A-server unreachable for role-key extraction");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "A-server refused the role-key request");
-  }
-  return *out.response;
+  return call<curve::Point, curve::Point>(
+      *net_, id_, authority.id(), req.to_wire().size(), req.sig, req.kLabel,
+      [&] { return authority.handle_role_key_request(req); },
+      [](const curve::Point& k) { return curve::point_to_bytes(k).size(); },
+      "role-key request",
+      [](curve::Point& k) { return std::make_optional(std::move(k)); });
 }
 
 std::optional<curve::Point> Physician::request_role_key(
@@ -169,39 +165,11 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kRetrieveLabel, req.body(), req.t);
-
-  sim::CallOutcome<MhiRetrieveResponse> out =
-      net_->transport().request<MhiRetrieveResponse>(
-          id_, server.id(), req.wire_size(), req.mac, kRetrieveLabel,
-          [&]() { return server.handle_mhi_retrieve(req); },
-          [](const MhiRetrieveResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI retrieval undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI retrieval");
-  }
-  const MhiRetrieveResponse& resp = *out.response;
-  if (!protocol_mac_ok(rho, kRetrieveLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "MHI response failed authentication");
-  }
-  std::vector<MhiWindow> windows;
-  // One precomputation of Γr's Miller lines amortizes across the whole
-  // batch: each blob's pairing ê(Γr, U) is line evaluations only.
-  ibc::IbeDecryptor decryptor(*ctx_, role_key);
-  for (const Bytes& blob : resp.ibe_blobs) {
-    try {
-      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(*ctx_, blob);
-      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
-    } catch (const std::exception&) {
-      // skip undecryptable entries
-    }
-  }
-  return windows;
+  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  Result<MhiRetrieveResponse> resp = call<MhiRetrieveResponse>(
+      *net_, id_, server, req, "MHI retrieval", rho);
+  if (!resp.ok()) return resp.error();
+  return decrypt_windows(*ctx_, role_key, resp.value().ibe_blobs);
 }
 
 std::vector<MhiWindow> Physician::retrieve_mhi(SServer& server,
@@ -217,7 +185,7 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
   // Server side of ρ: ê(PK_r, Γ_S).
   curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
   Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kRetrieveLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
     return std::nullopt;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -252,7 +220,7 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
     }
   }
   resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, kRetrieveLabel, resp.body(), resp.t);
+  resp.mac = protocol_mac(rho, req.kLabel, resp.body(), resp.t);
   return resp;
 }
 
@@ -279,23 +247,8 @@ Result<void> PDevice::try_stream_mhi(
   req.peks_tags = std::move(enc.peks_tags);
   req.ibe_blob = std::move(enc.ibe_blob);
   req.t = net_->clock().now();
-  req.mac = protocol_mac(bundle_->nu, kStoreLabel, req.body(), req.t);
-  sim::CallOutcome<bool> out = net_->transport().request<bool>(
-      id_, server.id(), req.wire_size(), req.mac, kStoreLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_mhi_store(req) ? std::optional<bool>(true)
-                                            : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the streamed MHI window");
-  }
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "streamed MHI window undelivered after retries");
-  }
-  return {};
+  req.mac = protocol_mac(bundle_->nu, req.kLabel, req.body(), req.t);
+  return call(*net_, id_, server, req, "streamed MHI window");
 }
 
 bool PDevice::stream_mhi(const AServer& authority, SServer& server,
@@ -310,7 +263,7 @@ bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
   // Server side of ρ — same role-based pairwise key as retrieval.
   curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
   Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kRegisterLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
     return false;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -331,7 +284,7 @@ std::optional<MhiHitsResponse> SServer::handle_mhi_hits(
   obs::Span span("sserver:mhi_hits");
   curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
   Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, kHitsLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
     return std::nullopt;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -342,7 +295,7 @@ std::optional<MhiHitsResponse> SServer::handle_mhi_hits(
     resp.ibe_blobs.push_back(std::move(hit.ibe_blob));
   }
   resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, kHitsLabel, resp.body(), resp.t);
+  resp.mac = protocol_mac(rho, req.kLabel, resp.body(), resp.t);
   return resp;
 }
 
@@ -357,23 +310,8 @@ Result<void> Physician::try_register_mhi(SServer& server,
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kRegisterLabel, req.body(), req.t);
-  sim::CallOutcome<bool> out = net_->transport().request<bool>(
-      id_, server.id(), req.wire_size(), req.mac, kRegisterLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_mhi_register(req) ? std::optional<bool>(true)
-                                               : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI registration undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI registration");
-  }
-  return {};
+  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  return call(*net_, id_, server, req, "MHI registration");
 }
 
 bool Physician::register_mhi(SServer& server, const std::string& role_id,
@@ -391,36 +329,11 @@ Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
   req.physician_id = id_;
   req.role_id = role_id;
   req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, kHitsLabel, req.body(), req.t);
-  sim::CallOutcome<MhiHitsResponse> out =
-      net_->transport().request<MhiHitsResponse>(
-          id_, server.id(), req.wire_size(), req.mac, kHitsLabel,
-          [&]() { return server.handle_mhi_hits(req); },
-          [](const MhiHitsResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "MHI hit drain undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the MHI hit drain");
-  }
-  const MhiHitsResponse& resp = *out.response;
-  if (!protocol_mac_ok(rho, kHitsLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "MHI hits response failed authentication");
-  }
-  std::vector<MhiWindow> windows;
-  ibc::IbeDecryptor decryptor(*ctx_, role_key);
-  for (const Bytes& blob : resp.ibe_blobs) {
-    try {
-      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(*ctx_, blob);
-      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
-    } catch (const std::exception&) {
-      // skip undecryptable entries
-    }
-  }
-  return windows;
+  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  Result<MhiHitsResponse> resp =
+      call<MhiHitsResponse>(*net_, id_, server, req, "MHI hit drain", rho);
+  if (!resp.ok()) return resp.error();
+  return decrypt_windows(*ctx_, role_key, resp.value().ibe_blobs);
 }
 
 std::vector<MhiWindow> Physician::fetch_mhi_hits(SServer& server,

@@ -7,39 +7,14 @@
 
 #include "src/cipher/aead.h"
 #include "src/common/serialize.h"
+#include "src/core/call.h"
 #include "src/core/cluster.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
 constexpr const char* kAssignLabel = "privilege-assign";
-constexpr const char* kRevokeLabel = "privilege-revoke";
-
-/// One transport-routed REVOKE to one server. Like storage, the historical
-/// accounting charges one message (the ack is free), so response_size is 0.
-Result<void> send_revoke(sim::Network& net, const std::string& from,
-                         SServer& server, const RevokeRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kRevokeLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_revoke(req) ? std::optional<bool>(true)
-                                         : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the revocation");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "REVOKE undelivered after retries");
-  }
-}
 }  // namespace
 
 bool assign_privilege(Patient& patient, Family& family, BytesView mu) {
@@ -76,8 +51,8 @@ Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
   req.collection = collection_;
   req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kRevokeLabel, req.body(), req.t);
-  return send_revoke(*net_, name_, server, req);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  return call(*net_, name_, server, req, "revocation");
 }
 
 bool Patient::revoke_member(SServer& server, size_t slot) {
@@ -103,11 +78,12 @@ Result<size_t> Patient::revoke_member(SServerGroup& group, size_t slot) {
   req.collection = collection_;
   req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kRevokeLabel, req.body(), req.t);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
 
   if (group.sharded()) {
     // The owning shard is the only holder of this account's d / BE_U(d).
-    Result<void> r = send_revoke(*net_, name_, group.shard_for(req.tp), req);
+    Result<void> r =
+        call(*net_, name_, group.shard_for(req.tp), req, "revocation");
     if (r.ok()) return size_t{1};
     return r.error();
   }
@@ -115,7 +91,7 @@ Result<size_t> Patient::revoke_member(SServerGroup& group, size_t slot) {
   bool any_rejected = false;
   uint32_t attempts = 0;
   for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_revoke(*net_, name_, group.replica(i), req);
+    Result<void> r = call(*net_, name_, group.replica(i), req, "revocation");
     if (r.ok()) {
       ++applied;
       obs::count(obs::kSGroupMirrorWrites);
@@ -141,7 +117,7 @@ bool SServer::handle_revoke(const RevokeRequest& req) {
   } catch (const std::exception&) {
     return false;
   }
-  if (!protocol_mac_ok(nu, kRevokeLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return false;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {

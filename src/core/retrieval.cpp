@@ -6,17 +6,13 @@
 // replica when one office times out.
 #include <set>
 
+#include "src/core/call.h"
 #include "src/core/cluster.h"
-#include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/onion.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
-constexpr const char* kLabel = "phi-retrieval";
-
 std::vector<sse::PlainFile> decrypt_response(const sse::Keys& keys,
                                              const RetrieveResponse& resp) {
   std::vector<sse::PlainFile> out;
@@ -37,25 +33,10 @@ Result<std::vector<sse::PlainFile>> send_retrieve(sim::Network& net,
                                                   const RetrieveRequest& req,
                                                   BytesView nu,
                                                   const sse::Keys& keys) {
-  sim::CallOutcome<RetrieveResponse> out =
-      net.transport().request<RetrieveResponse>(
-          from, server.id(), req.wire_size(), req.mac, kLabel,
-          [&]() { return server.handle_retrieve(req); },
-          [](const RetrieveResponse& r) { return r.wire_size(); });
-  if (out.status == sim::CallStatus::kExhausted) {
-    return transient_error(ErrorCode::kTimeout, out.attempts,
-                           "retrieval undelivered after retries");
-  }
-  if (out.status == sim::CallStatus::kRejected) {
-    return permanent_error(ErrorCode::kRejected, out.attempts,
-                           "S-server refused the retrieval");
-  }
-  const RetrieveResponse& resp = *out.response;
-  if (!protocol_mac_ok(nu, kLabel, resp.body(), resp.t, resp.mac)) {
-    return permanent_error(ErrorCode::kBadResponse, out.attempts,
-                           "response failed authentication");
-  }
-  return decrypt_response(keys, resp);
+  Result<RetrieveResponse> resp =
+      call<RetrieveResponse>(net, from, server, req, "retrieval", nu);
+  if (!resp.ok()) return resp.error();
+  return decrypt_response(keys, resp.value());
 }
 }  // namespace
 
@@ -94,7 +75,7 @@ Result<std::vector<sse::PlainFile>> Patient::try_retrieve(
   req.trapdoors = make_trapdoor_blobs(keywords);
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
   return send_retrieve(*net_, name_, server, req, nu, keys_);
 }
 
@@ -122,7 +103,7 @@ Result<std::vector<sse::PlainFile>> Patient::retrieve(
     req.collection = collection_;
     req.trapdoors = trapdoors;
     req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
+    req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
     Result<std::vector<sse::PlainFile>> r =
         send_retrieve(*net_, name_, group.replica(first + i), req, nu, keys_);
     if (r.ok() || !r.error().transient()) return r;
@@ -143,29 +124,11 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
   req.trapdoors = make_trapdoor_blobs(keywords);
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
-
-  Bytes reply = onion.round_trip(
-      name_, sserver_id_, req.to_wire(),
-      [&server](BytesView wire) -> Bytes {
-        try {
-          std::optional<RetrieveResponse> resp =
-              server.handle_retrieve(RetrieveRequest::from_wire(wire));
-          return resp.has_value() ? resp->to_wire() : Bytes{};
-        } catch (const std::exception&) {
-          return Bytes{};
-        }
-      },
-      rng_);
-  if (reply.empty()) return {};
-  RetrieveResponse resp;
-  try {
-    resp = RetrieveResponse::from_wire(reply);
-  } catch (const std::exception&) {
-    return {};
-  }
-  if (!protocol_mac_ok(nu, kLabel, resp.body(), resp.t, resp.mac)) return {};
-  return decrypt_response(keys_, resp);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  Result<RetrieveResponse> resp = call<RetrieveResponse>(
+      onion, rng_, name_, server, req, "anonymous retrieval", nu);
+  if (!resp.ok()) return {};
+  return decrypt_response(keys_, resp.value());
 }
 
 std::optional<RetrieveResponse> SServer::handle_retrieve(
@@ -177,7 +140,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (!protocol_mac_ok(nu, kLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return std::nullopt;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -195,7 +158,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
   resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, kLabel, resp.body(), resp.t);
+  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
   return resp;
 }
 

@@ -162,8 +162,7 @@ SearchService::search_batch_privileged(
   std::vector<const Bytes*> accepted_nu(reqs.size(), nullptr);
   for (size_t k = 0; k < keyed.size(); ++k) {
     const PrivilegedRetrieveRequest& req = reqs[keyed[k]];
-    if (!protocol_mac_ok(nus[k], kPrivilegedRetrieveLabel, req.body(), req.t,
-                         req.mac)) {
+    if (!protocol_mac_ok(nus[k], req.kLabel, req.body(), req.t, req.mac)) {
       continue;
     }
     if (!net.accept_fresh(server.id(), req.mac, req.t, kFreshnessWindowNs)) {
@@ -194,8 +193,8 @@ SearchService::search_batch_privileged(
       }
     }
     resp.t = now;
-    resp.mac = protocol_mac(*accepted_nu[i], kPrivilegedRetrieveLabel,
-                            resp.body(), resp.t);
+    resp.mac =
+        protocol_mac(*accepted_nu[i], req.kLabel, resp.body(), resp.t);
     out[i] = std::move(resp);
   };
   if (pool_ == nullptr || reqs.size() <= 1) {

@@ -2,17 +2,13 @@
 // the privilege material (d, BE_U(d)) the ASSIGN/REVOKE extension needs.
 // Uploads ride the retrying transport: lost or duplicated messages are
 // retried / suppressed transparently, and the caller sees a typed Result.
+#include "src/core/call.h"
 #include "src/core/cluster.h"
-#include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/onion.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
 
 namespace {
-constexpr const char* kLabel = "phi-storage";
-
 // `index_files` carry the (possibly aliased) search keywords; `body_files`
 // are what actually gets encrypted and returned to searchers.
 StoreRequest build_store_request(RandomSource& rng,
@@ -30,33 +26,8 @@ StoreRequest build_store_request(RandomSource& rng,
   req.d = keys.d;
   req.be_blob = be_group.encrypt(keys.d, rng);
   req.t = now;
-  req.mac = protocol_mac(nu, kLabel, req.body(), req.t);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
   return req;
-}
-
-/// One transport-routed upload to one server. The acknowledgement is not
-/// separately charged (historical §V.B.2 accounting: storage is one
-/// message), so response_size reports 0.
-Result<void> send_store(sim::Network& net, const std::string& from,
-                        SServer& server, const StoreRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_store(req) ? std::optional<bool>(true)
-                                        : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the upload");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "PHI upload undelivered after retries");
-  }
 }
 }  // namespace
 
@@ -71,7 +42,7 @@ Result<void> Patient::try_store_phi(SServer& server) {
   StoreRequest req = build_store_request(
       rng_, collection_, aliased, files_, *be_group_, keys_,
       net_->clock().now(), shared_key_nu(), tp_bytes());
-  Result<void> r = send_store(*net_, name_, server, req);
+  Result<void> r = call(*net_, name_, server, req, "PHI upload");
   // A whole-index upload supersedes any server-side update log, so the
   // update chains restart under a fresh epoch (recycled counter values must
   // not re-derive labels the server has already seen).
@@ -98,7 +69,7 @@ Result<size_t> Patient::store_phi(SServerGroup& group) {
       net_->clock().now(), shared_key_nu(), tp_bytes());
   if (group.sharded()) {
     Result<void> r =
-        send_store(*net_, name_, group.shard_for(req.tp), req);
+        call(*net_, name_, group.shard_for(req.tp), req, "PHI upload");
     if (r.ok()) {
       update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
       return size_t{1};
@@ -109,7 +80,7 @@ Result<size_t> Patient::store_phi(SServerGroup& group) {
   bool any_rejected = false;
   uint32_t attempts = 0;
   for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_store(*net_, name_, group.replica(i), req);
+    Result<void> r = call(*net_, name_, group.replica(i), req, "PHI upload");
     if (r.ok()) {
       ++stored;
       obs::count(obs::kSGroupMirrorWrites);
@@ -138,18 +109,7 @@ bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {
   StoreRequest req = build_store_request(
       rng_, collection_, aliased, files_, *be_group_, keys_,
       net_->clock().now(), shared_key_nu(), tp_bytes());
-  Bytes reply = onion.round_trip(
-      name_, sserver_id_, req.to_wire(),
-      [&server](BytesView wire) -> Bytes {
-        try {
-          bool ok = server.handle_store(StoreRequest::from_wire(wire));
-          return Bytes{static_cast<uint8_t>(ok ? 1 : 0)};
-        } catch (const std::exception&) {
-          return Bytes{0};
-        }
-      },
-      rng_);
-  bool ok = reply.size() == 1 && reply[0] == 1;
+  bool ok = call(onion, rng_, name_, server, req, "anonymous PHI upload").ok();
   if (ok) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
   return ok;
 }
@@ -162,7 +122,9 @@ bool SServer::handle_store(const StoreRequest& req) {
   } catch (const std::exception&) {
     return false;  // malformed pseudonym point
   }
-  if (!protocol_mac_ok(nu, kLabel, req.body(), req.t, req.mac)) return false;
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
+    return false;
+  }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
     return false;
   }

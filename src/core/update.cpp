@@ -20,63 +20,11 @@
 // every live file.
 #include <algorithm>
 
+#include "src/core/call.h"
 #include "src/core/cluster.h"
-#include "src/core/entities.h"
 #include "src/obs/trace.h"
-#include "src/sim/transport.h"
 
 namespace hcpp::core {
-
-namespace {
-constexpr const char* kUpdateLabel = "phi-update";
-constexpr const char* kCompactLabel = "phi-compact";
-
-/// One transport-routed UPDATE to one server. Like storage, the historical
-/// accounting charges one message (the ack is free), so response_size is 0.
-Result<void> send_update(sim::Network& net, const std::string& from,
-                         SServer& server, const UpdateRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kUpdateLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_update(req) ? std::optional<bool>(true)
-                                         : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the update");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "PHI update undelivered after retries");
-  }
-}
-
-Result<void> send_compact(sim::Network& net, const std::string& from,
-                          SServer& server, const CompactRequest& req) {
-  sim::CallOutcome<bool> out = net.transport().request<bool>(
-      from, server.id(), req.wire_size(), req.mac, kCompactLabel,
-      [&]() -> std::optional<bool> {
-        return server.handle_compact(req) ? std::optional<bool>(true)
-                                          : std::nullopt;
-      },
-      [](const bool&) { return size_t{0}; });
-  switch (out.status) {
-    case sim::CallStatus::kOk:
-      return {};
-    case sim::CallStatus::kRejected:
-      return permanent_error(ErrorCode::kRejected, out.attempts,
-                             "S-server refused the compaction");
-    case sim::CallStatus::kExhausted:
-    default:
-      return transient_error(ErrorCode::kTimeout, out.attempts,
-                             "compaction undelivered after retries");
-  }
-}
-}  // namespace
 
 // ---- Patient ----------------------------------------------------------------
 
@@ -150,8 +98,8 @@ Result<void> Patient::try_update_phi(SServer& server,
   UpdateRequest req = build_update_request(std::move(added), removed);
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kUpdateLabel, req.body(), req.t);
-  return send_update(*net_, name_, server, req);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  return call(*net_, name_, server, req, "PHI update");
 }
 
 bool Patient::update_phi(SServer& server, std::vector<sse::PlainFile> added,
@@ -167,10 +115,11 @@ Result<size_t> Patient::try_update_phi(SServerGroup& group,
   UpdateRequest req = build_update_request(std::move(added), removed);
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kUpdateLabel, req.body(), req.t);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
   if (group.sharded()) {
     // The owning shard is the only holder of this account.
-    Result<void> r = send_update(*net_, name_, group.shard_for(req.tp), req);
+    Result<void> r =
+        call(*net_, name_, group.shard_for(req.tp), req, "PHI update");
     if (r.ok()) return size_t{1};
     return r.error();
   }
@@ -178,7 +127,7 @@ Result<size_t> Patient::try_update_phi(SServerGroup& group,
   bool any_rejected = false;
   uint32_t attempts = 0;
   for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = send_update(*net_, name_, group.replica(i), req);
+    Result<void> r = call(*net_, name_, group.replica(i), req, "PHI update");
     if (r.ok()) {
       ++applied;
       obs::count(obs::kSGroupMirrorWrites);
@@ -209,8 +158,8 @@ Result<void> Patient::try_compact_phi(SServer& server) {
   req.index = sse::build_index(aliased, keys_, rng_).to_bytes();
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, kCompactLabel, req.body(), req.t);
-  Result<void> r = send_compact(*net_, name_, server, req);
+  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  Result<void> r = call(*net_, name_, server, req, "compaction");
   // Counters restart under a bumped epoch only once the server confirmed
   // the fold — see the commit-discipline note at the top of this file.
   if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
@@ -231,7 +180,7 @@ bool SServer::handle_update(const UpdateRequest& req) {
   } catch (const std::exception&) {
     return false;
   }
-  if (!protocol_mac_ok(nu, kUpdateLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return false;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
@@ -268,7 +217,7 @@ bool SServer::handle_compact(const CompactRequest& req) {
   } catch (const std::exception&) {
     return false;
   }
-  if (!protocol_mac_ok(nu, kCompactLabel, req.body(), req.t, req.mac)) {
+  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
     return false;
   }
   if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {

@@ -35,7 +35,6 @@ class ObliviousStore {
   ObliviousStore(std::vector<Bytes> blocks, RandomSource& rng);
 
   [[nodiscard]] size_t size() const noexcept { return n_; }
-  [[nodiscard]] size_t block_size() const noexcept { return block_size_; }
   /// Accesses per epoch before a reshuffle (⌈√n⌉).
   [[nodiscard]] size_t epoch_length() const noexcept { return k_; }
 

@@ -113,9 +113,6 @@ class Network {
   /// Installs (and seeds) / clears the fault schedule.
   void set_fault_plan(FaultPlan plan);
   void clear_fault_plan();
-  [[nodiscard]] bool has_fault_plan() const noexcept {
-    return plan_ != nullptr;
-  }
 
   /// Manual outage control (cluster failover tests, §VI.D DoS). Composes
   /// with any plan-scheduled downtime: a node is up only if both agree.

@@ -214,7 +214,7 @@ TEST(Accountability, RdSerializationRoundTrip) {
   std::vector<std::string> kws = {f.d.all_keywords().front()};
   f.run_emergency(kws);
   const RdRecord& rd = f.d.pdevice->records()[0];
-  RdRecord back = RdRecord::from_bytes(rd.to_bytes());
+  RdRecord back = RdRecord::from_wire(rd.to_wire());
   EXPECT_EQ(back.physician_id, rd.physician_id);
   EXPECT_EQ(back.keywords, rd.keywords);
   EXPECT_EQ(back.t11, rd.t11);

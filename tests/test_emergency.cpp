@@ -215,9 +215,8 @@ TEST(PDeviceEmergency, RevokedDeviceFailsOpenClosed) {
 
 TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   // §VI.D: the A-server role split across local offices; the transport dials
-  // the next office automatically when one is DoS'd (no first_available
-  // polling). Replicas share the domain, so the passcode a replica issues
-  // still decrypts at the P-device.
+  // the next office automatically when one is DoS'd. Replicas share the
+  // domain, so the passcode a replica issues still decrypts at the P-device.
   sim::Network net;
   cipher::Drbg rng(to_bytes("failover"));
   const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
@@ -257,20 +256,6 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   // The trace landed at the replica and the cluster-wide view finds it.
   EXPECT_EQ(cluster.all_traces().size(), 1u);
   EXPECT_EQ(cluster.all_traces()[0].physician_id, "dr-er");
-}
-
-TEST(AServerFailover, AllOfficesDownMeansNoAuthority) {
-  // Legacy manual-polling path (deprecated, kept working): first_available
-  // still reports outages for callers that have not migrated.
-  sim::Network net;
-  cipher::Drbg rng(to_bytes("failover-all"));
-  const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
-  AServerCluster cluster(net, ctx, "state-a", 2, rng);
-  cluster.set_up(0, false);
-  cluster.set_up(1, false);
-  EXPECT_EQ(cluster.first_available(), nullptr);
-  cluster.set_up(1, true);
-  ASSERT_NE(cluster.first_available(), nullptr);
 }
 
 TEST(AServerFailover, ReplicasShareDutyRegistry) {
@@ -324,7 +309,7 @@ PrivilegedRetrieveRequest make_priv_request(const Deployment& d,
         sse::wrap_trapdoor(acct.d, gen.make(keyword_alias(kw, 0))));
   }
   req.t = d.net->clock().now() + t_offset;
-  req.mac = protocol_mac(pb.nu, kPrivilegedRetrieveLabel, req.body(), req.t);
+  req.mac = protocol_mac(pb.nu, req.kLabel, req.body(), req.t);
   return req;
 }
 
@@ -355,12 +340,10 @@ TEST(SearchBatchPrivileged, MatchesLiveHandlerAndRejectsBadRequests) {
   bad_mac.mac[0] ^= 1;
   PrivilegedRetrieveRequest bad_tp = make_priv_request(d, pb, kws, 4);
   bad_tp.tp[1] ^= 1;  // no longer a valid curve point encoding
-  bad_tp.mac = protocol_mac(pb.nu, kPrivilegedRetrieveLabel, bad_tp.body(),
-                            bad_tp.t);
+  bad_tp.mac = protocol_mac(pb.nu, bad_tp.kLabel, bad_tp.body(), bad_tp.t);
   PrivilegedRetrieveRequest unknown = make_priv_request(d, pb, kws, 5);
   unknown.collection = "no-such-collection";
-  unknown.mac = protocol_mac(pb.nu, kPrivilegedRetrieveLabel, unknown.body(),
-                             unknown.t);
+  unknown.mac = protocol_mac(pb.nu, unknown.kLabel, unknown.body(), unknown.t);
 
   std::vector<PrivilegedRetrieveRequest> reqs = {good, good2, bad_mac,
                                                  bad_tp, unknown};
@@ -372,7 +355,7 @@ TEST(SearchBatchPrivileged, MatchesLiveHandlerAndRejectsBadRequests) {
   EXPECT_EQ(file_ids(*got[0]), file_ids(*live));
   EXPECT_EQ(file_ids(*got[1]), file_ids(*live));
   // The batch responses authenticate under the same ν as the live ones.
-  EXPECT_TRUE(protocol_mac_ok(pb.nu, kPrivilegedRetrieveLabel,
+  EXPECT_TRUE(protocol_mac_ok(pb.nu, PrivilegedRetrieveRequest::kLabel,
                               got[0]->body(), got[0]->t, got[0]->mac));
   EXPECT_FALSE(got[2].has_value());
   EXPECT_FALSE(got[3].has_value());

@@ -1,13 +1,16 @@
 // Parser robustness: every deserializer must reject arbitrary byte soup by
 // throwing or returning an error — never by crashing or accepting. This is
-// the defensive surface an untrusted network exposes.
+// the defensive surface an untrusted network exposes, down to the real
+// S-server handlers behind SServer::dispatch.
 #include <gtest/gtest.h>
 
 #include "src/be/broadcast.h"
+#include "src/cipher/aead.h"
 #include "src/cipher/drbg.h"
 #include "src/common/serialize.h"
 #include "src/core/messages.h"
 #include "src/core/record.h"
+#include "src/core/setup.h"
 #include "src/curve/params.h"
 #include "src/ibc/hibc.h"
 #include "src/ibc/ibe.h"
@@ -49,10 +52,27 @@ void feed(BytesView blob) {
   swallow([&] { (void)be::MemberKeys::from_bytes(blob); });
   swallow([&] { (void)core::KeywordIndex::from_bytes(blob); });
   swallow([&] { (void)core::MhiWindow::from_bytes(blob); });
-  swallow([&] { (void)core::RdRecord::from_bytes(blob); });
   swallow([&] { (void)core::StoreRequest::from_wire(blob); });
   swallow([&] { (void)core::RetrieveRequest::from_wire(blob); });
   swallow([&] { (void)core::RetrieveResponse::from_wire(blob); });
+  swallow([&] { (void)core::BeBlobRequest::from_wire(blob); });
+  swallow([&] { (void)core::BeBlobResponse::from_wire(blob); });
+  swallow([&] { (void)core::PrivilegedRetrieveRequest::from_wire(blob); });
+  swallow([&] { (void)core::UpdateRequest::from_wire(blob); });
+  swallow([&] { (void)core::CompactRequest::from_wire(blob); });
+  swallow([&] { (void)core::RevokeRequest::from_wire(blob); });
+  swallow([&] { (void)core::EmergencyAuthRequest::from_wire(blob); });
+  swallow([&] { (void)core::PasscodeToPhysician::from_wire(blob); });
+  swallow([&] { (void)core::PasscodeToPDevice::from_wire(blob); });
+  swallow([&] { (void)core::MhiStoreRequest::from_wire(blob); });
+  swallow([&] { (void)core::RoleKeyRequest::from_wire(blob); });
+  swallow([&] { (void)core::MhiRetrieveRequest::from_wire(blob); });
+  swallow([&] { (void)core::MhiRetrieveResponse::from_wire(blob); });
+  swallow([&] { (void)core::MhiRegisterRequest::from_wire(blob); });
+  swallow([&] { (void)core::MhiHitsRequest::from_wire(blob); });
+  swallow([&] { (void)core::MhiHitsResponse::from_wire(blob); });
+  swallow([&] { (void)core::TraceRecord::from_wire(blob); });
+  swallow([&] { (void)core::RdRecord::from_wire(blob); });
 }
 
 class RandomBlob : public ::testing::TestWithParam<int> {};
@@ -140,6 +160,186 @@ TEST(LengthGuard, HugeCountsRejectBeforeAllocating) {
   mhi.u32(0xFFFFFFFFu);  // ~4G samples in a 11-byte blob
   EXPECT_THROW((void)core::MhiWindow::from_bytes(mhi.data()),
                std::out_of_range);
+}
+
+// A parser that ignores trailing bytes lets two different encodings pass one
+// MAC: the receiver re-encodes the body from the parsed fields, so junk after
+// the frame or inside the body would be silently dropped.
+template <class M>
+void expect_strict(const M& m) {
+  const Bytes wire = m.to_wire();
+  ASSERT_NO_THROW((void)M::from_wire(wire));
+  Bytes after_frame = wire;
+  after_frame.push_back(0);
+  EXPECT_THROW((void)M::from_wire(after_frame), std::exception);
+  // One byte appended inside the body, the frame re-encoded around it.
+  io::Reader frame(wire);
+  Bytes body = frame.bytes();
+  body.push_back(0);
+  io::Writer w;
+  w.bytes(body);
+  w.raw(frame.raw(frame.remaining()));
+  EXPECT_THROW((void)M::from_wire(w.data()), std::exception);
+}
+
+TEST(StrictParse, ValidEncodingPlusOneByteIsRejected) {
+  Bytes mac(32, 0x5A);
+  expect_strict(core::StoreRequest{to_bytes("tp"), "c", to_bytes("i"),
+                                   to_bytes("f"), to_bytes("d"),
+                                   to_bytes("be"), 1, mac});
+  expect_strict(core::RetrieveRequest{to_bytes("tp"), "c", {to_bytes("td")},
+                                      2, mac});
+  expect_strict(core::RetrieveResponse{{{7, to_bytes("blob")}}, 3, mac});
+  expect_strict(core::BeBlobRequest{to_bytes("tp"), "c", 4, mac});
+  expect_strict(core::BeBlobResponse{to_bytes("be"), 5, mac});
+  expect_strict(core::PrivilegedRetrieveRequest{
+      to_bytes("tp"), "c", {to_bytes("w")}, 6, mac});
+  expect_strict(core::UpdateRequest{to_bytes("tp"),
+                                    "c",
+                                    {{"label", to_bytes("entry")}},
+                                    {{8, to_bytes("blob")}},
+                                    {9},
+                                    7,
+                                    mac});
+  expect_strict(core::CompactRequest{to_bytes("tp"), "c", to_bytes("i"), 8,
+                                     mac});
+  expect_strict(core::RevokeRequest{to_bytes("tp"), "c", to_bytes("s"), 9,
+                                    mac});
+  expect_strict(core::EmergencyAuthRequest{"dr", to_bytes("tp"), 10,
+                                           to_bytes("sig")});
+  expect_strict(core::PasscodeToPhysician{to_bytes("enc"), 11,
+                                          to_bytes("sig")});
+  expect_strict(core::PasscodeToPDevice{"dr", to_bytes("ibe"), 11,
+                                        to_bytes("sig"), to_bytes("audit")});
+  expect_strict(core::MhiStoreRequest{to_bytes("tp"), "role",
+                                      {to_bytes("tag")}, to_bytes("ibe"), 12,
+                                      mac});
+  expect_strict(core::RoleKeyRequest{"dr", "role", 13, to_bytes("sig")});
+  expect_strict(core::MhiRetrieveRequest{"dr", "role", to_bytes("td"), 14,
+                                         mac});
+  expect_strict(core::MhiRetrieveResponse{{to_bytes("ibe")}, 15, mac});
+  expect_strict(core::MhiRegisterRequest{"dr", "role", to_bytes("td"), 16,
+                                         mac});
+  expect_strict(core::MhiHitsRequest{"dr", "role", 17, mac});
+  expect_strict(core::MhiHitsResponse{{to_bytes("ibe")}, 18, mac});
+  expect_strict(core::TraceRecord{"dr", to_bytes("tp"), 1, 2,
+                                  to_bytes("sig")});
+  expect_strict(core::RdRecord{"dr", to_bytes("tp"), {"kw"}, 2,
+                               to_bytes("sig")});
+}
+
+// ---- Mutated wire bytes through the real handlers -------------------------
+
+struct Recorded {
+  std::string_view label;
+  Bytes wire;
+};
+
+template <class Req>
+Recorded record(Req req, BytesView key) {
+  req.mac = core::protocol_mac(key, Req::kLabel, req.body(), req.t);
+  return {Req::kLabel, req.to_wire()};
+}
+
+TEST(WireSweep, MutatedRequestsAreRejectedWithoutSideEffects) {
+  core::DeploymentConfig cfg;
+  cfg.n_phi_files = 2;
+  cfg.keywords_per_file = 1;
+  cfg.file_content_bytes = 32;
+  core::Deployment d = core::Deployment::create(cfg);
+  core::SServer& server = *d.sserver;
+  const core::Patient& pt = *d.patient;
+  cipher::Drbg rng(to_bytes("wire-sweep"));
+  const uint64_t t = d.net->clock().now();
+  const Bytes nu = pt.shared_key_nu();
+  const Bytes tp = pt.tp_bytes();
+  const sse::Keys& keys = pt.keys();
+  const std::string alias = core::keyword_alias(d.all_keywords().front(), 0);
+  const Bytes td = sse::make_trapdoor(keys, alias).to_bytes();
+
+  // Role side of §IV.E.2: ρ = ê(Γr, PK_S) for an extracted role key.
+  const std::string role = "2026-10-17|er|north";
+  const curve::Point role_key = d.aserver->domain().extract(role);
+  const Bytes rho =
+      ibc::shared_key_with_id(d.aserver->ctx(), role_key, server.service_id());
+  const Bytes peks_td =
+      peks::peks_trapdoor(d.aserver->ctx(), role_key, "vitals").to_bytes();
+
+  // One request of every S-server exchange, in an order in which each
+  // original is valid once its mutations have been swept.
+  const Bytes d_new = rng.bytes(32);
+  io::Writer rekey;
+  rekey.bytes(d_new);
+  rekey.bytes(rng.bytes(48));
+  std::vector<Recorded> reqs;
+  reqs.push_back(record(
+      core::StoreRequest{
+          tp, pt.collection(),
+          sse::build_index(pt.files(), keys, rng).to_bytes(),
+          sse::encrypt_collection(pt.files(), keys, rng).to_bytes(), keys.d,
+          rng.bytes(48), t, {}},
+      nu));
+  reqs.push_back(
+      record(core::RetrieveRequest{tp, pt.collection(), {td}, t, {}}, nu));
+  sse::LogInsert ins = sse::Updater(keys).add(alias, 99);
+  reqs.push_back(record(core::UpdateRequest{tp,
+                                            pt.collection(),
+                                            {{ins.label, ins.entry}},
+                                            {},
+                                            {pt.files().front().id},
+                                            t,
+                                            {}},
+                        nu));
+  reqs.push_back(record(
+      core::CompactRequest{tp, pt.collection(),
+                           sse::build_index(pt.files(), keys, rng).to_bytes(),
+                           t, {}},
+      nu));
+  reqs.push_back(record(
+      core::RevokeRequest{tp, pt.collection(),
+                          cipher::aead_encrypt(nu, rekey.data(), {}, rng), t,
+                          {}},
+      nu));
+  reqs.push_back(record(core::BeBlobRequest{tp, pt.collection(), t, {}}, nu));
+  reqs.push_back(record(
+      core::PrivilegedRetrieveRequest{
+          tp, pt.collection(),
+          {sse::wrap_trapdoor(d_new, sse::make_trapdoor(keys, alias))}, t,
+          {}},
+      nu));
+  reqs.push_back(record(
+      core::MhiStoreRequest{
+          tp, role,
+          {peks::peks_encrypt(d.aserver->pub(), role, "vitals", rng)
+               .to_bytes()},
+          ibc::ibe_encrypt(d.aserver->pub(), role, to_bytes("window"), rng)
+              .to_bytes(),
+          t, {}},
+      nu));
+  reqs.push_back(
+      record(core::MhiRegisterRequest{"dr-er", role, peks_td, t, {}}, rho));
+  reqs.push_back(
+      record(core::MhiRetrieveRequest{"dr-er", role, peks_td, t, {}}, rho));
+  reqs.push_back(record(core::MhiHitsRequest{"dr-er", role, t, {}}, rho));
+
+  for (const Recorded& r : reqs) {
+    ASSERT_LT(r.wire.size(), 4096u) << r.label;
+    const Bytes before = server.export_state();
+    size_t accepted = 0;
+    for (size_t cut = 0; cut < r.wire.size(); ++cut) {
+      accepted += server.dispatch(r.label, BytesView(r.wire).first(cut))
+                      .has_value();
+    }
+    for (size_t i = 0; i < r.wire.size(); ++i) {
+      Bytes mutated = r.wire;
+      mutated[i] ^= 0x01;
+      accepted += server.dispatch(r.label, mutated).has_value();
+    }
+    EXPECT_EQ(accepted, 0u) << r.label;
+    EXPECT_EQ(server.export_state(), before) << r.label;
+    // The rejected variants left no trace in the replay cache.
+    EXPECT_TRUE(server.dispatch(r.label, r.wire).has_value()) << r.label;
+  }
 }
 
 }  // namespace
