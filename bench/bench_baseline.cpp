@@ -37,11 +37,11 @@ int main() {
   cfg.assign_privileges = false;
   core::Deployment d = core::Deployment::create(cfg);
   auto t0 = std::chrono::steady_clock::now();
-  bool stored = d.patient->store_phi(*d.sserver);
+  bool stored = d.patient->try_store_phi(*d.sserver).ok();
   double hcpp_store_ms = ms_since(t0);
   std::vector<std::string> kw = {d.all_keywords().front()};
   t0 = std::chrono::steady_clock::now();
-  auto hcpp_files = d.patient->retrieve(*d.sserver, kw);
+  auto hcpp_files = d.patient->try_retrieve(*d.sserver, kw).value_or({});
   double hcpp_retrieve_ms = ms_since(t0);
 
   // Behavioural privacy checks for HCPP.

@@ -332,7 +332,7 @@ int main(int argc, char** argv) {
     p->add_files(core::generate_phi_collection(cfg.n_phi_files, p->rng(), 1,
                                                cfg.keywords_per_file,
                                                cfg.file_content_bytes));
-    auto r = p->store_phi(group);
+    auto r = p->try_store_phi(group);
     if (!r.ok()) {
       std::fprintf(stderr, "error: hot patient %zu store_phi failed\n", i);
       return 1;
@@ -580,7 +580,7 @@ int main(int argc, char** argv) {
         }
       } else if (dice < 218) {
         std::vector<std::string> kws = {hot_keywords[hot_i]};
-        auto res = hot[hot_i]->retrieve(group, kws);
+        auto res = hot[hot_i]->try_retrieve(group, kws);
         double lat = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                  arrival)
@@ -594,7 +594,7 @@ int main(int argc, char** argv) {
       } else {
         size_t fam_i = hot_i % families.size();
         std::vector<std::string> kws = {hot_keywords[fam_i]};
-        auto res = families[fam_i]->emergency_retrieve(group, kws);
+        auto res = families[fam_i]->try_emergency_retrieve(group, kws);
         double lat = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                  arrival)

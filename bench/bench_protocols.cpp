@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   drain(*d.net);
 
   // §IV.B private PHI storage.
-  if (!d.patient->store_phi(*d.sserver)) return 1;
+  if (!d.patient->try_store_phi(*d.sserver).ok()) return 1;
   record("PHI storage (§IV.B)", "one-time upload of SI+Λ: 1 msg");
 
   // §IV.C ASSIGN (local links).
@@ -80,30 +80,31 @@ int main(int argc, char** argv) {
   record("privilege ASSIGN x2 (§IV.C)", "local only: 1 bundle per entity");
 
   // §IV.C REVOKE (of an unused slot, so later flows still work).
-  (void)d.patient->revoke_member(*d.sserver, 5);
+  (void)d.patient->try_revoke_member(*d.sserver, 5);
   record("privilege REVOKE (§IV.C)", "one transmission to S-server");
 
   // §IV.D common-case retrieval.
   std::vector<std::string> one_kw = {d.all_keywords().front()};
-  (void)d.patient->retrieve(*d.sserver, one_kw);
+  (void)d.patient->try_retrieve(*d.sserver, one_kw);
   record("common-case retrieval (§IV.D)", "one round: 2 msgs");
 
   // §IV.E.1 family emergency retrieval.
-  (void)d.family->emergency_retrieve(*d.sserver, one_kw);
+  (void)d.family->try_emergency_retrieve(*d.sserver, one_kw);
   record("family emergency retrieval (§IV.E.1)",
          "two rounds: 4 msgs (one extra to recover d)");
 
   // §IV.E.2 P-device emergency (auth + retrieval).
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  if (!pass.has_value() ||
-      !d.pdevice->deliver_passcode(*d.aserver, pass->for_device) ||
-      !d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce)) {
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.ok() ||
+      !d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device) ||
+      !d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce)) {
     return 1;
   }
   record("P-device emergency auth (§IV.E.2)",
          "IBS request + passcode to physician + push to device: 3 msgs");
-  (void)d.pdevice->emergency_retrieve(*d.sserver, one_kw);
+  (void)d.pdevice->try_emergency_retrieve(*d.sserver, one_kw);
   record("P-device emergency retrieval (§IV.E.2)",
          "same two rounds as the family path: 4 msgs");
 
@@ -113,13 +114,13 @@ int main(int argc, char** argv) {
                                                    mhi_rng));
   std::vector<std::string> extra;
   const std::string role = "2011-04-12|emergency|gainesville";
-  (void)d.pdevice->store_mhi(*d.aserver, *d.sserver, role, extra);
+  (void)d.pdevice->try_store_mhi(*d.aserver, *d.sserver, role, extra);
   record("MHI storage (§IV.E.2)", "pre-computed offline, 1 msg per window");
-  auto role_key = d.on_duty->request_role_key(*d.aserver, role);
-  if (!role_key.has_value()) return 1;
+  auto role_key = d.on_duty->try_request_role_key(*d.aserver, role);
+  if (!role_key.ok()) return 1;
   record("MHI role-key extraction (§IV.E.2)", "auth round: 2 msgs");
-  (void)d.on_duty->retrieve_mhi(*d.sserver, role, *role_key,
-                                "day:2011-04-12");
+  (void)d.on_duty->try_retrieve_mhi(*d.sserver, role, role_key.value(),
+                                    "day:2011-04-12");
   record("MHI retrieval (§IV.E.2)", "one round: 2 msgs");
 
   std::printf(

@@ -17,14 +17,16 @@ namespace {
 void run_one_emergency(Deployment& d, Physician& physician,
                        std::span<const std::string> keywords) {
   d.pdevice->press_emergency_button();
-  auto pass = physician.request_passcode(*d.aserver, d.patient->tp_bytes());
-  if (!pass.has_value() ||
-      !d.pdevice->deliver_passcode(*d.aserver, pass->for_device) ||
-      !d.pdevice->enter_passcode(physician.id(), pass->nonce)) {
+  auto pass = physician.try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.ok() ||
+      !d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device) ||
+      !d.pdevice->enter_passcode(physician.id(), pass.value().nonce)) {
     std::printf("unexpected: emergency auth failed\n");
     return;
   }
-  size_t n = d.pdevice->emergency_retrieve(*d.sserver, keywords).size();
+  size_t n = d.pdevice->try_emergency_retrieve(*d.sserver, keywords)
+                 .value_or({})
+                 .size();
   std::printf("  %s searched %zu keyword(s), retrieved %zu file(s)\n",
               physician.id().c_str(), keywords.size(), n);
 }

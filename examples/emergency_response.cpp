@@ -27,7 +27,7 @@ int main() {
   d.pdevice->collect_mhi(
       generate_mhi_window("2011-04-12", 600, vitals_rng, 0.15));
   std::vector<std::string> extra_kws = {"patient-risk:cardiac"};
-  if (!d.pdevice->store_mhi(*d.aserver, *d.sserver, role, extra_kws)) {
+  if (!d.pdevice->try_store_mhi(*d.aserver, *d.sserver, role, extra_kws).ok()) {
     std::printf("MHI upload failed\n");
     return 1;
   }
@@ -40,17 +40,18 @@ int main() {
   d.pdevice->press_emergency_button();
 
   // An off-duty physician cannot get a passcode.
-  auto denied = d.off_duty->request_passcode(*d.aserver,
-                                             d.patient->tp_bytes());
+  auto denied = d.off_duty->try_request_passcode(*d.aserver,
+                                                 d.patient->tp_bytes());
   std::printf("off-duty physician passcode request: %s\n",
-              denied.has_value() ? "GRANTED (BUG)" : "denied");
+              denied.ok() ? "GRANTED (BUG)" : "denied");
 
   // The on-duty caregiver authenticates with IBS; the A-server returns the
   // one-time passcode and pushes it to the P-device under IBE_TPp.
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  if (!pass.has_value() ||
-      !d.pdevice->deliver_passcode(*d.aserver, pass->for_device) ||
-      !d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce)) {
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.ok() ||
+      !d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device) ||
+      !d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce)) {
     std::printf("emergency authentication failed\n");
     return 1;
   }
@@ -60,18 +61,21 @@ int main() {
   // PHI: the cardiology history.
   std::vector<std::string> kws = {"category:cardiology"};
   std::vector<sse::PlainFile> phi =
-      d.pdevice->emergency_retrieve(*d.sserver, kws);
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   std::printf("PHI retrieved via P-device: %zu cardiology file(s)\n",
               phi.size());
 
   // MHI: today's vitals, decrypted with the extracted role key.
-  auto role_key = d.on_duty->request_role_key(*d.aserver, role);
-  if (!role_key.has_value()) {
+  auto role_key = d.on_duty->try_request_role_key(*d.aserver, role);
+  if (!role_key.ok()) {
     std::printf("role key extraction failed\n");
     return 1;
   }
   std::vector<MhiWindow> vitals =
-      d.on_duty->retrieve_mhi(*d.sserver, role, *role_key, "day:2011-04-12");
+      d.on_duty
+          ->try_retrieve_mhi(*d.sserver, role, role_key.value(),
+                             "day:2011-04-12")
+          .value_or({});
   for (const MhiWindow& w : vitals) {
     size_t anomalies = 0;
     double peak_hr = 0;

@@ -57,7 +57,7 @@ void cmd_store(Deployment& d, size_t n) {
   d.patient->add_files(generate_phi_collection(
       n, d.patient->rng(),
       d.patient->files().empty() ? 1 : d.patient->files().back().id + 1));
-  bool ok = d.patient->store_phi(*d.sserver) &&
+  bool ok = d.patient->try_store_phi(*d.sserver).ok() &&
             assign_privilege(*d.patient, *d.family, d.mu_family) &&
             assign_privilege(*d.patient, *d.pdevice, d.mu_pdevice);
   std::printf("stored %zu files total -> %s\n", d.patient->files().size(),
@@ -148,7 +148,7 @@ void cmd_sse(Deployment& d, std::istringstream& in) {
         d.patient->files().empty() ? 1 : d.patient->files().back().id + 1;
     std::string body = "PHI body of " + name;
     sse::PlainFile f{id, name, Bytes(body.begin(), body.end()), kws};
-    bool ok = d.patient->update_phi(*d.sserver, {std::move(f)});
+    bool ok = d.patient->try_update_phi(*d.sserver, {std::move(f)}).ok();
     std::printf("UPDATE add file %llu '%s' (%zu keyword(s)) -> %s\n",
                 static_cast<unsigned long long>(id), name.c_str(), kws.size(),
                 ok ? "ok" : "FAILED");
@@ -159,14 +159,14 @@ void cmd_sse(Deployment& d, std::istringstream& in) {
       return;
     }
     std::vector<sse::FileId> rm = {id};
-    bool ok = d.patient->update_phi(*d.sserver, {}, rm);
+    bool ok = d.patient->try_update_phi(*d.sserver, {}, rm).ok();
     std::printf("UPDATE delete file %llu -> %s\n",
                 static_cast<unsigned long long>(id), ok ? "ok" : "FAILED");
   } else if (sub == "compact") {
     const sse::UpdateState& st = d.patient->update_state();
     uint64_t pending = 0;
     for (const auto& [kw, c] : st.counters) pending += c;
-    bool ok = d.patient->compact_phi(*d.sserver);
+    bool ok = d.patient->try_compact_phi(*d.sserver).ok();
     std::printf("COMPACT folded %llu log entr%s -> %s (epoch now %llu)\n",
                 static_cast<unsigned long long>(pending),
                 pending == 1 ? "y" : "ies", ok ? "ok" : "FAILED",
@@ -201,7 +201,7 @@ void cmd_sse(Deployment& d, std::istringstream& in) {
 
 void cmd_retrieve(Deployment& d, const std::string& kw) {
   std::vector<std::string> kws = {kw};
-  auto files = d.patient->retrieve(*d.sserver, kws);
+  auto files = d.patient->try_retrieve(*d.sserver, kws).value_or({});
   std::printf("%zu file(s):", files.size());
   for (const auto& f : files) std::printf(" %s", f.name.c_str());
   std::printf("\n");
@@ -209,7 +209,7 @@ void cmd_retrieve(Deployment& d, const std::string& kw) {
 
 void cmd_family(Deployment& d, const std::string& kw) {
   std::vector<std::string> kws = {kw};
-  auto files = d.family->emergency_retrieve(*d.sserver, kws);
+  auto files = d.family->try_emergency_retrieve(*d.sserver, kws).value_or({});
   std::printf("family retrieved %zu file(s)\n", files.size());
 }
 
@@ -224,18 +224,18 @@ void cmd_emergency(Deployment& d, const std::string& physician,
     return;
   }
   d.pdevice->press_emergency_button();
-  auto pass = doc->request_passcode(*d.aserver, d.patient->tp_bytes());
-  if (!pass.has_value()) {
+  auto pass = doc->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.ok()) {
     std::printf("A-server denied the passcode (off duty?)\n");
     return;
   }
-  if (!d.pdevice->deliver_passcode(*d.aserver, pass->for_device) ||
-      !d.pdevice->enter_passcode(doc->id(), pass->nonce)) {
+  if (!d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device) ||
+      !d.pdevice->enter_passcode(doc->id(), pass.value().nonce)) {
     std::printf("P-device rejected the passcode\n");
     return;
   }
   std::vector<std::string> kws = {kw};
-  auto files = d.pdevice->emergency_retrieve(*d.sserver, kws);
+  auto files = d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   std::printf("P-device retrieved %zu file(s); RD records: %zu; patient "
               "alerts: %d\n",
               files.size(), d.pdevice->records().size(),
@@ -271,12 +271,12 @@ void cmd_mhi(Deployment& d, std::istringstream& in) {
     Physician* doc = find_physician(d, dr);
     if (doc == nullptr) return;
     std::string role = role_for(day);
-    auto key = doc->request_role_key(*d.aserver, role);
-    if (!key.has_value()) {
+    auto key = doc->try_request_role_key(*d.aserver, role);
+    if (!key.ok()) {
       std::printf("A-server denied the role key (off duty?)\n");
       return;
     }
-    bool ok = doc->register_mhi(*d.sserver, role, *key, kw);
+    bool ok = doc->try_register_mhi(*d.sserver, role, key.value(), kw).ok();
     std::printf("standing query '%s' for %s under %s -> %s\n", kw.c_str(),
                 dr.c_str(), role.c_str(), ok ? "registered" : "FAILED");
   } else if (sub == "ingest") {
@@ -290,8 +290,10 @@ void cmd_mhi(Deployment& d, std::istringstream& in) {
     std::string kw;
     while (in >> kw) kws.push_back(kw);
     MhiWindow win = generate_mhi_window(day, 16, d.patient->rng(), 0.1);
-    bool ok = d.pdevice->stream_mhi(*d.aserver, *d.sserver, role_for(day), win,
-                                    kws);
+    bool ok = d.pdevice
+                  ->try_stream_mhi(*d.aserver, *d.sserver, role_for(day), win,
+                                   kws)
+                  .ok();
     std::printf("streamed window for %s (%zu extra keyword(s)) -> %s; "
                 "%zu window(s) stored, %zu hit(s) pending\n",
                 day.c_str(), kws.size(), ok ? "ok" : "FAILED",
@@ -307,12 +309,13 @@ void cmd_mhi(Deployment& d, std::istringstream& in) {
     Physician* doc = find_physician(d, dr);
     if (doc == nullptr) return;
     std::string role = role_for(day);
-    auto key = doc->request_role_key(*d.aserver, role);
-    if (!key.has_value()) {
+    auto key = doc->try_request_role_key(*d.aserver, role);
+    if (!key.ok()) {
       std::printf("A-server denied the role key (off duty?)\n");
       return;
     }
-    std::vector<MhiWindow> hits = doc->fetch_mhi_hits(*d.sserver, role, *key);
+    std::vector<MhiWindow> hits =
+        doc->try_fetch_mhi_hits(*d.sserver, role, key.value()).value_or({});
     std::printf("%zu matched window(s) for %s:", hits.size(), dr.c_str());
     for (const MhiWindow& w : hits) {
       std::printf(" %s(%zu samples)", w.day.c_str(), w.samples.size());
@@ -575,7 +578,7 @@ int main() {
         in >> who;
         size_t slot = (who == "family") ? kFamilySlot : kPDeviceSlot;
         std::printf("revoke %s -> %s\n", who.c_str(),
-                    d.patient->revoke_member(*d.sserver, slot) ? "ok"
+                    d.patient->try_revoke_member(*d.sserver, slot).ok() ? "ok"
                                                                : "FAILED");
       } else if (cmd == "audit") {
         cmd_audit(d);

@@ -32,8 +32,8 @@ int main() {
     }
   }
   std::vector<std::string> keywords = {category_kw};
-  std::vector<sse::PlainFile> files = d.patient->retrieve(*d.sserver,
-                                                          keywords);
+  std::vector<sse::PlainFile> files =
+      d.patient->try_retrieve(*d.sserver, keywords).value_or({});
   std::printf("\nretrieve('%s') -> %zu file(s):\n", category_kw.c_str(),
               files.size());
   for (const sse::PlainFile& f : files) {
@@ -44,20 +44,20 @@ int main() {
 
   // 3. The family can retrieve on the patient's behalf (§IV.E.1).
   std::vector<sse::PlainFile> by_family =
-      d.family->emergency_retrieve(*d.sserver, keywords);
+      d.family->try_emergency_retrieve(*d.sserver, keywords).value_or({});
   std::printf("\nfamily emergency retrieval -> %zu file(s) (same result)\n",
               by_family.size());
 
   // 4. The P-device is lost: revoke it (§IV.C / §VI.A). The device still
   //    holds keys but the S-server now rejects its trapdoors.
-  if (!d.patient->revoke_member(*d.sserver, kPDeviceSlot)) {
+  if (!d.patient->try_revoke_member(*d.sserver, kPDeviceSlot).ok()) {
     std::printf("revocation failed\n");
     return 1;
   }
+  Result<std::vector<sse::PlainFile>> after =
+      d.family->try_emergency_retrieve(*d.sserver, keywords);
   std::printf("\nP-device revoked; family access still works: %s\n",
-              d.family->emergency_retrieve(*d.sserver, keywords).empty()
-                  ? "no (BUG)"
-                  : "yes");
+              after.ok() && !after.value().empty() ? "yes" : "no (BUG)");
 
   // 5. Communication summary from the built-in accounting (§V.B.2).
   std::printf("\ntraffic so far: %llu messages, %llu bytes\n",

@@ -8,6 +8,11 @@
 // encoded reply, which call() parses and MAC-checks. The two A-server
 // exchanges stay typed and in-process (§IV.E.2 step 3 fans one request out
 // to the physician and the P-device) but share the same status mapping.
+//
+// Replication (§VI.D) is a property of the Target a protocol addresses, not
+// a second API: writes go through mirror() and reads through failover(),
+// which walk Target::holders. One holder — a lone server or a sharded
+// group's owner shard — returns that call's own typed error.
 #pragma once
 
 #include <functional>
@@ -15,7 +20,8 @@
 #include <string>
 #include <type_traits>
 
-#include "src/core/entities.h"
+#include "src/core/cluster.h"  // Target::holders over either group
+#include "src/obs/metrics.h"
 #include "src/sim/onion.h"
 #include "src/sim/transport.h"
 
@@ -117,6 +123,60 @@ Result<Resp> call(sim::OnionNetwork& onion, RandomSource& rng,
   return settle<Resp>(out, what, [key](const auto& r) {
     return open_reply<Resp, Req>(r, key);
   });
+}
+
+/// Write mirror: `req` sent to every holder; the value is how many applied
+/// it. Several holders fail with kRejected if any refused, otherwise
+/// kUnreachable, attempts summed.
+template <class Req>
+Result<size_t> mirror(sim::Network& net, const std::string& from,
+                      const std::vector<SServer*>& holders, const Req& req,
+                      std::string_view what) {
+  if (holders.size() == 1) {
+    Result<void> r = call(net, from, *holders.front(), req, what);
+    if (!r.ok()) return r.error();
+    return size_t{1};
+  }
+  size_t applied = 0;
+  bool any_rejected = false;
+  uint32_t attempts = 0;
+  for (SServer* server : holders) {
+    Result<void> r = call(net, from, *server, req, what);
+    if (r.ok()) {
+      ++applied;
+      obs::count(obs::kSGroupMirrorWrites);
+    } else {
+      attempts += r.error().attempts;
+      any_rejected |= !r.error().transient();
+    }
+  }
+  if (applied > 0) return applied;
+  if (any_rejected) {
+    return permanent_error(ErrorCode::kRejected, attempts,
+                           "every replica refused the " + std::string(what));
+  }
+  return transient_error(ErrorCode::kUnreachable, attempts,
+                         "no replica reachable for the " + std::string(what));
+}
+
+/// Read failover: `attempt` on each holder in turn. A transient failure
+/// moves on to the next (counted under `counter`); an answer or a permanent
+/// refusal ends the walk. Several holders all failing is kUnreachable with
+/// the attempts summed.
+template <class Server, class Attempt>
+auto failover(const std::vector<Server*>& holders, const char* counter,
+              std::string_view what, Attempt&& attempt)
+    -> decltype(attempt(*holders.front())) {
+  if (holders.size() == 1) return attempt(*holders.front());
+  uint32_t attempts = 0;
+  for (Server* server : holders) {
+    auto r = attempt(*server);
+    if (r.ok() || !r.error().transient()) return r;
+    attempts += r.error().attempts;
+    obs::count(counter);
+  }
+  return transient_error(ErrorCode::kUnreachable, attempts,
+                         "no replica answered the " + std::string(what));
 }
 
 }  // namespace hcpp::core

@@ -33,6 +33,12 @@ void AServerCluster::set_on_duty(const std::string& physician_id,
   for (auto& replica : replicas_) replica->set_on_duty(physician_id, on_duty);
 }
 
+std::vector<AServer*> AServerCluster::holders(BytesView) const {
+  std::vector<AServer*> out;
+  for (const auto& replica : replicas_) out.push_back(replica.get());
+  return out;
+}
+
 std::vector<TraceRecord> AServerCluster::all_traces() const {
   std::vector<TraceRecord> out;
   for (const auto& replica : replicas_) {
@@ -55,7 +61,6 @@ SServerGroup::SServerGroup(sim::Network& net, const AServer& authority,
     replicas_.push_back(std::make_unique<SServer>(
         net, authority, service_id + "-" + std::to_string(i), service_id));
   }
-  up_.assign(replicas, true);
 }
 
 size_t SServerGroup::shard_of(BytesView tp) const {
@@ -63,8 +68,11 @@ size_t SServerGroup::shard_of(BytesView tp) const {
   return store::shard_for_pseudonym(tp, replicas_.size());
 }
 
-SServer& SServerGroup::shard_for(BytesView tp) {
-  return *replicas_[shard_of(tp)];
+std::vector<SServer*> SServerGroup::holders(BytesView tp) const {
+  if (sharded()) return {replicas_[shard_of(tp)].get()};
+  std::vector<SServer*> out;
+  for (const auto& replica : replicas_) out.push_back(replica.get());
+  return out;
 }
 
 bool SServerGroup::attach_stores(const std::string& dir_root) {
@@ -77,27 +85,22 @@ bool SServerGroup::attach_stores(const std::string& dir_root) {
 }
 
 void SServerGroup::set_up(size_t i, bool up) {
-  up_.at(i) = up;
-  net_->set_node_up(replicas_[i]->id(), up);
+  net_->set_node_up(replicas_.at(i)->id(), up);
 }
 
 bool SServerGroup::sync_replicas() {
   if (sharded()) return false;  // disjoint shards: nothing to mirror
-  SServer* source = nullptr;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (up_[i]) {
-      source = replicas_[i].get();
-      break;
-    }
+  // Up as the network sees it — a replica downed by a FaultPlan outage
+  // missed the writes just like one downed by set_up.
+  std::vector<SServer*> up;
+  for (const auto& replica : replicas_) {
+    if (net_->node_up(replica->id())) up.push_back(replica.get());
   }
-  if (source == nullptr) return false;
+  if (up.empty()) return false;
   obs::count(obs::kSGroupSync);
-  Bytes state = source->export_state();
+  Bytes state = up.front()->export_state();
   bool ok = true;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (!up_[i] || replicas_[i].get() == source) continue;
-    ok &= replicas_[i]->import_state(state);
-  }
+  for (size_t i = 1; i < up.size(); ++i) ok &= up[i]->import_state(state);
   return ok;
 }
 

@@ -16,8 +16,11 @@
 //     replica, chosen by store::shard_for_pseudonym over the presented TPp —
 //     capacity grows with the group instead of being copied across it, and
 //     a write/republish on one shard never touches the others. Clients
-//     route to the owner (shard_for) instead of fanning out; there is no
-//     failover target, so an unreachable shard is a transient error.
+//     route to the owner instead of fanning out; there is no failover
+//     target, so an unreachable shard surfaces the owner's own error.
+//
+// Client protocols take either group — or a lone server — through the
+// non-owning Target of entities.h; holders() is the one routing decision.
 #pragma once
 
 #include "src/core/entities.h"
@@ -33,6 +36,8 @@ class AServerCluster {
 
   [[nodiscard]] size_t size() const noexcept { return replicas_.size(); }
   [[nodiscard]] AServer& replica(size_t i) { return *replicas_.at(i); }
+  /// Every office, in failover order: any office serves any patient.
+  [[nodiscard]] std::vector<AServer*> holders(BytesView tp) const;
 
   /// Simulated outage control: marks the office down on the network, so
   /// transport-routed requests to it time out instead of being served.
@@ -53,8 +58,8 @@ class AServerCluster {
 /// Replicated hospital storage. Every replica holds Γ_S for the shared
 /// `service_id` (clients derive ν against that identity) but keeps its own
 /// instance id ("<service_id>-<i>") for addressing and replay caching.
-/// Writes are mirrored by the client-side fan-out in Patient::store_phi /
-/// revoke_member(SServerGroup&); reads fail over replica-by-replica.
+/// Client writes are mirrored onto holders() and reads fail over across
+/// them (mirror() / failover() in call.h).
 class SServerGroup {
  public:
   enum class Placement {
@@ -79,8 +84,9 @@ class SServerGroup {
   /// Shard index owning the accounts of pseudonym `tp` (always 0 when
   /// replicated — any replica serves any account).
   [[nodiscard]] size_t shard_of(BytesView tp) const;
-  /// The replica owning `tp`'s accounts.
-  [[nodiscard]] SServer& shard_for(BytesView tp);
+  /// The replicas holding `tp`'s accounts: the owner shard alone when
+  /// sharded, every replica in order when replicated.
+  [[nodiscard]] std::vector<SServer*> holders(BytesView tp) const;
 
   /// Attaches a persistent store to every replica, one directory per shard
   /// ("<dir_root>/shard-<i>"). Returns false if any attach failed.
@@ -91,7 +97,8 @@ class SServerGroup {
 
   /// Recovery: copies the authoritative state (first up replica's export)
   /// onto every other up replica — the catch-up a real mirror would run
-  /// after an outage. Returns false when no replica is up, and always false
+  /// after an outage. "Up" is the network's view (set_up and FaultPlan
+  /// downtime alike). Returns false when no replica is up, and always false
   /// in sharded placement (shards are disjoint; there is nothing to mirror).
   bool sync_replicas();
 
@@ -100,7 +107,6 @@ class SServerGroup {
   std::string service_id_;
   Placement placement_ = Placement::kReplicated;
   std::vector<std::unique_ptr<SServer>> replicas_;
-  std::vector<bool> up_;
 };
 
 }  // namespace hcpp::core

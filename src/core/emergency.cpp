@@ -14,28 +14,26 @@
 //
 // All exchanges ride the retrying transport: an ambulance on a lossy link
 // retries with backoff instead of failing the rescue, and replicated
-// deployments (SServerGroup / AServerCluster) fail over to the next office
-// when one times out.
+// deployments (an SServerGroup or AServerCluster target) fail over to the
+// next office when one times out.
 #include <algorithm>
 #include <set>
 
 #include "src/cipher/aead.h"
 #include "src/core/accountability.h"
 #include "src/core/call.h"
-#include "src/core/cluster.h"
 #include "src/obs/trace.h"
 
 namespace hcpp::core {
 
 namespace {
 
-/// Messages 1–4 of the family-based approach, shared by Family and PDevice.
-/// Two transport-routed rounds; under no faults this is exactly the paper's
+/// Messages 1–4 of the family-based approach against one server. Two
+/// transport-routed rounds; under no faults this is exactly the paper's
 /// four messages.
-Result<std::vector<sse::PlainFile>> privileged_retrieve(
+Result<std::vector<sse::PlainFile>> privileged_round(
     sim::Network& net, const std::string& actor, SServer& server,
     const PrivilegeBundle& pb, std::span<const std::string> keywords) {
-  obs::Span span("protocol:privileged_retrieve");
   // Round 1 (messages 1–2): fetch the current broadcast-encrypted d.
   BeBlobRequest req1;
   req1.tp = pb.tp;
@@ -98,26 +96,17 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
   return out;
 }
 
-/// Read failover (§VI.D): the same retrieval tried replica-by-replica;
-/// transient failures (timeouts, partitions, downed offices) move on, while
-/// permanent outcomes — rejection, revocation — end the search immediately.
-Result<std::vector<sse::PlainFile>> privileged_retrieve_failover(
-    sim::Network& net, const std::string& actor, SServerGroup& group,
+/// The retrieval shared by Family and PDevice, failed over across the
+/// holders (§VI.D): a revocation or rejection ends the walk, since every
+/// replica serves the same BE_{U'}(d).
+Result<std::vector<sse::PlainFile>> privileged_retrieve(
+    sim::Network& net, const std::string& actor, StorageTarget storage,
     const PrivilegeBundle& pb, std::span<const std::string> keywords) {
-  uint32_t attempts = 0;
-  // Sharded placement routes by the bundle's pseudonym — one owner, one try.
-  const size_t first = group.sharded() ? group.shard_of(pb.tp) : 0;
-  const size_t tries = group.sharded() ? 1 : group.size();
-  for (size_t i = 0; i < tries; ++i) {
-    Result<std::vector<sse::PlainFile>> r =
-        privileged_retrieve(net, actor, group.replica(first + i), pb,
-                            keywords);
-    if (r.ok() || !r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kSGroupFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica answered the emergency");
+  obs::Span span("protocol:privileged_retrieve");
+  return failover(storage.holders(pb.tp), obs::kSGroupFailover, "emergency",
+                  [&](SServer& server) {
+                    return privileged_round(net, actor, server, pb, keywords);
+                  });
 }
 
 }  // namespace
@@ -184,26 +173,12 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
 // ---- Family ------------------------------------------------------------------
 
 Result<std::vector<sse::PlainFile>> Family::try_emergency_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
+    StorageTarget storage, std::span<const std::string> keywords) {
   if (!bundle_.has_value()) {
     return permanent_error(ErrorCode::kPrecondition, 0,
                            "family member holds no privilege bundle");
   }
-  return privileged_retrieve(*net_, name_, server, *bundle_, keywords);
-}
-
-std::vector<sse::PlainFile> Family::emergency_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
-  return try_emergency_retrieve(server, keywords).value_or({});
-}
-
-Result<std::vector<sse::PlainFile>> Family::emergency_retrieve(
-    SServerGroup& group, std::span<const std::string> keywords) {
-  if (!bundle_.has_value()) {
-    return permanent_error(ErrorCode::kPrecondition, 0,
-                           "family member holds no privilege bundle");
-  }
-  return privileged_retrieve_failover(*net_, name_, group, *bundle_, keywords);
+  return privileged_retrieve(*net_, name_, storage, *bundle_, keywords);
 }
 
 // ---- A-server: emergency authentication (§IV.E.2 steps 1–3) -------------------
@@ -309,71 +284,56 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
 // ---- Physician -----------------------------------------------------------------
 
 Result<Physician::PasscodeResult> Physician::try_request_passcode(
-    AServer& authority, BytesView patient_tp) {
+    AuthorityTarget authority, BytesView patient_tp, size_t* serving_office) {
   obs::Span span("protocol:emergency_auth");
-  EmergencyAuthRequest req;
-  req.physician_id = id_;
-  req.tp = Bytes(patient_tp.begin(), patient_tp.end());
-  req.t = net_->clock().now();
-  req.sig = signer_.sign(req.body(), rng_).to_bytes();
-
-  using Outcome = AServer::EmergencyAuthOutcome;
-  return call<PasscodeResult, Outcome>(
-      *net_, id_, authority.id(), req.to_wire().size(), req.sig, req.kLabel,
-      [&] { return authority.handle_emergency_auth(req); },
-      [](const Outcome& o) { return o.to_physician.to_wire().size(); },
-      "emergency authentication",
-      [&](Outcome& o) -> std::optional<PasscodeResult> {
-        // Step 3 "takes place simultaneously": the A-server's push to the
-        // P-device, charged as the protocol's third message.
-        net_->transmit(authority.id(), "p-device",
-                       o.to_pdevice.to_wire().size(), std::string(req.kLabel));
-        // Verify the answering office's signature before trusting the
-        // passcode. The office is addressed by parameter (not by the
-        // enrolment-time authority) so that any §VI.D replica can serve.
-        try {
-          ibc::IbsSignature sig =
-              ibc::IbsSignature::from_bytes(*ctx_, o.to_physician.sig);
-          if (!ibc::ibs_verify(authority.pub(), authority.id(),
-                               o.to_physician.body(id_, req.tp), sig)) {
-            return std::nullopt;
-          }
-          Bytes varpi = key_deriver_.with_id(authority.id());
-          return PasscodeResult{
-              cipher::aead_decrypt(varpi, o.to_physician.enc_nonce, {}),
-              std::move(o.to_pdevice)};
-        } catch (const std::exception&) {
-          return std::nullopt;
-        }
-      });
-}
-
-std::optional<Physician::PasscodeResult> Physician::request_passcode(
-    AServer& authority, BytesView patient_tp) {
-  Result<PasscodeResult> r = try_request_passcode(authority, patient_tp);
-  if (!r.ok()) return std::nullopt;
-  return std::move(r.value());
-}
-
-Result<Physician::PasscodeResult> Physician::request_passcode(
-    AServerCluster& cluster, BytesView patient_tp, size_t* serving_office) {
   // §VI.D automatic failover: dial the next local office when one times out.
   // Permanent refusals (not on duty, bad signature) are authoritative — every
   // office shares the registry, so trying another cannot change the answer.
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < cluster.size(); ++i) {
-    Result<PasscodeResult> r =
-        try_request_passcode(cluster.replica(i), patient_tp);
-    if (r.ok()) {
-      if (serving_office != nullptr) *serving_office = i;
-      return r;
-    }
-    if (!r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kAClusterFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "every local A-server office timed out");
+  size_t tried = 0;
+  Result<PasscodeResult> r = failover(
+      authority.holders(patient_tp), obs::kAClusterFailover,
+      "emergency authentication",
+      [&](AServer& office) -> Result<PasscodeResult> {
+        ++tried;
+        EmergencyAuthRequest req;
+        req.physician_id = id_;
+        req.tp = Bytes(patient_tp.begin(), patient_tp.end());
+        req.t = net_->clock().now();
+        req.sig = signer_.sign(req.body(), rng_).to_bytes();
+
+        using Outcome = AServer::EmergencyAuthOutcome;
+        return call<PasscodeResult, Outcome>(
+            *net_, id_, office.id(), req.to_wire().size(), req.sig, req.kLabel,
+            [&] { return office.handle_emergency_auth(req); },
+            [](const Outcome& o) { return o.to_physician.to_wire().size(); },
+            "emergency authentication",
+            [&](Outcome& o) -> std::optional<PasscodeResult> {
+              // Step 3 "takes place simultaneously": the A-server's push to the
+              // P-device, charged as the protocol's third message.
+              net_->transmit(office.id(), "p-device",
+                             o.to_pdevice.to_wire().size(),
+                             std::string(req.kLabel));
+              // Verify the answering office's signature before trusting the
+              // passcode. The office is addressed by parameter (not by the
+              // enrolment-time authority) so that any §VI.D replica can serve.
+              try {
+                ibc::IbsSignature sig =
+                    ibc::IbsSignature::from_bytes(*ctx_, o.to_physician.sig);
+                if (!ibc::ibs_verify(office.pub(), office.id(),
+                                     o.to_physician.body(id_, req.tp), sig)) {
+                  return std::nullopt;
+                }
+                Bytes varpi = key_deriver_.with_id(office.id());
+                return PasscodeResult{
+                    cipher::aead_decrypt(varpi, o.to_physician.enc_nonce, {}),
+                    std::move(o.to_pdevice)};
+              } catch (const std::exception&) {
+                return std::nullopt;
+              }
+            });
+      });
+  if (r.ok() && serving_office != nullptr) *serving_office = tried - 1;
+  return r;
 }
 
 // ---- P-device ---------------------------------------------------------------
@@ -425,7 +385,7 @@ bool PDevice::enter_passcode(const std::string& physician_id,
 }
 
 Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
+    StorageTarget storage, std::span<const std::string> keywords) {
   if (!session_physician_.has_value() || !bundle_.has_value()) {
     return permanent_error(ErrorCode::kPrecondition, 0,
                            "no passcode session open on the P-device");
@@ -441,7 +401,7 @@ Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
   }
   Result<std::vector<sse::PlainFile>> result{std::vector<sse::PlainFile>{}};
   if (!valid.empty()) {
-    result = privileged_retrieve(*net_, id_, server, *bundle_, valid);
+    result = privileged_retrieve(*net_, id_, storage, *bundle_, valid);
   }
   // RD: record which physician searched what (§IV.E.2) — kept even when the
   // network failed the retrieval, because the secrets were touched. The
@@ -451,34 +411,6 @@ Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
                      session_aserver_sig_});
   rd_ledger_.append(event_from_rd(rd_log_.back()));
   session_physician_.reset();  // one retrieval per passcode session
-  return result;
-}
-
-std::vector<sse::PlainFile> PDevice::emergency_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
-  return try_emergency_retrieve(server, keywords).value_or({});
-}
-
-Result<std::vector<sse::PlainFile>> PDevice::emergency_retrieve(
-    SServerGroup& group, std::span<const std::string> keywords) {
-  if (!session_physician_.has_value() || !bundle_.has_value()) {
-    return permanent_error(ErrorCode::kPrecondition, 0,
-                           "no passcode session open on the P-device");
-  }
-  ++alerts_;
-  std::vector<std::string> valid;
-  for (const std::string& kw : keywords) {
-    if (bundle_->ki.contains(kw)) valid.push_back(kw);
-  }
-  Result<std::vector<sse::PlainFile>> result{std::vector<sse::PlainFile>{}};
-  if (!valid.empty()) {
-    result =
-        privileged_retrieve_failover(*net_, id_, group, *bundle_, valid);
-  }
-  rd_log_.push_back({*session_physician_, bundle_->tp, valid, session_t11_,
-                     session_aserver_sig_});
-  rd_ledger_.append(event_from_rd(rd_log_.back()));
-  session_physician_.reset();
   return result;
 }
 

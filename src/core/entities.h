@@ -40,9 +40,33 @@ class ThreadPool;
 
 namespace hcpp::core {
 
+class AServer;
 class SServer;
 class SServerGroup;   // cluster.h — replicated hospital storage (§VI.D)
 class AServerCluster;  // cluster.h — replicated state authority (§VI.D)
+
+/// The servers a client protocol addresses: a lone server — a replicated
+/// group of one — or a §VI.D replica group. Non-owning and built implicitly
+/// at the call site, so each protocol is written once for both (call.h's
+/// mirror() and failover() walk the holders).
+template <class Server, class Group>
+class Target {
+ public:
+  Target(Server& server) noexcept : server_(&server) {}  // NOLINT: implicit
+  Target(Group& group) noexcept : group_(&group) {}      // NOLINT: implicit
+
+  /// The servers holding pseudonym `tp`'s state, in failover order.
+  [[nodiscard]] std::vector<Server*> holders(BytesView tp) const {
+    if (group_ != nullptr) return group_->holders(tp);
+    return {server_};
+  }
+
+ private:
+  Server* server_ = nullptr;
+  Group* group_ = nullptr;
+};
+using StorageTarget = Target<SServer, SServerGroup>;
+using AuthorityTarget = Target<AServer, AServerCluster>;
 
 /// Immutable point-in-time copy of one account's searchable state, shared
 /// read-only across SEARCH workers (search_service.h). The shared_ptrs keep
@@ -369,7 +393,7 @@ class Patient {
 
   /// §VI.B category-1 countermeasure: index each logical keyword under `n`
   /// aliases; retrievals rotate through them so the server cannot tell two
-  /// searches for the same keyword apart. Call before store_phi. n >= 1.
+  /// searches for the same keyword apart. Call before try_store_phi. n >= 1.
   void set_keyword_aliases(size_t n);
   [[nodiscard]] const std::vector<sse::PlainFile>& files() const noexcept {
     return files_;
@@ -380,15 +404,9 @@ class Patient {
   /// log inserts plus only the touched blobs — no index rebuild, no
   /// whole-collection re-encryption. Local state (files, KI, counters)
   /// commits unconditionally; the generated labels are deterministic, so a
-  /// transport retry re-sends identical records.
-  Result<void> try_update_phi(SServer& server,
-                              std::vector<sse::PlainFile> added,
-                              std::span<const sse::FileId> removed = {});
-  bool update_phi(SServer& server, std::vector<sse::PlainFile> added,
-                  std::span<const sse::FileId> removed = {});
-  /// Sharded groups route to the owning shard; replicated groups mirror the
-  /// same update to every reachable replica.
-  Result<size_t> try_update_phi(SServerGroup& group,
+  /// transport retry re-sends identical records. Returns how many replicas
+  /// applied the update (see mirror() in call.h).
+  Result<size_t> try_update_phi(StorageTarget storage,
                                 std::vector<sse::PlainFile> added,
                                 std::span<const sse::FileId> removed = {});
 
@@ -398,30 +416,19 @@ class Patient {
   /// compaction is still safe (stale dynamic trapdoors degrade to the
   /// rebuilt static index, which already contains every live file).
   Result<void> try_compact_phi(SServer& server);
-  bool compact_phi(SServer& server);
 
   [[nodiscard]] const sse::UpdateState& update_state() const noexcept {
     return update_state_;
   }
 
-  /// §IV.B: build SI + KI on the home PC and upload (SI, Λ, d, BE_U(d)).
-  bool store_phi(SServer& server);
-  /// Typed variant: routed through the retrying transport, distinguishing
-  /// transient delivery failure from authoritative rejection.
-  Result<void> try_store_phi(SServer& server);
-  /// Replicated upload: mirrors the collection onto every reachable replica.
-  /// Succeeds — returning how many replicas accepted — when at least one did.
-  Result<size_t> store_phi(SServerGroup& group);
+  /// §IV.B: build SI + KI on the home PC and upload (SI, Λ, d, BE_U(d)) to
+  /// every replica holding the account. Returns how many applied it.
+  Result<size_t> try_store_phi(StorageTarget storage);
 
   /// §IV.D: one-round keyword retrieval; decrypts Λ(kw) on the cell phone.
-  [[nodiscard]] std::vector<sse::PlainFile> retrieve(
-      SServer& server, std::span<const std::string> keywords);
+  /// Fails over replica by replica (§VI.D).
   Result<std::vector<sse::PlainFile>> try_retrieve(
-      SServer& server, std::span<const std::string> keywords);
-  /// Read failover (§VI.D): tries replicas in order until one answers;
-  /// transient per-replica failures move on to the next office.
-  Result<std::vector<sse::PlainFile>> retrieve(
-      SServerGroup& group, std::span<const std::string> keywords);
+      StorageTarget storage, std::span<const std::string> keywords);
 
   // §VI.B countermeasure: the same two protocols carried over the anonymous
   // onion overlay, so the S-server (and any network observer past the entry
@@ -436,13 +443,11 @@ class Patient {
   [[nodiscard]] Bytes make_sealed_bundle(size_t slot, BytesView mu,
                                          bool include_gamma = false);
 
-  /// §IV.C REVOKE: re-key d, re-broadcast, update the S-server.
-  bool revoke_member(SServer& server, size_t slot);
-  Result<void> try_revoke_member(SServer& server, size_t slot);
-  /// Replicated REVOKE: one re-keying fanned out to every reachable replica
-  /// (returns how many applied it; fails if none did — the patient should
-  /// retry, since a stale replica would still honor revoked trapdoors).
-  Result<size_t> revoke_member(SServerGroup& group, size_t slot);
+  /// §IV.C REVOKE: re-key d, re-broadcast, and mirror the one re-keying to
+  /// every replica holding the account. Returns how many applied it; a
+  /// replica left out keeps honoring revoked trapdoors until the next
+  /// SServerGroup::sync_replicas, so the patient should retry on failure.
+  Result<size_t> try_revoke_member(StorageTarget storage, size_t slot);
 
   [[nodiscard]] const ibc::Domain::Pseudonym& pseudonym() const noexcept {
     return pseudonym_;
@@ -505,15 +510,10 @@ class Family {
   [[nodiscard]] const PrivilegeBundle& bundle() const { return *bundle_; }
 
   /// §IV.E.1: recover the current d from BE_{U'}(d), submit θ_d-wrapped
-  /// trapdoors, decrypt the returned files. Empty result when revoked or
-  /// when no keyword matches.
-  [[nodiscard]] std::vector<sse::PlainFile> emergency_retrieve(
-      SServer& server, std::span<const std::string> keywords);
+  /// trapdoors, decrypt the returned files. kRevoked when outside the
+  /// current broadcast cover; fails over replica by replica (§VI.D).
   Result<std::vector<sse::PlainFile>> try_emergency_retrieve(
-      SServer& server, std::span<const std::string> keywords);
-  /// Read failover across a replicated hospital (§VI.D).
-  Result<std::vector<sse::PlainFile>> emergency_retrieve(
-      SServerGroup& group, std::span<const std::string> keywords);
+      StorageTarget storage, std::span<const std::string> keywords);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
@@ -552,21 +552,13 @@ class PDevice {
 
   /// §IV.E.2 PHI retrieval: dictionary-checked keywords, family-style
   /// 4-message exchange, RD record appended. Requires an open session.
-  [[nodiscard]] std::vector<sse::PlainFile> emergency_retrieve(
-      SServer& server, std::span<const std::string> keywords);
   Result<std::vector<sse::PlainFile>> try_emergency_retrieve(
-      SServer& server, std::span<const std::string> keywords);
-  /// Read failover across a replicated hospital (§VI.D).
-  Result<std::vector<sse::PlainFile>> emergency_retrieve(
-      SServerGroup& group, std::span<const std::string> keywords);
+      StorageTarget storage, std::span<const std::string> keywords);
 
   // ---- MHI (§IV.E.2) ----
   void collect_mhi(MhiWindow window);
   /// Encrypts each collected window under `role_id` with IBE, tags it with
   /// PEKS keywords (the window's day plus `extra_keywords`), uploads.
-  bool store_mhi(const AServer& authority, SServer& server,
-                 const std::string& role_id,
-                 std::span<const std::string> extra_keywords);
   Result<void> try_store_mhi(const AServer& authority, SServer& server,
                              const std::string& role_id,
                              std::span<const std::string> extra_keywords);
@@ -579,9 +571,6 @@ class PDevice {
                               const std::string& role_id,
                               const MhiWindow& window,
                               std::span<const std::string> extra_keywords);
-  bool stream_mhi(const AServer& authority, SServer& server,
-                  const std::string& role_id, const MhiWindow& window,
-                  std::span<const std::string> extra_keywords);
   /// The streaming encryptor's current epoch, empty when none started.
   [[nodiscard]] std::string mhi_stream_epoch() const {
     return mhi_ingestor_ ? mhi_ingestor_->role_id() : std::string{};
@@ -634,49 +623,34 @@ class Physician {
   /// §IV.E.2 steps 1–2: request the one-time passcode for the patient whose
   /// pseudonym the P-device displays. On success the A-server has also
   /// pushed the IBE-wrapped passcode to the P-device (step 3), which the
-  /// caller delivers via PDevice::deliver_passcode.
+  /// caller delivers via PDevice::deliver_passcode. Against an
+  /// AServerCluster a timed-out office fails over to the next (§VI.D); on
+  /// success `serving_office` (if non-null) receives the index of the office
+  /// that answered, so the caller can address follow-up messages to it.
   struct PasscodeResult {
     Bytes nonce;                   // the decrypted one-time passcode
     PasscodeToPDevice for_device;  // step-3 message to forward
   };
-  std::optional<PasscodeResult> request_passcode(AServer& authority,
-                                                 BytesView patient_tp);
-  Result<PasscodeResult> try_request_passcode(AServer& authority,
-                                              BytesView patient_tp);
-  /// §VI.D automatic failover: retries the next local office on timeout.
-  /// On success `serving_office` (if non-null) receives the index of the
-  /// office that answered, so the caller can address follow-up messages to
-  /// it.
-  Result<PasscodeResult> request_passcode(AServerCluster& cluster,
-                                          BytesView patient_tp,
-                                          size_t* serving_office = nullptr);
+  Result<PasscodeResult> try_request_passcode(AuthorityTarget authority,
+                                              BytesView patient_tp,
+                                              size_t* serving_office = nullptr);
 
   /// MHI: obtain Γr for a role identity (on-duty only).
-  std::optional<curve::Point> request_role_key(AServer& authority,
-                                               const std::string& role_id);
   Result<curve::Point> try_request_role_key(AServer& authority,
                                             const std::string& role_id);
 
   /// MHI retrieval (§IV.E.2): compute TDr(kw), search, decrypt with Γr.
-  [[nodiscard]] std::vector<MhiWindow> retrieve_mhi(
-      SServer& server, const std::string& role_id,
-      const curve::Point& role_key, std::string_view keyword);
   Result<std::vector<MhiWindow>> try_retrieve_mhi(
       SServer& server, const std::string& role_id,
       const curve::Point& role_key, std::string_view keyword);
 
   /// Standing query (DESIGN.md §13): parks TDr(kw) on the S-server so every
   /// window landing for `role_id` is tested immediately; matched windows
-  /// queue up server-side until fetch_mhi_hits drains them.
-  bool register_mhi(SServer& server, const std::string& role_id,
-                    const curve::Point& role_key, std::string_view keyword);
+  /// queue up server-side until try_fetch_mhi_hits drains them.
   Result<void> try_register_mhi(SServer& server, const std::string& role_id,
                                 const curve::Point& role_key,
                                 std::string_view keyword);
   /// Drains and decrypts the hits this physician's standing query matched.
-  [[nodiscard]] std::vector<MhiWindow> fetch_mhi_hits(
-      SServer& server, const std::string& role_id,
-      const curve::Point& role_key);
   Result<std::vector<MhiWindow>> try_fetch_mhi_hits(
       SServer& server, const std::string& role_id,
       const curve::Point& role_key);

@@ -108,6 +108,10 @@ class Result<void> {
  public:
   Result() = default;  // success
   Result(ProtocolError e) : err_(std::move(e)) {}  // NOLINT
+  /// Any Result read as a bare acknowledgement, its value dropped.
+  template <typename T>
+  Result(const Result<T>& r)  // NOLINT: implicit by design
+      : err_(r.ok() ? std::nullopt : std::optional<ProtocolError>(r.error())) {}
 
   [[nodiscard]] bool ok() const noexcept { return !err_.has_value(); }
   explicit operator bool() const noexcept { return ok(); }

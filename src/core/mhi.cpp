@@ -77,12 +77,6 @@ Result<void> PDevice::try_store_mhi(
   return {};
 }
 
-bool PDevice::store_mhi(const AServer& authority, SServer& server,
-                        const std::string& role_id,
-                        std::span<const std::string> extra_keywords) {
-  return try_store_mhi(authority, server, role_id, extra_keywords).ok();
-}
-
 bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   obs::Span span("sserver:mhi_store");
   Bytes nu;
@@ -128,13 +122,6 @@ Result<curve::Point> Physician::try_request_role_key(
       [](curve::Point& k) { return std::make_optional(std::move(k)); });
 }
 
-std::optional<curve::Point> Physician::request_role_key(
-    AServer& authority, const std::string& role_id) {
-  Result<curve::Point> r = try_request_role_key(authority, role_id);
-  if (!r.ok()) return std::nullopt;
-  return r.value();
-}
-
 std::optional<curve::Point> AServer::handle_role_key_request(
     const RoleKeyRequest& req) {
   if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
@@ -170,13 +157,6 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
       *net_, id_, server, req, "MHI retrieval", rho);
   if (!resp.ok()) return resp.error();
   return decrypt_windows(*ctx_, role_key, resp.value().ibe_blobs);
-}
-
-std::vector<MhiWindow> Physician::retrieve_mhi(SServer& server,
-                                               const std::string& role_id,
-                                               const curve::Point& role_key,
-                                               std::string_view keyword) {
-  return try_retrieve_mhi(server, role_id, role_key, keyword).value_or({});
 }
 
 std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
@@ -251,13 +231,6 @@ Result<void> PDevice::try_stream_mhi(
   return call(*net_, id_, server, req, "streamed MHI window");
 }
 
-bool PDevice::stream_mhi(const AServer& authority, SServer& server,
-                         const std::string& role_id, const MhiWindow& window,
-                         std::span<const std::string> extra_keywords) {
-  return try_stream_mhi(authority, server, role_id, window, extra_keywords)
-      .ok();
-}
-
 bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
   obs::Span span("sserver:mhi_register");
   // Server side of ρ — same role-based pairwise key as retrieval.
@@ -314,12 +287,6 @@ Result<void> Physician::try_register_mhi(SServer& server,
   return call(*net_, id_, server, req, "MHI registration");
 }
 
-bool Physician::register_mhi(SServer& server, const std::string& role_id,
-                             const curve::Point& role_key,
-                             std::string_view keyword) {
-  return try_register_mhi(server, role_id, role_key, keyword).ok();
-}
-
 Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
     SServer& server, const std::string& role_id,
     const curve::Point& role_key) {
@@ -334,12 +301,6 @@ Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
       call<MhiHitsResponse>(*net_, id_, server, req, "MHI hit drain", rho);
   if (!resp.ok()) return resp.error();
   return decrypt_windows(*ctx_, role_key, resp.value().ibe_blobs);
-}
-
-std::vector<MhiWindow> Physician::fetch_mhi_hits(SServer& server,
-                                                 const std::string& role_id,
-                                                 const curve::Point& role_key) {
-  return try_fetch_mhi_hits(server, role_id, role_key).value_or({});
 }
 
 }  // namespace hcpp::core

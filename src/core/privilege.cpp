@@ -1,14 +1,13 @@
 // §IV.C ASSIGN (local, sealed under the pre-shared μ) and REVOKE (one
 // authenticated message re-keying d and replacing BE_U(d) at the S-server).
-// REVOKE rides the retrying transport; against a replicated hospital one
-// re-keying is fanned out to every replica so no office keeps honoring the
+// REVOKE rides the retrying transport; against a replicated hospital the one
+// re-keying is mirrored to every replica so no office keeps honoring the
 // revoked member's trapdoors.
 #include "src/core/privilege.h"
 
 #include "src/cipher/aead.h"
 #include "src/common/serialize.h"
 #include "src/core/call.h"
-#include "src/core/cluster.h"
 #include "src/obs/trace.h"
 
 namespace hcpp::core {
@@ -34,9 +33,11 @@ bool assign_privilege(Patient& patient, PDevice& device, BytesView mu) {
   return device.receive_bundle(sealed, mu);
 }
 
-Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
+Result<size_t> Patient::try_revoke_member(StorageTarget storage,
+                                          size_t slot) {
   if (be_group_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:revoke");
+  // Re-key once; mirror the same sealed update to every holder.
   be_group_->revoke(slot);
   Bytes d_new = rng_.bytes(32);
   Bytes be_new = be_group_->encrypt(d_new, rng_);
@@ -52,61 +53,7 @@ Result<void> Patient::try_revoke_member(SServer& server, size_t slot) {
   req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
   req.t = net_->clock().now();
   req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-  return call(*net_, name_, server, req, "revocation");
-}
-
-bool Patient::revoke_member(SServer& server, size_t slot) {
-  return try_revoke_member(server, slot).ok();
-}
-
-Result<size_t> Patient::revoke_member(SServerGroup& group, size_t slot) {
-  if (be_group_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:revoke_replicated");
-  // Re-key once; mirror the same sealed update to every replica. Replicas a
-  // retry couldn't reach stay on the old d until the next sync_replicas().
-  be_group_->revoke(slot);
-  Bytes d_new = rng_.bytes(32);
-  Bytes be_new = be_group_->encrypt(d_new, rng_);
-  keys_.d = d_new;
-
-  io::Writer inner;
-  inner.bytes(d_new);
-  inner.bytes(be_new);
-  Bytes nu = shared_key_nu();
-  RevokeRequest req;
-  req.tp = tp_bytes();
-  req.collection = collection_;
-  req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-
-  if (group.sharded()) {
-    // The owning shard is the only holder of this account's d / BE_U(d).
-    Result<void> r =
-        call(*net_, name_, group.shard_for(req.tp), req, "revocation");
-    if (r.ok()) return size_t{1};
-    return r.error();
-  }
-  size_t applied = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = call(*net_, name_, group.replica(i), req, "revocation");
-    if (r.ok()) {
-      ++applied;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (applied > 0) return applied;
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the revocation");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable for REVOKE");
+  return mirror(*net_, name_, storage.holders(req.tp), req, "revocation");
 }
 
 bool SServer::handle_revoke(const RevokeRequest& req) {

@@ -2,12 +2,11 @@
 // The S-server performs the O(1) SEARCH and never sees keywords or
 // plaintext; the patient decrypts on the cell phone and hands the plaintext
 // to the physician out of band. The exchange rides the retrying transport;
-// against a replicated hospital (SServerGroup) reads fail over to the next
-// replica when one office times out.
+// against a replicated hospital reads fail over to the next replica when one
+// office times out.
 #include <set>
 
 #include "src/core/call.h"
-#include "src/core/cluster.h"
 #include "src/obs/trace.h"
 
 namespace hcpp::core {
@@ -24,19 +23,6 @@ std::vector<sse::PlainFile> decrypt_response(const sse::Keys& keys,
     }
   }
   return out;
-}
-
-/// One transport-routed retrieval round against one server.
-Result<std::vector<sse::PlainFile>> send_retrieve(sim::Network& net,
-                                                  const std::string& from,
-                                                  SServer& server,
-                                                  const RetrieveRequest& req,
-                                                  BytesView nu,
-                                                  const sse::Keys& keys) {
-  Result<RetrieveResponse> resp =
-      call<RetrieveResponse>(net, from, server, req, "retrieval", nu);
-  if (!resp.ok()) return resp.error();
-  return decrypt_response(keys, resp.value());
 }
 }  // namespace
 
@@ -66,52 +52,26 @@ std::vector<Bytes> Patient::make_trapdoor_blobs(
 }
 
 Result<std::vector<sse::PlainFile>> Patient::try_retrieve(
-    SServer& server, std::span<const std::string> keywords) {
+    StorageTarget storage, std::span<const std::string> keywords) {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:retrieve");
+  // One prepared request (one alias rotation step) for every holder tried.
   RetrieveRequest req;
   req.tp = tp_bytes();
   req.collection = collection_;
   req.trapdoors = make_trapdoor_blobs(keywords);
   Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-  return send_retrieve(*net_, name_, server, req, nu, keys_);
-}
-
-std::vector<sse::PlainFile> Patient::retrieve(
-    SServer& server, std::span<const std::string> keywords) {
-  return try_retrieve(server, keywords).value_or({});
-}
-
-Result<std::vector<sse::PlainFile>> Patient::retrieve(
-    SServerGroup& group, std::span<const std::string> keywords) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:retrieve_failover");
-  // One prepared request (one alias rotation step), failed over across the
-  // replicas; a fresh timestamp/MAC per replica keeps replay caches honest.
-  std::vector<Bytes> trapdoors = make_trapdoor_blobs(keywords);
-  Bytes nu = shared_key_nu();
-  uint32_t attempts = 0;
-  // Sharded: only the owning shard holds the account — one attempt, no
-  // failover target. Replicated: try each mirror in turn.
-  const size_t first = group.sharded() ? group.shard_of(tp_bytes()) : 0;
-  const size_t tries = group.sharded() ? 1 : group.size();
-  for (size_t i = 0; i < tries; ++i) {
-    RetrieveRequest req;
-    req.tp = tp_bytes();
-    req.collection = collection_;
-    req.trapdoors = trapdoors;
-    req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-    Result<std::vector<sse::PlainFile>> r =
-        send_retrieve(*net_, name_, group.replica(first + i), req, nu, keys_);
-    if (r.ok() || !r.error().transient()) return r;
-    attempts += r.error().attempts;
-    obs::count(obs::kSGroupFailover);
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica answered the retrieval");
+  return failover(
+      storage.holders(req.tp), obs::kSGroupFailover, "retrieval",
+      [&](SServer& server) -> Result<std::vector<sse::PlainFile>> {
+        // A fresh timestamp/MAC per replica keeps replay caches honest.
+        req.t = net_->clock().now();
+        req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+        Result<RetrieveResponse> resp =
+            call<RetrieveResponse>(*net_, name_, server, req, "retrieval", nu);
+        if (!resp.ok()) return resp.error();
+        return decrypt_response(keys_, resp.value());
+      });
 }
 
 std::vector<sse::PlainFile> Patient::retrieve_anonymous(

@@ -37,7 +37,7 @@ Deployment Deployment::create(const DeploymentConfig& config) {
   d.mu_pdevice = d.rng->bytes(32);
 
   if (config.store_phi) {
-    if (!d.patient->store_phi(*d.sserver)) {
+    if (!d.patient->try_store_phi(*d.sserver).ok()) {
       throw std::runtime_error("Deployment: PHI storage failed");
     }
   }

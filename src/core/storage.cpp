@@ -3,7 +3,6 @@
 // Uploads ride the retrying transport: lost or duplicated messages are
 // retried / suppressed transparently, and the caller sees a typed Result.
 #include "src/core/call.h"
-#include "src/core/cluster.h"
 #include "src/obs/trace.h"
 
 namespace hcpp::core {
@@ -31,7 +30,7 @@ StoreRequest build_store_request(RandomSource& rng,
 }
 }  // namespace
 
-Result<void> Patient::try_store_phi(SServer& server) {
+Result<size_t> Patient::try_store_phi(StorageTarget storage) {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:store");
   // Home-PC side: secure index (over keyword aliases, §VI.B), logical
@@ -39,66 +38,19 @@ Result<void> Patient::try_store_phi(SServer& server) {
   ki_ = KeywordIndex::build(files_, sserver_id_);
   std::vector<sse::PlainFile> aliased =
       apply_keyword_aliases(files_, alias_count_);
+  // One prepared upload for every holder (same MAC — each replica keeps its
+  // own replay cache, and the transport keys idempotency by (receiver, MAC),
+  // so the fan-out is safe).
   StoreRequest req = build_store_request(
       rng_, collection_, aliased, files_, *be_group_, keys_,
       net_->clock().now(), shared_key_nu(), tp_bytes());
-  Result<void> r = call(*net_, name_, server, req, "PHI upload");
+  Result<size_t> r =
+      mirror(*net_, name_, storage.holders(req.tp), req, "PHI upload");
   // A whole-index upload supersedes any server-side update log, so the
   // update chains restart under a fresh epoch (recycled counter values must
   // not re-derive labels the server has already seen).
   if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
   return r;
-}
-
-bool Patient::store_phi(SServer& server) {
-  return try_store_phi(server).ok();
-}
-
-Result<size_t> Patient::store_phi(SServerGroup& group) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:store_replicated");
-  ki_ = KeywordIndex::build(files_, sserver_id_);
-  std::vector<sse::PlainFile> aliased =
-      apply_keyword_aliases(files_, alias_count_);
-  // One prepared upload, mirrored to every replica (same MAC — each replica
-  // keeps its own replay cache, and the transport keys idempotency by
-  // (receiver, MAC), so the fan-out is safe). Sharded groups get exactly one
-  // upload, to the owning shard.
-  StoreRequest req = build_store_request(
-      rng_, collection_, aliased, files_, *be_group_, keys_,
-      net_->clock().now(), shared_key_nu(), tp_bytes());
-  if (group.sharded()) {
-    Result<void> r =
-        call(*net_, name_, group.shard_for(req.tp), req, "PHI upload");
-    if (r.ok()) {
-      update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-      return size_t{1};
-    }
-    return r.error();
-  }
-  size_t stored = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = call(*net_, name_, group.replica(i), req, "PHI upload");
-    if (r.ok()) {
-      ++stored;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (stored > 0) {
-    update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
-    return stored;
-  }
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the upload");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable");
 }
 
 bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {

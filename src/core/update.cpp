@@ -21,7 +21,6 @@
 #include <algorithm>
 
 #include "src/core/call.h"
-#include "src/core/cluster.h"
 #include "src/obs/trace.h"
 
 namespace hcpp::core {
@@ -90,66 +89,23 @@ UpdateRequest Patient::build_update_request(
   return req;
 }
 
-Result<void> Patient::try_update_phi(SServer& server,
-                                     std::vector<sse::PlainFile> added,
-                                     std::span<const sse::FileId> removed) {
+Result<size_t> Patient::try_update_phi(StorageTarget storage,
+                                       std::vector<sse::PlainFile> added,
+                                       std::span<const sse::FileId> removed) {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:update");
   UpdateRequest req = build_update_request(std::move(added), removed);
   Bytes nu = shared_key_nu();
   req.t = net_->clock().now();
   req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-  return call(*net_, name_, server, req, "PHI update");
-}
-
-bool Patient::update_phi(SServer& server, std::vector<sse::PlainFile> added,
-                         std::span<const sse::FileId> removed) {
-  return try_update_phi(server, std::move(added), removed).ok();
-}
-
-Result<size_t> Patient::try_update_phi(SServerGroup& group,
-                                       std::vector<sse::PlainFile> added,
-                                       std::span<const sse::FileId> removed) {
-  if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
-  obs::Span span("protocol:update_replicated");
-  UpdateRequest req = build_update_request(std::move(added), removed);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-  if (group.sharded()) {
-    // The owning shard is the only holder of this account.
-    Result<void> r =
-        call(*net_, name_, group.shard_for(req.tp), req, "PHI update");
-    if (r.ok()) return size_t{1};
-    return r.error();
-  }
-  size_t applied = 0;
-  bool any_rejected = false;
-  uint32_t attempts = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Result<void> r = call(*net_, name_, group.replica(i), req, "PHI update");
-    if (r.ok()) {
-      ++applied;
-      obs::count(obs::kSGroupMirrorWrites);
-    } else {
-      attempts += r.error().attempts;
-      any_rejected |= !r.error().transient();
-    }
-  }
-  if (applied > 0) return applied;
-  if (any_rejected) {
-    return permanent_error(ErrorCode::kRejected, attempts,
-                           "every replica refused the update");
-  }
-  return transient_error(ErrorCode::kUnreachable, attempts,
-                         "no storage replica reachable for UPDATE");
+  return mirror(*net_, name_, storage.holders(req.tp), req, "PHI update");
 }
 
 Result<void> Patient::try_compact_phi(SServer& server) {
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:compact");
   // Fold: rebuild the packed index from the live file set with fresh
-  // randomness (over the aliased keywords, like store_phi).
+  // randomness (over the aliased keywords, like try_store_phi).
   std::vector<sse::PlainFile> aliased =
       apply_keyword_aliases(files_, alias_count_);
   CompactRequest req;
@@ -164,10 +120,6 @@ Result<void> Patient::try_compact_phi(SServer& server) {
   // the fold — see the commit-discipline note at the top of this file.
   if (r.ok()) update_state_ = sse::UpdateState{update_state_.epoch + 1, {}};
   return r;
-}
-
-bool Patient::compact_phi(SServer& server) {
-  return try_compact_phi(server).ok();
 }
 
 // ---- S-server handlers ------------------------------------------------------

@@ -159,7 +159,7 @@ inline constexpr const char* kMhiExpiredRegistrations =
     "mhi.expired_registrations";
 inline constexpr const char* kMhiIngestNs = "mhi.ingest_ns";
 
-// Replication / failover (src/core/cluster.cpp and the failover loops).
+// Replication / failover (src/core/cluster.cpp and call.h mirror/failover).
 inline constexpr const char* kSGroupFailover = "cluster.sserver.failover";
 inline constexpr const char* kSGroupMirrorWrites =
     "cluster.sserver.mirror_writes";

@@ -16,7 +16,7 @@ Deployment aliased_deployment(uint64_t seed, size_t aliases) {
   cfg.assign_privileges = false;
   Deployment d = Deployment::create(cfg);
   d.patient->set_keyword_aliases(aliases);
-  EXPECT_TRUE(d.patient->store_phi(*d.sserver));
+  EXPECT_TRUE(d.patient->try_store_phi(*d.sserver).ok());
   EXPECT_TRUE(assign_privilege(*d.patient, *d.family, d.mu_family));
   EXPECT_TRUE(assign_privilege(*d.patient, *d.pdevice, d.mu_pdevice));
   return d;
@@ -43,7 +43,8 @@ TEST(Aliases, RepeatedSearchesStillReturnExactResults) {
     // More searches than aliases: the rotation must wrap and keep working.
     for (int round = 0; round < 6; ++round) {
       std::vector<std::string> kws = {kw};
-      EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), expected.size())
+      EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(),
+                expected.size())
           << kw << " round " << round;
     }
   }
@@ -68,14 +69,19 @@ TEST(Aliases, FamilyAndPDeviceWorkWithAliasedIndex) {
   std::vector<std::string> kws = {d.all_keywords().front()};
   size_t expected =
       d.patient->keyword_index().entries.at(kws.front()).size();
-  EXPECT_EQ(d.family->emergency_retrieve(*d.sserver, kws).size(), expected);
+  EXPECT_EQ(
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).size(),
+      expected);
 
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
-  EXPECT_EQ(d.pdevice->emergency_retrieve(*d.sserver, kws).size(), expected);
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
+  EXPECT_EQ(
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({}).size(),
+      expected);
 }
 
 TEST(Aliases, IndexGrowsLinearlyWithAliasCount) {

@@ -40,7 +40,7 @@ TEST(Anonymous, RetrievalThroughOnionMatchesDirect) {
     std::vector<sse::PlainFile> via_onion =
         f.d.patient->retrieve_anonymous(*f.d.sserver, f.onion, kws);
     std::vector<sse::PlainFile> direct =
-        f.d.patient->retrieve(*f.d.sserver, kws);
+        f.d.patient->try_retrieve(*f.d.sserver, kws).value_or({});
     EXPECT_EQ(via_onion.size(), direct.size()) << kw;
   }
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <type_traits>
 
 #include "src/core/cluster.h"
 #include "src/core/setup.h"
@@ -190,7 +192,7 @@ struct GroupRig {
 
 TEST(StorageFailover, UploadMirrorsToEveryReplica) {
   GroupRig rig(3);
-  Result<size_t> stored = rig.patient->store_phi(*rig.group);
+  Result<size_t> stored = rig.patient->try_store_phi(*rig.group);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored.value(), 3u);
   for (size_t i = 0; i < rig.group->size(); ++i) {
@@ -200,19 +202,19 @@ TEST(StorageFailover, UploadMirrorsToEveryReplica) {
 
 TEST(StorageFailover, ReadsFailOverToTheNextReplica) {
   GroupRig rig(3);
-  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  ASSERT_TRUE(rig.patient->try_store_phi(*rig.group).ok());
   rig.group->set_up(0, false);
   std::vector<std::string> kws = {
       rig.patient->keyword_index().dictionary().front()};
   Result<std::vector<sse::PlainFile>> got =
-      rig.patient->retrieve(*rig.group, kws);
+      rig.patient->try_retrieve(*rig.group, kws);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got.value().empty());
 }
 
 TEST(StorageFailover, EmergencyFailsOverUnderChaosToo) {
   GroupRig rig(3);
-  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  ASSERT_TRUE(rig.patient->try_store_phi(*rig.group).ok());
   ASSERT_TRUE(assign_privilege(*rig.patient, *rig.family, rig.mu));
   rig.group->set_up(0, false);
   sim::FaultPlan plan = lossy_plan(31);
@@ -220,20 +222,20 @@ TEST(StorageFailover, EmergencyFailsOverUnderChaosToo) {
   std::vector<std::string> kws = {
       rig.patient->keyword_index().dictionary().front()};
   Result<std::vector<sse::PlainFile>> got =
-      rig.family->emergency_retrieve(*rig.group, kws);
+      rig.family->try_emergency_retrieve(*rig.group, kws);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got.value().empty());
 }
 
 TEST(StorageFailover, AllReplicasDownIsTypedUnreachable) {
   GroupRig rig(2);
-  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  ASSERT_TRUE(rig.patient->try_store_phi(*rig.group).ok());
   rig.group->set_up(0, false);
   rig.group->set_up(1, false);
   std::vector<std::string> kws = {
       rig.patient->keyword_index().dictionary().front()};
   Result<std::vector<sse::PlainFile>> got =
-      rig.patient->retrieve(*rig.group, kws);
+      rig.patient->try_retrieve(*rig.group, kws);
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.error().transient());
   EXPECT_EQ(got.error().code, ErrorCode::kUnreachable);
@@ -242,7 +244,7 @@ TEST(StorageFailover, AllReplicasDownIsTypedUnreachable) {
 TEST(StorageFailover, LaggingReplicaCatchesUpViaSync) {
   GroupRig rig(3);
   rig.group->set_up(2, false);  // replica 2 misses the upload
-  Result<size_t> stored = rig.patient->store_phi(*rig.group);
+  Result<size_t> stored = rig.patient->try_store_phi(*rig.group);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored.value(), 2u);
   EXPECT_EQ(rig.group->replica(2).account_count(), 0u);
@@ -258,11 +260,30 @@ TEST(StorageFailover, LaggingReplicaCatchesUpViaSync) {
   EXPECT_FALSE(got.value().empty());
 }
 
+TEST(StorageFailover, SyncSourcesFromAReplicaThatSawTheWrites) {
+  GroupRig rig(3);
+  // Replica 0 is out for the whole run by FaultPlan downtime, which the
+  // group's own set_up never hears about.
+  sim::FaultPlan plan;
+  plan.downtime[rig.group->replica(0).id()] = {{0, UINT64_MAX}};
+  rig.net.set_fault_plan(plan);
+  Result<size_t> stored = rig.patient->try_store_phi(*rig.group);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(stored.value(), 2u);
+  // The catch-up copies from a replica that applied the upload; exporting
+  // replica 0's empty state would wipe both fresh replicas.
+  ASSERT_TRUE(rig.group->sync_replicas());
+  EXPECT_EQ(rig.group->replica(0).account_count(), 0u);
+  EXPECT_EQ(rig.group->replica(1).account_count(), 1u);
+  EXPECT_EQ(rig.group->replica(2).account_count(), 1u);
+}
+
 TEST(StorageFailover, RevokeFansOutToAllReplicas) {
   GroupRig rig(2);
-  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  ASSERT_TRUE(rig.patient->try_store_phi(*rig.group).ok());
   ASSERT_TRUE(assign_privilege(*rig.patient, *rig.family, rig.mu));
-  Result<size_t> revoked = rig.patient->revoke_member(*rig.group, kFamilySlot);
+  Result<size_t> revoked =
+      rig.patient->try_revoke_member(*rig.group, kFamilySlot);
   ASSERT_TRUE(revoked.ok());
   EXPECT_EQ(revoked.value(), 2u);
   // Every replica now rejects the revoked member.
@@ -288,7 +309,7 @@ struct ScopedRegistry {
 
 TEST(StorageFailover, PartitionFailoverCountersMatchDeliveryStats) {
   GroupRig rig(3);
-  ASSERT_TRUE(rig.patient->store_phi(*rig.group).ok());
+  ASSERT_TRUE(rig.patient->try_store_phi(*rig.group).ok());
   ScopedRegistry scoped;
   rig.net.transport().reset_stats();
 
@@ -306,7 +327,7 @@ TEST(StorageFailover, PartitionFailoverCountersMatchDeliveryStats) {
   std::vector<std::string> kws = {
       rig.patient->keyword_index().dictionary().front()};
   Result<std::vector<sse::PlainFile>> got =
-      rig.patient->retrieve(*rig.group, kws);
+      rig.patient->try_retrieve(*rig.group, kws);
   ASSERT_TRUE(got.ok());
 
   // The registry's transport counters are the same numbers DeliveryStats
@@ -326,6 +347,113 @@ TEST(StorageFailover, PartitionFailoverCountersMatchDeliveryStats) {
   // The partition surfaced in the substrate accounting too.
   EXPECT_GT(s.counter(obs::kNetUnreachable), 0u);
 }
+/// One run of every StorageTarget protocol — store, update, retrieve, both
+/// emergency retrievals, revoke, then retrieve and store against the downed
+/// holder — on a hospital that is a lone S-server (no placement) or a group
+/// of one replica. Each outcome is rendered as text for comparison.
+struct OneHolderRun {
+  std::vector<std::string> outcomes;
+  sim::TrafficStats traffic;
+  obs::Snapshot counters;
+};
+
+template <class T>
+std::string outcome(const Result<T>& r) {
+  if (!r.ok()) {
+    return std::string("error ") + to_string(r.error().code) + " x" +
+           std::to_string(r.error().attempts);
+  }
+  if constexpr (std::is_same_v<T, size_t>) {
+    return "applied " + std::to_string(r.value());
+  } else {
+    return "files " + ::testing::PrintToString(ids_of(r.value()));
+  }
+}
+
+OneHolderRun run_one_holder(
+    std::optional<SServerGroup::Placement> placement) {
+  ScopedRegistry scoped;
+  sim::Network net;
+  cipher::Drbg rng(to_bytes("one-holder"));
+  AServer authority(net, curve::params(curve::ParamSet::kTest), "state-a",
+                    rng);
+  authority.set_on_duty("dr-er", true);
+  std::unique_ptr<SServer> lone;
+  std::unique_ptr<SServerGroup> group;
+  if (placement.has_value()) {
+    group = std::make_unique<SServerGroup>(net, authority, "hosp", 1,
+                                           *placement);
+  } else {
+    lone = std::make_unique<SServer>(net, authority, "hosp");
+  }
+  StorageTarget storage = group ? StorageTarget(*group) : StorageTarget(*lone);
+  SServer& holder = group ? group->replica(0) : *lone;
+
+  Patient patient(net, "pat", rng);
+  patient.setup(authority, "hosp");
+  patient.add_files(generate_phi_collection(6, patient.rng()));
+  Family family(net, "fam");
+  PDevice pdevice(net, "pdev", rng);
+  Physician er(net, authority, "dr-er");
+
+  OneHolderRun run;
+  std::vector<std::string>& out = run.outcomes;
+  out.push_back(outcome(patient.try_store_phi(storage)));
+  EXPECT_TRUE(assign_privilege(patient, family, rng.bytes(32)));
+  EXPECT_TRUE(assign_privilege(patient, pdevice, rng.bytes(32)));
+  std::vector<std::string> kws = {
+      patient.keyword_index().dictionary().front()};
+  out.push_back(outcome(patient.try_update_phi(
+      storage, {{99, "note", to_bytes("follow-up"), {kws.front()}}})));
+  out.push_back(outcome(patient.try_retrieve(storage, kws)));
+  out.push_back(outcome(family.try_emergency_retrieve(storage, kws)));
+  pdevice.press_emergency_button();
+  Result<Physician::PasscodeResult> pass =
+      er.try_request_passcode(authority, patient.tp_bytes());
+  EXPECT_TRUE(pass.ok());
+  EXPECT_TRUE(pass.ok() &&
+              pdevice.deliver_passcode(authority, pass.value().for_device) &&
+              pdevice.enter_passcode("dr-er", pass.value().nonce));
+  out.push_back(outcome(pdevice.try_emergency_retrieve(storage, kws)));
+  out.push_back(outcome(patient.try_revoke_member(storage, kFamilySlot)));
+  out.push_back(outcome(family.try_emergency_retrieve(storage, kws)));
+  net.set_node_up(holder.id(), false);
+  out.push_back(outcome(patient.try_retrieve(storage, kws)));
+  out.push_back(outcome(patient.try_store_phi(storage)));
+  run.traffic = net.total();
+  run.counters = scoped.reg.snapshot();
+  return run;
+}
+
+TEST(StorageFailover, GroupOfOneBehavesLikeALoneServer) {
+  const OneHolderRun lone = run_one_holder(std::nullopt);
+  ASSERT_EQ(lone.outcomes.size(), 9u);
+  EXPECT_EQ(lone.outcomes[0], "applied 1");  // store
+  EXPECT_EQ(lone.outcomes[1], "applied 1");  // update
+  for (size_t i : {2, 3, 4}) {  // retrieve, family and P-device emergency
+    EXPECT_EQ(lone.outcomes[i].rfind("files { ", 0), 0u) << lone.outcomes[i];
+  }
+  EXPECT_EQ(lone.outcomes[5], "applied 1");  // revoke
+  EXPECT_EQ(lone.outcomes[6].rfind("error revoked", 0), 0u);
+  // A lone holder that is down answers with its own transport error.
+  const std::string timeout = "error timeout x" + std::to_string(
+      sim::RetryPolicy{}.max_attempts);
+  EXPECT_EQ(lone.outcomes[7], timeout);
+  EXPECT_EQ(lone.outcomes[8], timeout);
+
+  for (SServerGroup::Placement placement :
+       {SServerGroup::Placement::kReplicated,
+        SServerGroup::Placement::kSharded}) {
+    const OneHolderRun one = run_one_holder(placement);
+    EXPECT_EQ(one.outcomes, lone.outcomes);
+    EXPECT_EQ(one.traffic.messages, lone.traffic.messages);
+    EXPECT_EQ(one.traffic.bytes, lone.traffic.bytes);
+    for (const char* name :
+         {obs::kSGroupFailover, obs::kSGroupMirrorWrites, obs::kSGroupSync}) {
+      EXPECT_EQ(one.counters.counter(name), 0u) << name;
+    }
+  }
+}
 #endif  // HCPP_OBS
 
 // ---- Replicated authority (§VI.D) -------------------------------------------
@@ -340,7 +468,7 @@ TEST(AuthorityFailover, TransportRetriesTheNextOfficeAutomatically) {
   Patient patient(net, "pat", rng);
   patient.setup(cluster.replica(0), "hosp");
   patient.add_files(generate_phi_collection(6, patient.rng()));
-  ASSERT_TRUE(patient.store_phi(sserver));
+  ASSERT_TRUE(patient.try_store_phi(sserver).ok());
   PDevice pdevice(net, "pdev", rng);
   Bytes mu = rng.bytes(32);
   ASSERT_TRUE(assign_privilege(patient, pdevice, mu));
@@ -355,7 +483,7 @@ TEST(AuthorityFailover, TransportRetriesTheNextOfficeAutomatically) {
   size_t office = 99;
   pdevice.press_emergency_button();
   Result<Physician::PasscodeResult> pass =
-      er.request_passcode(cluster, patient.tp_bytes(), &office);
+      er.try_request_passcode(cluster, patient.tp_bytes(), &office);
   ASSERT_TRUE(pass.ok());
   EXPECT_EQ(office, 1u);  // the transport walked past the dead office
   ASSERT_TRUE(
@@ -363,7 +491,8 @@ TEST(AuthorityFailover, TransportRetriesTheNextOfficeAutomatically) {
   ASSERT_TRUE(pdevice.enter_passcode("dr-er", pass.value().nonce));
   std::vector<std::string> kws = {
       patient.keyword_index().dictionary().front()};
-  EXPECT_FALSE(pdevice.emergency_retrieve(sserver, kws).empty());
+  EXPECT_FALSE(
+      pdevice.try_emergency_retrieve(sserver, kws).value_or({}).empty());
   EXPECT_EQ(cluster.all_traces().size(), 1u);
 }
 
@@ -382,7 +511,7 @@ TEST(AuthorityFailover, AllOfficesDownIsTypedUnreachable) {
   quick.max_attempts = 2;
   net.transport().set_policy(quick);
   Result<Physician::PasscodeResult> pass =
-      er.request_passcode(cluster, patient.tp_bytes(), nullptr);
+      er.try_request_passcode(cluster, patient.tp_bytes(), nullptr);
   ASSERT_FALSE(pass.ok());
   EXPECT_TRUE(pass.error().transient());
   EXPECT_EQ(pass.error().code, ErrorCode::kUnreachable);
@@ -398,7 +527,7 @@ TEST(AuthorityFailover, OffDutyRefusalIsNotRetriedAcrossOffices) {
   patient.setup(cluster.replica(0), "hosp");
   net.transport().reset_stats();
   Result<Physician::PasscodeResult> pass =
-      off.request_passcode(cluster, patient.tp_bytes(), nullptr);
+      off.try_request_passcode(cluster, patient.tp_bytes(), nullptr);
   ASSERT_FALSE(pass.ok());
   EXPECT_FALSE(pass.error().transient());
   // The first office's refusal was authoritative: exactly one request went

@@ -28,12 +28,15 @@ DeploymentConfig cfg_for(uint64_t seed) {
 std::vector<sse::PlainFile> stolen_device_attack(Deployment& d,
                                                  Physician& accomplice) {
   d.pdevice->press_emergency_button();
-  auto pass = accomplice.request_passcode(*d.aserver, d.patient->tp_bytes());
-  if (!pass.has_value()) return {};
-  if (!d.pdevice->deliver_passcode(*d.aserver, pass->for_device)) return {};
-  if (!d.pdevice->enter_passcode(accomplice.id(), pass->nonce)) return {};
+  auto pass =
+      accomplice.try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  if (!pass.ok() ||
+      !d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device) ||
+      !d.pdevice->enter_passcode(accomplice.id(), pass.value().nonce)) {
+    return {};
+  }
   std::vector<std::string> all = d.patient->keyword_index().dictionary();
-  return d.pdevice->emergency_retrieve(*d.sserver, all);
+  return d.pdevice->try_emergency_retrieve(*d.sserver, all).value_or({});
 }
 
 TEST(Collusion, StolenDeviceWindowSucceedsButLeavesEvidence) {
@@ -55,7 +58,7 @@ TEST(Collusion, StolenDeviceWindowSucceedsButLeavesEvidence) {
 
 TEST(Collusion, RevocationClosesTheWindow) {
   Deployment d = Deployment::create(cfg_for(61));
-  ASSERT_TRUE(d.patient->revoke_member(*d.sserver, kPDeviceSlot));
+  ASSERT_TRUE(d.patient->try_revoke_member(*d.sserver, kPDeviceSlot).ok());
   std::vector<sse::PlainFile> loot = stolen_device_attack(d, *d.on_duty);
   EXPECT_TRUE(loot.empty());
 }
@@ -104,8 +107,8 @@ TEST(Collusion, PhysicianPlusAServerCannotReachPhi) {
   // the colluders do NOT have (we inspect via the patient to obtain the
   // ciphertext and confirm it differs from plaintext).
   std::vector<std::string> kw = {known.keywords.front()};
-  std::vector<sse::PlainFile> via_patient = d.patient->retrieve(*d.sserver,
-                                                                kw);
+  std::vector<sse::PlainFile> via_patient =
+      d.patient->try_retrieve(*d.sserver, kw).value_or({});
   ASSERT_FALSE(via_patient.empty());
   EXPECT_EQ(via_patient.front().content.size(), known.content.size());
 }

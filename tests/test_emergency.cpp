@@ -33,8 +33,8 @@ TEST(FamilyEmergency, RetrievesMatchingFiles) {
   const KeywordIndex& ki = d.patient->keyword_index();
   const auto& [kw, expected] = *ki.entries.begin();
   std::vector<std::string> kws = {kw};
-  std::vector<sse::PlainFile> got = d.family->emergency_retrieve(*d.sserver,
-                                                                 kws);
+  std::vector<sse::PlainFile> got =
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({});
   std::vector<sse::FileId> got_ids;
   for (const sse::PlainFile& f : got) got_ids.push_back(f.id);
   std::sort(got_ids.begin(), got_ids.end());
@@ -47,7 +47,7 @@ TEST(FamilyEmergency, FourMessagesOnTheWire) {
   Deployment d = Deployment::create(small_config(2));
   d.net->reset_stats();
   std::vector<std::string> kws = {d.all_keywords().front()};
-  (void)d.family->emergency_retrieve(*d.sserver, kws);
+  (void)d.family->try_emergency_retrieve(*d.sserver, kws);
   uint64_t total = d.net->stats("emergency-be-request").messages +
                    d.net->stats("emergency-privileged-retrieval").messages;
   EXPECT_EQ(total, 4u);  // §IV.E.1's four-message exchange
@@ -57,19 +57,21 @@ TEST(FamilyEmergency, WithoutBundleReturnsNothing) {
   Deployment d = Deployment::create(small_config(3));
   Family stranger(*d.net, "stranger");
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_TRUE(stranger.emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_TRUE(
+      stranger.try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
 }
 
 TEST(PDeviceEmergency, FullFlowSucceeds) {
   Deployment d = Deployment::create(small_config(4));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> kws = {d.all_keywords().front()};
   std::vector<sse::PlainFile> got =
-      d.pdevice->emergency_retrieve(*d.sserver, kws);
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   EXPECT_FALSE(got.empty());
   // RD was recorded and the patient got an alert.
   ASSERT_EQ(d.pdevice->records().size(), 1u);
@@ -90,11 +92,16 @@ TEST(PDeviceEmergency, SixteenPairingsAndNoHashToPointWhenWarm) {
   std::vector<std::string> kws = {d.all_keywords().front()};
   auto emergency = [&] {
     d.pdevice->press_emergency_button();
-    auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-    ASSERT_TRUE(pass.has_value());
-    ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
-    EXPECT_FALSE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+    auto pass =
+        d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+    ASSERT_TRUE(pass.ok());
+    ASSERT_TRUE(
+        d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
+    Result<std::vector<sse::PlainFile>> got =
+        d.pdevice->try_emergency_retrieve(*d.sserver, kws);
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got.value().empty());
   };
   emergency();  // warms the identity and pseudonym memos
   obs::Registry reg;
@@ -121,8 +128,9 @@ TEST(PDeviceEmergency, SixteenPairingsAndNoHashToPointWhenWarm) {
 TEST(PDeviceEmergency, OffDutyPhysicianDenied) {
   Deployment d = Deployment::create(small_config(5));
   d.pdevice->press_emergency_button();
-  auto pass = d.off_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  EXPECT_FALSE(pass.has_value());
+  auto pass =
+      d.off_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  EXPECT_FALSE(pass.ok());
   EXPECT_TRUE(d.aserver->traces().empty());
 }
 
@@ -131,67 +139,78 @@ TEST(PDeviceEmergency, UnknownPhysicianDenied) {
   // Enrolled in the domain but never signed in as on duty.
   Physician mallory(*d.net, *d.aserver, "dr-mallory");
   d.pdevice->press_emergency_button();
-  EXPECT_FALSE(
-      mallory.request_passcode(*d.aserver, d.patient->tp_bytes()).has_value());
+  Result<Physician::PasscodeResult> pass =
+      mallory.try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_FALSE(pass.ok());
+  EXPECT_EQ(pass.error().code, ErrorCode::kRejected);
 }
 
 TEST(PDeviceEmergency, WrongPasscodeRejectedAndBurnsAttempt) {
   Deployment d = Deployment::create(small_config(7));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  Bytes wrong = pass->nonce;
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  Bytes wrong = pass.value().nonce;
   wrong[0] ^= 1;
   EXPECT_FALSE(d.pdevice->enter_passcode(d.on_duty->id(), wrong));
   // The passcode is one-shot: even the right value fails now.
-  EXPECT_FALSE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  EXPECT_FALSE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_TRUE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_TRUE(
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
 }
 
 TEST(PDeviceEmergency, PasscodeBoundToPhysicianIdentity) {
   Deployment d = Deployment::create(small_config(8));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
   // A different physician typing the stolen nonce is rejected.
-  EXPECT_FALSE(d.pdevice->enter_passcode("dr-off-duty", pass->nonce));
+  EXPECT_FALSE(d.pdevice->enter_passcode("dr-off-duty", pass.value().nonce));
 }
 
 TEST(PDeviceEmergency, RequiresEmergencyMode) {
   Deployment d = Deployment::create(small_config(9));
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
   // Button never pressed: the device ignores the delivery.
-  EXPECT_FALSE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
+  EXPECT_FALSE(
+      d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
 }
 
 TEST(PDeviceEmergency, SessionIsOneShot) {
   Deployment d = Deployment::create(small_config(10));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_FALSE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_FALSE(
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
   // Second retrieval without a fresh passcode fails.
-  EXPECT_TRUE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_TRUE(
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
 }
 
 TEST(PDeviceEmergency, NonDictionaryKeywordsFiltered) {
   Deployment d = Deployment::create(small_config(11));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> kws = {"not-in-dictionary",
                                   d.all_keywords().front()};
   std::vector<sse::PlainFile> got =
-      d.pdevice->emergency_retrieve(*d.sserver, kws);
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   EXPECT_FALSE(got.empty());
   // The RD records only the dictionary-validated keyword.
   ASSERT_EQ(d.pdevice->records().size(), 1u);
@@ -203,14 +222,16 @@ TEST(PDeviceEmergency, RevokedDeviceFailsOpenClosed) {
   // §VI.A: patient notices the loss and revokes; the stolen device can still
   // obtain passcodes but the S-server rejects its stale-d trapdoors.
   Deployment d = Deployment::create(small_config(12));
-  ASSERT_TRUE(d.patient->revoke_member(*d.sserver, kPDeviceSlot));
+  ASSERT_TRUE(d.patient->try_revoke_member(*d.sserver, kPDeviceSlot).ok());
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_TRUE(d.pdevice->emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_TRUE(
+      d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
 }
 
 TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
@@ -227,7 +248,7 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   Patient patient(net, "pat", rng);
   patient.setup(cluster.replica(0), "hosp");
   patient.add_files(generate_phi_collection(6, patient.rng()));
-  ASSERT_TRUE(patient.store_phi(sserver));
+  ASSERT_TRUE(patient.try_store_phi(sserver).ok());
   PDevice pdevice(net, "pdev", rng);
   Bytes mu = rng.bytes(32);
   ASSERT_TRUE(assign_privilege(patient, pdevice, mu));
@@ -244,7 +265,7 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   pdevice.press_emergency_button();
   size_t office = 99;
   Result<Physician::PasscodeResult> pass =
-      er.request_passcode(cluster, patient.tp_bytes(), &office);
+      er.try_request_passcode(cluster, patient.tp_bytes(), &office);
   ASSERT_TRUE(pass.ok());
   EXPECT_EQ(office, 2u);
   ASSERT_TRUE(pdevice.deliver_passcode(cluster.replica(office),
@@ -252,7 +273,8 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
   ASSERT_TRUE(pdevice.enter_passcode("dr-er", pass.value().nonce));
   std::vector<std::string> kws = {
       patient.keyword_index().dictionary().front()};
-  EXPECT_FALSE(pdevice.emergency_retrieve(sserver, kws).empty());
+  EXPECT_FALSE(
+      pdevice.try_emergency_retrieve(sserver, kws).value_or({}).empty());
   // The trace landed at the replica and the cluster-wide view finds it.
   EXPECT_EQ(cluster.all_traces().size(), 1u);
   EXPECT_EQ(cluster.all_traces()[0].physician_id, "dr-er");
@@ -278,13 +300,14 @@ TEST(PDeviceEmergency, FailOpenWhenFamilyAbsent) {
   // patient and no family participation at all.
   Deployment d = Deployment::create(small_config(13));
   d.pdevice->press_emergency_button();
-  auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-  ASSERT_TRUE(pass.has_value());
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
+  auto pass =
+      d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+  ASSERT_TRUE(pass.ok());
+  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+  ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
   std::vector<std::string> all = d.all_keywords();
   std::vector<sse::PlainFile> got =
-      d.pdevice->emergency_retrieve(*d.sserver, all);
+      d.pdevice->try_emergency_retrieve(*d.sserver, all).value_or({});
   EXPECT_EQ(got.size(), d.patient->files().size());
 }
 

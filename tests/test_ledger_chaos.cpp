@@ -44,11 +44,13 @@ struct LedgerFixture {
   void run_emergency() {
     std::vector<std::string> kws = {d.all_keywords().front()};
     d.pdevice->press_emergency_button();
-    auto pass = d.on_duty->request_passcode(*d.aserver, d.patient->tp_bytes());
-    ASSERT_TRUE(pass.has_value());
-    ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, pass->for_device));
-    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass->nonce));
-    (void)d.pdevice->emergency_retrieve(*d.sserver, kws);
+    auto pass =
+        d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+    ASSERT_TRUE(pass.ok());
+    ASSERT_TRUE(
+        d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
+    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
+    (void)d.pdevice->try_emergency_retrieve(*d.sserver, kws);
   }
 
   lg::AnchorOutcome anchor_traces(uint64_t epoch) {

@@ -22,7 +22,8 @@ struct MhiFixture {
     d.pdevice->collect_mhi(generate_mhi_window("2011-04-12", 120, rng, 0.1));
     d.pdevice->collect_mhi(generate_mhi_window("2011-04-11", 120, rng, 0.0));
     std::vector<std::string> extra = {"patient-risk:cardiac"};
-    EXPECT_TRUE(d.pdevice->store_mhi(*d.aserver, *d.sserver, kRole, extra));
+    EXPECT_TRUE(
+        d.pdevice->try_store_mhi(*d.aserver, *d.sserver, kRole, extra).ok());
   }
 };
 
@@ -55,10 +56,13 @@ TEST(Mhi, WindowSerializationRoundTrip) {
 
 TEST(Mhi, OnDutyPhysicianRetrievesByDay) {
   MhiFixture f(20);
-  auto role_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(role_key.has_value());
-  std::vector<MhiWindow> got = f.d.on_duty->retrieve_mhi(
-      *f.d.sserver, kRole, *role_key, "day:2011-04-12");
+  auto role_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
+  std::vector<MhiWindow> got =
+      f.d.on_duty
+          ->try_retrieve_mhi(*f.d.sserver, kRole, role_key.value(),
+                             "day:2011-04-12")
+          .value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].day, "2011-04-12");
   // The decrypted window carries usable vitals.
@@ -67,39 +71,46 @@ TEST(Mhi, OnDutyPhysicianRetrievesByDay) {
 
 TEST(Mhi, SharedExtraKeywordMatchesAllWindows) {
   MhiFixture f(21);
-  auto role_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(role_key.has_value());
-  std::vector<MhiWindow> got = f.d.on_duty->retrieve_mhi(
-      *f.d.sserver, kRole, *role_key, "patient-risk:cardiac");
+  auto role_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
+  std::vector<MhiWindow> got =
+      f.d.on_duty
+          ->try_retrieve_mhi(*f.d.sserver, kRole, role_key.value(),
+                             "patient-risk:cardiac")
+          .value_or({});
   EXPECT_EQ(got.size(), 2u);
 }
 
 TEST(Mhi, NonMatchingKeywordReturnsNothing) {
   MhiFixture f(22);
-  auto role_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(role_key.has_value());
+  auto role_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
   EXPECT_TRUE(f.d.on_duty
-                  ->retrieve_mhi(*f.d.sserver, kRole, *role_key,
-                                 "day:2010-01-01")
+                  ->try_retrieve_mhi(*f.d.sserver, kRole, role_key.value(),
+                                     "day:2010-01-01")
+                  .value_or({})
                   .empty());
 }
 
 TEST(Mhi, OffDutyPhysicianDeniedRoleKey) {
   MhiFixture f(23);
-  EXPECT_FALSE(
-      f.d.off_duty->request_role_key(*f.d.aserver, kRole).has_value());
+  Result<curve::Point> key =
+      f.d.off_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_FALSE(key.ok());
+  EXPECT_EQ(key.error().code, ErrorCode::kRejected);
 }
 
 TEST(Mhi, WrongRoleKeyCannotDecrypt) {
   MhiFixture f(24);
   // On-duty physician extracts a key for a *different* role and tries it.
   auto wrong_key =
-      f.d.on_duty->request_role_key(*f.d.aserver, "some-other-role");
-  ASSERT_TRUE(wrong_key.has_value());
+      f.d.on_duty->try_request_role_key(*f.d.aserver, "some-other-role");
+  ASSERT_TRUE(wrong_key.ok());
   // Trapdoors from the wrong role key match nothing server-side.
   EXPECT_TRUE(f.d.on_duty
-                  ->retrieve_mhi(*f.d.sserver, kRole, *wrong_key,
-                                 "day:2011-04-12")
+                  ->try_retrieve_mhi(*f.d.sserver, kRole, wrong_key.value(),
+                                     "day:2011-04-12")
+                  .value_or({})
                   .empty());
 }
 
@@ -113,7 +124,8 @@ TEST(Mhi, ServerStoresOnlyCiphertext) {
   Physician intruder(*f.d.net, *f.d.aserver, "dr-intruder");
   curve::Point bogus = curve::generator(f.d.aserver->ctx());
   EXPECT_TRUE(
-      intruder.retrieve_mhi(*f.d.sserver, kRole, bogus, "day:2011-04-12")
+      intruder.try_retrieve_mhi(*f.d.sserver, kRole, bogus, "day:2011-04-12")
+          .value_or({})
           .empty());
 }
 
@@ -128,7 +140,8 @@ TEST(Mhi, StoreRequiresBundle) {
   cipher::Drbg rng(to_bytes("mhi-nobundle"));
   d.pdevice->collect_mhi(generate_mhi_window("2011-04-12", 10, rng));
   std::vector<std::string> extra;
-  EXPECT_FALSE(d.pdevice->store_mhi(*d.aserver, *d.sserver, kRole, extra));
+  EXPECT_FALSE(
+      d.pdevice->try_store_mhi(*d.aserver, *d.sserver, kRole, extra).ok());
 }
 
 }  // namespace

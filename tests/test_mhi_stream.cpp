@@ -210,71 +210,95 @@ struct StreamFixture {
 
 TEST(MhiStreamProtocol, StandingQueryStreamsHitsInRealTime) {
   StreamFixture f(40);
-  auto role_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(role_key.has_value());
-  ASSERT_TRUE(f.d.on_duty->register_mhi(*f.d.sserver, kRole, *role_key,
-                                        "patient-risk:cardiac"));
+  auto role_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
+  ASSERT_TRUE(f.d.on_duty
+                  ->try_register_mhi(*f.d.sserver, kRole, role_key.value(),
+                                     "patient-risk:cardiac")
+                  .ok());
 
   std::vector<std::string> cardiac = {"patient-risk:cardiac"};
   std::vector<std::string> none;
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-12", "w1"), cardiac));
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-12", "w2"), none));
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-11", "w3"), cardiac));
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-12", "w1"), cardiac)
+                  .ok());
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-12", "w2"), none)
+                  .ok());
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-11", "w3"), cardiac)
+                  .ok());
 
   // The hub matched the two cardiac windows the moment they landed.
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 2u);
   std::vector<MhiWindow> hits =
-      f.d.on_duty->fetch_mhi_hits(*f.d.sserver, kRole, *role_key);
+      f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kRole, role_key.value())
+          .value_or({});
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].day, "2011-04-12");
   EXPECT_EQ(hits[1].day, "2011-04-11");
   // Drained: a second fetch returns nothing.
-  EXPECT_TRUE(f.d.on_duty->fetch_mhi_hits(*f.d.sserver, kRole, *role_key)
+  EXPECT_TRUE(
+      f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kRole, role_key.value())
+          .value_or({})
                   .empty());
 
   // The streamed windows also landed in the role bucket for poll-time
   // retrieval, and the streaming encryptor stayed on one epoch.
   EXPECT_EQ(f.d.sserver->mhi_entry_count(), 3u);
   EXPECT_EQ(f.d.pdevice->mhi_stream_epoch(), kRole);
-  std::vector<MhiWindow> polled = f.d.on_duty->retrieve_mhi(
-      *f.d.sserver, kRole, *role_key, "patient-risk:cardiac");
+  std::vector<MhiWindow> polled =
+      f.d.on_duty
+          ->try_retrieve_mhi(*f.d.sserver, kRole, role_key.value(),
+                             "patient-risk:cardiac")
+          .value_or({});
   EXPECT_EQ(polled.size(), 2u);
 }
 
 TEST(MhiStreamProtocol, EpochRolloverEndToEnd) {
   StreamFixture f(41);
-  auto old_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(old_key.has_value());
+  auto old_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(old_key.ok());
   ASSERT_TRUE(
-      f.d.on_duty->register_mhi(*f.d.sserver, kRole, *old_key, "anomaly"));
+      f.d.on_duty->try_register_mhi(
+          *f.d.sserver, kRole, old_key.value(), "anomaly").ok());
 
   std::vector<std::string> anomaly = {"anomaly"};
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-12", "r1"), anomaly));
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-12", "r1"), anomaly)
+                  .ok());
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 1u);
 
   // Day rolls over: the server expires the stale registrations and the
   // P-device re-targets its stream — one call, no new API on the caller.
   EXPECT_EQ(f.d.sserver->mhi_hub().expire_role(kRole), 1u);
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
-                                      f.window("2011-04-13", "r2"), anomaly));
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
+                                   f.window("2011-04-13", "r2"), anomaly)
+                  .ok());
   EXPECT_EQ(f.d.pdevice->mhi_stream_epoch(), kNextRole);
   // No standing query for the new epoch yet → nothing new queued.
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 1u);
 
   // The new epoch needs a fresh role key; the old one cannot register a
   // matching query for it (its trapdoors target another identity).
-  auto new_key = f.d.on_duty->request_role_key(*f.d.aserver, kNextRole);
-  ASSERT_TRUE(new_key.has_value());
-  ASSERT_TRUE(f.d.on_duty->register_mhi(*f.d.sserver, kNextRole, *new_key,
-                                        "anomaly"));
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
-                                      f.window("2011-04-13", "r3"), anomaly));
+  auto new_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kNextRole);
+  ASSERT_TRUE(new_key.ok());
+  ASSERT_TRUE(f.d.on_duty
+                  ->try_register_mhi(*f.d.sserver, kNextRole, new_key.value(),
+                                     "anomaly")
+                  .ok());
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
+                                   f.window("2011-04-13", "r3"), anomaly)
+                  .ok());
   std::vector<MhiWindow> hits =
-      f.d.on_duty->fetch_mhi_hits(*f.d.sserver, kNextRole, *new_key);
+      f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kNextRole, new_key.value())
+          .value_or({});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].day, "2011-04-13");
 }
@@ -285,7 +309,8 @@ TEST(MhiStreamProtocol, RegistrationRequiresTheRoleKey) {
   // registration and the hit drain.
   curve::Point bogus = curve::generator(f.d.aserver->ctx());
   EXPECT_FALSE(
-      f.d.on_duty->register_mhi(*f.d.sserver, kRole, bogus, "anomaly"));
+      f.d.on_duty->try_register_mhi(*f.d.sserver, kRole, bogus, "anomaly")
+          .ok());
   EXPECT_FALSE(f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kRole, bogus)
                    .ok());
   EXPECT_EQ(f.d.sserver->mhi_hub().registration_count(), 0u);
@@ -302,39 +327,49 @@ TEST(MhiStreamProtocol, StreamRequiresBundle) {
   cipher::Drbg rng(to_bytes("stream-nobundle"));
   MhiWindow win = generate_mhi_window("2011-04-12", 8, rng);
   std::vector<std::string> none;
-  EXPECT_FALSE(d.pdevice->stream_mhi(*d.aserver, *d.sserver, kRole, win, none));
+  EXPECT_FALSE(
+      d.pdevice->try_stream_mhi(*d.aserver, *d.sserver, kRole, win, none).ok());
 }
 
 TEST(MhiStreamProtocol, FetchDrainsOnlyThePresentedRolesHits) {
   StreamFixture f(45);
-  auto old_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  auto new_key = f.d.on_duty->request_role_key(*f.d.aserver, kNextRole);
-  ASSERT_TRUE(old_key.has_value());
-  ASSERT_TRUE(new_key.has_value());
+  auto old_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  auto new_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kNextRole);
+  ASSERT_TRUE(old_key.ok());
+  ASSERT_TRUE(new_key.ok());
   ASSERT_TRUE(
-      f.d.on_duty->register_mhi(*f.d.sserver, kRole, *old_key, "anomaly"));
-  ASSERT_TRUE(f.d.on_duty->register_mhi(*f.d.sserver, kNextRole, *new_key,
-                                        "anomaly"));
+      f.d.on_duty->try_register_mhi(
+          *f.d.sserver, kRole, old_key.value(), "anomaly").ok());
+  ASSERT_TRUE(f.d.on_duty
+                  ->try_register_mhi(*f.d.sserver, kNextRole, new_key.value(),
+                                     "anomaly")
+                  .ok());
 
   // One hit queued per epoch for the same physician.
   std::vector<std::string> anomaly = {"anomaly"};
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-12", "d1"), anomaly));
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
-                                      f.window("2011-04-13", "d2"), anomaly));
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-12", "d1"), anomaly)
+                  .ok());
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
+                                   f.window("2011-04-13", "d2"), anomaly)
+                  .ok());
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 2u);
 
   // A fetch authenticated under the old epoch's key hands over only that
   // epoch's window and must NOT destroy the other epoch's hit (its blob
   // could never be opened with the presented key anyway).
   std::vector<MhiWindow> old_hits =
-      f.d.on_duty->fetch_mhi_hits(*f.d.sserver, kRole, *old_key);
+      f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kRole, old_key.value())
+          .value_or({});
   ASSERT_EQ(old_hits.size(), 1u);
   EXPECT_EQ(old_hits[0].day, "2011-04-12");
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 1u);
 
   std::vector<MhiWindow> new_hits =
-      f.d.on_duty->fetch_mhi_hits(*f.d.sserver, kNextRole, *new_key);
+      f.d.on_duty->try_fetch_mhi_hits(*f.d.sserver, kNextRole, new_key.value())
+          .value_or({});
   ASSERT_EQ(new_hits.size(), 1u);
   EXPECT_EQ(new_hits[0].day, "2011-04-13");
   EXPECT_EQ(f.d.sserver->mhi_hub().pending_hits(f.d.on_duty->id()), 0u);
@@ -343,21 +378,26 @@ TEST(MhiStreamProtocol, FetchDrainsOnlyThePresentedRolesHits) {
 TEST(MhiStreamProtocol, PersistedStateKeepsRoleBuckets) {
   StreamFixture f(44);
   std::vector<std::string> none;
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
-                                      f.window("2011-04-12", "p1"), none));
-  EXPECT_TRUE(f.d.pdevice->stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
-                                      f.window("2011-04-13", "p2"), none));
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kRole,
+                                   f.window("2011-04-12", "p1"), none)
+                  .ok());
+  EXPECT_TRUE(f.d.pdevice
+                  ->try_stream_mhi(*f.d.aserver, *f.d.sserver, kNextRole,
+                                   f.window("2011-04-13", "p2"), none)
+                  .ok());
   Bytes state = f.d.sserver->export_state();
   ASSERT_TRUE(f.d.sserver->import_state(state));
   EXPECT_EQ(f.d.sserver->mhi_entry_count(), 2u);
   // Round-trip is byte-stable (buckets re-serialize in the same order).
   EXPECT_EQ(f.d.sserver->export_state(), state);
 
-  auto role_key = f.d.on_duty->request_role_key(*f.d.aserver, kRole);
-  ASSERT_TRUE(role_key.has_value());
+  auto role_key = f.d.on_duty->try_request_role_key(*f.d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
   EXPECT_EQ(f.d.on_duty
-                ->retrieve_mhi(*f.d.sserver, kRole, *role_key,
-                               "day:2011-04-12")
+                ->try_retrieve_mhi(*f.d.sserver, kRole, role_key.value(),
+                                   "day:2011-04-12")
+                .value_or({})
                 .size(),
             1u);
 }

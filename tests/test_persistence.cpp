@@ -18,8 +18,8 @@ Deployment with_mhi(uint64_t seed) {
   cipher::Drbg rng(to_bytes("persist-mhi-" + std::to_string(seed)));
   d.pdevice->collect_mhi(generate_mhi_window("2011-04-12", 30, rng));
   std::vector<std::string> extra;
-  EXPECT_TRUE(d.pdevice->store_mhi(*d.aserver, *d.sserver,
-                                   "2011-04-12|er|gnv", extra));
+  EXPECT_TRUE(d.pdevice->try_store_mhi(*d.aserver, *d.sserver,
+                                       "2011-04-12|er|gnv", extra).ok());
   return d;
 }
 
@@ -38,15 +38,17 @@ TEST(Persistence, ExportImportRoundTrip) {
 
   // Protocols continue against the restored instance.
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_EQ(d.patient->retrieve(restored, kws).size(),
+  EXPECT_EQ(d.patient->try_retrieve(restored, kws).value_or({}).size(),
             d.patient->keyword_index().entries.at(kws.front()).size());
-  EXPECT_FALSE(d.family->emergency_retrieve(restored, kws).empty());
+  EXPECT_FALSE(
+      d.family->try_emergency_retrieve(restored, kws).value_or({}).empty());
   auto role_key =
-      d.on_duty->request_role_key(*d.aserver, "2011-04-12|er|gnv");
-  ASSERT_TRUE(role_key.has_value());
+      d.on_duty->try_request_role_key(*d.aserver, "2011-04-12|er|gnv");
+  ASSERT_TRUE(role_key.ok());
   EXPECT_EQ(d.on_duty
-                ->retrieve_mhi(restored, "2011-04-12|er|gnv", *role_key,
-                               "day:2011-04-12")
+                ->try_retrieve_mhi(restored, "2011-04-12|er|gnv",
+                                   role_key.value(), "day:2011-04-12")
+                .value_or({})
                 .size(),
             1u);
 }
@@ -94,7 +96,7 @@ TEST(Persistence, ImportReplacesExistingState) {
   EXPECT_EQ(b.sserver->stored_bytes(), a.sserver->stored_bytes());
   // b's old patient can no longer find their account (it was replaced)...
   std::vector<std::string> kws = {b.all_keywords().front()};
-  EXPECT_TRUE(b.patient->retrieve(*b.sserver, kws).empty());
+  EXPECT_TRUE(b.patient->try_retrieve(*b.sserver, kws).value_or({}).empty());
 }
 
 TEST(Persistence, StateIsAllCiphertext) {

@@ -46,7 +46,8 @@ TEST_F(ProtocolTest, CommonCaseRetrievalReturnsExactMatches) {
   const KeywordIndex& ki = d().patient->keyword_index();
   for (const auto& [kw, expected_ids] : ki.entries) {
     std::vector<std::string> kws = {kw};
-    std::vector<sse::PlainFile> got = d().patient->retrieve(*d().sserver, kws);
+    std::vector<sse::PlainFile> got =
+        d().patient->try_retrieve(*d().sserver, kws).value_or({});
     std::vector<sse::FileId> got_ids;
     for (const sse::PlainFile& f : got) got_ids.push_back(f.id);
     std::sort(got_ids.begin(), got_ids.end());
@@ -63,7 +64,8 @@ TEST_F(ProtocolTest, MultiKeywordRetrievalUnions) {
   std::string kw1 = it->first;
   std::string kw2 = std::next(it)->first;
   std::vector<std::string> kws = {kw1, kw2};
-  std::vector<sse::PlainFile> got = d().patient->retrieve(*d().sserver, kws);
+  std::vector<sse::PlainFile> got =
+      d().patient->try_retrieve(*d().sserver, kws).value_or({});
   std::set<sse::FileId> want(ki.entries.at(kw1).begin(),
                              ki.entries.at(kw1).end());
   want.insert(ki.entries.at(kw2).begin(), ki.entries.at(kw2).end());
@@ -80,13 +82,15 @@ TEST_F(ProtocolTest, RetrievalReturnsMinimumNecessary) {
         return a.second.size() < b.second.size();
       });
   std::vector<std::string> kws = {smallest->first};
-  std::vector<sse::PlainFile> got = d().patient->retrieve(*d().sserver, kws);
+  std::vector<sse::PlainFile> got =
+      d().patient->try_retrieve(*d().sserver, kws).value_or({});
   EXPECT_LT(got.size(), d().patient->files().size());
 }
 
 TEST_F(ProtocolTest, UnknownKeywordReturnsNothing) {
   std::vector<std::string> kws = {"keyword-that-does-not-exist"};
-  EXPECT_TRUE(d().patient->retrieve(*d().sserver, kws).empty());
+  EXPECT_TRUE(
+      d().patient->try_retrieve(*d().sserver, kws).value_or({}).empty());
 }
 
 TEST_F(ProtocolTest, TamperedMacRejected) {
@@ -166,12 +170,14 @@ TEST(ProtocolStandalone, RevokeUpdatesServerSideKey) {
   Deployment d = Deployment::create(cfg);
   // Family works before revocation...
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_FALSE(d.family->emergency_retrieve(*d.sserver, kws).empty());
+  EXPECT_FALSE(
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
   // ...revoke the family slot; their wrapped trapdoors now fail.
-  ASSERT_TRUE(d.patient->revoke_member(*d.sserver, kFamilySlot));
-  EXPECT_TRUE(d.family->emergency_retrieve(*d.sserver, kws).empty());
+  ASSERT_TRUE(d.patient->try_revoke_member(*d.sserver, kFamilySlot).ok());
+  EXPECT_TRUE(
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
   // The patient's own retrieval is untouched.
-  EXPECT_FALSE(d.patient->retrieve(*d.sserver, kws).empty());
+  EXPECT_FALSE(d.patient->try_retrieve(*d.sserver, kws).value_or({}).empty());
 }
 
 TEST(ProtocolStandalone, WrongMuCannotOpenBundle) {
@@ -203,18 +209,20 @@ TEST(ProtocolStandalone, PhiUpdateFlowReplacesCollection) {
   fresh.content = to_bytes("post-visit imaging report");
   fresh.keywords = {"category:imaging", "visit:2011-04-12"};
   d.patient->add_files({fresh});
-  ASSERT_TRUE(d.patient->store_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_store_phi(*d.sserver).ok());
   EXPECT_EQ(d.sserver->account_count(), 1u);  // replaced, not duplicated
 
   std::vector<std::string> kws = {"visit:2011-04-12"};
-  std::vector<sse::PlainFile> got = d.patient->retrieve(*d.sserver, kws);
+  std::vector<sse::PlainFile> got =
+      d.patient->try_retrieve(*d.sserver, kws).value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 900u);
   EXPECT_EQ(got[0].content, fresh.content);
   // Old files still retrievable after the update.
   std::vector<std::string> old_kw = {
       d.patient->files().front().keywords.front()};
-  EXPECT_FALSE(d.patient->retrieve(*d.sserver, old_kw).empty());
+  EXPECT_FALSE(
+      d.patient->try_retrieve(*d.sserver, old_kw).value_or({}).empty());
   EXPECT_EQ(d.patient->files().size(), before + 1);
 }
 
@@ -228,24 +236,26 @@ TEST(ProtocolStandalone, TwoPatientsAreIsolatedOnOneServer) {
   Patient alice(net, "alice", rng);
   alice.setup(aserver, "s");
   alice.add_files(generate_phi_collection(5, alice.rng(), /*first_id=*/1));
-  ASSERT_TRUE(alice.store_phi(sserver));
+  ASSERT_TRUE(alice.try_store_phi(sserver).ok());
 
   Patient bob(net, "bob", rng);
   bob.setup(aserver, "s");
   bob.add_files(generate_phi_collection(5, bob.rng(), /*first_id=*/100));
-  ASSERT_TRUE(bob.store_phi(sserver));
+  ASSERT_TRUE(bob.try_store_phi(sserver).ok());
 
   EXPECT_EQ(sserver.account_count(), 2u);
   // Each patient's retrieval returns only their own files.
   for (const auto& [kw, ids] : alice.keyword_index().entries) {
     std::vector<std::string> kws = {kw};
-    for (const sse::PlainFile& f : alice.retrieve(sserver, kws)) {
+    for (const sse::PlainFile& f :
+         alice.try_retrieve(sserver, kws).value_or({})) {
       EXPECT_LT(f.id, 100u);
     }
   }
   for (const auto& [kw, ids] : bob.keyword_index().entries) {
     std::vector<std::string> kws = {kw};
-    for (const sse::PlainFile& f : bob.retrieve(sserver, kws)) {
+    for (const sse::PlainFile& f :
+         bob.try_retrieve(sserver, kws).value_or({})) {
       EXPECT_GE(f.id, 100u);
     }
   }
@@ -258,7 +268,7 @@ TEST(ProtocolStandalone, StoreBeforeSetupThrows) {
   const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
   AServer a(net, ctx, "a", rng);
   SServer s(net, a, "s");
-  EXPECT_THROW((void)p.store_phi(s), std::logic_error);
+  EXPECT_THROW((void)p.try_store_phi(s), std::logic_error);
 }
 
 }  // namespace

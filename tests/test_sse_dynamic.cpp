@@ -248,24 +248,24 @@ TEST(SseDynamicProtocol, UpdateAddDeleteReaddRoundTrip) {
                     {"category:new-scan"}};
   std::vector<std::string> kws = {"category:new-scan"};
 
-  EXPECT_TRUE(d.patient->retrieve(*d.sserver, kws).empty());
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {nf}));
-  auto got = d.patient->retrieve(*d.sserver, kws);
+  EXPECT_TRUE(d.patient->try_retrieve(*d.sserver, kws).value_or({}).empty());
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {nf}).ok());
+  auto got = d.patient->try_retrieve(*d.sserver, kws).value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].name, "new-scan");
   EXPECT_EQ(got[0].content, nf.content);
 
   // Old keywords still answer through the untouched packed index.
   std::vector<std::string> old_kws = {d.all_keywords().front()};
-  EXPECT_EQ(d.patient->retrieve(*d.sserver, old_kws).size(),
+  EXPECT_EQ(d.patient->try_retrieve(*d.sserver, old_kws).value_or({}).size(),
             d.patient->keyword_index().entries.at(old_kws.front()).size());
 
   std::vector<sse::FileId> rm = {nid};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {}, rm));
-  EXPECT_TRUE(d.patient->retrieve(*d.sserver, kws).empty());
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {}, rm).ok());
+  EXPECT_TRUE(d.patient->try_retrieve(*d.sserver, kws).value_or({}).empty());
 
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {nf}));
-  EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), 1u);
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {nf}).ok());
+  EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(), 1u);
 }
 
 TEST(SseDynamicProtocol, CompactionPreservesEverySearchResult) {
@@ -275,34 +275,37 @@ TEST(SseDynamicProtocol, CompactionPreservesEverySearchResult) {
       {base, "extra-1", to_bytes("body one"), {"category:extra", "shared"}},
       {base + 1, "extra-2", to_bytes("body two"), {"category:extra"}}};
   std::vector<sse::FileId> rm = {d.patient->files().front().id};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, added, rm));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, added, rm).ok());
   ASSERT_FALSE(d.patient->update_state().counters.empty());
 
   std::vector<std::string> all_kws = d.all_keywords();
   std::map<std::string, std::set<std::string>> before;
   for (const std::string& kw : all_kws) {
     std::vector<std::string> one = {kw};
-    for (const auto& f : d.patient->retrieve(*d.sserver, one)) {
+    for (const auto& f :
+         d.patient->try_retrieve(*d.sserver, one).value_or({})) {
       before[kw].insert(f.name);
     }
   }
 
-  ASSERT_TRUE(d.patient->compact_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_compact_phi(*d.sserver).ok());
   EXPECT_TRUE(d.patient->update_state().counters.empty());
   for (const std::string& kw : all_kws) {
     std::vector<std::string> one = {kw};
     std::set<std::string> after;
-    for (const auto& f : d.patient->retrieve(*d.sserver, one)) {
+    for (const auto& f :
+         d.patient->try_retrieve(*d.sserver, one).value_or({})) {
       after.insert(f.name);
     }
     EXPECT_EQ(after, before[kw]) << "kw=" << kw;
   }
   // Post-compaction updates keep working (fresh epoch, fresh labels).
   sse::PlainFile late{base + 2, "late", to_bytes("late body"), {"shared"}};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {late}));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {late}).ok());
   std::vector<std::string> shared = {"shared"};
   std::set<std::string> names;
-  for (const auto& f : d.patient->retrieve(*d.sserver, shared)) {
+  for (const auto& f :
+       d.patient->try_retrieve(*d.sserver, shared).value_or({})) {
     names.insert(f.name);
   }
   EXPECT_TRUE(names.contains("late"));
@@ -316,15 +319,18 @@ TEST(SseDynamicProtocol, StaleBundleSeesPreUpdateViewUntilReassigned) {
   // collection as of the assignment.
   sse::FileId nid = d.patient->files().back().id + 1;
   sse::PlainFile nf{nid, "post-assign", to_bytes("newer"), {"category:fresh"}};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {nf}));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {nf}).ok());
 
   std::vector<std::string> kws = {"category:fresh"};
-  EXPECT_TRUE(d.family->emergency_retrieve(*d.sserver, kws).empty());
-  EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), 1u);
+  EXPECT_TRUE(
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).empty());
+  EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(), 1u);
 
   // Re-ASSIGN ships the current counters; the family catches up.
   ASSERT_TRUE(assign_privilege(*d.patient, *d.family, d.mu_family));
-  EXPECT_EQ(d.family->emergency_retrieve(*d.sserver, kws).size(), 1u);
+  EXPECT_EQ(
+      d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).size(),
+      1u);
 }
 
 TEST(SseDynamicProtocol, AliasedAccountsFanUpdatesAcrossAliases) {
@@ -334,21 +340,25 @@ TEST(SseDynamicProtocol, AliasedAccountsFanUpdatesAcrossAliases) {
   cfg.assign_privileges = false;
   Deployment d = Deployment::create(cfg);
   d.patient->set_keyword_aliases(3);
-  ASSERT_TRUE(d.patient->store_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_store_phi(*d.sserver).ok());
   ASSERT_TRUE(assign_privilege(*d.patient, *d.family, d.mu_family));
 
   sse::FileId nid = d.patient->files().back().id + 1;
-  ASSERT_TRUE(d.patient->update_phi(
-      *d.sserver, {{nid, "aliased", to_bytes("x"), {"category:alias-new"}}}));
+  ASSERT_TRUE(d.patient
+                  ->try_update_phi(*d.sserver, {{nid, "aliased", to_bytes("x"),
+                                                 {"category:alias-new"}}})
+                  .ok());
   std::vector<std::string> kws = {"category:alias-new"};
   // Rotation: more retrievals than aliases, every alias slot must answer.
   for (int round = 0; round < 7; ++round) {
-    EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), 1u) << round;
+    EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(), 1u)
+        << round;
   }
   std::vector<sse::FileId> rm = {nid};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {}, rm));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {}, rm).ok());
   for (int round = 0; round < 7; ++round) {
-    EXPECT_TRUE(d.patient->retrieve(*d.sserver, kws).empty()) << round;
+    EXPECT_TRUE(d.patient->try_retrieve(*d.sserver, kws).value_or({}).empty())
+        << round;
   }
 }
 
@@ -364,13 +374,13 @@ TEST(SseDynamicProtocol, UpdatesWriteThroughAndHydrate) {
   std::vector<sse::PlainFile> added = {
       {f1, "dyn-a", to_bytes("aa"), {"kw-a"}},
       {f1 + 1, "dyn-b", to_bytes("bb"), {"kw-a", "kw-b"}}};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, added));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, added).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
   // Granular layout: base + one record per file + one per log entry.
   EXPECT_EQ(d.sserver->account_store().size(), 1u + 5u + 3u);
 
   std::vector<sse::FileId> rm = {f1};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {}, rm));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {}, rm).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
 
   // A fresh process hydrates the log and serves the updated view.
@@ -378,13 +388,13 @@ TEST(SseDynamicProtocol, UpdatesWriteThroughAndHydrate) {
   ASSERT_TRUE(restored.attach_store(dir.string()));
   EXPECT_TRUE(restored.store_consistent());
   std::vector<std::string> kw_a = {"kw-a"}, kw_b = {"kw-b"};
-  auto got_a = d.patient->retrieve(restored, kw_a);
+  auto got_a = d.patient->try_retrieve(restored, kw_a).value_or({});
   ASSERT_EQ(got_a.size(), 1u);
   EXPECT_EQ(got_a[0].name, "dyn-b");
-  EXPECT_EQ(d.patient->retrieve(restored, kw_b).size(), 1u);
+  EXPECT_EQ(d.patient->try_retrieve(restored, kw_b).value_or({}).size(), 1u);
 
   // Compaction folds the log records out of the store as well.
-  ASSERT_TRUE(d.patient->compact_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_compact_phi(*d.sserver).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
   EXPECT_EQ(d.sserver->account_store().stats().live_records, 1u + 4u);
   fs::remove_all(dir);
@@ -401,17 +411,17 @@ TEST(SseDynamicProtocol, RemoveThenReaddInOneUpdateKeepsNewBlob) {
   sse::PlainFile retagged{id, "retagged", to_bytes("new body"),
                           {"kw-retagged"}};
   std::vector<sse::FileId> rm = {id};
-  ASSERT_TRUE(d.patient->update_phi(*d.sserver, {retagged}, rm));
+  ASSERT_TRUE(d.patient->try_update_phi(*d.sserver, {retagged}, rm).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
 
   std::vector<std::string> kws = {"kw-retagged"};
-  auto got = d.patient->retrieve(*d.sserver, kws);
+  auto got = d.patient->try_retrieve(*d.sserver, kws).value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].content, retagged.content);
 
   SServer restored(*d.net, *d.aserver, d.sserver->id());
   ASSERT_TRUE(restored.attach_store(dir.string()));
-  auto again = d.patient->retrieve(restored, kws);
+  auto again = d.patient->try_retrieve(restored, kws).value_or({});
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].content, retagged.content);
   fs::remove_all(dir);
@@ -420,13 +430,13 @@ TEST(SseDynamicProtocol, RemoveThenReaddInOneUpdateKeepsNewBlob) {
 TEST(SseDynamicProtocol, ExportImportCarriesUpdateLog) {
   Deployment d = Deployment::create({.n_phi_files = 3});
   sse::FileId nid = d.patient->files().back().id + 1;
-  ASSERT_TRUE(d.patient->update_phi(
-      *d.sserver, {{nid, "exported", to_bytes("x"), {"kw-export"}}}));
+  ASSERT_TRUE(d.patient->try_update_phi(
+      *d.sserver, {{nid, "exported", to_bytes("x"), {"kw-export"}}}).ok());
 
   SServer restored(*d.net, *d.aserver, d.sserver->id());
   ASSERT_TRUE(restored.import_state(d.sserver->export_state()));
   std::vector<std::string> kws = {"kw-export"};
-  auto got = d.patient->retrieve(restored, kws);
+  auto got = d.patient->try_retrieve(restored, kws).value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].name, "exported");
 }
@@ -436,8 +446,8 @@ TEST(SseDynamicProtocol, ExportImportCarriesUpdateLog) {
 TEST(SseDynamicProtocol, SearchServiceServesLogThroughSnapshots) {
   Deployment d = Deployment::create({.n_phi_files = 3});
   sse::FileId nid = d.patient->files().back().id + 1;
-  ASSERT_TRUE(d.patient->update_phi(
-      *d.sserver, {{nid, "snap-new", to_bytes("x"), {"kw-snap"}}}));
+  ASSERT_TRUE(d.patient->try_update_phi(
+      *d.sserver, {{nid, "snap-new", to_bytes("x"), {"kw-snap"}}}).ok());
 
   par::ThreadPool pool(2, "dyn-snap");
   SearchService svc(&pool, 1);

@@ -452,9 +452,9 @@ TEST(StoreIntegration, WriteThroughAndHydration) {
   EXPECT_TRUE(d.sserver->store_consistent());
 
   // Protocol mutations write through: REVOKE re-keys d and BE_U(d).
-  ASSERT_TRUE(d.patient->revoke_member(*d.sserver, 1));
+  ASSERT_TRUE(d.patient->try_revoke_member(*d.sserver, 1).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
-  ASSERT_TRUE(d.patient->store_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_store_phi(*d.sserver).ok());
   EXPECT_TRUE(d.sserver->store_consistent());
 
   Bytes live_state = d.sserver->export_state();
@@ -468,9 +468,10 @@ TEST(StoreIntegration, WriteThroughAndHydration) {
   // Retrieval works against the hydrated server (MHI is not persisted, so
   // compare the account halves of the exports rather than the full blobs).
   std::vector<std::string> kws = {d.all_keywords().front()};
-  EXPECT_EQ(d.patient->retrieve(restored, kws).size(),
+  EXPECT_EQ(d.patient->try_retrieve(restored, kws).value_or({}).size(),
             d.patient->keyword_index().entries.at(kws.front()).size());
-  EXPECT_FALSE(d.family->emergency_retrieve(restored, kws).empty());
+  EXPECT_FALSE(
+      d.family->try_emergency_retrieve(restored, kws).value_or({}).empty());
   fs::remove_all(dir);
 }
 
@@ -509,7 +510,7 @@ TEST(StoreIntegration, ShardedGroupRoutesToOwners) {
                    "file-" + std::to_string(i),
                    to_bytes("phi body " + std::to_string(i)),
                    {"kw-common", "kw-" + std::to_string(i)}}});
-    auto r = p->store_phi(group);
+    auto r = p->try_store_phi(group);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), 1u);  // exactly one replica accepted
     patients.push_back(std::move(p));
@@ -532,16 +533,55 @@ TEST(StoreIntegration, ShardedGroupRoutesToOwners) {
     }
     // The owner (and only the owner) answers the retrieval.
     std::vector<std::string> kws = {"kw-common"};
-    auto got = p->retrieve(group, kws);
+    auto got = p->try_retrieve(group, kws);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().size(), 1u);
     // Revocation routes to the same owner.
-    auto rev = p->revoke_member(group, 1);
+    auto rev = p->try_revoke_member(group, 1);
     ASSERT_TRUE(rev.ok());
     EXPECT_EQ(rev.value(), 1u);
     EXPECT_TRUE(group.replica(owner).store_consistent());
   }
   fs::remove_all(root);
+}
+
+TEST(StoreIntegration, ShardedOwnerDownGivesReadsAndWritesItsOwnError) {
+  core::Deployment d = core::Deployment::create({.n_phi_files = 4});
+  core::SServerGroup group(*d.net, *d.aserver, d.sserver->service_id(), 3,
+                           core::SServerGroup::Placement::kSharded);
+  core::Patient p(*d.net, "owner-down-patient", *d.rng);
+  p.setup(*d.aserver, group.service_id());
+  p.add_files(core::generate_phi_collection(4, p.rng()));
+  ASSERT_TRUE(p.try_store_phi(group).ok());
+  core::Family family(*d.net, "owner-down-family");
+  ASSERT_TRUE(core::assign_privilege(p, family, d.rng->bytes(32)));
+  std::vector<std::string> kws = {p.keyword_index().dictionary().front()};
+
+  // The owner shard is the only holder: with it down, every protocol
+  // reports the owner's own transport error — never a group-level one.
+  group.set_up(group.shard_of(p.tp_bytes()), false);
+  const uint32_t budget = d.net->transport().policy().max_attempts;
+  auto expect_owner_timeout = [&](const core::ProtocolError& e) {
+    EXPECT_TRUE(e.transient());
+    EXPECT_EQ(e.code, core::ErrorCode::kTimeout);
+    EXPECT_EQ(e.attempts, budget);
+  };
+  auto stored = p.try_store_phi(group);
+  ASSERT_FALSE(stored.ok());
+  expect_owner_timeout(stored.error());
+  auto updated = p.try_update_phi(
+      group, {{77, "late", to_bytes("late note"), {kws.front()}}});
+  ASSERT_FALSE(updated.ok());
+  expect_owner_timeout(updated.error());
+  auto got = p.try_retrieve(group, kws);
+  ASSERT_FALSE(got.ok());
+  expect_owner_timeout(got.error());
+  auto emergency = family.try_emergency_retrieve(group, kws);
+  ASSERT_FALSE(emergency.ok());
+  expect_owner_timeout(emergency.error());
+  auto revoked = p.try_revoke_member(group, core::kFamilySlot);
+  ASSERT_FALSE(revoked.ok());
+  expect_owner_timeout(revoked.error());
 }
 
 TEST(StoreIntegration, PerShardSnapshotPublication) {
@@ -559,7 +599,7 @@ TEST(StoreIntegration, PerShardSnapshotPublication) {
                    "snap-file-" + std::to_string(i),
                    to_bytes("snap body " + std::to_string(i)),
                    {"kw-snap"}}});
-    ASSERT_TRUE(p->store_phi(group).ok());
+    ASSERT_TRUE(p->try_store_phi(group).ok());
     patients.push_back(std::move(p));
   }
 

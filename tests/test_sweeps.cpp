@@ -29,25 +29,29 @@ TEST_P(ProtocolSweep, FullLifecycleHoldsForEveryShape) {
   // Every keyword retrieves exactly its postings, for patient and family.
   for (const auto& [kw, expected] : d.patient->keyword_index().entries) {
     std::vector<std::string> kws = {kw};
-    EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), expected.size())
-        << "patient, kw=" << kw;
-    EXPECT_EQ(d.family->emergency_retrieve(*d.sserver, kws).size(),
+    EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(),
               expected.size())
+        << "patient, kw=" << kw;
+    EXPECT_EQ(
+        d.family->try_emergency_retrieve(*d.sserver, kws).value_or({}).size(),
+        expected.size())
         << "family, kw=" << kw;
   }
   // The union of all retrievals covers the collection exactly once.
   std::set<sse::FileId> seen;
   for (const auto& [kw, expected] : d.patient->keyword_index().entries) {
     std::vector<std::string> kws = {kw};
-    for (const sse::PlainFile& f : d.patient->retrieve(*d.sserver, kws)) {
+    for (const sse::PlainFile& f :
+         d.patient->try_retrieve(*d.sserver, kws).value_or({})) {
       seen.insert(f.id);
     }
   }
   EXPECT_EQ(seen.size(), d.patient->files().size());
   // Revocation closes the family path for every shape.
-  ASSERT_TRUE(d.patient->revoke_member(*d.sserver, kFamilySlot));
+  ASSERT_TRUE(d.patient->try_revoke_member(*d.sserver, kFamilySlot).ok());
   std::vector<std::string> first = {d.all_keywords().front()};
-  EXPECT_TRUE(d.family->emergency_retrieve(*d.sserver, first).empty());
+  EXPECT_TRUE(
+      d.family->try_emergency_retrieve(*d.sserver, first).value_or({}).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -89,11 +93,12 @@ TEST_P(AliasSweep, RetrievalStableAcrossManyRounds) {
   cfg.assign_privileges = false;
   Deployment d = Deployment::create(cfg);
   d.patient->set_keyword_aliases(GetParam());
-  ASSERT_TRUE(d.patient->store_phi(*d.sserver));
+  ASSERT_TRUE(d.patient->try_store_phi(*d.sserver).ok());
   const auto& [kw, expected] = *d.patient->keyword_index().entries.begin();
   for (size_t round = 0; round < 2 * GetParam() + 1; ++round) {
     std::vector<std::string> kws = {kw};
-    EXPECT_EQ(d.patient->retrieve(*d.sserver, kws).size(), expected.size())
+    EXPECT_EQ(d.patient->try_retrieve(*d.sserver, kws).value_or({}).size(),
+              expected.size())
         << "aliases=" << GetParam() << " round=" << round;
   }
 }
@@ -114,11 +119,13 @@ TEST_P(MhiSweep, StoreRetrieveAcrossWindowSizes) {
       generate_mhi_window("2011-04-12", GetParam(), rng));
   std::vector<std::string> extra;
   ASSERT_TRUE(
-      d.pdevice->store_mhi(*d.aserver, *d.sserver, "role-x", extra));
-  auto key = d.on_duty->request_role_key(*d.aserver, "role-x");
-  ASSERT_TRUE(key.has_value());
-  auto got =
-      d.on_duty->retrieve_mhi(*d.sserver, "role-x", *key, "day:2011-04-12");
+      d.pdevice->try_store_mhi(*d.aserver, *d.sserver, "role-x", extra).ok());
+  auto key = d.on_duty->try_request_role_key(*d.aserver, "role-x");
+  ASSERT_TRUE(key.ok());
+  auto got = d.on_duty
+                 ->try_retrieve_mhi(*d.sserver, "role-x", key.value(),
+                                    "day:2011-04-12")
+                 .value_or({});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].samples.size(), GetParam());
 }
