@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <ctime>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -240,6 +241,35 @@ BENCHMARK(BM_PairingProduct)
     ->Args({1, 4})
     ->Unit(benchmark::kMillisecond);
 
+// The final exponentiation f^((p²−1)/q) of one Miller value, as every
+// pairing ends: one inversion, then the Lucas ladder over the cofactor c.
+field::Fp2 bench_miller_value(const curve::CurveCtx& ctx) {
+  return curve::generator_precomp(ctx).miller_with(
+      curve::hash_to_point(ctx, to_bytes("bench-final-exp")));
+}
+
+void BM_FinalExp(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  const field::Fp2 f = bench_miller_value(ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::final_exp_batch(ctx, std::span(&f, 1)));
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_FinalExp)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// Reference row for BM_FinalExp: the same value through the generic
+// windowed Fp2::pow(c), as the final exponentiation ran before the ladder.
+void BM_FinalExpPow(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  const field::Fp2 f = bench_miller_value(ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((f.conj() * f.inv()).pow(ctx.cofactor));
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_FinalExpPow)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_ScalarMul(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));
   cipher::Drbg rng(to_bytes("bench-mul"));
@@ -251,18 +281,6 @@ void BM_ScalarMul(benchmark::State& state) {
   state.SetLabel(set_name(state.range(0)));
 }
 BENCHMARK(BM_ScalarMul)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ScalarMulWnaf(benchmark::State& state) {
-  const curve::CurveCtx& ctx = ctx_for(state.range(0));
-  cipher::Drbg rng(to_bytes("bench-wnaf"));
-  curve::Point g = curve::generator(ctx);
-  mp::U512 k = curve::random_scalar(ctx, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(curve::mul_wnaf(ctx, g, k));
-  }
-  state.SetLabel(set_name(state.range(0)));
-}
-BENCHMARK(BM_ScalarMulWnaf)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ScalarMulFixedBase(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));

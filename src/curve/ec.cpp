@@ -14,6 +14,46 @@ namespace hcpp::curve {
 
 using field::Fp;
 
+namespace {
+
+// Width-w NAF recoding, least significant digit first: digits in
+// {0, ±1, ±3, …, ±(2^(w−1) − 1)}, no two adjacent nonzero digits.
+std::vector<int8_t> wnaf(const mp::U512& k, unsigned w) {
+  const int full = 1 << w;
+  std::vector<int8_t> naf;
+  naf.reserve(k.bit_length() + 1);
+  mp::U512 rem = k;
+  while (!rem.is_zero()) {
+    int8_t digit = 0;
+    if (rem.is_odd()) {
+      int low = static_cast<int>(rem.w[0] & static_cast<uint64_t>(full - 1));
+      digit = static_cast<int8_t>(low >= full / 2 ? low - full : low);
+      mp::U512 tmp;
+      if (digit > 0) {
+        mp::sub(tmp, rem, mp::U512::from_u64(static_cast<uint64_t>(digit)));
+      } else {
+        mp::add(tmp, rem, mp::U512::from_u64(static_cast<uint64_t>(-digit)));
+      }
+      rem = tmp;
+    }
+    naf.push_back(digit);
+    rem = mp::shr1(rem);
+  }
+  return naf;
+}
+
+// One 64-byte big-endian point coordinate. Values ≥ p are refused: Fp would
+// reduce them, so x + p would decode to x's point under different bytes.
+Fp coordinate_from_bytes(const CurveCtx& ctx, BytesView b, const char* who) {
+  mp::U512 v = mp::U512::from_bytes_be(b);
+  if (!(v < ctx.p)) {
+    throw std::invalid_argument(std::string(who) + ": coordinate not below p");
+  }
+  return Fp(&ctx.fp, v);
+}
+
+}  // namespace
+
 CurveCtx::CurveCtx(const mp::U512& p_in, const mp::U512& q_in,
                    const mp::U512& gx_in, const mp::U512& gy_in,
                    std::string name_in)
@@ -32,6 +72,8 @@ CurveCtx::CurveCtx(const mp::U512& p_in, const mp::U512& q_in,
     throw std::invalid_argument("CurveCtx: q does not divide p+1");
   }
   cofactor = dm.quotient;
+  miller_schedule = wnaf(q, 2);
+  std::reverse(miller_schedule.begin(), miller_schedule.end());
 }
 
 CurveCtx::~CurveCtx() = default;
@@ -73,7 +115,7 @@ bool on_curve(const CurveCtx& ctx, const Point& pt) {
 
 bool in_prime_subgroup(const CurveCtx& ctx, const Point& pt) {
   if (pt.infinity || !on_curve(ctx, pt)) return false;
-  return mul_wnaf(ctx, pt, ctx.q).infinity;
+  return mul(ctx, pt, ctx.q).infinity;
 }
 
 Point negate(const Point& a) {
@@ -244,46 +286,6 @@ Jac jac_add_affine(const CurveCtx& ctx, const Jac& a, const Point& b) {
   return r;
 }
 
-}  // namespace
-
-Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
-  obs::count(obs::kPointMul);
-  if (a.infinity || k.is_zero()) return Point::at_infinity();
-  Jac acc;
-  for (size_t i = k.bit_length(); i-- > 0;) {
-    acc = jac_dbl(ctx, acc);
-    if (k.bit(i)) acc = jac_add_affine(ctx, acc, a);
-  }
-  return from_jac(ctx, acc);
-}
-
-namespace {
-
-// Width-4 NAF recoding, least significant digit first: digits in
-// {0, ±1, ±3, …, ±15}, no two adjacent nonzero digits.
-std::vector<int8_t> wnaf4(const mp::U512& k) {
-  std::vector<int8_t> naf;
-  naf.reserve(k.bit_length() + 1);
-  mp::U512 rem = k;
-  while (!rem.is_zero()) {
-    int8_t digit = 0;
-    if (rem.is_odd()) {
-      int low = static_cast<int>(rem.w[0] & 15);
-      digit = static_cast<int8_t>(low >= 8 ? low - 16 : low);
-      mp::U512 tmp;
-      if (digit > 0) {
-        mp::sub(tmp, rem, mp::U512::from_u64(static_cast<uint64_t>(digit)));
-      } else {
-        mp::add(tmp, rem, mp::U512::from_u64(static_cast<uint64_t>(-digit)));
-      }
-      rem = tmp;
-    }
-    naf.push_back(digit);
-    rem = mp::shr1(rem);
-  }
-  return naf;
-}
-
 // Bits [lo, lo + len) of k as a scalar.
 mp::U512 bit_slice(const mp::U512& k, size_t lo, size_t len) {
   mp::U512 r;
@@ -318,10 +320,10 @@ Jac add_digit(const CurveCtx& ctx, const Jac& acc, const Point* table,
 
 }  // namespace
 
-Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
+Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
   obs::count(obs::kPointMul);
   if (a.infinity || k.is_zero()) return Point::at_infinity();
-  std::vector<int8_t> naf = wnaf4(k);
+  std::vector<int8_t> naf = wnaf(k, 4);
   const Jac base = to_jac(ctx, a);
   std::vector<Point> table = odd_multiples(ctx, std::span(&base, 1));
   Jac acc;
@@ -334,8 +336,8 @@ Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
 Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
            const Point& q, const mp::U512& b) {
   obs::count(obs::kPointMul);
-  std::vector<int8_t> na = wnaf4(a);
-  std::vector<int8_t> nb = wnaf4(b);
+  std::vector<int8_t> na = wnaf(a, 4);
+  std::vector<int8_t> nb = wnaf(b, 4);
   const Jac pts[2] = {to_jac(ctx, p), to_jac(ctx, q)};
   std::vector<Point> table = odd_multiples(ctx, pts);
   Jac acc;
@@ -378,7 +380,7 @@ Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
     }
     for (size_t j = 0; j < FixedBaseTable::kChunks; ++j) {
       std::vector<int8_t>& naf = nafs[FixedBaseTable::kChunks * t + j];
-      naf = wnaf4(bit_slice(*scalars[t], c * j, c));
+      naf = wnaf(bit_slice(*scalars[t], c * j, c), 4);
       len = std::max(len, naf.size());
     }
   }
@@ -471,7 +473,7 @@ Point hash_to_point(const CurveCtx& ctx, BytesView msg, std::string_view tag) {
     std::optional<Fp> y = rhs.sqrt();
     if (!y.has_value()) continue;
     Point pt{x, *y, false};
-    Point in_subgroup = mul_wnaf(ctx, pt, ctx.cofactor);
+    Point in_subgroup = mul(ctx, pt, ctx.cofactor);
     if (in_subgroup.infinity) continue;
     return in_subgroup;
   }
@@ -517,9 +519,9 @@ Point point_from_bytes(const CurveCtx& ctx, BytesView b) {
   if (b[0] != 1 || b.size() != 1 + 2 * 64) {
     throw std::invalid_argument("point_from_bytes: bad length");
   }
-  mp::U512 x = mp::U512::from_bytes_be(b.subspan(1, 64));
-  mp::U512 y = mp::U512::from_bytes_be(b.subspan(65, 64));
-  Point pt{field::Fp(&ctx.fp, x), field::Fp(&ctx.fp, y), false};
+  Point pt{coordinate_from_bytes(ctx, b.subspan(1, 64), "point_from_bytes"),
+           coordinate_from_bytes(ctx, b.subspan(65, 64), "point_from_bytes"),
+           false};
   if (!on_curve(ctx, pt)) {
     throw std::invalid_argument("point_from_bytes: not on curve");
   }
@@ -569,7 +571,8 @@ Point point_from_bytes_compressed(const CurveCtx& ctx, BytesView b) {
   if ((b[0] & ~1) != 2 || b.size() != 1 + 64) {
     throw std::invalid_argument("point_from_bytes_compressed: bad layout");
   }
-  field::Fp x(&ctx.fp, mp::U512::from_bytes_be(b.subspan(1)));
+  Fp x = coordinate_from_bytes(ctx, b.subspan(1),
+                               "point_from_bytes_compressed");
   field::Fp rhs = x.sqr() * x + x;
   std::optional<field::Fp> y = rhs.sqrt();
   if (!y.has_value()) {

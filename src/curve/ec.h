@@ -5,6 +5,7 @@
 // pairing ê(P, Q) = e(P, ψ(Q)) used throughout HCPP (§II.A).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -56,6 +57,9 @@ struct CurveCtx {
   // Generator of the order-q subgroup (affine coordinates, plain form).
   mp::U512 gx, gy;
   std::string name;
+  // Signed binary digits of q (its NAF), most significant first: the one
+  // Miller-loop schedule every optimized pairing path walks (pairing.cpp).
+  std::vector<int8_t> miller_schedule;
 
   CurveCtx(const mp::U512& p_in, const mp::U512& q_in, const mp::U512& gx_in,
            const mp::U512& gy_in, std::string name_in);
@@ -90,11 +94,9 @@ bool in_prime_subgroup(const CurveCtx& ctx, const Point& pt);
 Point add(const CurveCtx& ctx, const Point& a, const Point& b);
 Point dbl(const CurveCtx& ctx, const Point& a);
 Point negate(const Point& a);
-/// Scalar multiplication (Jacobian double-and-add internally).
+/// Scalar multiplication k·P: one width-4 wNAF pass over Jacobian
+/// coordinates with a batch-normalized table of odd multiples.
 Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k);
-/// Width-4 wNAF scalar multiplication — same result, ~25% fewer additions;
-/// benchmark E2 carries the ablation.
-Point mul_wnaf(const CurveCtx& ctx, const Point& a, const mp::U512& k);
 /// a·P + b·Q in one interleaved width-4 wNAF pass (Straus–Shamir): the two
 /// scalars share every doubling. Counts as one point multiplication.
 Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
@@ -136,6 +138,8 @@ mp::U512 hash_to_scalar(const CurveCtx& ctx, BytesView msg,
                         std::string_view tag = "hcpp-h2");
 
 /// Serialization: 1 flag byte + two 64-byte coordinates (infinity: 1 byte).
+/// The decoder accepts only canonical coordinates (below p), so every point
+/// has exactly one encoding; anything else throws std::invalid_argument.
 Bytes point_to_bytes(const Point& pt);
 Point point_from_bytes(const CurveCtx& ctx, BytesView b);
 
@@ -147,7 +151,8 @@ Point checked_point_from_bytes(const CurveCtx& ctx, BytesView b);
 
 /// Compressed serialization: 1 flag byte (2 | y-parity) + 64-byte x; the
 /// decoder recovers y via the curve equation (p ≡ 3 mod 4 square root).
-/// Halves point wire size at the cost of one field exponentiation.
+/// Halves point wire size at the cost of one field exponentiation. Like
+/// point_from_bytes, the decoder refuses an x that is not below p.
 Bytes point_to_bytes_compressed(const Point& pt);
 Point point_from_bytes_compressed(const CurveCtx& ctx, BytesView b);
 

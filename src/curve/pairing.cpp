@@ -24,6 +24,11 @@ using field::Fp2;
 //     l(Q) = (c0 + c1·x_Q) + (c2·y_Q)·i,
 // which is what PairingPrecomp stores; the one-shot paths evaluate them
 // immediately.
+//
+// Every loop walks ctx.miller_schedule, the NAF of q: a doubling step per
+// digit after the leading one, then an addition step of +P or −P = (x, −y)
+// for a ±1 digit. Adding −P is the Miller step f_(m−1) = f_m·l_(mP,−P)/v_P
+// whose vertical v_P lies in F_p, so it is dropped like every other vertical.
 
 namespace {
 
@@ -75,8 +80,8 @@ LineCoeffs double_step(MillerPoint& v) {
   return lc;
 }
 
-// Chord through V and the affine base point (px, py), scaled by 2HZ, then
-// V <- V + P (mixed add-2007-bl):
+// Chord through V and the affine point (px, py) — ±P — scaled by 2HZ, then
+// V <- V ± P (mixed add-2007-bl):
 //   l = (R·p_x − p_y·Z₃ + R·x_Q) + (Z₃·y_Q)·i,  R = 2(S₂ − Y),  Z₃ = 2HZ.
 LineCoeffs add_step(MillerPoint& v, const Fp& px, const Fp& py) {
   if (v.infinity) return ident_line();
@@ -85,8 +90,8 @@ LineCoeffs add_step(MillerPoint& v, const Fp& px, const Fp& py) {
   Fp s2 = py * z1z1 * v.z;
   if (v.x == u2) {
     if (v.y == s2) return double_step(v);
-    // V = −P: the chord is vertical, its value lies in F_p and is wiped by
-    // the final exponentiation; the sum is the point at infinity.
+    // V = −(px, py): the chord is vertical, its value lies in F_p and is
+    // wiped by the final exponentiation; the sum is the point at infinity.
     v.infinity = true;
     return ident_line();
   }
@@ -120,12 +125,71 @@ MillerPoint miller_start(const CurveCtx& ctx, const Point& p) {
   return MillerPoint{p.x, p.y, Fp::one(&ctx.fp), false};
 }
 
-// f^((p²−1)/q) = (f^(p−1))^c with f^(p−1) = conj(f)·f^{-1} (the Frobenius on
-// F_{p^2} is conjugation). The single inversion of the whole pairing.
+// Π_i f_(q,P_i)(ψ(Q_i)) under one shared squaring chain — the loop of both
+// pairing (one term) and pairing_product. Infinity terms contribute 1.
+Fp2 miller_product(const CurveCtx& ctx, std::span<const PairingTerm> terms) {
+  struct Term {
+    MillerPoint v;
+    const Point* p;
+    Fp neg_py;
+    const Point* q;
+  };
+  std::vector<Term> live;
+  live.reserve(terms.size());
+  for (const PairingTerm& t : terms) {
+    if (t.first.infinity || t.second.infinity) continue;
+    live.push_back({miller_start(ctx, t.first), &t.first, t.first.y.neg(),
+                    &t.second});
+  }
+  Fp2 f = Fp2::one(&ctx.fp);
+  const std::vector<int8_t>& digits = ctx.miller_schedule;
+  for (size_t i = 1; i < digits.size(); ++i) {
+    f = f.sqr();  // shared across every term
+    for (Term& t : live) {
+      LineCoeffs lc = double_step(t.v);
+      if (!lc.ident) f = f * eval_line(lc, t.q->x, t.q->y);
+    }
+    if (digits[i] == 0) continue;
+    for (Term& t : live) {
+      LineCoeffs lc =
+          add_step(t.v, t.p->x, digits[i] > 0 ? t.p->y : t.neg_py);
+      if (!lc.ident) f = f * eval_line(lc, t.q->x, t.q->y);
+    }
+  }
+  return f;
+}
+
+// The one element the final exponentiation of f inverts: 4·f₀f₁·N(f), with
+// N(f) = f₀² + f₁² never 0 for a Miller value — or N(f) alone when f₀f₁ = 0.
+Fp fe_denominator(const Fp2& f) {
+  Fp norm = f.re().sqr() + f.im().sqr();
+  Fp f0f1 = f.re() * f.im();
+  if (f0f1.is_zero()) return norm;
+  Fp four_f0f1 = f0f1 + f0f1;
+  four_f0f1 = four_f0f1 + four_f0f1;
+  return four_f0f1 * norm;
+}
+
+// f^((p²−1)/q) = t^c with t = f^(p−1) = conj(f)·f^(−1) = conj(f)²/N(f) (the
+// Frobenius on F_{p^2} is conjugation), given d_inv = fe_denominator(f)^(−1).
+// t has norm 1, so Fp2::pow_unitary raises it; its 1/(2·Im t) is
+// −N(f)/(4·f₀f₁) = −N(f)²·d_inv, and 1/N(f) = 4·f₀f₁·d_inv, so d_inv is the
+// only inversion. When f₀f₁ = 0, t = ±1 and the generic pow finishes.
+Gt fe_finish(const CurveCtx& ctx, const Fp2& f, const Fp& d_inv) {
+  Fp2 c2 = f.conj().sqr();  // (f₀² − f₁²) − 2f₀f₁·i
+  if (c2.im().is_zero()) {
+    return Gt(Fp2(c2.re() * d_inv, c2.im()).pow(ctx.cofactor));
+  }
+  Fp norm = f.re().sqr() + f.im().sqr();
+  Fp inv_norm = (c2.im() + c2.im()).neg() * d_inv;
+  Fp2 t(c2.re() * inv_norm, c2.im() * inv_norm);
+  return Gt(t.pow_unitary(ctx.cofactor, (norm.sqr() * d_inv).neg()));
+}
+
+// The single inversion of the whole pairing.
 Gt final_exponentiation(const CurveCtx& ctx, const Fp2& f) {
   obs::count(obs::kFinalExp);
-  Fp2 t = f.conj() * f.inv();
-  return Gt(t.pow(ctx.cofactor));
+  return fe_finish(ctx, f, fe_denominator(f).inv());
 }
 
 }  // namespace
@@ -133,20 +197,8 @@ Gt final_exponentiation(const CurveCtx& ctx, const Fp2& f) {
 Gt pairing(const CurveCtx& ctx, const Point& p_in, const Point& q_in) {
   obs::count(obs::kPairing);
   if (p_in.infinity || q_in.infinity) return Gt::one(ctx);
-  const Fp& xq = q_in.x;
-  const Fp& yq = q_in.y;
-  Fp2 f = Fp2::one(&ctx.fp);
-  MillerPoint v = miller_start(ctx, p_in);
-  for (size_t i = ctx.q.bit_length() - 1; i-- > 0;) {
-    f = f.sqr();
-    LineCoeffs lc = double_step(v);
-    if (!lc.ident) f = f * eval_line(lc, xq, yq);
-    if (ctx.q.bit(i)) {
-      lc = add_step(v, p_in.x, p_in.y);
-      if (!lc.ident) f = f * eval_line(lc, xq, yq);
-    }
-  }
-  return final_exponentiation(ctx, f);
+  const PairingTerm term{p_in, q_in};
+  return final_exponentiation(ctx, miller_product(ctx, std::span(&term, 1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,15 +208,18 @@ PairingPrecomp::PairingPrecomp(const CurveCtx& ctx, const Point& p)
     : ctx_(&ctx) {
   obs::count(obs::kPairingPrecompBuild);
   if (p.infinity) return;
-  // One doubling line per loop iteration plus one addition line per set bit;
-  // record them in exactly the order pairing_with will consume them.
-  const size_t nbits = ctx.q.bit_length();
+  // One doubling line per schedule digit plus one addition line per nonzero
+  // digit; record them in exactly the order pairing_with will consume them.
+  const std::vector<int8_t>& digits = ctx.miller_schedule;
+  const Fp neg_py = p.y.neg();
   std::vector<LineCoeffs> raw;
-  raw.reserve(2 * nbits);
+  raw.reserve(2 * digits.size());
   MillerPoint v = miller_start(ctx, p);
-  for (size_t i = nbits - 1; i-- > 0;) {
+  for (size_t i = 1; i < digits.size(); ++i) {
     raw.push_back(double_step(v));
-    if (ctx.q.bit(i)) raw.push_back(add_step(v, p.x, p.y));
+    if (digits[i] != 0) {
+      raw.push_back(add_step(v, p.x, digits[i] > 0 ? p.y : neg_py));
+    }
   }
   // Normalize each line by its c2 (2YZ³·Z² for tangents, 2HZ for chords —
   // never zero on a non-degenerate step). Dividing a line by an F_p scalar
@@ -203,12 +258,13 @@ Fp2 PairingPrecomp::miller_with(const Point& q) const {
   const Fp& xq = q.x;
   const Fp& yq = q.y;
   Fp2 f = Fp2::one(&ctx_->fp);
+  const std::vector<int8_t>& digits = ctx_->miller_schedule;
   size_t k = 0;
-  for (size_t i = ctx_->q.bit_length() - 1; i-- > 0;) {
+  for (size_t i = 1; i < digits.size(); ++i) {
     f = f.sqr();
     const Line& dl = lines_[k++];
     if (!dl.ident) f = f * Fp2(dl.c0 + dl.c1 * xq, yq);
-    if (ctx_->q.bit(i)) {
+    if (digits[i] != 0) {
       const Line& al = lines_[k++];
       if (!al.ident) f = f * Fp2(al.c0 + al.c1 * xq, yq);
     }
@@ -231,35 +287,12 @@ Gt PairingPrecomp::pairing_with(const Point& q) const {
 // Multi-pairing.
 
 Gt pairing_product(const CurveCtx& ctx, std::span<const PairingTerm> terms) {
-  struct Term {
-    MillerPoint v;
-    const Point* p;
-    const Point* q;
-  };
   obs::count(obs::kPairingProduct);
   obs::count(obs::kPairingProductTerms, terms.size());
-  std::vector<Term> live;
-  live.reserve(terms.size());
-  for (const PairingTerm& t : terms) {
-    if (t.first.infinity || t.second.infinity) continue;
-    live.push_back({miller_start(ctx, t.first), &t.first, &t.second});
-  }
-  if (live.empty()) return Gt::one(ctx);
-  Fp2 f = Fp2::one(&ctx.fp);
-  for (size_t i = ctx.q.bit_length() - 1; i-- > 0;) {
-    f = f.sqr();  // shared across every term
-    for (Term& t : live) {
-      LineCoeffs lc = double_step(t.v);
-      if (!lc.ident) f = f * eval_line(lc, t.q->x, t.q->y);
-    }
-    if (ctx.q.bit(i)) {
-      for (Term& t : live) {
-        LineCoeffs lc = add_step(t.v, t.p->x, t.p->y);
-        if (!lc.ident) f = f * eval_line(lc, t.q->x, t.q->y);
-      }
-    }
-  }
-  return final_exponentiation(ctx, f);  // shared across every term
+  // One final exponentiation shared across every term; none when no term
+  // contributed a line (all trivial), since 1 maps to 1.
+  Fp2 f = miller_product(ctx, terms);
+  return f.is_one() ? Gt::one(ctx) : final_exponentiation(ctx, f);
 }
 
 std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
@@ -268,19 +301,16 @@ std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
   std::vector<Gt> out(fs.size());
   if (fs.empty()) return out;
   obs::count(obs::kFinalExpBatched, fs.size());
-  // f^(p−1) = conj(f)·f^{−1} = conj(f)²·(re²+im²)^{−1}: the inverse needed
-  // is of the F_p norm, so one Montgomery-trick batch inversion replaces the
+  // The inverse each final exponentiation needs is of an F_p element
+  // (fe_denominator), so one Montgomery-trick batch inversion replaces the
   // per-pairing inversion — the only inversion a pairing performs at all.
-  std::vector<mp::U512> norms(fs.size());
+  std::vector<mp::U512> dens(fs.size());
   for (size_t i = 0; i < fs.size(); ++i) {
-    norms[i] = (fs[i].re().sqr() + fs[i].im().sqr()).raw();
+    dens[i] = fe_denominator(fs[i]).raw();
   }
-  ctx.fp.mont.batch_inv(norms);  // Miller values are never 0
+  ctx.fp.mont.batch_inv(dens);  // never 0: Miller values are nonzero
   auto finish = [&](size_t i) {
-    Fp2 c2 = fs[i].conj().sqr();
-    Fp ninv = Fp::from_raw(&ctx.fp, norms[i]);
-    Fp2 t(c2.re() * ninv, c2.im() * ninv);
-    out[i] = Gt(t.pow(ctx.cofactor));
+    out[i] = fe_finish(ctx, fs[i], Fp::from_raw(&ctx.fp, dens[i]));
   };
   if (pool != nullptr && fs.size() > 1) {
     pool->parallel_for(fs.size(), finish);

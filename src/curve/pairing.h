@@ -2,14 +2,18 @@
 // e of §II.A). Computed as the Tate pairing e(P, ψ(Q)) with the distortion
 // map ψ(x, y) = (−x, i·y), using Miller's algorithm with denominator
 // elimination (all vertical-line values land in F_p and are annihilated by
-// the (p−1) factor of the final exponentiation (p²−1)/q = (p−1)·c).
+// the (p−1) factor of the final exponentiation (p²−1)/q = (p−1)·c). Every
+// optimized loop walks CurveCtx::miller_schedule, the signed digits (NAF) of
+// q: a −1 digit adds −P = (x, −y), whose vertical line is dropped likewise.
 //
 // The production entry points keep the loop point V in Jacobian coordinates
 // and scale every line value by a factor in F_p (2YZ³ for tangents, 2HZ for
 // chords), which the final exponentiation also annihilates — so the Miller
 // loop runs without a single field inversion (Barreto–Kim–Lynn–Scott,
-// CRYPTO 2002). The only inversion left in a pairing is the one inside
-// f^(p−1) = conj(f)·f^{-1} of the final exponentiation.
+// CRYPTO 2002). The only inversion left in a pairing is the final
+// exponentiation's: one F_p element, 4·f₀f₁·N(f), yields both 1/N(f) for
+// t = f^(p−1) = conj(f)²/N(f) and the 1/(2·Im t) that the Lucas ladder of
+// Fp2::pow_unitary needs to raise the norm-1 t to the cofactor c.
 //
 // Three evaluation modes:
 //   * pairing(ctx, P, Q)        — one-shot, inversion-free projective loop.
@@ -121,12 +125,11 @@ using PairingTerm = std::pair<Point, Point>;
 Gt pairing_product(const CurveCtx& ctx, std::span<const PairingTerm> terms);
 
 /// Applies the final exponentiation f^((p²−1)/q) to every Miller value in
-/// `fs` at the cost of ONE modular inversion for the whole batch: each
-/// f^(p−1) = conj(f)·f^{−1} = conj(f)²·norm(f)^{−1} needs only the inverse
-/// of the F_p norm re²+im², and those are batch-inverted with Montgomery's
-/// trick. The cofactor powers (the bulk of the work) are sharded onto
-/// `pool` when given (nullptr = serial). Element i of the result equals
-/// final exponentiation of fs[i] exactly.
+/// `fs` at the cost of ONE modular inversion for the whole batch: each value
+/// needs the inverse of one F_p element (see the header note), and those are
+/// batch-inverted with Montgomery's trick. The cofactor powers (the bulk of
+/// the work) are sharded onto `pool` when given (nullptr = serial). Element
+/// i of the result equals final exponentiation of fs[i] exactly.
 std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
                                 std::span<const field::Fp2> fs,
                                 par::ThreadPool* pool = nullptr);

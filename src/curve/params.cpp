@@ -8,13 +8,35 @@
 
 namespace hcpp::curve {
 
+namespace {
+
+// The first prime q = 2^(n−1) + 2^b ± 1 for b = 1, 2, …, +1 first. A −2^b
+// term would leave q with n − 1 bits, so this is also the first n-bit
+// 2^(n−1) + s₁·2^b + s₂ over all four sign pairs. Its NAF has three nonzero
+// digits: the Miller loop is doublings but for two addition steps.
+mp::U512 solinas_prime(size_t n, RandomSource& rng) {
+  for (size_t b = 1; b + 1 < n; ++b) {
+    mp::U512 base;
+    base.w[(n - 1) / 64] |= 1ull << ((n - 1) % 64);
+    base.w[b / 64] |= 1ull << (b % 64);
+    mp::U512 q = base;
+    q.w[0] |= 1;  // bit 0 of base is clear
+    if (mp::is_probable_prime(q, rng)) return q;
+    mp::sub(q, base, mp::U512::from_u64(1));
+    if (mp::is_probable_prime(q, rng)) return q;
+  }
+  throw std::invalid_argument("generate_params: no Solinas prime");
+}
+
+}  // namespace
+
 GeneratedParams generate_params(size_t q_bits, size_t p_bits,
                                 RandomSource& rng) {
   if (q_bits + 8 > p_bits || p_bits > mp::kBits) {
     throw std::invalid_argument("generate_params: bad widths");
   }
   GeneratedParams gp;
-  gp.q = mp::generate_prime(q_bits, rng);
+  gp.q = solinas_prime(q_bits, rng);
   const size_t c_bits = p_bits - q_bits;
   for (;;) {
     mp::U512 c = mp::random_bits(c_bits, rng);
@@ -80,11 +102,11 @@ std::unique_ptr<CurveCtx> build_named(ParamSet set) {
   // magic constants; generation takes well under a second (kTest) / a few
   // seconds at most (kProduction), once per process.
   if (set == ParamSet::kTest) {
-    cipher::Drbg rng(to_bytes("hcpp-params-test-v1"));
+    cipher::Drbg rng(to_bytes("hcpp-params-test-v2"));
     GeneratedParams gp = generate_params(150, 256, rng);
     return make_curve(gp, "hcpp-test-p256-q150");
   }
-  cipher::Drbg rng(to_bytes("hcpp-params-production-v1"));
+  cipher::Drbg rng(to_bytes("hcpp-params-production-v2"));
   GeneratedParams gp = generate_params(160, 512, rng);
   return make_curve(gp, "hcpp-production-p512-q160");
 }

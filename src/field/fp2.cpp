@@ -65,6 +65,29 @@ Fp2 Fp2::pow(const mp::U512& e) const {
   return started ? result : one(ctx());
 }
 
+Fp2 Fp2::pow_unitary(const mp::U512& e, const Fp& inv_2b) const {
+  // V_k = t^k + t^(−k) = 2·Re(t^k) with V_0 = 2, V_1 = 2a. The ladder keeps
+  // (V_k, V_(k+1)) while k takes the bits of e from the top:
+  //   V_2k = V_k² − 2,   V_(2k+1) = V_k·V_(k+1) − V_1.
+  // Re(t^(e+1)) = a·Re(t^e) − b·Im(t^e) then gives the imaginary part:
+  //   t^e = V_e/2 + ((a·V_e − V_(e+1))/(2b))·i,   1/2 = b·inv_2b.
+  const Fp two = Fp::one(ctx()) + Fp::one(ctx());
+  const Fp v1 = a_ + a_;
+  Fp lo = two;
+  Fp hi = v1;
+  for (size_t i = e.bit_length(); i-- > 0;) {
+    Fp cross = lo * hi - v1;
+    if (e.bit(i)) {
+      lo = cross;
+      hi = hi.sqr() - two;
+    } else {
+      hi = cross;
+      lo = lo.sqr() - two;
+    }
+  }
+  return {lo * (b_ * inv_2b), (a_ * lo - hi) * inv_2b};
+}
+
 Bytes Fp2::to_bytes() const {
   Bytes out = a_.value().to_bytes_be();
   append(out, b_.value().to_bytes_be());

@@ -31,6 +31,11 @@ class Fp2 {
   [[nodiscard]] Fp2 conj() const;
   [[nodiscard]] Fp2 inv() const;
   [[nodiscard]] Fp2 pow(const mp::U512& e) const;
+  /// *this^e for an element a + b·i of norm a² + b² = 1 with b ≠ 0, given
+  /// inv_2b = 1/(2b): the Lucas ladder of Scott–Barreto ("Compressed
+  /// Pairings", CRYPTO 2004), one F_p multiplication and one F_p squaring
+  /// per bit of e. The pairing's final exponentiation runs through here.
+  [[nodiscard]] Fp2 pow_unitary(const mp::U512& e, const Fp& inv_2b) const;
 
   friend bool operator==(const Fp2& a, const Fp2& b) noexcept = default;
 

@@ -127,21 +127,32 @@ TEST(Curve, PointDeserializationRejectsGarbage) {
   EXPECT_THROW(point_from_bytes(ctx(), enc), std::invalid_argument);
 }
 
+// Binary double-and-add over the affine group law: the independent oracle
+// for mul's wNAF pass.
+Point mul_binary(const CurveCtx& c, const Point& a, const mp::U512& k) {
+  Point acc = Point::at_infinity();
+  for (size_t i = k.bit_length(); i-- > 0;) {
+    acc = dbl(c, acc);
+    if (k.bit(i)) acc = add(c, acc, a);
+  }
+  return acc;
+}
+
 TEST(Curve, WnafMatchesDoubleAndAdd) {
   cipher::Drbg rng(to_bytes("curve-wnaf"));
   Point g = generator(ctx());
   for (int i = 0; i < 10; ++i) {
     mp::U512 k = random_scalar(ctx(), rng);
-    EXPECT_EQ(mul_wnaf(ctx(), g, k), mul(ctx(), g, k));
+    EXPECT_EQ(mul(ctx(), g, k), mul_binary(ctx(), g, k));
   }
   // Edge scalars.
   for (uint64_t k : {0ull, 1ull, 2ull, 15ull, 16ull, 17ull, 255ull}) {
-    EXPECT_EQ(mul_wnaf(ctx(), g, mp::U512::from_u64(k)),
-              mul(ctx(), g, mp::U512::from_u64(k)))
+    EXPECT_EQ(mul(ctx(), g, mp::U512::from_u64(k)),
+              mul_binary(ctx(), g, mp::U512::from_u64(k)))
         << "k=" << k;
   }
-  EXPECT_TRUE(mul_wnaf(ctx(), Point::at_infinity(), mp::U512::from_u64(3))
-                  .infinity);
+  EXPECT_TRUE(
+      mul(ctx(), Point::at_infinity(), mp::U512::from_u64(3)).infinity);
 }
 
 TEST(Curve, Mul2MatchesTwoMulsAndAdd) {
@@ -275,6 +286,44 @@ TEST(Curve, CheckedPointMemoAcceptsOnlySubgroupPoints) {
   EXPECT_EQ(reg.counter(obs::kCheckedPointMemoMisses), 7u);
 }
 
+// x + p (and y + p) name the same field element as x, so such an encoding
+// would be a second spelling of a valid pseudonym with its own memo entry.
+// On kTest p has 256 bits in a 64-byte field: every coordinate has aliases.
+TEST(Curve, NonCanonicalCoordinatesAreRefused) {
+  const CurveCtx& c = ctx();
+  cipher::Drbg rng(to_bytes("curve-noncanonical"));
+  Point good = mul_generator(c, random_scalar(c, rng));
+  auto plus_p = [&](const field::Fp& v) {
+    mp::U512 alias;
+    mp::add(alias, v.value(), c.p);
+    return alias.to_bytes_be();
+  };
+  Bytes x_alias = {1};
+  append(x_alias, plus_p(good.x));
+  append(x_alias, good.y.value().to_bytes_be());
+  Bytes y_alias = {1};
+  append(y_alias, good.x.value().to_bytes_be());
+  append(y_alias, plus_p(good.y));
+  Bytes compressed_alias = point_to_bytes_compressed(good);
+  Bytes alias_x = plus_p(good.x);
+  std::copy(alias_x.begin(), alias_x.end(), compressed_alias.begin() + 1);
+  EXPECT_THROW(point_from_bytes(c, x_alias), std::invalid_argument);
+  EXPECT_THROW(point_from_bytes(c, y_alias), std::invalid_argument);
+  EXPECT_THROW(point_from_bytes_compressed(c, compressed_alias),
+               std::invalid_argument);
+  ASSERT_EQ(checked_point_from_bytes(c, point_to_bytes(good)), good);
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  EXPECT_THROW(checked_point_from_bytes(c, x_alias), std::invalid_argument);
+  EXPECT_THROW(checked_point_from_bytes(c, x_alias), std::invalid_argument);
+  EXPECT_EQ(checked_point_from_bytes(c, point_to_bytes(good)), good);
+  obs::attach(previous);
+  // The alias was never memoised: both tries missed, the canonical hit.
+  EXPECT_EQ(reg.counter(obs::kCheckedPointMemoMisses), 2u);
+  EXPECT_EQ(reg.counter(obs::kCheckedPointMemoHits), 1u);
+}
+
 TEST(Curve, FixedBaseGeneratorMatchesGeneric) {
   cipher::Drbg rng(to_bytes("curve-fixedbase"));
   Point g = generator(ctx());
@@ -351,6 +400,11 @@ TEST(Curve, RandomScalarNonzeroBelowQ) {
 TEST(Curve, FreshParameterGeneration) {
   cipher::Drbg rng(to_bytes("fresh-params"));
   GeneratedParams gp = generate_params(80, 160, rng);
+  // The first 80-bit Solinas prime 2^79 + 2^b ± 1: b = 26, −1.
+  mp::U512 solinas;
+  solinas.w[1] = 1ull << 15;
+  solinas.w[0] = (1ull << 26) - 1;
+  EXPECT_EQ(gp.q, solinas);
   auto fresh = make_curve(gp, "tiny-test-curve");
   Point g = generator(*fresh);
   EXPECT_TRUE(on_curve(*fresh, g));

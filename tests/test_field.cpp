@@ -165,6 +165,39 @@ TEST(Fp2, WindowedPowMatchesRepeatedMultiplication) {
   }
 }
 
+// The Lucas ladder against the windowed pow: small exponents first, then
+// the final exponentiation's own cofactor c on 10^4 norm-1 elements
+// conj(z)/z per named set.
+TEST(Fp2, LucasPowMatchesPowOnNormOneElements) {
+  for (curve::ParamSet set :
+       {curve::ParamSet::kTest, curve::ParamSet::kProduction}) {
+    const curve::CurveCtx& c = curve::params(set);
+    const FpCtx& f = c.fp;
+    cipher::Drbg rng(to_bytes("fp2-lucas-" + c.name));
+    auto norm_one = [&] {
+      for (;;) {
+        Fp2 z(random_fp(f, rng), random_fp(f, rng));
+        if (z.re().is_zero() || z.im().is_zero()) continue;  // t = ±1
+        return z.conj() * z.inv();
+      }
+    };
+    Fp2 t = norm_one();
+    ASSERT_EQ(t.re().sqr() + t.im().sqr(), Fp::one(&f));
+    Fp inv_2b = (t.im() + t.im()).inv();
+    for (uint64_t e = 0; e < 40; ++e) {
+      EXPECT_EQ(t.pow_unitary(mp::U512::from_u64(e), inv_2b),
+                t.pow(mp::U512::from_u64(e)))
+          << c.name << " e=" << e;
+    }
+    for (int i = 0; i < 10000; ++i) {
+      t = norm_one();
+      inv_2b = (t.im() + t.im()).inv();
+      ASSERT_EQ(t.pow_unitary(c.cofactor, inv_2b), t.pow(c.cofactor))
+          << c.name << " i=" << i;
+    }
+  }
+}
+
 TEST(Fp2, NormMultiplicativity) {
   const FpCtx& f = test_field();
   cipher::Drbg rng(to_bytes("fp2-norm"));

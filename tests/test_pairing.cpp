@@ -5,11 +5,36 @@
 #include "src/cipher/drbg.h"
 #include "src/curve/pairing.h"
 #include "src/curve/params.h"
+#include "src/mp/prime.h"
+#include "src/obs/metrics.h"
 
 namespace hcpp::curve {
 namespace {
 
 const CurveCtx& ctx() { return params(ParamSet::kTest); }
+
+// The 80-bit curve generate_params mints from a fixed seed
+// (q = 2^79 + 2^26 − 1), a third, non-named schedule for the oracle checks.
+const CurveCtx& generated() {
+  static const std::unique_ptr<CurveCtx> c = [] {
+    cipher::Drbg rng(to_bytes("fresh-params"));
+    return make_curve(generate_params(80, 160, rng), "generated-q80");
+  }();
+  return *c;
+}
+
+// Σ d_i·2^(n−1−i) over the schedule, most significant digit first.
+mp::U512 schedule_value(const std::vector<int8_t>& digits) {
+  mp::U512 acc;
+  for (int8_t d : digits) {
+    mp::U512 twice;
+    mp::add(twice, acc, acc);
+    if (d > 0) mp::add(acc, twice, mp::U512::from_u64(1));
+    if (d < 0) mp::sub(acc, twice, mp::U512::from_u64(1));
+    if (d == 0) acc = twice;
+  }
+  return acc;
+}
 
 TEST(Pairing, Bilinearity) {
   cipher::Drbg rng(to_bytes("pairing-bilinear"));
@@ -104,9 +129,10 @@ TEST(Pairing, GtSerializationStable) {
 
 // ---- Optimized engine vs the affine reference oracle ------------------------
 
-TEST(PairingEngine, MatchesReferenceOnBothParameterSets) {
-  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
-    const CurveCtx& c = params(set);
+TEST(PairingEngine, MatchesReferenceOnNamedAndGeneratedCurves) {
+  for (const CurveCtx* cp : {&params(ParamSet::kTest),
+                             &params(ParamSet::kProduction), &generated()}) {
+    const CurveCtx& c = *cp;
     cipher::Drbg rng(to_bytes("engine-vs-reference"));
     Point g = generator(c);
     EXPECT_EQ(pairing(c, g, g), pairing_reference(c, g, g));
@@ -176,6 +202,85 @@ TEST(PairingProduct, NegatedTermCancelsAndInfinityIsNeutral) {
   const PairingTerm with_inf[] = {{p, q}, {Point::at_infinity(), q}};
   EXPECT_EQ(pairing_product(c, with_inf), pairing(c, p, q));
   EXPECT_TRUE(pairing_product(c, std::span<const PairingTerm>{}).is_one());
+}
+
+// ---- Miller schedule and final exponentiation ------------------------------
+
+TEST(MillerSchedule, SignedDigitsOfQ) {
+  for (const CurveCtx* cp : {&params(ParamSet::kTest),
+                             &params(ParamSet::kProduction), &generated()}) {
+    const std::vector<int8_t>& digits = cp->miller_schedule;
+    ASSERT_FALSE(digits.empty());
+    EXPECT_EQ(digits.front(), 1) << cp->name;
+    EXPECT_EQ(schedule_value(digits), cp->q) << cp->name;
+    size_t nonzero = 0;
+    for (size_t i = 0; i < digits.size(); ++i) {
+      EXPECT_TRUE(digits[i] >= -1 && digits[i] <= 1) << cp->name;
+      if (digits[i] != 0) ++nonzero;
+      if (i > 0) {
+        EXPECT_FALSE(digits[i] != 0 && digits[i - 1] != 0) << i;
+      }
+    }
+    EXPECT_EQ(nonzero, 3u) << cp->name;  // 2^(n−1) + 2^b ± 1
+  }
+  // kTest's q = 2^149 + 2^12 − 1 ends in a −1 digit, so every pairing the
+  // suite runs takes the −P addition step.
+  EXPECT_EQ(ctx().miller_schedule.back(), -1);
+}
+
+// Final exponentiation of Miller values and of the degenerate f₀f₁ = 0
+// values (t = ±1, the pow fallback) against (conj(f)·f⁻¹)^c, batched and
+// single.
+TEST(FinalExp, BatchMatchesSinglePathAndOracle) {
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    const PairingPrecomp& gen = generator_precomp(c);
+    cipher::Drbg rng(to_bytes("final-exp-batch"));
+    std::vector<Point> qs;
+    std::vector<field::Fp2> fs;
+    for (int i = 0; i < 4; ++i) {
+      qs.push_back(hash_to_point(c, rng.bytes(32)));
+      fs.push_back(gen.miller_with(qs.back()));
+    }
+    const field::Fp x(&c.fp, mp::random_below(c.p, rng));
+    const field::Fp zero = field::Fp::zero(&c.fp);
+    fs.emplace_back(x, zero);  // t = 1
+    fs.emplace_back(zero, x);  // t = −1
+    std::vector<Gt> batch = final_exp_batch(c, fs);
+    ASSERT_EQ(batch.size(), fs.size());
+    for (size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_EQ(batch[i], Gt((fs[i].conj() * fs[i].inv()).pow(c.cofactor)))
+          << c.name << " i=" << i;
+      if (i < qs.size()) {
+        EXPECT_EQ(batch[i], gen.pairing_with(qs[i])) << c.name << " i=" << i;
+      }
+    }
+    EXPECT_TRUE(batch[qs.size()].is_one());
+    EXPECT_TRUE(batch[qs.size() + 1].is_one());
+  }
+}
+
+// The Lucas ladder's 1/(2·Im t) comes out of the one inversion that was
+// already there: a pairing costs one F_p inversion, a batch of n costs one.
+TEST(FinalExp, OneInversionPerPairingAndPerBatch) {
+  const CurveCtx& c = ctx();
+  cipher::Drbg rng(to_bytes("final-exp-inversions"));
+  Point p = mul(c, generator(c), random_scalar(c, rng));
+  Point q = hash_to_point(c, to_bytes("final-exp-inversions-q"));
+  const PairingPrecomp& gen = generator_precomp(c);
+  std::vector<field::Fp2> fs;
+  for (int i = 0; i < 5; ++i) {
+    fs.push_back(gen.miller_with(hash_to_point(c, rng.bytes(32))));
+  }
+  obs::Registry reg;
+  obs::Registry* previous = obs::attached();
+  obs::attach(&reg);
+  (void)pairing(c, p, q);
+  const uint64_t single = reg.counter(obs::kFieldInv);
+  (void)final_exp_batch(c, fs);
+  obs::attach(previous);
+  EXPECT_EQ(single, 1u);
+  EXPECT_EQ(reg.counter(obs::kFieldInv) - single, 1u);
 }
 
 }  // namespace

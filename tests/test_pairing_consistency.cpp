@@ -41,6 +41,22 @@ TEST(PairingConsistency, ProductAgreesWithReferenceProduct) {
   EXPECT_EQ(pairing_product(c, terms), expect);
 }
 
+// A curve fresh from generate_params (80-bit q = 2^79 + 2^26 − 1, whose
+// schedule ends in a −1 digit like kTest's): every path against the oracle.
+TEST(PairingConsistency, GeneratedCurveAgreesWithReference) {
+  cipher::Drbg rng(to_bytes("pairing-consistency-generated"));
+  std::unique_ptr<CurveCtx> c = make_curve(generate_params(80, 160, rng), "q80");
+  for (int i = 0; i < 3; ++i) {
+    Point p = mul(*c, generator(*c), random_scalar(*c, rng));
+    Point q = hash_to_point(*c, rng.bytes(32));
+    Gt oracle = pairing_reference(*c, p, q);
+    EXPECT_EQ(pairing(*c, p, q), oracle);
+    EXPECT_EQ(PairingPrecomp(*c, p).pairing_with(q), oracle);
+    const PairingTerm single[] = {{p, q}};
+    EXPECT_EQ(pairing_product(*c, single), oracle);
+  }
+}
+
 TEST(PairingConsistency, ProductionSpotCheck) {
   const CurveCtx& c = params(ParamSet::kProduction);
   cipher::Drbg rng(to_bytes("pairing-consistency-production"));

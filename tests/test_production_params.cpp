@@ -24,6 +24,19 @@ TEST(ProductionParams, SizesAreAsAdvertised) {
   EXPECT_EQ(prod().p.w[0] & 3, 3u);
 }
 
+// generate_params' Solinas search lands on q = 2^159 + 2^17 + 1, whose NAF
+// is the three-digit Miller schedule.
+TEST(ProductionParams, GroupOrderIsSolinas) {
+  mp::U512 q;
+  q.w[159 / 64] = 1ull << (159 % 64);
+  q.w[0] = (1ull << 17) + 1;
+  EXPECT_EQ(prod().q, q);
+  size_t nonzero = 0;
+  for (int8_t d : prod().miller_schedule) nonzero += d != 0;
+  EXPECT_EQ(nonzero, 3u);
+  EXPECT_EQ(prod().miller_schedule.size(), 160u);
+}
+
 TEST(ProductionParams, PairingBilinear) {
   cipher::Drbg rng(to_bytes("prod-pairing"));
   curve::Point g = curve::generator(prod());

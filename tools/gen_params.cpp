@@ -1,7 +1,8 @@
-// Generates a fresh pairing parameter set (q, p = c·q − 1, generator) and
-// prints it as hex, plus validation output. Useful for minting alternative
-// named sets; the library's built-in kTest/kProduction sets are generated
-// deterministically at first use from fixed seeds.
+// Generates a fresh pairing parameter set (Solinas q = 2^(n−1) + 2^b ± 1,
+// p = c·q − 1 for a random c, generator) and prints it as hex, plus
+// validation output. Useful for minting alternative named sets; the
+// library's built-in kTest/kProduction sets are generated deterministically
+// at first use from fixed seeds.
 //
 //   $ ./gen_params [q_bits] [p_bits] [seed]
 #include <cstdio>
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
   const char* seed = argc > 3 ? argv[3] : "gen-params-default-seed";
 
   cipher::Drbg rng(to_bytes(seed));
-  std::printf("generating q=%zu-bit prime, p=%zu-bit prime (p = c*q - 1, "
-              "p ≡ 3 mod 4)...\n",
+  std::printf("generating q=%zu-bit Solinas prime, p=%zu-bit prime "
+              "(p = c*q - 1, p ≡ 3 mod 4)...\n",
               q_bits, p_bits);
   curve::GeneratedParams gp = curve::generate_params(q_bits, p_bits, rng);
   auto ctx = curve::make_curve(gp, "generated");
