@@ -8,10 +8,8 @@
 namespace hcpp::hash {
 
 Bytes hkdf_extract(BytesView salt, BytesView ikm) {
-  if (salt.empty()) {
-    Bytes zero_salt(kSha256DigestSize, 0);
-    return hmac_sha256(zero_salt, ikm);
-  }
+  // An empty salt stands for HashLen zero bytes (RFC 5869 §2.2); HMAC pads
+  // its key with zeros to the block size, so both are the same key.
   return hmac_sha256(salt, ikm);
 }
 
@@ -19,6 +17,7 @@ Bytes hkdf_expand(BytesView prk, BytesView info, size_t out_len) {
   if (out_len > 255 * kSha256DigestSize) {
     throw std::invalid_argument("hkdf_expand: output too long");
   }
+  const HmacKey key(prk);
   Bytes out;
   Bytes t;
   uint8_t counter = 1;
@@ -26,7 +25,7 @@ Bytes hkdf_expand(BytesView prk, BytesView info, size_t out_len) {
     Bytes block = t;
     append(block, info);
     block.push_back(counter++);
-    t = hmac_sha256(prk, block);
+    t = key.eval(block);
     append(out, t);
   }
   out.resize(out_len);

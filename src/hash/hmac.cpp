@@ -22,17 +22,12 @@ HmacKey::HmacKey(BytesView key) {
 }
 
 Digest HmacKey::eval_digest(BytesView message) const {
-  Sha256 in = inner_;  // midstate copy — the ipad block is already absorbed
-  in.update(message);
-  Digest inner_d = in.finish();
-  Sha256 out = outer_;
-  out.update(BytesView(inner_d.data(), inner_d.size()));
-  return out.finish();
+  return eval_digest_parts({message});
 }
 
 Digest HmacKey::eval_digest_parts(
     std::initializer_list<BytesView> parts) const {
-  Sha256 in = inner_;
+  Sha256 in = inner_;  // midstate copy — the ipad block is already absorbed
   for (BytesView part : parts) in.update(part);
   Digest inner_d = in.finish();
   Sha256 out = outer_;
@@ -58,16 +53,7 @@ Bytes hmac_sha256(BytesView key, BytesView message) {
 }
 
 Bytes hmac_sha256_trunc(BytesView key, BytesView message, size_t out_len) {
-  if (out_len > kSha256DigestSize) {
-    throw std::invalid_argument("hmac_sha256_trunc: out_len > 32");
-  }
   return HmacKey(key).eval_trunc(message, out_len);
-}
-
-bool hmac_verify(BytesView key, BytesView message, BytesView tag) {
-  Bytes expected = hmac_sha256(key, message);
-  expected.resize(std::min(expected.size(), tag.size()));
-  return tag.size() == expected.size() && ct_equal(expected, tag);
 }
 
 }  // namespace hcpp::hash

@@ -42,7 +42,4 @@ Bytes hmac_sha256(BytesView key, BytesView message);
 /// Truncated tag (`out_len` <= 32), as used by the PRF f in the SSE index.
 Bytes hmac_sha256_trunc(BytesView key, BytesView message, size_t out_len);
 
-/// Constant-time verification.
-bool hmac_verify(BytesView key, BytesView message, BytesView tag);
-
 }  // namespace hcpp::hash

@@ -1,23 +1,14 @@
 #include "src/hash/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/hash/sha256_shani.h"
+#include "src/mp/dispatch.h"
 
 namespace hcpp::hash {
 
 namespace {
-
-constexpr std::array<uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::array<uint32_t, 8> kInit = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                            0xa54ff53a, 0x510e527f, 0x9b05688c,
@@ -25,6 +16,59 @@ constexpr std::array<uint32_t, 8> kInit = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
 
 inline uint32_t rotr(uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
+}
+
+// The portable kernel: the fallback and the differential oracle of the
+// SHA-NI one.
+void compress_generic(uint32_t state[8], const uint8_t* block,
+                      size_t nblocks) noexcept {
+  for (; nblocks != 0; --nblocks, block += kSha256BlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
+             (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(block[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kSha256K[i] + w[i];
+      uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+// Whether blocks go to the SHA-NI kernel. Checked per call (two cached
+// loads), so HCPP_FORCE_GENERIC toggles take effect immediately.
+inline bool use_shani() noexcept {
+  return shani::compiled() && mp::cpu_features().sha && !mp::force_generic();
 }
 
 }  // namespace
@@ -35,83 +79,46 @@ void Sha256::reset() noexcept {
   buffer_len_ = 0;
 }
 
-void Sha256::compress(const uint8_t* block) noexcept {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::compress_blocks(const uint8_t* data, size_t n) noexcept {
+  if (n == 0) return;
+  auto* kernel = use_shani() ? shani::compress_blocks : compress_generic;
+  kernel(state_.data(), data, n);
 }
 
 void Sha256::update(BytesView data) noexcept {
   if (data.empty()) return;  // an empty view may carry a null data()
   total_len_ += data.size();
-  size_t offset = 0;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   if (buffer_len_ != 0) {
-    size_t take = std::min(kSha256BlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    size_t take = std::min(kSha256BlockSize - buffer_len_, n);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
-    offset = take;
-    if (buffer_len_ == kSha256BlockSize) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kSha256BlockSize) return;
+    compress_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
+    p += take;
+    n -= take;
   }
-  while (offset + kSha256BlockSize <= data.size()) {
-    compress(data.data() + offset);
-    offset += kSha256BlockSize;
-  }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffer_len_ = data.size() - offset;
-  }
+  compress_blocks(p, n / kSha256BlockSize);
+  buffer_len_ = n % kSha256BlockSize;
+  std::memcpy(buffer_.data(), p + (n - buffer_len_), buffer_len_);
 }
 
 Digest Sha256::finish() noexcept {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad[kSha256BlockSize * 2] = {0x80};
-  size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  update(BytesView(pad, pad_len));
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  // 0x80, zeros up to 56 mod 64, the 64-bit big-endian bit length; a tail of
+  // 56 bytes or more spills the padding into a second block.
+  buffer_[buffer_len_] = 0x80;
+  std::fill(buffer_.begin() + buffer_len_ + 1, buffer_.end(), 0);
+  if (buffer_len_ >= kSha256BlockSize - 8) {
+    compress_blocks(buffer_.data(), 1);
+    buffer_.fill(0);
   }
-  // update() above may have mutated total_len_, which no longer matters.
-  update(BytesView(len_be, 8));
+  uint64_t bit_len = total_len_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress_blocks(buffer_.data(), 1);
   Digest d;
   for (int i = 0; i < 8; ++i) {
     d[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
@@ -131,6 +138,10 @@ Digest sha256(BytesView data) noexcept {
 Bytes sha256_bytes(BytesView data) {
   Digest d = sha256(data);
   return Bytes(d.begin(), d.end());
+}
+
+const char* sha256_kernel_name() noexcept {
+  return use_shani() ? "sha-ni" : "generic";
 }
 
 }  // namespace hcpp::hash

@@ -25,7 +25,9 @@ class Sha256 {
   Digest finish() noexcept;
 
  private:
-  void compress(const uint8_t* block) noexcept;
+  /// Absorbs `n` whole blocks through the host's kernel (SHA-NI or
+  /// portable, picked per call like the other dispatched kernels).
+  void compress_blocks(const uint8_t* data, size_t n) noexcept;
 
   std::array<uint32_t, 8> state_{};
   uint64_t total_len_ = 0;
@@ -37,5 +39,9 @@ class Sha256 {
 Digest sha256(BytesView data) noexcept;
 /// One-shot digest as a Bytes buffer (convenient for concat/xor pipelines).
 Bytes sha256_bytes(BytesView data);
+
+/// The compression kernel Sha256 uses on this host right now: "sha-ni" or
+/// "generic". Benchmarks record this in their JSON context.
+[[nodiscard]] const char* sha256_kernel_name() noexcept;
 
 }  // namespace hcpp::hash

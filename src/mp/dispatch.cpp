@@ -17,15 +17,18 @@ CpuFeatures detect() {
   CpuFeatures f;
 #ifdef HCPP_DISPATCH_X86_64
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  unsigned a1 = 0, b1 = 0, c1 = 0, d1 = 0;
+  __cpuid(1, a1, b1, c1, d1);
   if (__get_cpuid_max(0, nullptr) >= 7) {
     __cpuid_count(7, 0, eax, ebx, ecx, edx);
     f.bmi2 = (ebx & bit_BMI2) != 0;
     f.adx = (ebx & bit_ADX) != 0;
     f.avx2 = (ebx & bit_AVX2) != 0;
+    // The SHA-NI kernel also byte-shuffles (SSSE3) and blends (SSE4.1).
+    f.sha = (ebx & bit_SHA) != 0 && (c1 & bit_SSSE3) != 0 &&
+            (c1 & bit_SSE4_1) != 0;
     // AVX2 additionally needs OS support for YMM state (XCR0 bits 1..2).
     if (f.avx2) {
-      unsigned a1 = 0, b1 = 0, c1 = 0, d1 = 0;
-      __cpuid(1, a1, b1, c1, d1);
       bool osxsave = (c1 & bit_OSXSAVE) != 0;
       if (!osxsave) {
         f.avx2 = false;

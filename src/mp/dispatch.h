@@ -3,10 +3,11 @@
 //
 // The library is compiled once and must run correctly on any x86-64, so the
 // fast kernels (MULX/ADX Montgomery in src/mp, 4-way AVX2 ChaCha20 in
-// src/cipher) are selected at runtime: CPUID is queried once per process and
-// the result cached. Each accelerated translation unit is built with the
-// matching -m flags but only ever entered after a positive runtime check, so
-// no illegal instruction can execute on older hardware.
+// src/cipher, SHA-NI SHA-256 in src/hash) are selected at runtime: CPUID is
+// queried once per process and the result cached. Each accelerated
+// translation unit is built with the matching -m flags but only ever entered
+// after a positive runtime check, so no illegal instruction can execute on
+// older hardware.
 //
 // HCPP_FORCE_GENERIC=1 in the environment forces every dispatcher back to the
 // portable path. This is the differential-testing knob: the same binary runs
@@ -20,6 +21,7 @@ struct CpuFeatures {
   bool bmi2 = false;  // MULX
   bool adx = false;   // ADCX/ADOX
   bool avx2 = false;
+  bool sha = false;  // SHA-NI (with the SSSE3/SSE4.1 it needs)
 };
 
 // CPUID-derived feature flags, detected once and cached. All-false on

@@ -4,8 +4,8 @@
 
 namespace hcpp::prf {
 
-FeistelPrp::FeistelPrp(Bytes key, size_t width_bytes)
-    : key_(std::move(key)), mac_(key_), width_(width_bytes) {
+FeistelPrp::FeistelPrp(BytesView key, size_t width_bytes)
+    : mac_(key), width_(width_bytes) {
   if (width_ < 2) {
     throw std::invalid_argument("FeistelPrp: width must be >= 2 bytes");
   }
@@ -27,36 +27,25 @@ Bytes FeistelPrp::round_value(int round, BytesView half,
   return full;
 }
 
-Bytes FeistelPrp::forward(BytesView in) const {
+Bytes FeistelPrp::forward(BytesView in) const { return permute(in, false); }
+
+Bytes FeistelPrp::inverse(BytesView in) const { return permute(in, true); }
+
+Bytes FeistelPrp::permute(BytesView in, bool inverse) const {
   if (in.size() != width_) {
-    throw std::invalid_argument("FeistelPrp::forward: width mismatch");
+    throw std::invalid_argument("FeistelPrp: width mismatch");
   }
   size_t l = width_ / 2;
   Bytes left(in.begin(), in.begin() + static_cast<ptrdiff_t>(l));
   Bytes right(in.begin() + static_cast<ptrdiff_t>(l), in.end());
-  for (int round = 0; round < kRounds; ++round) {
-    Bytes f = round_value(round, right, left.size());
-    for (size_t i = 0; i < left.size(); ++i) left[i] ^= f[i];
-    std::swap(left, right);
+  // The inverse runs the rounds backwards, swapping the halves first.
+  for (int i = 0; i < kRounds; ++i) {
+    if (inverse) std::swap(left, right);
+    Bytes f = round_value(inverse ? kRounds - 1 - i : i, right, left.size());
+    for (size_t k = 0; k < left.size(); ++k) left[k] ^= f[k];
+    if (!inverse) std::swap(left, right);
   }
   // kRounds is even, so halves are back in their original positions.
-  Bytes out = left;
-  append(out, right);
-  return out;
-}
-
-Bytes FeistelPrp::inverse(BytesView in) const {
-  if (in.size() != width_) {
-    throw std::invalid_argument("FeistelPrp::inverse: width mismatch");
-  }
-  size_t l = width_ / 2;
-  Bytes left(in.begin(), in.begin() + static_cast<ptrdiff_t>(l));
-  Bytes right(in.begin() + static_cast<ptrdiff_t>(l), in.end());
-  for (int round = kRounds - 1; round >= 0; --round) {
-    std::swap(left, right);
-    Bytes f = round_value(round, right, left.size());
-    for (size_t i = 0; i < left.size(); ++i) left[i] ^= f[i];
-  }
   Bytes out = left;
   append(out, right);
   return out;
@@ -71,13 +60,12 @@ int even_bit_width(uint64_t n) noexcept {
 }
 }  // namespace
 
-SmallDomainPrp::SmallDomainPrp(Bytes key, uint64_t domain_size)
-    : key_(std::move(key)), mac_(key_), n_(domain_size) {
+SmallDomainPrp::SmallDomainPrp(BytesView key, uint64_t domain_size)
+    : mac_(key), n_(domain_size) {
   if (n_ < 2) {
     throw std::invalid_argument("SmallDomainPrp: domain must be >= 2");
   }
-  bits_ = even_bit_width(n_);
-  left_bits_ = bits_ / 2;
+  left_bits_ = even_bit_width(n_) / 2;
 }
 
 namespace {
@@ -99,10 +87,8 @@ uint64_t SmallDomainPrp::round_once(uint64_t x) const {
   uint64_t left = x >> hb;
   uint64_t right = x & mask;
   for (int round = 0; round < kRounds; ++round) {
-    uint64_t new_left = right;
-    uint64_t new_right = left ^ feistel_f(mac_, round, right, hb);
-    left = new_left;
-    right = new_right;
+    left ^= feistel_f(mac_, round, right, hb);
+    std::swap(left, right);
   }
   return (left << hb) | right;
 }
@@ -113,10 +99,8 @@ uint64_t SmallDomainPrp::unround_once(uint64_t y) const {
   uint64_t left = y >> hb;
   uint64_t right = y & mask;
   for (int round = kRounds - 1; round >= 0; --round) {
-    uint64_t prev_right = left;
-    uint64_t prev_left = right ^ feistel_f(mac_, round, prev_right, hb);
-    left = prev_left;
-    right = prev_right;
+    std::swap(left, right);
+    left ^= feistel_f(mac_, round, right, hb);
   }
   return (left << hb) | right;
 }

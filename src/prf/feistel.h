@@ -22,7 +22,7 @@ namespace hcpp::prf {
 class FeistelPrp {
  public:
   /// `width_bytes` >= 2. 8 Feistel rounds.
-  FeistelPrp(Bytes key, size_t width_bytes);
+  FeistelPrp(BytesView key, size_t width_bytes);
 
   /// Permutes `in` (must be exactly width bytes).
   [[nodiscard]] Bytes forward(BytesView in) const;
@@ -33,8 +33,8 @@ class FeistelPrp {
 
  private:
   Bytes round_value(int round, BytesView half, size_t out_len) const;
+  Bytes permute(BytesView in, bool inverse) const;
 
-  Bytes key_;
   hash::HmacKey mac_;
   size_t width_;
   static constexpr int kRounds = 8;
@@ -43,7 +43,7 @@ class FeistelPrp {
 class SmallDomainPrp {
  public:
   /// Permutation over [0, domain_size), domain_size >= 2.
-  SmallDomainPrp(Bytes key, uint64_t domain_size);
+  SmallDomainPrp(BytesView key, uint64_t domain_size);
 
   [[nodiscard]] uint64_t forward(uint64_t x) const;
   [[nodiscard]] uint64_t inverse(uint64_t y) const;
@@ -51,14 +51,12 @@ class SmallDomainPrp {
   [[nodiscard]] uint64_t domain_size() const noexcept { return n_; }
 
  private:
-  uint64_t round_once(uint64_t x) const;    // PRP over [0, 2^bits_)
+  uint64_t round_once(uint64_t x) const;    // PRP over [0, 4^left_bits_)
   uint64_t unround_once(uint64_t y) const;  // its inverse
 
-  Bytes key_;
   hash::HmacKey mac_;
   uint64_t n_;
-  int bits_;       // ceil(log2 n), >= 2
-  int left_bits_;  // bits_/2
+  int left_bits_;  // half of the smallest even bit width covering n, >= 1
   static constexpr int kRounds = 6;
 };
 

@@ -129,8 +129,20 @@ SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
   for (const PlainFile& f : files) {
     for (const std::string& kw : f.keywords) postings[kw].push_back(f.id);
   }
-  size_t total_nodes = 0;
-  for (const auto& [kw, fids] : postings) total_nodes += fids.size();
+  // Keyword i's list is nodes [start, start + |L_i|) of one counter that
+  // runs over the keywords in order; node ctr lives at address φ(ctr).
+  struct List {
+    const std::string* kw;
+    const std::vector<FileId>* fids;
+    uint64_t start;
+  };
+  std::vector<List> lists;
+  lists.reserve(postings.size());
+  uint64_t total_nodes = 0;
+  for (const auto& [kw, fids] : postings) {
+    lists.push_back({&kw, &fids, total_nodes});
+    total_nodes += fids.size();
+  }
 
   SecureIndex si;
   size_t array_size = std::max<size_t>(
@@ -139,92 +151,62 @@ SecureIndex build_index(std::span<const PlainFile> files, const Keys& keys,
   si.array_a.assign(array_size, Bytes());
   prf::SmallDomainPrp phi(keys.a, array_size);
   TrapdoorGen gen(keys);
+  // Writes one keyword's encrypted nodes into A and returns its entry
+  // T[ϖ_c(kw)] = (head_addr ‖ λ_0) ⊕ f_b(kw). φ runs once per node: the head
+  // address is the first node's, and each node's next address is the next
+  // node's own.
+  auto write_list = [&](const List& list, RandomSource& rng) {
+    const std::vector<FileId>& fids = *list.fids;
+    Bytes lambda_prev = rng.bytes(kKeyLen);  // λ_{i,0}
+    uint64_t addr = phi.forward(list.start);
+    Bytes entry;
+    for (int s = 56; s >= 0; s -= 8) {
+      entry.push_back(static_cast<uint8_t>(addr >> s));
+    }
+    append(entry, lambda_prev);
+    std::pair<std::string, Bytes> out(hex_encode(gen.address(*list.kw)),
+                                      xor_bytes(entry, gen.mask(*list.kw)));
+    for (size_t j = 0; j < fids.size(); ++j) {
+      bool has_next = (j + 1 < fids.size());
+      uint64_t next_addr = has_next ? phi.forward(list.start + j + 1) : 0;
+      Bytes lambda_next = has_next ? rng.bytes(kKeyLen) : Bytes(kKeyLen, 0);
+      Bytes node = encode_node(has_next, fids[j], lambda_next, next_addr);
+      si.array_a[addr] = crypt_node(lambda_prev, node);
+      lambda_prev = std::move(lambda_next);
+      addr = next_addr;
+    }
+    return out;
+  };
 
   if (pool == nullptr || pool->size() <= 1) {
     // Legacy serial schedule, byte-for-byte: one rng stream, postings order.
     // A size-1 pool takes this path too, so "single-threaded" always means
     // the exact serial bytes (DESIGN.md §9).
-    uint64_t ctr = 0;
-    for (const auto& [kw, fids] : postings) {
-      Bytes lambda_prev = rng.bytes(kKeyLen);  // λ_{i,0}
-      uint64_t head_addr = phi.forward(ctr);
-      // T[ϖ_c(kw)] = (head_addr ‖ λ_{i,0}) ⊕ f_b(kw)
-      Bytes entry;
-      for (int s = 56; s >= 0; s -= 8) {
-        entry.push_back(static_cast<uint8_t>(head_addr >> s));
-      }
-      append(entry, lambda_prev);
-      Bytes masked = xor_bytes(entry, gen.mask(kw));
-      si.table_t[hex_encode(gen.address(kw))] = masked;
-
-      for (size_t j = 0; j < fids.size(); ++j) {
-        uint64_t addr = phi.forward(ctr);
-        ++ctr;
-        bool has_next = (j + 1 < fids.size());
-        uint64_t next_addr = has_next ? phi.forward(ctr) : 0;
-        Bytes lambda_next = has_next ? rng.bytes(kKeyLen) : Bytes(kKeyLen, 0);
-        Bytes node = encode_node(has_next, fids[j], lambda_next, next_addr);
-        si.array_a[addr] = crypt_node(lambda_prev, node);
-        lambda_prev = lambda_next;
-      }
-    }
+    for (const List& list : lists) si.table_t.insert(write_list(list, rng));
     for (Bytes& slot : si.array_a) {
       if (slot.empty()) slot = rng.bytes(kNodeSize);
     }
     return si;
   }
 
-  // Sharded build. Keyword i owns the node-counter range
-  // [node_start[i], node_start[i] + |L_i|) — the same ctr values the serial
-  // schedule would use — so φ scatters nodes to the same distinct addresses
-  // regardless of thread count, and every array write lands on a slot no
-  // other worker touches. Only λ keys and padding come from the forked
-  // per-shard streams; the index *structure* is thread-count-invariant.
-  std::vector<std::pair<const std::string*, const std::vector<FileId>*>> kws;
-  kws.reserve(postings.size());
-  std::vector<uint64_t> node_start;
-  node_start.reserve(postings.size());
-  uint64_t acc = 0;
-  for (const auto& [kw, fids] : postings) {
-    kws.emplace_back(&kw, &fids);
-    node_start.push_back(acc);
-    acc += fids.size();
-  }
-
-  size_t kw_shards = pool->shard_count(kws.size());
+  // Sharded build. Each keyword keeps its node-counter range — the same ctr
+  // values the serial schedule uses — so φ scatters nodes to the same
+  // distinct addresses regardless of thread count, and every array write
+  // lands on a slot no other worker touches. Only λ keys and padding come
+  // from the forked per-shard streams; the index *structure* is
+  // thread-count-invariant.
+  size_t kw_shards = pool->shard_count(lists.size());
   std::vector<cipher::Drbg> kw_streams = fork_streams(rng, kw_shards);
   // Per-shard table entries, merged serially after the barrier (the
   // unordered_map is not safe for concurrent insertion).
   std::vector<std::vector<std::pair<std::string, Bytes>>> shard_entries(
       kw_shards);
-  pool->for_shards(kws.size(), [&](size_t shard, size_t begin, size_t end) {
+  pool->for_shards(lists.size(), [&](size_t shard, size_t begin, size_t end) {
     cipher::Drbg& srng = kw_streams[shard];
     auto& entries = shard_entries[shard];
     entries.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      const std::string& kw = *kws[i].first;
-      const std::vector<FileId>& fids = *kws[i].second;
-      uint64_t ctr = node_start[i];
-      Bytes lambda_prev = srng.bytes(kKeyLen);
-      uint64_t head_addr = phi.forward(ctr);
-      Bytes entry;
-      for (int s = 56; s >= 0; s -= 8) {
-        entry.push_back(static_cast<uint8_t>(head_addr >> s));
-      }
-      append(entry, lambda_prev);
-      entries.emplace_back(hex_encode(gen.address(kw)),
-                           xor_bytes(entry, gen.mask(kw)));
-
-      for (size_t j = 0; j < fids.size(); ++j) {
-        uint64_t addr = phi.forward(ctr);
-        ++ctr;
-        bool has_next = (j + 1 < fids.size());
-        uint64_t next_addr = has_next ? phi.forward(ctr) : 0;
-        Bytes lambda_next = has_next ? srng.bytes(kKeyLen) : Bytes(kKeyLen, 0);
-        Bytes node = encode_node(has_next, fids[j], lambda_next, next_addr);
-        si.array_a[addr] = crypt_node(lambda_prev, node);
-        lambda_prev = lambda_next;
-      }
+      entries.push_back(write_list(lists[i], srng));
     }
   });
   for (auto& entries : shard_entries) {

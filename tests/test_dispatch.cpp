@@ -1,6 +1,7 @@
 // Differential tests for the runtime-dispatched vectorized kernels: the
 // same binary runs each case twice — HCPP_FORCE_GENERIC off (the host's
-// fastest variant: MULX/ADX Montgomery, 4-way AVX2 ChaCha20) and on (the
+// fastest variant: MULX/ADX Montgomery, 4-way AVX2 ChaCha20, SHA-NI
+// SHA-256) and on (the
 // portable oracle) — and every output must be byte/limb-identical. On hosts
 // without the CPU extensions both runs take the generic path and the tests
 // degrade to self-consistency checks, so the suite passes everywhere.
@@ -13,6 +14,8 @@
 #include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
 #include "src/curve/params.h"
+#include "src/hash/hmac.h"
+#include "src/hash/sha256.h"
 #include "src/mp/dispatch.h"
 #include "src/mp/mont.h"
 #include "src/mp/u512.h"
@@ -422,6 +425,159 @@ TEST(DispatchMont, BatchInvAndInvMatchForcedGeneric) {
       EXPECT_EQ(fast.inv(xs[i]), slow.inv(xs[i])) << "slot " << i;
     }
   }
+}
+
+// ---- SHA-256: SHA-NI kernel vs the portable compression function ---------
+//
+// Every SHA-256 caller (HMAC, the PRF/PRP stack, AEAD, HKDF, frame checksums,
+// ledger hashes) goes through Sha256::update/finish, so these cases drive
+// that one entry under both kernels: known answers, random messages fed in
+// random chunks (aligned and unaligned block runs), every length across the
+// one- and two-block padding, and a copied mid-state as HmacKey keeps it.
+
+std::string hex(const hash::Digest& d) {
+  return hex_encode(BytesView(d.data(), d.size()));
+}
+
+TEST(DispatchSha256, KnownAnswersBothVariants) {
+  for (bool forced : {false, true}) {
+    ForceGenericGuard guard(forced);
+    SCOPED_TRACE(hash::sha256_kernel_name());
+    EXPECT_EQ(
+        hex(hash::sha256(Bytes{})),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(
+        hex(hash::sha256(to_bytes("abc"))),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(
+        hex(hash::sha256(to_bytes(
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    hash::Sha256 h;
+    Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(
+        hex(h.finish()),
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+    // RFC 4231 cases 1, 2 and 6 (key longer than a block).
+    EXPECT_EQ(
+        hex_encode(hash::hmac_sha256(Bytes(20, 0x0b), to_bytes("Hi There"))),
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    EXPECT_EQ(
+        hex_encode(hash::hmac_sha256(
+            to_bytes("Jefe"), to_bytes("what do ya want for nothing?"))),
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    EXPECT_EQ(
+        hex_encode(hash::hmac_sha256(
+            Bytes(131, 0xaa),
+            to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  }
+}
+
+Bytes splitmix_bytes(SplitMix& g, size_t len) {
+  Bytes out(len);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(g.next());
+  return out;
+}
+
+TEST(DispatchSha256, RandomChunkedMessagesMatchAcrossVariants) {
+  SplitMix g{0x5A256u};
+  int mismatches = 0;
+  for (int m = 0; m < 10000; ++m) {
+    Bytes msg = splitmix_bytes(g, g.next() % 1001);
+    // Random split points, shared by both variants.
+    std::vector<size_t> cuts;
+    for (size_t at = 0; at < msg.size();) {
+      at = std::min(msg.size(), at + 1 + g.next() % 200);
+      cuts.push_back(at);
+    }
+    hash::Digest digests[2];
+    hash::Digest one_shot{};
+    for (bool forced : {false, true}) {
+      ForceGenericGuard guard(forced);
+      hash::Sha256 h;
+      size_t from = 0;
+      for (size_t to : cuts) {
+        h.update(BytesView(msg).subspan(from, to - from));
+        from = to;
+      }
+      digests[forced] = h.finish();
+      if (forced) one_shot = hash::sha256(msg);
+    }
+    if ((digests[0] != digests[1] || digests[1] != one_shot) &&
+        mismatches++ == 0) {
+      ADD_FAILURE() << "message #" << m << " of " << msg.size() << " bytes";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(DispatchSha256, EveryLengthAcrossThePaddingBlocks) {
+  SplitMix g{0x0B10C5u};
+  Bytes msg = splitmix_bytes(g, 130);
+  Bytes all_digests;
+  for (size_t len = 0; len <= msg.size(); ++len) {
+    BytesView m = BytesView(msg).subspan(0, len);
+    hash::Digest fast, slow;
+    {
+      ForceGenericGuard guard(false);
+      fast = hash::sha256(m);
+    }
+    {
+      ForceGenericGuard guard(true);
+      slow = hash::sha256(m);
+    }
+    EXPECT_EQ(fast, slow) << "len=" << len;
+    all_digests.insert(all_digests.end(), slow.begin(), slow.end());
+  }
+  // SHA-256 of the 131 digests, computed independently (Python hashlib), so
+  // a padding bug shared by both kernels cannot pass either.
+  EXPECT_EQ(
+      hex(hash::sha256(all_digests)),
+      "12e4961fc8ec376f1ed1391f44715223cc940badb8ac1d825e1ecd7c90fbef99");
+}
+
+TEST(DispatchSha256, CopiedMidStateContinuesUnderEitherKernel) {
+  // HmacKey's shape: absorb one key block, copy the midstate, finish the
+  // copies on short messages — here with the prefix and the continuation
+  // each run on either kernel.
+  SplitMix g{0x11D57A7Eu};
+  Bytes block = splitmix_bytes(g, 64);
+  Bytes prefix_tail = splitmix_bytes(g, 23);
+  for (size_t len : {0, 9, 55, 56, 64, 100}) {
+    Bytes msg = splitmix_bytes(g, len);
+    std::vector<hash::Digest> digests;
+    for (bool prefix_forced : {false, true}) {
+      hash::Sha256 mid;
+      {
+        ForceGenericGuard guard(prefix_forced);
+        mid.update(block);
+        mid.update(prefix_tail);
+      }
+      for (bool rest_forced : {false, true}) {
+        ForceGenericGuard guard(rest_forced);
+        hash::Sha256 copy = mid;
+        copy.update(msg);
+        digests.push_back(copy.finish());
+      }
+    }
+    for (const hash::Digest& d : digests) {
+      EXPECT_EQ(d, digests.front()) << "len=" << len;
+    }
+    EXPECT_EQ(digests.front(),
+              hash::sha256(concat(block, prefix_tail, msg)));
+  }
+}
+
+TEST(DispatchSha256, KernelNameReflectsForcedGeneric) {
+  {
+    ForceGenericGuard guard(true);
+    EXPECT_STREQ(hash::sha256_kernel_name(), "generic");
+  }
+  ForceGenericGuard guard(false);
+  EXPECT_STREQ(hash::sha256_kernel_name(),
+               mp::cpu_features().sha ? "sha-ni" : "generic");
 }
 
 }  // namespace

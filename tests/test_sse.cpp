@@ -8,6 +8,8 @@
 
 #include "src/cipher/drbg.h"
 #include "src/core/record.h"
+#include "src/hash/sha256.h"
+#include "src/par/pool.h"
 #include "src/sse/sse.h"
 
 namespace hcpp::sse {
@@ -217,6 +219,41 @@ TEST(Sse, MultiKeywordFilesAppearInEachList) {
   SecureIndex si = build_index(files, keys, rng);
   for (const std::string& kw : f.keywords) {
     EXPECT_EQ(search(si, make_trapdoor(keys, kw)), std::vector<FileId>{7});
+  }
+}
+
+// SHA-256 over every array slot in order, then every table entry (key, value)
+// in sorted key order: a digest of the complete index bytes.
+std::string index_digest(const SecureIndex& si) {
+  hash::Sha256 h;
+  for (const Bytes& slot : si.array_a) h.update(slot);
+  std::map<std::string, Bytes> table(si.table_t.begin(), si.table_t.end());
+  for (const auto& [key, value] : table) {
+    h.update(to_bytes(key));
+    h.update(value);
+  }
+  hash::Digest d = h.finish();
+  return hex_encode(BytesView(d.data(), d.size()));
+}
+
+// The serial and the 4-worker index for fixed files and a fixed Drbg seed,
+// pinned at commit 71dd79c, where φ was evaluated twice for every node but
+// the head and SHA-256 ran only on the portable kernel. Reusing each node's
+// next address and the SHA-NI kernel must not change a byte.
+TEST(Sse, IndexBytesPinnedAcrossBuildSchedules) {
+  auto files = sample_files(64, "sse-pin");
+  const std::pair<size_t, const char*> kPinned[] = {
+      {1,
+       "64add12000d91b1a78c903d250cab01b11e94428932fa14e1449e89b4f26eac9"},
+      {4,
+       "39c308cbaa5f18be41eac81925ed17fde1d23e31e4f0c9b95523b8caa7f7c2eb"},
+  };
+  for (const auto& [workers, expected] : kPinned) {
+    cipher::Drbg rng(to_bytes("sse-pin-rng"));
+    Keys keys = Keys::generate(rng);
+    par::ThreadPool pool(workers, "pin");
+    SecureIndex si = build_index(files, keys, rng, 1.25, &pool);
+    EXPECT_EQ(index_digest(si), expected) << workers << " workers";
   }
 }
 

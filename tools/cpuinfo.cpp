@@ -1,8 +1,9 @@
 // Prints the host's detected CPU features and the kernel variants the
 // library dispatches to, as one JSON object on stdout:
 //
-//   {"bmi2": true, "adx": true, "avx2": true, "force_generic": false,
-//    "mont_kernel": "mulx-adx", "chacha_kernel": "avx2"}
+//   {"bmi2": true, "adx": true, "avx2": true, "sha": true,
+//    "force_generic": false, "mont_kernel": "mulx-adx",
+//    "chacha_kernel": "avx2", "sha256_kernel": "sha-ni"}
 //
 // tools/run_benchmarks.sh runs this and injects the result into the context
 // block of every BENCH_*.json, so throughput numbers are comparable across
@@ -10,17 +11,20 @@
 #include <cstdio>
 
 #include "src/cipher/chacha20.h"
+#include "src/hash/sha256.h"
 #include "src/mp/dispatch.h"
 #include "src/mp/mont.h"
 
 int main() {
   const hcpp::mp::CpuFeatures& f = hcpp::mp::cpu_features();
   std::printf(
-      "{\"bmi2\": %s, \"adx\": %s, \"avx2\": %s, \"force_generic\": %s, "
-      "\"mont_kernel\": \"%s\", \"chacha_kernel\": \"%s\"}\n",
+      "{\"bmi2\": %s, \"adx\": %s, \"avx2\": %s, \"sha\": %s, "
+      "\"force_generic\": %s, \"mont_kernel\": \"%s\", "
+      "\"chacha_kernel\": \"%s\", \"sha256_kernel\": \"%s\"}\n",
       f.bmi2 ? "true" : "false", f.adx ? "true" : "false",
-      f.avx2 ? "true" : "false",
+      f.avx2 ? "true" : "false", f.sha ? "true" : "false",
       hcpp::mp::force_generic() ? "true" : "false",
-      hcpp::mp::mont_kernel_name(), hcpp::cipher::chacha20_kernel_name());
+      hcpp::mp::mont_kernel_name(), hcpp::cipher::chacha20_kernel_name(),
+      hcpp::hash::sha256_kernel_name());
   return 0;
 }

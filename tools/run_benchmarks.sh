@@ -85,13 +85,14 @@ for bin in bench_computation bench_protocols bench_throughput bench_ledger \
 done
 
 # CPU feature flags and the kernel variants the dispatcher selected on this
-# host (mont: generic|mulx-adx, chacha: generic|avx2). Injected into every
-# report's context below so numbers are attributable to a kernel.
+# host (mont: generic|mulx-adx, chacha: generic|avx2, sha256: generic|sha-ni).
+# Injected into every report's context below so numbers are attributable to
+# a kernel.
 cpuinfo_json="$("$build_dir/tools/hcpp_cpuinfo")"
 echo "cpuinfo: $cpuinfo_json"
 
-# Adds {"cpu_features": {...}, "mont_kernel": ..., "chacha_kernel": ...} to
-# the "context" object of the report named in $1.
+# Adds {"cpu_features": {...}, "mont_kernel": ..., "chacha_kernel": ...,
+# "sha256_kernel": ...} to the "context" object of the report named in $1.
 inject_cpuinfo() {
   python3 - "$1" "$cpuinfo_json" <<'EOF'
 import json, sys
@@ -99,9 +100,10 @@ path, info = sys.argv[1], json.loads(sys.argv[2])
 with open(path) as f:
     report = json.load(f)
 ctx = report.setdefault("context", {})
-ctx["cpu_features"] = {k: info[k] for k in ("bmi2", "adx", "avx2")}
+ctx["cpu_features"] = {k: info[k] for k in ("bmi2", "adx", "avx2", "sha")}
 ctx["mont_kernel"] = info["mont_kernel"]
 ctx["chacha_kernel"] = info["chacha_kernel"]
+ctx["sha256_kernel"] = info["sha256_kernel"]
 with open(path, "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
