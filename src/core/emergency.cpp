@@ -38,8 +38,7 @@ Result<std::vector<sse::PlainFile>> privileged_round(
   BeBlobRequest req1;
   req1.tp = pb.tp;
   req1.collection = pb.collection;
-  req1.t = net.clock().now();
-  req1.mac = protocol_mac(pb.nu, req1.kLabel, req1.body(), req1.t);
+  seal(req1, pb.nu, req1.kLabel, net.clock().now());
   uint32_t attempts = 0;  // both rounds, reported on any later error
   Result<BeBlobResponse> resp1 = call<BeBlobResponse>(
       net, actor, server, req1, "BE-blob request", pb.nu, &attempts);
@@ -76,8 +75,7 @@ Result<std::vector<sse::PlainFile>> privileged_round(
           sse::wrap_trapdoor(*d, gen.make(alias)));
     }
   }
-  req2.t = net.clock().now();
-  req2.mac = protocol_mac(pb.nu, req2.kLabel, req2.body(), req2.t);
+  seal(req2, pb.nu, req2.kLabel, net.clock().now());
   Result<RetrieveResponse> resp2 = call<RetrieveResponse>(
       net, actor, server, req2, "privileged retrieval", pb.nu, &attempts);
   if (!resp2.ok()) {
@@ -116,42 +114,21 @@ Result<std::vector<sse::PlainFile>> privileged_retrieve(
 std::optional<BeBlobResponse> SServer::handle_be_request(
     const BeBlobRequest& req) {
   obs::Span span("sserver:be_request");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  auto nu = admit(req);
+  if (!nu) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
   BeBlobResponse resp;
   resp.be_blob = acct->be_blob;
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
+  seal(resp, *nu, req.kLabel, net_->clock().now());
   return resp;
 }
 
 std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     const PrivilegedRetrieveRequest& req) {
   obs::Span span("sserver:privileged_retrieve");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  auto nu = admit(req);
+  if (!nu) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
 
@@ -165,8 +142,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
+  seal(resp, *nu, req.kLabel, net_->clock().now());
   return resp;
 }
 

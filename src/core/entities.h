@@ -171,6 +171,18 @@ class AServer {
   mutable cipher::Drbg rng_;
 };
 
+/// The MAC-then-freshness half of SServer::admit, under an already derived
+/// key: the MAC first, so unauthenticated bytes never enter `receiver`'s
+/// replay cache, then the freshness/replay guard of [26]. The batch SEARCH
+/// path (SearchService::search_batch_privileged) calls it with the ν values
+/// it derived in one batch.
+template <class Req>
+bool admit_with(sim::Network& net, const std::string& receiver,
+                const Req& req, BytesView key) {
+  return protocol_mac_ok(key, Req::kLabel, req.body(), req.t, req.mac) &&
+         net.accept_fresh(receiver, req.mac, req.t, kFreshnessWindowNs);
+}
+
 // ---------------------------------------------------------------------------
 /// Hospital storage server (§III.A): public, honest-but-curious. Stores
 /// per-pseudonym accounts of (SI, Λ, d, BE_U(d)) plus the MHI store, and
@@ -309,6 +321,14 @@ class SServer {
     Bytes ibe_blob;
   };
 
+  /// The one authenticated door every handle_* opens with (DESIGN.md §5):
+  /// the key the request type names — ν = ê(Γ_S, TPp) from req.tp, or, for
+  /// the role-keyed MHI requests that carry no pseudonym, ρ = ê(PK_r, Γ_S)
+  /// from req.role_id — then admit_with. Returns the key, to seal the
+  /// reply, or nullopt to refuse.
+  template <class Req>
+  std::optional<Bytes> admit(const Req& req);
+
   Account* find_account(BytesView tp, const std::string& collection);
 
   // Store key layout (DESIGN.md §12): an account spans one base record
@@ -351,6 +371,22 @@ class SServer {
   par::ThreadPool* mhi_pool_ = nullptr;
   store::AccountStore store_;  // unopened until attach_store()
 };
+
+template <class Req>
+std::optional<Bytes> SServer::admit(const Req& req) {
+  Bytes key;
+  try {
+    if constexpr (requires { req.tp; }) {
+      key = shared_key_for(req.tp);
+    } else {
+      key = nu_deriver_.with_point(ibc::Domain::public_key(*ctx_, req.role_id));
+    }
+  } catch (const std::exception&) {
+    return std::nullopt;  // malformed or small-order TPp
+  }
+  if (!admit_with(*net_, id_, req, key)) return std::nullopt;
+  return key;
+}
 
 // ---------------------------------------------------------------------------
 /// The privilege bundle of §IV.C's ASSIGN: everything family/P-device need
@@ -558,7 +594,8 @@ class PDevice {
   // ---- MHI (§IV.E.2) ----
   void collect_mhi(MhiWindow window);
   /// Encrypts each collected window under `role_id` with IBE, tags it with
-  /// PEKS keywords (the window's day plus `extra_keywords`), uploads.
+  /// PEKS keywords (the window's day plus `extra_keywords`), uploads —
+  /// through the same per-epoch encryptor as try_stream_mhi.
   Result<void> try_store_mhi(const AServer& authority, SServer& server,
                              const std::string& role_id,
                              std::span<const std::string> extra_keywords);
@@ -594,6 +631,16 @@ class PDevice {
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
 
  private:
+  /// The one MHI upload both entry points share: `window` encoded by the
+  /// streaming encryptor (started or rolled to `role_id`), sealed under ν,
+  /// sent as one MhiStoreRequest.
+  Result<void> send_mhi_window(const AServer& authority, SServer& server,
+                               const std::string& role_id,
+                               const MhiWindow& window,
+                               std::span<const std::string> extra_keywords,
+                               std::string_view what,
+                               uint32_t* attempts = nullptr);
+
   sim::Network* net_;
   std::string id_;
   std::optional<PrivilegeBundle> bundle_;

@@ -33,6 +33,16 @@ Bytes protocol_mac(BytesView key, std::string_view label, BytesView body,
 bool protocol_mac_ok(BytesView key, std::string_view label, BytesView body,
                      uint64_t timestamp_ns, BytesView mac);
 
+/// The send side of every MAC'd exchange (DESIGN.md §5): stamps `msg` with
+/// `now` and its MAC under `key`. A request seals under its own kLabel, a
+/// reply under its request's; open_reply (call.h) and SServer::admit are
+/// the receive sides.
+template <class M>
+void seal(M& msg, BytesView key, std::string_view label, uint64_t now) {
+  msg.t = now;
+  msg.mac = protocol_mac(key, label, msg.body(), now);
+}
+
 namespace wire {
 
 /// A body slot the signer and the recipient both already know (the

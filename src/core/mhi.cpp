@@ -3,7 +3,6 @@
 // emergency, the authenticated on-duty physician obtains Γr from the
 // A-server, computes TDr(kw), and the S-server returns the matching
 // role-encrypted windows. All exchanges ride the retrying transport.
-#include "src/cipher/aead.h"
 #include "src/core/call.h"
 #include "src/obs/trace.h"
 
@@ -38,29 +37,14 @@ Result<void> PDevice::try_store_mhi(
                            "P-device holds no privilege bundle");
   }
   obs::Span span("protocol:mhi_store");
-  Bytes nu = bundle_->nu;
   // Every window is attempted even after a failure — partial MHI coverage
   // beats none in an emergency. The worst outcome wins the returned error.
   bool any_rejected = false;
   bool any_timeout = false;
   uint32_t attempts = 0;
   for (const MhiWindow& win : mhi_) {
-    MhiStoreRequest req;
-    req.tp = bundle_->tp;
-    req.role_id = role_id;
-    req.ibe_blob =
-        ibc::ibe_encrypt(authority.pub(), role_id, win.to_bytes(), rng_)
-            .to_bytes();
-    std::vector<std::string> kws;
-    kws.push_back("day:" + win.day);
-    for (const std::string& kw : extra_keywords) kws.push_back(kw);
-    for (const std::string& kw : kws) {
-      req.peks_tags.push_back(
-          peks::peks_encrypt(authority.pub(), role_id, kw, rng_).to_bytes());
-    }
-    req.t = net_->clock().now();
-    req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
-    Result<void> r = call(*net_, id_, server, req, "MHI window", {}, &attempts);
+    Result<void> r = send_mhi_window(authority, server, role_id, win,
+                                     extra_keywords, "MHI window", &attempts);
     if (!r.ok()) {
       any_timeout |= r.error().transient();
       any_rejected |= !r.error().transient();
@@ -79,18 +63,7 @@ Result<void> PDevice::try_store_mhi(
 
 bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   obs::Span span("sserver:mhi_store");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req)) return false;
   MhiEntry entry;
   try {
     for (const Bytes& tag : req.peks_tags) {
@@ -151,8 +124,7 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
   req.physician_id = id_;
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  seal(req, rho, req.kLabel, net_->clock().now());
   Result<MhiRetrieveResponse> resp = call<MhiRetrieveResponse>(
       *net_, id_, server, req, "MHI retrieval", rho);
   if (!resp.ok()) return resp.error();
@@ -162,15 +134,8 @@ Result<std::vector<MhiWindow>> Physician::try_retrieve_mhi(
 std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
     const MhiRetrieveRequest& req) {
   obs::Span span("sserver:mhi_retrieve");
-  // Server side of ρ: ê(PK_r, Γ_S).
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  auto rho = admit(req);
+  if (!rho) return std::nullopt;
   peks::Trapdoor td;
   try {
     td = peks::Trapdoor::from_bytes(*ctx_, req.trapdoor);
@@ -199,8 +164,7 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
       if (hit) resp.ibe_blobs.push_back(entry.ibe_blob);
     }
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, req.kLabel, resp.body(), resp.t);
+  seal(resp, *rho, req.kLabel, net_->clock().now());
   return resp;
 }
 
@@ -214,6 +178,14 @@ Result<void> PDevice::try_stream_mhi(
                            "P-device holds no privilege bundle");
   }
   obs::Span span("protocol:mhi_stream");
+  return send_mhi_window(authority, server, role_id, window, extra_keywords,
+                         "streamed MHI window");
+}
+
+Result<void> PDevice::send_mhi_window(
+    const AServer& authority, SServer& server, const std::string& role_id,
+    const MhiWindow& window, std::span<const std::string> extra_keywords,
+    std::string_view what, uint32_t* attempts) {
   if (!mhi_ingestor_) {
     mhi_ingestor_.emplace(authority.pub(), role_id);
   } else if (mhi_ingestor_->role_id() != role_id) {
@@ -226,22 +198,13 @@ Result<void> PDevice::try_stream_mhi(
   req.role_id = role_id;
   req.peks_tags = std::move(enc.peks_tags);
   req.ibe_blob = std::move(enc.ibe_blob);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(bundle_->nu, req.kLabel, req.body(), req.t);
-  return call(*net_, id_, server, req, "streamed MHI window");
+  seal(req, bundle_->nu, req.kLabel, net_->clock().now());
+  return call(*net_, id_, server, req, what, {}, attempts);
 }
 
 bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
   obs::Span span("sserver:mhi_register");
-  // Server side of ρ — same role-based pairwise key as retrieval.
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req)) return false;
   peks::Trapdoor td;
   try {
     td = peks::Trapdoor::from_bytes(*ctx_, req.trapdoor);
@@ -255,20 +218,13 @@ bool SServer::handle_mhi_register(const MhiRegisterRequest& req) {
 std::optional<MhiHitsResponse> SServer::handle_mhi_hits(
     const MhiHitsRequest& req) {
   obs::Span span("sserver:mhi_hits");
-  curve::Point role_pk = ibc::Domain::public_key(*ctx_, req.role_id);
-  Bytes rho = nu_deriver_.with_point(role_pk);
-  if (!protocol_mac_ok(rho, req.kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  auto rho = admit(req);
+  if (!rho) return std::nullopt;
   MhiHitsResponse resp;
   for (MhiHit& hit : mhi_hub_.drain_hits(req.physician_id, req.role_id)) {
     resp.ibe_blobs.push_back(std::move(hit.ibe_blob));
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(rho, req.kLabel, resp.body(), resp.t);
+  seal(resp, *rho, req.kLabel, net_->clock().now());
   return resp;
 }
 
@@ -282,8 +238,7 @@ Result<void> Physician::try_register_mhi(SServer& server,
   req.physician_id = id_;
   req.role_id = role_id;
   req.trapdoor = peks::peks_trapdoor(*ctx_, role_key, keyword).to_bytes();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  seal(req, rho, req.kLabel, net_->clock().now());
   return call(*net_, id_, server, req, "MHI registration");
 }
 
@@ -295,8 +250,7 @@ Result<std::vector<MhiWindow>> Physician::try_fetch_mhi_hits(
   MhiHitsRequest req;
   req.physician_id = id_;
   req.role_id = role_id;
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(rho, req.kLabel, req.body(), req.t);
+  seal(req, rho, req.kLabel, net_->clock().now());
   Result<MhiHitsResponse> resp =
       call<MhiHitsResponse>(*net_, id_, server, req, "MHI hit drain", rho);
   if (!resp.ok()) return resp.error();

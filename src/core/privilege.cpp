@@ -51,29 +51,18 @@ Result<size_t> Patient::try_revoke_member(StorageTarget storage,
   req.tp = tp_bytes();
   req.collection = collection_;
   req.sealed = cipher::aead_encrypt(nu, inner.data(), {}, rng_);
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  seal(req, nu, req.kLabel, net_->clock().now());
   return mirror(*net_, name_, storage.holders(req.tp), req, "revocation");
 }
 
 bool SServer::handle_revoke(const RevokeRequest& req) {
   obs::Span span("sserver:revoke");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  auto nu = admit(req);
+  if (!nu) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
   try {
-    Bytes inner = cipher::aead_decrypt(nu, req.sealed, {});
+    Bytes inner = cipher::aead_decrypt(*nu, req.sealed, {});
     io::Reader r(inner);
     acct->d = r.bytes();
     acct->be_blob = r.bytes();

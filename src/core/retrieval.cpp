@@ -65,8 +65,7 @@ Result<std::vector<sse::PlainFile>> Patient::try_retrieve(
       storage.holders(req.tp), obs::kSGroupFailover, "retrieval",
       [&](SServer& server) -> Result<std::vector<sse::PlainFile>> {
         // A fresh timestamp/MAC per replica keeps replay caches honest.
-        req.t = net_->clock().now();
-        req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+        seal(req, nu, req.kLabel, net_->clock().now());
         Result<RetrieveResponse> resp =
             call<RetrieveResponse>(*net_, name_, server, req, "retrieval", nu);
         if (!resp.ok()) return resp.error();
@@ -83,8 +82,7 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
   req.collection = collection_;
   req.trapdoors = make_trapdoor_blobs(keywords);
   Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  seal(req, nu, req.kLabel, net_->clock().now());
   Result<RetrieveResponse> resp = call<RetrieveResponse>(
       onion, rng_, name_, server, req, "anonymous retrieval", nu);
   if (!resp.ok()) return {};
@@ -94,18 +92,8 @@ std::vector<sse::PlainFile> Patient::retrieve_anonymous(
 std::optional<RetrieveResponse> SServer::handle_retrieve(
     const RetrieveRequest& req) {
   obs::Span span("sserver:retrieve");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return std::nullopt;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
+  auto nu = admit(req);
+  if (!nu) return std::nullopt;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return std::nullopt;
 
@@ -117,8 +105,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
-  resp.t = net_->clock().now();
-  resp.mac = protocol_mac(nu, req.kLabel, resp.body(), resp.t);
+  seal(resp, *nu, req.kLabel, net_->clock().now());
   return resp;
 }
 

@@ -156,19 +156,14 @@ SearchService::search_batch_privileged(
   }
   std::vector<Bytes> nus = server.nu_deriver().with_points(peers, pool_);
 
-  // Stage 2: MAC and freshness in arrival order — the replay cache mutates,
-  // so a duplicate inside the batch is rejected exactly as if it had
-  // arrived one request later.
+  // Stage 2: admit_with, SServer::admit's MAC and freshness half, in
+  // arrival order — the replay cache mutates, so a duplicate inside the
+  // batch is rejected exactly as if it had arrived one request later.
   std::vector<const Bytes*> accepted_nu(reqs.size(), nullptr);
   for (size_t k = 0; k < keyed.size(); ++k) {
-    const PrivilegedRetrieveRequest& req = reqs[keyed[k]];
-    if (!protocol_mac_ok(nus[k], req.kLabel, req.body(), req.t, req.mac)) {
-      continue;
+    if (admit_with(net, server.id(), reqs[keyed[k]], nus[k])) {
+      accepted_nu[keyed[k]] = &nus[k];
     }
-    if (!net.accept_fresh(server.id(), req.mac, req.t, kFreshnessWindowNs)) {
-      continue;
-    }
-    accepted_nu[keyed[k]] = &nus[k];
   }
 
   // Stage 3: answer the accepted queries from the snapshot, parallel over
@@ -192,9 +187,7 @@ SearchService::search_batch_privileged(
         resp.files.emplace_back(id, fit->second);
       }
     }
-    resp.t = now;
-    resp.mac =
-        protocol_mac(*accepted_nu[i], req.kLabel, resp.body(), resp.t);
+    seal(resp, *accepted_nu[i], req.kLabel, now);
     out[i] = std::move(resp);
   };
   if (pool_ == nullptr || reqs.size() <= 1) {

@@ -24,8 +24,7 @@ StoreRequest build_store_request(RandomSource& rng,
   req.files = sse::encrypt_collection(body_files, keys, rng).to_bytes();
   req.d = keys.d;
   req.be_blob = be_group.encrypt(keys.d, rng);
-  req.t = now;
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  seal(req, nu, req.kLabel, now);
   return req;
 }
 }  // namespace
@@ -68,18 +67,7 @@ bool Patient::store_phi_anonymous(SServer& server, sim::OnionNetwork& onion) {
 
 bool SServer::handle_store(const StoreRequest& req) {
   obs::Span span("sserver:store");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;  // malformed pseudonym point
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req)) return false;
   Account acct;
   try {
     acct.index = std::make_shared<const sse::SecureIndex>(

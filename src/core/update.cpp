@@ -95,9 +95,7 @@ Result<size_t> Patient::try_update_phi(StorageTarget storage,
   if (ctx_ == nullptr) throw std::logic_error("Patient: setup() first");
   obs::Span span("protocol:update");
   UpdateRequest req = build_update_request(std::move(added), removed);
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  seal(req, shared_key_nu(), req.kLabel, net_->clock().now());
   return mirror(*net_, name_, storage.holders(req.tp), req, "PHI update");
 }
 
@@ -112,9 +110,7 @@ Result<void> Patient::try_compact_phi(SServer& server) {
   req.tp = tp_bytes();
   req.collection = collection_;
   req.index = sse::build_index(aliased, keys_, rng_).to_bytes();
-  Bytes nu = shared_key_nu();
-  req.t = net_->clock().now();
-  req.mac = protocol_mac(nu, req.kLabel, req.body(), req.t);
+  seal(req, shared_key_nu(), req.kLabel, net_->clock().now());
   Result<void> r = call(*net_, name_, server, req, "compaction");
   // Counters restart under a bumped epoch only once the server confirmed
   // the fold — see the commit-discipline note at the top of this file.
@@ -126,26 +122,19 @@ Result<void> Patient::try_compact_phi(SServer& server) {
 
 bool SServer::handle_update(const UpdateRequest& req) {
   obs::Span span("sserver:update");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req)) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
+  // All or nothing: one malformed insert refuses the whole request before
+  // anything is applied.
+  for (const auto& [label, entry] : req.log_inserts) {
+    if (label.empty() || entry.size() != sse::kLogEntrySize) return false;
+  }
 
   // O(delta): map inserts plus one store append per record. The packed
   // index and the base store record are never touched.
   const std::string key = account_key(req.tp, req.collection);
   for (const auto& [label, entry] : req.log_inserts) {
-    if (label.empty() || entry.size() != sse::kLogEntrySize) continue;
     acct->log.entries[label] = entry;
     store_put_log(key, label, entry);
   }
@@ -163,18 +152,7 @@ bool SServer::handle_update(const UpdateRequest& req) {
 
 bool SServer::handle_compact(const CompactRequest& req) {
   obs::Span span("sserver:compact");
-  Bytes nu;
-  try {
-    nu = shared_key_for(req.tp);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!protocol_mac_ok(nu, req.kLabel, req.body(), req.t, req.mac)) {
-    return false;
-  }
-  if (!net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
-    return false;
-  }
+  if (!admit(req)) return false;
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
 

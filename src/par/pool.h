@@ -59,15 +59,6 @@ class ThreadPool {
   /// for_shards.
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
-  /// out[i] = fn(i) with `out` sized by the caller's `n`; results land at
-  /// their input index regardless of execution order.
-  template <typename T>
-  std::vector<T> parallel_map(size_t n, const std::function<T(size_t)>& fn) {
-    std::vector<T> out(n);
-    parallel_for(n, [&](size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
   /// Number of shards for_shards will use for `n` items.
   [[nodiscard]] size_t shard_count(size_t n) const noexcept {
     return n < threads_ ? (n == 0 ? 0 : n) : threads_;

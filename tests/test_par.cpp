@@ -1,6 +1,6 @@
 // Thread-pool execution layer: shard determinism, full coverage, exception
-// propagation, inline single-thread mode, parallel_map ordering, and the
-// per-pool metrics (queue-depth gauge, task latency histogram, counter).
+// propagation, inline single-thread mode, and the per-pool metrics
+// (queue-depth gauge, task latency histogram, counter).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,16 +98,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
   std::atomic<size_t> done{0};
   pool.parallel_for(100, [&](size_t) { ++done; });
   EXPECT_EQ(done.load(), 100u);
-}
-
-TEST(ThreadPool, ParallelMapLandsResultsAtInputIndex) {
-  ThreadPool pool(4, "t");
-  std::vector<uint64_t> out = pool.parallel_map<uint64_t>(
-      257, [](size_t i) { return static_cast<uint64_t>(i) * i; });
-  ASSERT_EQ(out.size(), 257u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<uint64_t>(i) * i);
-  }
 }
 
 TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {

@@ -339,7 +339,35 @@ TEST(WireSweep, MutatedRequestsAreRejectedWithoutSideEffects) {
     EXPECT_EQ(server.export_state(), before) << r.label;
     // The rejected variants left no trace in the replay cache.
     EXPECT_TRUE(server.dispatch(r.label, r.wire).has_value()) << r.label;
+    // The accepted original, sent again, is a replay.
+    EXPECT_FALSE(server.dispatch(r.label, r.wire).has_value()) << r.label;
   }
+}
+
+TEST(WireSweep, UpdateWithOneMalformedInsertIsRefusedWhole) {
+  core::DeploymentConfig cfg;
+  cfg.n_phi_files = 2;
+  cfg.keywords_per_file = 1;
+  cfg.file_content_bytes = 32;
+  core::Deployment d = core::Deployment::create(cfg);
+  core::SServer& server = *d.sserver;
+  const core::Patient& pt = *d.patient;
+  const std::string alias = core::keyword_alias(d.all_keywords().front(), 0);
+  sse::LogInsert good = sse::Updater(pt.keys()).add(alias, 99);
+
+  // MAC-valid, so only the handler's own checks can refuse it.
+  Recorded r = record(
+      core::UpdateRequest{pt.tp_bytes(),
+                          pt.collection(),
+                          {{good.label, good.entry}, {"short", Bytes(3)}},
+                          {{99, to_bytes("blob")}},
+                          {pt.files().front().id},
+                          d.net->clock().now(),
+                          {}},
+      pt.shared_key_nu());
+  const Bytes before = server.export_state();
+  EXPECT_FALSE(server.dispatch(r.label, r.wire).has_value());
+  EXPECT_EQ(server.export_state(), before);
 }
 
 }  // namespace
