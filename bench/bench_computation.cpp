@@ -95,6 +95,40 @@ void BM_MontMulMulx(benchmark::State& state) {
 }
 BENCHMARK(BM_MontMulMulx)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 
+// The MULX squaring (the interleaved triangle-and-REDC kernel when m < R/2)
+// and the asm modular add/subtract behind every Fp +, − and neg, on the same
+// serial dependency as BM_MontMulMulx.
+void BM_MontSqr(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  const mp::MontCtx& mont = ctx.fp.mont;
+  cipher::Drbg rng(to_bytes("bench-montsqr"));
+  mp::U512 a = mont.to_mont(mp::random_below(ctx.p, rng));
+  for (auto _ : state) {
+    a = mont.sqr(a);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetLabel(std::string(set_name(state.range(0))) + "/" +
+                 mont.kernel_name());
+}
+BENCHMARK(BM_MontSqr)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
+// One iteration is an add and a subtract: a <- (a + b) − c.
+void BM_MontAddSub(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  const mp::MontCtx& mont = ctx.fp.mont;
+  cipher::Drbg rng(to_bytes("bench-montaddsub"));
+  mp::U512 a = mont.to_mont(mp::random_below(ctx.p, rng));
+  const mp::U512 b = mont.to_mont(mp::random_below(ctx.p, rng));
+  const mp::U512 c = mont.to_mont(mp::random_below(ctx.p, rng));
+  for (auto _ : state) {
+    a = mont.sub(mont.add(a, b), c);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetLabel(std::string(set_name(state.range(0))) + "/" +
+                 mont.kernel_name());
+}
+BENCHMARK(BM_MontAddSub)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
 void BM_MontMulGeneric(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));
   mp::MontCtx mont = make_generic_ctx(ctx.p);

@@ -14,10 +14,6 @@ namespace hcpp::curve {
 
 using field::Fp;
 
-namespace {
-
-// Width-w NAF recoding, least significant digit first: digits in
-// {0, ±1, ±3, …, ±(2^(w−1) − 1)}, no two adjacent nonzero digits.
 std::vector<int8_t> wnaf(const mp::U512& k, unsigned w) {
   const int full = 1 << w;
   std::vector<int8_t> naf;
@@ -41,6 +37,8 @@ std::vector<int8_t> wnaf(const mp::U512& k, unsigned w) {
   }
   return naf;
 }
+
+namespace {
 
 // One 64-byte big-endian point coordinate. Values ≥ p are refused: Fp would
 // reduce them, so x + p would decode to x's point under different bytes.
@@ -398,27 +396,26 @@ Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
 }
 
 namespace {
-constexpr size_t kFixedBaseWindow = 4;
-constexpr size_t kFixedBaseWindows = mp::kBits / kFixedBaseWindow;
-
 void build_fixed_base_table(const CurveCtx& ctx) {
-  // Phase 1: the 128 window bases 16^j · G by repeated Jacobian doubling,
-  // normalized together. G generates the odd-prime-order subgroup, so no
-  // base (nor any v·16^j·G below) is ever the identity.
-  std::vector<Jac> bases(kFixedBaseWindows);
+  // Phase 1: the ⌈|q|/4⌉ window bases 16^j · G (mul_generator reduces its
+  // scalar mod q first) by repeated Jacobian doubling, normalized together.
+  // G generates the odd-prime-order subgroup, so no base (nor any
+  // v·16^j·G below) is ever the identity.
+  const size_t windows = (ctx.q.bit_length() + 3) / 4;
+  std::vector<Jac> bases(windows);
   Jac base = to_jac(ctx, generator(ctx));
-  for (size_t j = 0; j < kFixedBaseWindows; ++j) {
+  for (size_t j = 0; j < windows; ++j) {
     bases[j] = base;
     for (int d = 0; d < 4; ++d) base = jac_dbl(ctx, base);
   }
   std::vector<Point> affine_bases = jac_normalize_batch(ctx, bases);
-  // Phase 2: all 128 × 15 entries v · 16^j · G via mixed additions on the
-  // affine bases, again normalized with a single shared inversion. The whole
-  // table build costs two inversions instead of one per affine addition
-  // (~2k of them).
+  // Phase 2: all 15 entries v · 16^j · G per window via mixed additions on
+  // the affine bases, again normalized with a single shared inversion. The
+  // whole table build costs two inversions instead of one per affine
+  // addition (~600 of them at |q| = 160).
   std::vector<Jac> entries;
-  entries.reserve(kFixedBaseWindows * 15);
-  for (size_t j = 0; j < kFixedBaseWindows; ++j) {
+  entries.reserve(windows * 15);
+  for (size_t j = 0; j < windows; ++j) {
     Jac acc = to_jac(ctx, affine_bases[j]);
     for (int v = 1; v <= 15; ++v) {
       entries.push_back(acc);
@@ -426,8 +423,8 @@ void build_fixed_base_table(const CurveCtx& ctx) {
     }
   }
   std::vector<Point> flat = jac_normalize_batch(ctx, entries);
-  ctx.fixed_base_table.assign(kFixedBaseWindows, {});
-  for (size_t j = 0; j < kFixedBaseWindows; ++j) {
+  ctx.fixed_base_table.assign(windows, {});
+  for (size_t j = 0; j < windows; ++j) {
     ctx.fixed_base_table[j].assign(flat.begin() + static_cast<long>(j * 15),
                                    flat.begin() + static_cast<long>((j + 1) * 15));
   }
@@ -437,9 +434,10 @@ void build_fixed_base_table(const CurveCtx& ctx) {
 Point mul_generator(const CurveCtx& ctx, const mp::U512& k) {
   obs::count(obs::kPointMul);
   std::call_once(ctx.fixed_base_once, [&ctx] { build_fixed_base_table(ctx); });
+  const mp::U512 r = k < ctx.q ? k : mp::mod(k, ctx.q);  // k·G = (k mod q)·G
   Jac acc;  // mixed Jacobian additions only — no doublings, one inversion
-  for (size_t j = 0; j < kFixedBaseWindows; ++j) {
-    uint64_t v = (k.w[(4 * j) / 64] >> ((4 * j) % 64)) & 15;
+  for (size_t j = 0; j < ctx.fixed_base_table.size(); ++j) {
+    uint64_t v = (r.w[(4 * j) / 64] >> ((4 * j) % 64)) & 15;
     if (v != 0) {
       acc = jac_add_affine(ctx, acc, ctx.fixed_base_table[j][v - 1]);
     }

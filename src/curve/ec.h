@@ -122,8 +122,13 @@ Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
                  const mp::U512& a, const FixedBaseTable& q,
                  const mp::U512& b);
 /// k·P (generator) via the context's cached fixed-base window table: only
-/// point additions, no doublings. Built lazily, thread-safe.
+/// point additions, no doublings. The table covers scalars below 16^⌈|q|/4⌉;
+/// a wider k is reduced mod q first. Built lazily, thread-safe.
 Point mul_generator(const CurveCtx& ctx, const mp::U512& k);
+
+/// Width-w NAF recoding of k, least significant digit first: digits in
+/// {0, ±1, ±3, …, ±(2^(w−1) − 1)}, no two adjacent nonzero digits.
+std::vector<int8_t> wnaf(const mp::U512& k, unsigned w);
 
 /// Uniform nonzero scalar in [1, q).
 mp::U512 random_scalar(const CurveCtx& ctx, RandomSource& rng);

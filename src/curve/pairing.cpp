@@ -1,5 +1,6 @@
 #include "src/curve/pairing.h"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
@@ -193,6 +194,27 @@ Gt final_exponentiation(const CurveCtx& ctx, const Fp2& f) {
 }
 
 }  // namespace
+
+Gt Gt::pow(const mp::U512& e) const {
+  assert(v_.re().sqr() + v_.im().sqr() == Fp::one(v_.ctx()));
+  if (v_.im().is_zero()) return Gt(v_.pow(e));  // ±1
+  // Width-5 wNAF: the odd powers x, x³, …, x^15, conjugated for a negative
+  // digit, and about |e|/6 products instead of the 4-bit window's |e|/4.
+  Fp2 odd[8] = {v_};
+  const Fp2 x2 = v_.sqr();
+  for (size_t i = 1; i < 8; ++i) odd[i] = odd[i - 1] * x2;
+  const std::vector<int8_t> naf = wnaf(e, 5);
+  if (naf.empty()) return Gt(Fp2::one(v_.ctx()));
+  auto digit = [&odd](int d) {
+    return d > 0 ? odd[d / 2] : odd[-d / 2].conj();
+  };
+  Fp2 r = digit(naf.back());  // the top digit is positive
+  for (size_t i = naf.size() - 1; i-- > 0;) {
+    r = r.sqr();
+    if (naf[i] != 0) r = r * digit(naf[i]);
+  }
+  return Gt(r);
+}
 
 Gt pairing(const CurveCtx& ctx, const Point& p_in, const Point& q_in) {
   obs::count(obs::kPairing);

@@ -54,8 +54,10 @@ class Gt {
   }
 
   [[nodiscard]] Gt operator*(const Gt& o) const { return Gt(v_ * o.v_); }
-  [[nodiscard]] Gt pow(const mp::U512& e) const { return Gt(v_.pow(e)); }
-  [[nodiscard]] Gt inv() const { return Gt(v_.inv()); }
+  /// Every Gt comes out of a final exponentiation and so has norm 1: its
+  /// inverse is its conjugate, and pow runs signed windows on that.
+  [[nodiscard]] Gt pow(const mp::U512& e) const;
+  [[nodiscard]] Gt inv() const { return Gt(v_.conj()); }
   [[nodiscard]] bool is_one() const { return v_.is_one(); }
 
   friend bool operator==(const Gt& a, const Gt& b) noexcept = default;

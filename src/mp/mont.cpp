@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/mp/dispatch.h"
-#include "src/mp/mont_mulx.h"
 #include "src/mp/safegcd.h"
 #include "src/obs/metrics.h"
 
@@ -41,6 +40,17 @@ constexpr size_t width(size_t n_rt) noexcept {
   return NF == 0 ? n_rt : NF;
 }
 
+// Runs slow(NF), the portable kernel unrolled for NF = n at n = 4 and 8,
+// else the runtime-width loop (NF = 0), with NF a std::integral_constant.
+template <typename Slow>
+void portable(size_t n, Slow&& slow) {
+  switch (n) {
+    case 4: return slow(std::integral_constant<size_t, 4>{});
+    case 8: return slow(std::integral_constant<size_t, 8>{});
+    default: return slow(std::integral_constant<size_t, 0>{});
+  }
+}
+
 // n-limb helpers (loop bounds constant-fold in the fixed-width kernels).
 inline uint64_t add_n(uint64_t* r, const uint64_t* a, const uint64_t* b,
                       size_t n) noexcept {
@@ -69,6 +79,21 @@ inline bool geq_n(const uint64_t* a, const uint64_t* b, size_t n) noexcept {
     if (a[i] != b[i]) return a[i] > b[i];
   }
   return true;
+}
+
+// r = a + b mod m and r = a − b mod m over n limbs, for a, b < m.
+template <size_t NF>
+void add_mod_n(uint64_t* r, const uint64_t* a, const uint64_t* b,
+               const uint64_t* m, size_t n_rt) noexcept {
+  const size_t n = width<NF>(n_rt);
+  if (add_n(r, a, b, n) != 0 || geq_n(r, m, n)) sub_n(r, r, m, n);
+}
+
+template <size_t NF>
+void sub_mod_n(uint64_t* r, const uint64_t* a, const uint64_t* b,
+               const uint64_t* m, size_t n_rt) noexcept {
+  const size_t n = width<NF>(n_rt);
+  if (sub_n(r, a, b, n) != 0) add_n(r, r, m, n);
 }
 
 // CIOS Montgomery product over n limbs: r = a·b·R^{-1} mod m, with
@@ -278,7 +303,7 @@ MontCtx::MontCtx(const U512& modulus) : m_(modulus) {
   }
   n_ = (m_.bit_length() + 63) / 64;
   n0inv_ = neg_inv64(m_.w[0]);
-  mulx_ = (n_ == 4 || n_ == 8) && mulx_available();
+  mulx_ = (n_ == 4 || n_ == 8) && mulx_available() ? n_ : 0;
   // R mod m with R = 2^{64n}: take (R − 1) mod m (all-ones over the active
   // limbs) then add 1 (mod m).
   U512 r_minus1;
@@ -299,6 +324,9 @@ MontCtx::MontCtx(const U512& modulus) : m_(modulus) {
   }
   mm2_[2 * kLimbs] = carry;
   mm2_[2 * kLimbs + 1] = 0;
+  // ⌈3m/R⌉ or one more, from the top limb: 3m/R < 3·(m_top + 1)/2^64.
+  fp2_subs_ = static_cast<uint64_t>(
+                  (static_cast<uint128>(m_.w[n_ - 1]) * 3 + 3) >> 64) + 1;
 }
 
 U512 MontCtx::to_mont(const U512& a) const {
@@ -312,49 +340,25 @@ U512 MontCtx::from_mont(const U512& a) const noexcept {
   return mul(a, U512::from_u64(1));
 }
 
-U512 MontCtx::mul(const U512& a, const U512& b) const noexcept {
-  U512 r;
-  switch (n_) {
-    case 4:
-      if (mulx_) {
-        mulx::cios_mul4(r.w.data(), a.w.data(), b.w.data(), m_.w.data(),
-                        n0inv_);
-      } else {
-        cios_mul<4>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_,
-                    4);
-      }
-      break;
-    case 8:
-      if (mulx_) {
-        mulx::cios_mul8(r.w.data(), a.w.data(), b.w.data(), m_.w.data(),
-                        n0inv_);
-      } else {
-        cios_mul<8>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_,
-                    8);
-      }
-      break;
-    default:
-      cios_mul<0>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_,
-                  n_);
-      break;
-  }
-  return r;
+void MontCtx::portable_mul(U512& r, const U512& a,
+                           const U512& b) const noexcept {
+  portable(n_, [&](auto NF) {
+    cios_mul<NF>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n0inv_, n_);
+  });
 }
 
-U512 MontCtx::add(const U512& a, const U512& b) const noexcept {
-  U512 r;
-  uint64_t carry = add_n(r.w.data(), a.w.data(), b.w.data(), n_);
-  if (carry != 0 || geq_n(r.w.data(), m_.w.data(), n_)) {
-    sub_n(r.w.data(), r.w.data(), m_.w.data(), n_);
-  }
-  return r;
+void MontCtx::portable_add(U512& r, const U512& a,
+                           const U512& b) const noexcept {
+  portable(n_, [&](auto NF) {
+    add_mod_n<NF>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n_);
+  });
 }
 
-U512 MontCtx::sub(const U512& a, const U512& b) const noexcept {
-  U512 r;
-  uint64_t borrow = sub_n(r.w.data(), a.w.data(), b.w.data(), n_);
-  if (borrow != 0) add_n(r.w.data(), r.w.data(), m_.w.data(), n_);
-  return r;
+void MontCtx::portable_sub(U512& r, const U512& a,
+                           const U512& b) const noexcept {
+  portable(n_, [&](auto NF) {
+    sub_mod_n<NF>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(), n_);
+  });
 }
 
 U512 MontCtx::pow(const U512& base, const U512& exp) const noexcept {
@@ -419,33 +423,19 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
                       const U512& a_im, const U512& b_re,
                       const U512& b_im) const noexcept {
   U512 re, im;  // locals: the outputs may alias the inputs
-  switch (n_) {
-    case 4:
-      if (mulx_) {
-        mulx::fp2_mul4(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_);
-      } else {
-        fp2_mul_impl<4>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), b_re.w.data(), b_im.w.data(),
-                        m_.w.data(), n0inv_, mm2_.data(), 4);
-      }
-      break;
-    case 8:
-      if (mulx_) {
-        mulx::fp2_mul8(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_);
-      } else {
-        fp2_mul_impl<8>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), b_re.w.data(), b_im.w.data(),
-                        m_.w.data(), n0inv_, mm2_.data(), 8);
-      }
-      break;
-    default:
-      fp2_mul_impl<0>(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                      b_re.w.data(), b_im.w.data(), m_.w.data(), n0inv_,
-                      mm2_.data(), n_);
-      break;
-  }
+  uint64_t *r0 = re.w.data(), *r1 = im.w.data();
+  const uint64_t *ar = a_re.w.data(), *ai = a_im.w.data(),
+                 *br = b_re.w.data(), *bi = b_im.w.data(), *m = m_.w.data();
+  kernel(
+      [&](auto N) {
+        mulx::fp2_mul<N>(r0, r1, ar, ai, br, bi, m, n0inv_, mm2_.data(),
+                         fp2_subs_);
+      },
+      [&] {
+        portable(n_, [&](auto NF) {
+          fp2_mul_impl<NF>(r0, r1, ar, ai, br, bi, m, n0inv_, mm2_.data(), n_);
+        });
+      });
   c_re = re;
   c_im = im;
 }
@@ -453,30 +443,14 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
 void MontCtx::fp2_sqr(U512& c_re, U512& c_im, const U512& a_re,
                       const U512& a_im) const noexcept {
   U512 re, im;
-  switch (n_) {
-    case 4:
-      if (mulx_) {
-        mulx::fp2_sqr4(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       m_.w.data(), n0inv_);
-      } else {
-        fp2_sqr_impl<4>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), m_.w.data(), n0inv_, 4);
-      }
-      break;
-    case 8:
-      if (mulx_) {
-        mulx::fp2_sqr8(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                       m_.w.data(), n0inv_);
-      } else {
-        fp2_sqr_impl<8>(re.w.data(), im.w.data(), a_re.w.data(),
-                        a_im.w.data(), m_.w.data(), n0inv_, 8);
-      }
-      break;
-    default:
-      fp2_sqr_impl<0>(re.w.data(), im.w.data(), a_re.w.data(), a_im.w.data(),
-                      m_.w.data(), n0inv_, n_);
-      break;
-  }
+  uint64_t *r0 = re.w.data(), *r1 = im.w.data();
+  const uint64_t *ar = a_re.w.data(), *ai = a_im.w.data(), *m = m_.w.data();
+  kernel([&](auto N) { mulx::fp2_sqr<N>(r0, r1, ar, ai, m, n0inv_); },
+         [&] {
+           portable(n_, [&](auto NF) {
+             fp2_sqr_impl<NF>(r0, r1, ar, ai, m, n0inv_, n_);
+           });
+         });
   c_re = re;
   c_im = im;
 }

@@ -1,14 +1,18 @@
 // Width-aware Montgomery modular arithmetic context (CIOS multiplication)
-// for a fixed odd modulus. Every hot multiplication in the field/curve/
+// for a fixed odd modulus. Every hot field operation in the field/curve/
 // pairing stack runs through this context. The active limb count n is
 // derived from the modulus width (R = 2^{64n}), so a 256-bit modulus pays
-// for 4-limb kernels instead of the full 8-limb storage width; the hot
-// paths dispatch to unrolled fixed-width kernels for n = 4 (test set) and
-// n = 8 (production set), with a generic any-width loop as fallback.
+// for 4-limb kernels instead of the full 8-limb storage width. Every kernel
+// — mul, sqr, add, sub and the F_{p^2} product and square — dispatches to
+// the MULX/ADX asm of mont_mulx.h for n = 4 (test set) and n = 8
+// (production set) when the CPU has it, else to portable kernels unrolled
+// for those widths, with a generic any-width loop as fallback.
 #pragma once
 
 #include <span>
+#include <type_traits>
 
+#include "src/mp/mont_mulx.h"
 #include "src/mp/u512.h"
 
 namespace hcpp::mp {
@@ -36,11 +40,46 @@ class MontCtx {
   [[nodiscard]] U512 from_mont(const U512& a) const noexcept;
 
   /// Montgomery product: (aR)(bR)R^{-1} = abR. Operands must be < m.
-  [[nodiscard]] U512 mul(const U512& a, const U512& b) const noexcept;
-  [[nodiscard]] U512 sqr(const U512& a) const noexcept { return mul(a, a); }
+  [[nodiscard]] U512 mul(const U512& a, const U512& b) const noexcept {
+    U512 r;
+    kernel(
+        [&](auto N) {
+          mulx::mul<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(),
+                       n0inv_);
+        },
+        [&] { portable_mul(r, a, b); });
+    return r;
+  }
+  /// Montgomery square a²R^{-1}; the MULX kernel skips the symmetric half
+  /// of the product, the portable one is mul(a, a).
+  [[nodiscard]] U512 sqr(const U512& a) const noexcept {
+    U512 r;
+    kernel(
+        [&](auto N) {
+          mulx::sqr<N>(r.w.data(), a.w.data(), m_.w.data(), n0inv_);
+        },
+        [&] { portable_mul(r, a, a); });
+    return r;
+  }
   /// Modular add/sub on Montgomery (or plain) residues < m.
-  [[nodiscard]] U512 add(const U512& a, const U512& b) const noexcept;
-  [[nodiscard]] U512 sub(const U512& a, const U512& b) const noexcept;
+  [[nodiscard]] U512 add(const U512& a, const U512& b) const noexcept {
+    U512 r;
+    kernel(
+        [&](auto N) {
+          mulx::add_mod<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data());
+        },
+        [&] { portable_add(r, a, b); });
+    return r;
+  }
+  [[nodiscard]] U512 sub(const U512& a, const U512& b) const noexcept {
+    U512 r;
+    kernel(
+        [&](auto N) {
+          mulx::sub_mod<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data());
+        },
+        [&] { portable_sub(r, a, b); });
+    return r;
+  }
   /// (base in Montgomery form)^exp, result in Montgomery form. `exp` plain.
   [[nodiscard]] U512 pow(const U512& base, const U512& exp) const noexcept;
   /// Inverse of a Montgomery residue, in Montgomery form: the divstep
@@ -54,13 +93,13 @@ class MontCtx {
   /// same contract as per-element inv().
   void batch_inv(std::span<U512> xs) const;
 
-  /// F_{p^2} = F_p[i]/(i^2+1) product and square. The portable kernels use
-  /// lazy reduction: Karatsuba over double-width accumulators with one
-  /// Montgomery reduction per output coefficient, intermediate sums kept
-  /// subtraction-free in [0, 2m) resp. [0, 5m^2) wide. The MULX/ADX kernels
-  /// (mont_mulx.h) instead compose fully reduced asm CIOS products — three
-  /// for the product (Karatsuba), two for the square — with modular adds
-  /// and subtracts; both give the same fully reduced outputs in [0, m).
+  /// F_{p^2} = F_p[i]/(i^2+1) product and square. The products use lazy
+  /// reduction: Karatsuba over three double-width products with one
+  /// Montgomery reduction per output coefficient, the a_re·b_re − a_im·b_im
+  /// channel kept non-negative by a 2m^2 bias (the MULX kernel biases the
+  /// imaginary channel too, as its Karatsuba sums are reduced mod m). The
+  /// portable square is lazy as well; the MULX square is two asm CIOS
+  /// products. All give the same fully reduced outputs in [0, m).
   /// Inputs/outputs are Montgomery residues; output references may alias
   /// the inputs.
   void fp2_mul(U512& c_re, U512& c_im, const U512& a_re, const U512& a_im,
@@ -69,10 +108,23 @@ class MontCtx {
                const U512& a_im) const noexcept;
 
  private:
+  // Runs fast(N), the MULX kernel of width N = 4 or 8, when the context
+  // selected one — inline, so an Fp operation costs one call — else slow(),
+  // the portable kernel, out of line.
+  template <typename Fast, typename Slow>
+  void kernel(Fast&& fast, Slow&& slow) const {
+    if (mulx_ == 8) fast(std::integral_constant<size_t, 8>{});
+    else if (mulx_ == 4) fast(std::integral_constant<size_t, 4>{});
+    else slow();
+  }
+  void portable_mul(U512& r, const U512& a, const U512& b) const noexcept;
+  void portable_add(U512& r, const U512& a, const U512& b) const noexcept;
+  void portable_sub(U512& r, const U512& a, const U512& b) const noexcept;
+
   U512 m_;
   size_t n_ = kLimbs;   // active limbs, R = 2^{64 n_}
   uint64_t n0inv_ = 0;  // -m^{-1} mod 2^64
-  bool mulx_ = false;   // fixed-width MULX/ADX kernels selected (n = 4 or 8)
+  size_t mulx_ = 0;     // width of the selected MULX/ADX kernels, or 0
   U512 r2_;             // R^2 mod m
   U512 r3_;             // R^3 mod m
   U512 one_;            // R mod m
@@ -81,6 +133,9 @@ class MontCtx {
   // single reduction (2m^2 can exceed 2^{1024} for a full-width modulus,
   // hence the extra limbs).
   std::array<uint64_t, 2 * kLimbs + 2> mm2_{};
+  // Conditional subtractions that fully reduce the MULX fp2_mul's REDC of a
+  // channel below 3m^2: ⌈3m/R⌉, or one more.
+  uint64_t fp2_subs_ = 0;
 };
 
 /// The kernel variant a freshly constructed fixed-width (n = 4 or 8) MontCtx

@@ -7,6 +7,7 @@
 // degrade to self-consistency checks, so the suite passes everywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -220,6 +221,11 @@ std::vector<WidthModulus> kernel_moduli() {
     ms.push_back({n == 4 ? "ones-256" : "ones-512", ones, kRandomPairs / 10});
     ms.push_back(
         {n == 4 ? "top-ones-256" : "top-ones-512", top, kRandomPairs / 10});
+    // The widest modulus the MULX squaring takes (it needs m < R/2; wider
+    // ones square through the CIOS product).
+    mp::U512 half = mp::shr1(ones);
+    ms.push_back(
+        {n == 4 ? "half-ones-256" : "half-ones-512", half, kRandomPairs / 10});
   }
   return ms;
 }
@@ -305,6 +311,8 @@ TEST(DispatchMont, MulSqrPowMatchForcedGeneric) {
     size_t mismatches = 0;
     size_t subtracted = 0;
     size_t kept = 0;
+    size_t sqr_subtracted = 0;  // the same two outcomes for the squaring
+    size_t sqr_kept = 0;
     auto check = [&](const mp::U512& a, const mp::U512& b) {
       mp::U512 r = fast.mul(a, b);
       mp::U512 s = fast.sqr(a);
@@ -315,6 +323,8 @@ TEST(DispatchMont, MulSqrPowMatchForcedGeneric) {
         }
       }
       (took_final_subtraction(a, b, r, fast.limbs()) ? subtracted : kept)++;
+      (took_final_subtraction(a, a, s, fast.limbs()) ? sqr_subtracted
+                                                      : sqr_kept)++;
     };
     const std::vector<mp::U512> adv = adversarial(fast);
     for (const mp::U512& a : adv) {
@@ -328,6 +338,8 @@ TEST(DispatchMont, MulSqrPowMatchForcedGeneric) {
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(subtracted, 0u);
     EXPECT_GT(kept, 0u);
+    EXPECT_GT(sqr_subtracted, 0u);
+    EXPECT_GT(sqr_kept, 0u);
 
     // pow and the to/from-Montgomery conversions ride on mul.
     std::vector<mp::U512> xs = adv;
@@ -351,6 +363,9 @@ TEST(DispatchMont, Fp2KernelsMatchForcedGeneric) {
     // difference a_re − a_im (borrows or not), so both branches of the
     // kernels' modular add and subtract run.
     size_t sum_wraps = 0, sum_fits = 0, diff_borrows = 0, diff_fits = 0;
+    // Whether the lazy product's a_re·b_re − a_im·b_im is negative before
+    // its 2m^2 bias, so a missing bias shows.
+    size_t re_negative = 0, re_nonnegative = 0;
     auto check = [&](const mp::U512& ar, const mp::U512& ai,
                      const mp::U512& br, const mp::U512& bi, bool alias) {
       mp::U512 fr, fi, sr, si, qr, qi, tr, ti;
@@ -381,6 +396,13 @@ TEST(DispatchMont, Fp2KernelsMatchForcedGeneric) {
       mp::U512 t;
       (mp::add(t, ar, ai) != 0 || !(t < wc.m) ? sum_wraps : sum_fits)++;
       (ar < ai ? diff_borrows : diff_fits)++;
+      mp::U1024 t0, t1;
+      mp::mul_wide(t0, ar, br);
+      mp::mul_wide(t1, ai, bi);
+      (std::lexicographical_compare(t0.rbegin(), t0.rend(), t1.rbegin(),
+                                    t1.rend())
+           ? re_negative
+           : re_nonnegative)++;
     };
     const std::vector<mp::U512> adv = adversarial(fast);
     const mp::U512 top = mp::sub_mod(mp::U512{}, mp::U512::from_u64(1), wc.m);
@@ -402,6 +424,61 @@ TEST(DispatchMont, Fp2KernelsMatchForcedGeneric) {
     EXPECT_GT(sum_fits, 0u);
     EXPECT_GT(diff_borrows, 0u);
     EXPECT_GT(diff_fits, 0u);
+    EXPECT_GT(re_negative, 0u);
+    EXPECT_GT(re_nonnegative, 0u);
+  }
+}
+
+TEST(DispatchMont, AddSubNegMatchForcedGeneric) {
+  for (const WidthModulus& wc : kernel_moduli()) {
+    SCOPED_TRACE(wc.name);
+    auto [fast, slow] = ctx_pair(wc.m);
+    size_t mismatches = 0;
+    // a + b past 2^{64n} (only the full-width moduli allow it), a + b in
+    // [m, 2^{64n}), a + b < m; a − b borrowing or not.
+    size_t top_carry = 0, wraps = 0, fits = 0, borrows = 0, no_borrow = 0;
+    auto check = [&](const mp::U512& a, const mp::U512& b) {
+      mp::U512 s = fast.add(a, b);
+      mp::U512 d = fast.sub(a, b);
+      mp::U512 n = fast.sub(mp::U512{}, a);  // Fp::neg
+      bool ok = s == slow.add(a, b) && d == slow.sub(a, b) &&
+                n == slow.sub(mp::U512{}, a) && s < wc.m && d < wc.m &&
+                n < wc.m;
+      mp::U512 aa = a, bb = b;  // outputs aliasing the inputs
+      aa = fast.add(aa, b);
+      bb = fast.sub(a, bb);
+      ok = ok && aa == s && bb == d;
+      if (!ok && mismatches++ == 0) {
+        ADD_FAILURE() << "a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+      mp::U512 t;
+      uint64_t carry = 0;
+      for (size_t i = 0; i < fast.limbs(); ++i) {  // a + b over n limbs
+        unsigned __int128 v = static_cast<unsigned __int128>(a.w[i]) + b.w[i] +
+                              carry;
+        t.w[i] = static_cast<uint64_t>(v);
+        carry = static_cast<uint64_t>(v >> 64);
+      }
+      (carry != 0 ? top_carry : !(t < wc.m) ? wraps : fits)++;
+      (a < b ? borrows : no_borrow)++;
+    };
+    const std::vector<mp::U512> adv = adversarial(fast);
+    for (const mp::U512& a : adv) {
+      for (const mp::U512& b : adv) check(a, b);
+    }
+    SplitMix g{0xADD50000u + fast.limbs()};
+    for (int i = 0; i < wc.random_pairs; ++i) {
+      mp::U512 a = fast_residue(g, wc.m);
+      check(a, fast_residue(g, wc.m));
+    }
+    EXPECT_EQ(mismatches, 0u);
+    if (wc.m.bit_length() == 64 * fast.limbs()) {
+      EXPECT_GT(top_carry, 0u);
+    }
+    EXPECT_GT(wraps, 0u);
+    EXPECT_GT(fits, 0u);
+    EXPECT_GT(borrows, 0u);
+    EXPECT_GT(no_borrow, 0u);
   }
 }
 

@@ -108,6 +108,39 @@ TEST(Pairing, NegationInvertsValue) {
   EXPECT_TRUE((e * e.inv()).is_one());
 }
 
+// Gt::pow is a signed-window ladder that multiplies by conjugates and
+// Gt::inv a conjugate, both valid on norm-1 elements only; Fp2::pow and
+// Fp2::inv are the oracles, on norm-1 elements conj(z)/z of random z.
+TEST(Pairing, UnitaryPowAndInvMatchFp2) {
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    cipher::Drbg rng(to_bytes("pairing-unitary-pow"));
+    mp::U512 q_minus1;
+    mp::sub(q_minus1, c.q, mp::U512::from_u64(1));
+    const mp::U512 fixed[] = {mp::U512{}, mp::U512::from_u64(1), q_minus1,
+                              c.q};
+    for (int i = 0; i < 1000; ++i) {
+      field::Fp2 z(field::Fp(&c.fp, mp::random_below(c.p, rng)),
+                   field::Fp(&c.fp, mp::random_below(c.p, rng)));
+      if (z.is_zero()) continue;
+      const field::Fp2 t = z.conj() * z.inv();
+      const mp::U512 e = mp::random_below(c.q, rng);
+      ASSERT_EQ(Gt(t).pow(e), Gt(t.pow(e))) << c.name << " element " << i;
+      ASSERT_EQ(Gt(t).inv(), Gt(t.inv())) << c.name << " element " << i;
+      if (i % 25 == 0) {
+        for (const mp::U512& f : fixed) ASSERT_EQ(Gt(t).pow(f), Gt(t.pow(f)));
+      }
+    }
+    // ±1 take the generic path (Im = 0).
+    const field::Fp2 minus_one(field::Fp::one(&c.fp).neg(),
+                               field::Fp::zero(&c.fp));
+    for (const mp::U512& f : fixed) {
+      EXPECT_EQ(Gt::one(c).pow(f), Gt::one(c));
+      EXPECT_EQ(Gt(minus_one).pow(f), Gt(minus_one.pow(f)));
+    }
+  }
+}
+
 TEST(Pairing, HashedPointsPairConsistently) {
   // The BF-IBE correctness equation: ê(s·H1(id), rP) == ê(H1(id), sP)^r.
   cipher::Drbg rng(to_bytes("pairing-ibe"));
