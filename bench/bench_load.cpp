@@ -1,5 +1,5 @@
 // Closed/open-loop load harness over the sharded persistent account store
-// (src/store) and the snapshot SEARCH front-end (core::SearchService).
+// (src/store) and the S-server protocol paths of a sharded SServerGroup.
 //
 // Population: one real account (built by a patient through §IV.B against a
 // sharded SServerGroup with attached stores) is serialized once and written
@@ -7,13 +7,15 @@
 // across --shards standalone AccountStores — so store reads and writes run
 // against a realistically sized log (index probes, mmap'd sealed segments,
 // segment rolls) without paying 100k pairing setups. A small hot set of real
-// patients drives the protocol paths (SEARCH / §IV.D retrieve / §IV.E.1
-// family emergency) against the group.
+// patients drives the protocol paths (§12 update / §IV.D retrieve / §IV.E.1
+// family emergency) against the group through the protocol clients, so the
+// reads run SServer::dispatch and its handlers.
 //
 // Two generators:
-//   closed loop — --clients worker threads issue store put/get and SEARCH
-//     ops back-to-back (the thread-safe paths); reports throughput.
-//   open loop   — a serial dispatcher fires the mixed store/search/retrieve/
+//   closed loop — --clients worker threads issue store put/update/get ops
+//     back-to-back; reports throughput. Only the stores are thread-safe
+//     (SServer is single-threaded), so no protocol op runs here.
+//   open loop   — a serial dispatcher fires the mixed store/update/retrieve/
 //     emergency mix at each target QPS in --qps; latency is measured from
 //     the op's *scheduled arrival* to completion, so queueing delay under
 //     saturation is counted (coordinated-omission aware).
@@ -44,7 +46,6 @@
 #include "src/core/cluster.h"
 #include "src/core/privilege.h"
 #include "src/core/record.h"
-#include "src/core/search_service.h"
 #include "src/core/setup.h"
 #include "src/hash/sha256.h"
 #include "src/obs/metrics.h"
@@ -193,7 +194,7 @@ struct OpenRow {
   double qps_achieved = 0;
   size_t ops = 0;
   Pct all;  // load.op_ns
-  Pct store, update, search, retrieve, emergency;
+  Pct store, update, retrieve, emergency;
 };
 
 struct ClosedRow {
@@ -201,7 +202,7 @@ struct ClosedRow {
   size_t ops = 0;
   double ops_per_sec = 0;
   double update_ops_per_sec = 0;
-  Pct store_put, update, store_get, search;
+  Pct store_put, update, store_get;
 };
 
 struct OracleReport {
@@ -263,8 +264,7 @@ void write_json(const Args& args, size_t template_bytes,
                closed.update_ops_per_sec);
   json_pct(f, "store_put", closed.store_put, true);
   json_pct(f, "update", closed.update, true);
-  json_pct(f, "store_get", closed.store_get, true);
-  json_pct(f, "search", closed.search, false);
+  json_pct(f, "store_get", closed.store_get, false);
   std::fprintf(f, "    }\n  },\n  \"open_loop\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const OpenRow& r = rows[i];
@@ -278,7 +278,6 @@ void write_json(const Args& args, size_t template_bytes,
                  r.all.p95 / 1e3, r.all.p99 / 1e3, r.all.max / 1e3);
     json_pct(f, "store", r.store, true);
     json_pct(f, "update", r.update, true);
-    json_pct(f, "search", r.search, true);
     json_pct(f, "retrieve", r.retrieve, true);
     json_pct(f, "emergency", r.emergency, false);
     std::fprintf(f, "      }\n    }%s\n", i + 1 < rows.size() ? "," : "");
@@ -398,19 +397,10 @@ int main(int argc, char** argv) {
   }
   std::printf("populated in %.1f s\n", static_cast<double>(ns_since(t_pop)) / 1e9);
 
-  // ---- SEARCH front-end + prebuilt hot queries --------------------------
-  core::SearchService service(nullptr, args.shards);
-  service.publish(group);
-  std::vector<core::SearchService::Query> hot_queries;
-  std::vector<std::string> hot_keywords;  // logical, for retrieve/emergency
+  // One logical keyword per hot patient, for retrieve/emergency.
+  std::vector<std::string> hot_keywords;
   for (auto& p : hot) {
-    core::SearchService::Query q;
-    q.account = core::SServer::account_key(p->tp_bytes(), p->collection());
-    sse::TrapdoorGen gen(p->keys());
-    const std::string& kw = p->keyword_index().entries.begin()->first;
-    q.trapdoors.push_back(gen.make(core::keyword_alias(kw, 0)));
-    hot_queries.push_back(std::move(q));
-    hot_keywords.push_back(kw);
+    hot_keywords.push_back(p->keyword_index().entries.begin()->first);
   }
 
   // Differential oracle: population key index -> latest variant written,
@@ -467,19 +457,11 @@ int main(int argc, char** argv) {
                          static_cast<double>(ns_since(t_op)));
             std::lock_guard<std::mutex> lock(oracle_mu);
             log_oracle[acct].push_back(v);
-          } else if (dice < 205) {  // get (45%)
+          } else {  // get (65%)
             auto got = pop[shard].get(population_key(acct));
             obs::observe(obs::kLoadRetrieveNs,
                          static_cast<double>(ns_since(t_op)));
             if (!got.has_value()) {
-              ok.store(false);
-              return;
-            }
-          } else {  // search (20%)
-            auto res = service.search(hot_queries[acct % hot_queries.size()]);
-            obs::observe(obs::kLoadSearchNs,
-                         static_cast<double>(ns_since(t_op)));
-            if (!res.account_found) {
               ok.store(false);
               return;
             }
@@ -499,7 +481,6 @@ int main(int argc, char** argv) {
     closed.store_put = pct_of(diff, obs::kLoadStoreNs);
     closed.update = pct_of(diff, obs::kLoadUpdateNs);
     closed.store_get = pct_of(diff, obs::kLoadRetrieveNs);
-    closed.search = pct_of(diff, obs::kLoadSearchNs);
     closed.update_ops_per_sec =
         static_cast<double>(closed.update.count) / secs;
     std::printf("closed loop: %.0f ops/s (update ops/s: %.0f)\n",
@@ -507,7 +488,6 @@ int main(int argc, char** argv) {
     print_pct("store_put", closed.store_put);
     print_pct("update", closed.update);
     print_pct("store_get", closed.store_get);
-    print_pct("search", closed.search);
   }
 
   // ---- Open loop: serial dispatcher at each target QPS ------------------
@@ -530,7 +510,7 @@ int main(int argc, char** argv) {
       for (uint8_t b : rng.bytes(8)) acct = (acct << 8) | b;
       size_t hot_i = acct % hot.size();
       acct %= args.accounts;
-      // Mix: 20% store, 10% update, 30% search, 25% retrieve, 15% emergency.
+      // Mix: 20% store, 10% update, 55% retrieve, 15% emergency.
       if (dice < 51) {
         size_t shard = store::shard_for_key(population_key(acct), args.shards);
         uint32_t v = next_variant.fetch_add(1);
@@ -564,18 +544,6 @@ int main(int argc, char** argv) {
         obs::observe(obs::kLoadOpNs, lat);
         if (!res.ok()) {
           std::fprintf(stderr, "error: open-loop update failed\n");
-          return 1;
-        }
-      } else if (dice < 154) {
-        auto res = service.search(hot_queries[hot_i]);
-        double lat = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                 arrival)
-                .count());
-        obs::observe(obs::kLoadSearchNs, lat);
-        obs::observe(obs::kLoadOpNs, lat);
-        if (!res.account_found) {
-          std::fprintf(stderr, "error: open-loop search missed\n");
           return 1;
         }
       } else if (dice < 218) {
@@ -617,7 +585,6 @@ int main(int argc, char** argv) {
     row.all = pct_of(diff, obs::kLoadOpNs);
     row.store = pct_of(diff, obs::kLoadStoreNs);
     row.update = pct_of(diff, obs::kLoadUpdateNs);
-    row.search = pct_of(diff, obs::kLoadSearchNs);
     row.retrieve = pct_of(diff, obs::kLoadRetrieveNs);
     row.emergency = pct_of(diff, obs::kLoadEmergencyNs);
     std::printf("open loop @ %.0f QPS: achieved %.1f\n", qps,
@@ -625,7 +592,6 @@ int main(int argc, char** argv) {
     print_pct("all", row.all);
     print_pct("store", row.store);
     print_pct("update", row.update);
-    print_pct("search", row.search);
     print_pct("retrieve", row.retrieve);
     print_pct("emergency", row.emergency);
     rows.push_back(row);

@@ -1,7 +1,7 @@
 // Throughput vs thread count for the parallel execution layer (src/par):
-// SSE index build, concurrent SEARCH serving (core::SearchService),
-// collection AEAD (encrypt + decrypt) and batch IBS verification, each at
-// 1/2/4/8 threads. Prints a table and, with --json-out=PATH, a JSON report
+// SSE index build, collection AEAD (encrypt + decrypt) and batch IBS
+// verification, each at 1/2/4/8 threads, plus single-thread ChaCha20 rows
+// per kernel variant. Prints a table and, with --json-out=PATH, a JSON report
 // whose context records the hardware so single-core containers are honest
 // about flat scaling ("speedup_note").
 //
@@ -22,8 +22,6 @@
 #include "src/cipher/drbg.h"
 #include "src/mp/dispatch.h"
 #include "src/core/record.h"
-#include "src/core/search_service.h"
-#include "src/core/setup.h"
 #include "src/ibc/ibs.h"
 #include "src/par/pool.h"
 #include "src/sse/sse.h"
@@ -79,34 +77,6 @@ Row bench_index_build(size_t threads, std::span<const sse::PlainFile> files) {
     if (si.array_a.empty()) std::abort();  // keep the work observable
   });
   return {"index_build", threads, ops, "files/s"};
-}
-
-Row bench_search(size_t threads, core::Deployment& d) {
-  par::ThreadPool pool(threads, "bt-search");
-  core::SearchService svc(&pool);
-  svc.publish(*d.sserver);
-  std::string account = core::SServer::account_key(d.patient->tp_bytes(),
-                                                   d.patient->collection());
-  sse::TrapdoorGen gen(d.patient->keys());
-  const Bytes& dkey = d.patient->keys().d;
-  std::vector<core::SearchService::Query> queries;
-  for (const auto& [kw, ids] : d.patient->keyword_index().entries) {
-    core::SearchService::Query q;
-    q.account = account;
-    q.trapdoors.push_back(gen.make(core::keyword_alias(kw, 0)));
-    queries.push_back(std::move(q));
-    core::SearchService::Query p;
-    p.account = account;
-    p.privileged = true;
-    p.wrapped.push_back(
-        sse::wrap_trapdoor(dkey, gen.make(core::keyword_alias(kw, 0))));
-    queries.push_back(std::move(p));
-  }
-  double ops = measure(0.5, queries.size(), [&] {
-    std::vector<core::SearchService::Result> res = svc.search_batch(queries);
-    if (res.size() != queries.size()) std::abort();
-  });
-  return {"search", threads, ops, "queries/s"};
 }
 
 Row bench_collection_aead(size_t threads,
@@ -221,11 +191,6 @@ int main(int argc, char** argv) {
 
   auto files = make_files(64);
 
-  core::DeploymentConfig cfg;
-  cfg.n_phi_files = 32;
-  cfg.seed = 7;
-  core::Deployment d = core::Deployment::create(cfg);
-
   cipher::Drbg drng(to_bytes("bt-ibs-domain"));
   const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
   ibc::Domain domain(ctx, drng);
@@ -246,7 +211,6 @@ int main(int argc, char** argv) {
          {&bench_index_build, &bench_collection_aead}) {
       rows.push_back(bench(t, files));
     }
-    rows.push_back(bench_search(t, d));
     rows.push_back(bench_ibs_batch(t, domain, sigs));
   }
   rows.push_back(bench_chacha_xor(false));

@@ -17,7 +17,6 @@
 // deployments (an SServerGroup or AServerCluster target) fail over to the
 // next office when one times out.
 #include <algorithm>
-#include <set>
 
 #include "src/cipher/aead.h"
 #include "src/core/accountability.h"
@@ -138,7 +137,7 @@ std::optional<RetrieveResponse> SServer::handle_privileged_retrieve(
   // per trapdoor; dynamic (100-byte) widths also walk the update log.
   RetrieveResponse resp;
   for (sse::FileId id : sse::search_wrapped_mixed(
-           *acct->index, acct->log, acct->d, req.wrapped_trapdoors)) {
+           acct->index, acct->log, acct->d, req.wrapped_trapdoors)) {
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }
@@ -174,43 +173,6 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
   if (!ibc::ibs_verify(pub(), req.physician_id, req.body(), sig)) {
     return std::nullopt;
   }
-  return finish_emergency_auth(req);
-}
-
-std::vector<std::optional<AServer::EmergencyAuthOutcome>>
-AServer::handle_emergency_auth_batch(std::span<const EmergencyAuthRequest> reqs,
-                                     par::ThreadPool* pool) {
-  obs::Span span("aserver:emergency_auth_batch");
-  std::vector<std::optional<EmergencyAuthOutcome>> out(reqs.size());
-  if (reqs.empty()) return out;
-
-  // Freshness and signature decoding stay serial and in arrival order, so a
-  // duplicate inside the batch hits the replay cache exactly as it would
-  // have arriving one request later.
-  std::vector<size_t> verified;  // request index of each batch item
-  std::vector<ibc::IbsBatchItem> items;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const EmergencyAuthRequest& req = reqs[i];
-    if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) continue;
-    try {
-      items.push_back({req.physician_id, req.body(),
-                       ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig)});
-      verified.push_back(i);
-    } catch (const std::exception&) {
-    }
-  }
-
-  // One ibs_verify_batch: all verification pairings fused and
-  // final-exponentiated together.
-  std::vector<uint8_t> ok = ibc::ibs_verify_batch(pub(), items, pool);
-  for (size_t k = 0; k < items.size(); ++k) {
-    if (ok[k]) out[verified[k]] = finish_emergency_auth(reqs[verified[k]]);
-  }
-  return out;
-}
-
-std::optional<AServer::EmergencyAuthOutcome> AServer::finish_emergency_auth(
-    const EmergencyAuthRequest& req) {
   if (!is_on_duty(req.physician_id)) return std::nullopt;
 
   // Small-subgroup guard: the passcode IBE keys to ê(TP, Ppub)^r.

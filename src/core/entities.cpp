@@ -139,23 +139,6 @@ SServer::Account* SServer::find_account(BytesView tp,
   return it == accounts_.end() ? nullptr : &it->second;
 }
 
-std::map<std::string, AccountSnapshot> SServer::snapshot_accounts() const {
-  std::map<std::string, AccountSnapshot> out;
-  for (const auto& [key, acct] : accounts_) {
-    AccountSnapshot snap;
-    // The packed index is immutable between whole-index writes, so the
-    // snapshot shares it; only the (small) mutable parts — file blobs and
-    // the update log — are copied. A republish after an UPDATE is therefore
-    // O(delta state), not O(index).
-    snap.index = acct.index;
-    snap.files = std::make_shared<const sse::EncryptedCollection>(acct.files);
-    snap.log = std::make_shared<const sse::UpdateLog>(acct.log);
-    snap.d = acct.d;
-    out.emplace(key, std::move(snap));
-  }
-  return out;
-}
-
 Bytes SServer::shared_key_for(BytesView tp_bytes) const {
   obs::Span span("crypto:shared_key");
   return nu_deriver_.with_point(
@@ -185,7 +168,7 @@ std::string SServer::log_record_key(const std::string& key,
 
 Bytes SServer::account_base_bytes(const Account& acct) {
   io::Writer w;
-  w.bytes(acct.index->to_bytes());
+  w.bytes(acct.index.to_bytes());
   w.bytes(acct.d);
   w.bytes(acct.be_blob);
   return w.take();
@@ -296,8 +279,7 @@ bool SServer::attach_store(const std::string& dir,
     for (const auto& [key, base] : bases) {
       io::Reader r(base);
       Account acct;
-      acct.index = std::make_shared<const sse::SecureIndex>(
-          sse::SecureIndex::from_bytes(r.bytes()));
+      acct.index = sse::SecureIndex::from_bytes(r.bytes());
       acct.d = r.bytes();
       acct.be_blob = r.bytes();
       if (!r.done()) {
@@ -372,7 +354,7 @@ Bytes SServer::export_state() const {
   w.u32(static_cast<uint32_t>(accounts_.size()));
   for (const auto& [key, acct] : accounts_) {
     w.str(key);
-    w.bytes(acct.index->to_bytes());
+    w.bytes(acct.index.to_bytes());
     w.bytes(acct.files.to_bytes());
     w.bytes(acct.log.to_bytes());
     w.bytes(acct.d);
@@ -402,8 +384,7 @@ bool SServer::import_state(BytesView state) {
     for (size_t i = 0; i < n; ++i) {
       std::string key = r.str();
       Account acct;
-      acct.index = std::make_shared<const sse::SecureIndex>(
-          sse::SecureIndex::from_bytes(r.bytes()));
+      acct.index = sse::SecureIndex::from_bytes(r.bytes());
       acct.files = sse::EncryptedCollection::from_bytes(r.bytes());
       acct.log = sse::UpdateLog::from_bytes(r.bytes());
       acct.d = r.bytes();
@@ -452,7 +433,7 @@ bool SServer::load_from_file(const std::string& path) {
 size_t SServer::stored_bytes() const {
   size_t total = 0;
   for (const auto& [key, acct] : accounts_) {
-    total += acct.index->size_bytes() + acct.files.size_bytes() +
+    total += acct.index.size_bytes() + acct.files.size_bytes() +
              acct.log.size_bytes() + acct.d.size() + acct.be_blob.size();
   }
   for (const auto& [role_id, entries] : mhi_store_) {

@@ -68,17 +68,6 @@ class Target {
 using StorageTarget = Target<SServer, SServerGroup>;
 using AuthorityTarget = Target<AServer, AServerCluster>;
 
-/// Immutable point-in-time copy of one account's searchable state, shared
-/// read-only across SEARCH workers (search_service.h). The shared_ptrs keep
-/// a snapshot alive for in-flight queries even after the live server mutates
-/// or republishes the account.
-struct AccountSnapshot {
-  std::shared_ptr<const sse::SecureIndex> index;
-  std::shared_ptr<const sse::EncryptedCollection> files;
-  std::shared_ptr<const sse::UpdateLog> log;  // forward-private update layer
-  Bytes d;  // current privilege key for θ_d unwrap
-};
-
 // ---------------------------------------------------------------------------
 /// State A-server: trusted government authority (§III.A). Owns the IBC
 /// domain (PKG), tracks on-duty physicians, runs the emergency
@@ -122,17 +111,6 @@ class AServer {
   std::optional<EmergencyAuthOutcome> handle_emergency_auth(
       const EmergencyAuthRequest& req);
 
-  /// Batched form for a burst of §IV.E.2 step-1 requests drained from one
-  /// queue: every physician IBS in the batch goes through a single
-  /// ibc::ibs_verify_batch (fused Miller products sharded onto `pool`, one
-  /// batched final exponentiation). result[i] is exactly what
-  /// handle_emergency_auth(reqs[i]) would have returned had the requests
-  /// arrived one at a time in order (including replay-cache effects between
-  /// duplicates).
-  std::vector<std::optional<EmergencyAuthOutcome>> handle_emergency_auth_batch(
-      std::span<const EmergencyAuthRequest> reqs,
-      par::ThreadPool* pool = nullptr);
-
   /// MHI role-key extraction for an authenticated on-duty physician.
   std::optional<curve::Point> handle_role_key_request(
       const RoleKeyRequest& req);
@@ -153,12 +131,6 @@ class AServer {
   }
 
  private:
-  /// Steps shared by the single and batched handlers once the physician's
-  /// IBS has been verified: on-duty and pseudonym checks, passcode issuance,
-  /// TR trace append.
-  std::optional<EmergencyAuthOutcome> finish_emergency_auth(
-      const EmergencyAuthRequest& req);
-
   sim::Network* net_;
   std::string id_;
   ibc::Domain domain_;
@@ -170,18 +142,6 @@ class AServer {
   ledger::Ledger trace_ledger_;
   mutable cipher::Drbg rng_;
 };
-
-/// The MAC-then-freshness half of SServer::admit, under an already derived
-/// key: the MAC first, so unauthenticated bytes never enter `receiver`'s
-/// replay cache, then the freshness/replay guard of [26]. The batch SEARCH
-/// path (SearchService::search_batch_privileged) calls it with the ν values
-/// it derived in one batch.
-template <class Req>
-bool admit_with(sim::Network& net, const std::string& receiver,
-                const Req& req, BytesView key) {
-  return protocol_mac_ok(key, Req::kLabel, req.body(), req.t, req.mac) &&
-         net.accept_fresh(receiver, req.mac, req.t, kFreshnessWindowNs);
-}
 
 // ---------------------------------------------------------------------------
 /// Hospital storage server (§III.A): public, honest-but-curious. Stores
@@ -247,9 +207,7 @@ class SServer {
 
   /// ν for a presented pseudonym: ê(Γ_S, TPp).
   [[nodiscard]] Bytes shared_key_for(BytesView tp_bytes) const;
-  /// The fixed-Γ_S precomputation behind shared_key_for, exposed so the
-  /// SEARCH front-end's batch path (SearchService::search_batch_privileged)
-  /// can derive a whole batch's ν values with one with_points call.
+  /// The fixed-Γ_S precomputation behind shared_key_for.
   [[nodiscard]] const ibc::SharedKeyDeriver& nu_deriver() const noexcept {
     return nu_deriver_;
   }
@@ -275,12 +233,8 @@ class SServer {
     return n;
   }
 
-  /// Copies every account into immutable snapshots for the concurrent SEARCH
-  /// front-end (search_service.h). Keys are account_key(tp, collection).
-  [[nodiscard]] std::map<std::string, AccountSnapshot> snapshot_accounts()
-      const;
-  /// The account-map key for a pseudonym + collection pair (public so the
-  /// search service and its clients can address snapshots).
+  /// The account-map key for a pseudonym + collection pair — also the key of
+  /// the account's base record in the attached store.
   static std::string account_key(BytesView tp, const std::string& collection);
 
   /// Attaches a persistent account store (src/store) at `dir`: recovers it,
@@ -307,10 +261,7 @@ class SServer {
 
  private:
   struct Account {
-    /// Immutable between whole-index writes (STORE/COMPACT) — shared into
-    /// snapshots instead of deep-copied, so an UPDATE-triggered republish is
-    /// O(log + files), never O(index).
-    std::shared_ptr<const sse::SecureIndex> index;
+    sse::SecureIndex index;  // replaced whole only by STORE/COMPACT
     sse::EncryptedCollection files;
     sse::UpdateLog log;  // forward-private ADD/DELETE entries
     Bytes d;
@@ -324,8 +275,9 @@ class SServer {
   /// The one authenticated door every handle_* opens with (DESIGN.md §5):
   /// the key the request type names — ν = ê(Γ_S, TPp) from req.tp, or, for
   /// the role-keyed MHI requests that carry no pseudonym, ρ = ê(PK_r, Γ_S)
-  /// from req.role_id — then admit_with. Returns the key, to seal the
-  /// reply, or nullopt to refuse.
+  /// from req.role_id — then the MAC, so unauthenticated bytes never enter
+  /// the replay cache, then the freshness/replay guard of [26]. Returns the
+  /// key, to seal the reply, or nullopt to refuse.
   template <class Req>
   std::optional<Bytes> admit(const Req& req);
 
@@ -384,7 +336,10 @@ std::optional<Bytes> SServer::admit(const Req& req) {
   } catch (const std::exception&) {
     return std::nullopt;  // malformed or small-order TPp
   }
-  if (!admit_with(*net_, id_, req, key)) return std::nullopt;
+  if (!protocol_mac_ok(key, Req::kLabel, req.body(), req.t, req.mac) ||
+      !net_->accept_fresh(id_, req.mac, req.t, kFreshnessWindowNs)) {
+    return std::nullopt;
+  }
   return key;
 }
 

@@ -241,8 +241,7 @@ struct BeBlobResponse {
   HCPP_WIRE_CODEC(BeBlobResponse)
 };
 
-/// Messages 3–4; the live handler and the batched SEARCH front-end
-/// (SearchService::search_batch_privileged) authenticate it alike.
+/// Messages 3–4.
 struct PrivilegedRetrieveRequest {
   static constexpr std::string_view kLabel = "emergency-privileged-retrieval";
   Bytes tp;

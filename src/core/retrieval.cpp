@@ -101,7 +101,7 @@ std::optional<RetrieveResponse> SServer::handle_retrieve(
   // 100-byte dynamic ones additionally walk the account's update log.
   RetrieveResponse resp;
   for (sse::FileId id :
-       sse::search_mixed(*acct->index, acct->log, req.trapdoors)) {
+       sse::search_mixed(acct->index, acct->log, req.trapdoors)) {
     auto it = acct->files.files.find(id);
     if (it != acct->files.files.end()) resp.files.emplace_back(id, it->second);
   }

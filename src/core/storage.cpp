@@ -70,8 +70,7 @@ bool SServer::handle_store(const StoreRequest& req) {
   if (!admit(req)) return false;
   Account acct;
   try {
-    acct.index = std::make_shared<const sse::SecureIndex>(
-        sse::SecureIndex::from_bytes(req.index));
+    acct.index = sse::SecureIndex::from_bytes(req.index);
     acct.files = sse::EncryptedCollection::from_bytes(req.files);
   } catch (const std::exception&) {
     return false;

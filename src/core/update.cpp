@@ -156,10 +156,9 @@ bool SServer::handle_compact(const CompactRequest& req) {
   Account* acct = find_account(req.tp, req.collection);
   if (acct == nullptr) return false;
 
-  std::shared_ptr<const sse::SecureIndex> index;
+  sse::SecureIndex index;  // parsed whole before the account is touched
   try {
-    index = std::make_shared<const sse::SecureIndex>(
-        sse::SecureIndex::from_bytes(req.index));
+    index = sse::SecureIndex::from_bytes(req.index);
   } catch (const std::exception&) {
     return false;
   }

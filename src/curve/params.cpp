@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "src/cipher/drbg.h"
 #include "src/mp/prime.h"
@@ -37,8 +38,18 @@ GeneratedParams generate_params(size_t q_bits, size_t p_bits,
   }
   GeneratedParams gp;
   gp.q = solinas_prime(q_bits, rng);
+  // Both searches below expect far fewer tries than the cap (about
+  // 0.35·p_bits prime candidates, two curve points); reaching it means
+  // Miller–Rabin or the square root runs on broken field kernels.
+  const size_t cap = 64 * p_bits;
+  auto exhausted = [](const char* what) {
+    return std::runtime_error(std::string("generate_params: no ") + what +
+                              " within the cap; the field kernels "
+                              "(MontCtx mul/sqr) are likely wrong");
+  };
   const size_t c_bits = p_bits - q_bits;
-  for (;;) {
+  for (size_t tries = 0;; ++tries) {
+    if (tries == cap) throw exhausted("prime p = c·q − 1");
     mp::U512 c = mp::random_bits(c_bits, rng);
     c.w[0] &= ~3ull;  // c ≡ 0 (mod 4) makes p = c·q − 1 ≡ 3 (mod 4)
     if (c.is_zero()) continue;
@@ -61,7 +72,8 @@ GeneratedParams generate_params(size_t q_bits, size_t p_bits,
   field::FpCtx fld(gp.p);
   // cofactor = (p+1)/q = c by construction; recompute defensively via ctx in
   // make_curve. Here we only need some multiple clearing q's complement.
-  for (;;) {
+  for (size_t tries = 0;; ++tries) {
+    if (tries == cap) throw exhausted("generator");
     mp::U512 x_raw = mp::random_below(gp.p, rng);
     field::Fp x(&fld, x_raw);
     field::Fp rhs = x.sqr() * x + x;

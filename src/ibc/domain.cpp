@@ -1,8 +1,5 @@
 #include "src/ibc/domain.h"
 
-#include <map>
-#include <stdexcept>
-
 #include "src/hash/hkdf.h"
 #include "src/obs/metrics.h"
 
@@ -93,33 +90,6 @@ Bytes SharedKeyDeriver::with_id(std::string_view peer_id) const {
 
 Bytes SharedKeyDeriver::with_point(const curve::Point& peer_public) const {
   return shared_key_kdf(pre_.pairing_with(peer_public));
-}
-
-std::vector<Bytes> SharedKeyDeriver::with_points(
-    std::span<const curve::Point> peers, par::ThreadPool* pool) const {
-  if (ctx_ == nullptr) {
-    throw std::logic_error("SharedKeyDeriver: default-constructed");
-  }
-  std::map<Bytes, size_t> index;  // peer encoding -> slot in `unique`
-  std::vector<const curve::Point*> unique;
-  std::vector<size_t> slot(peers.size());
-  for (size_t i = 0; i < peers.size(); ++i) {
-    auto [it, inserted] =
-        index.try_emplace(curve::point_to_bytes(peers[i]), unique.size());
-    if (inserted) unique.push_back(&peers[i]);
-    slot[i] = it->second;
-  }
-  // Only repeats skip a pairing: with_point would have paired each again.
-  obs::count(obs::kCoalescePairingsSaved, peers.size() - unique.size());
-  std::vector<curve::Gt> gs = curve::miller_batch(
-      *ctx_, unique.size(),
-      [&](size_t u) { return pre_.miller_with(*unique[u]); }, pool);
-  std::vector<Bytes> keys(unique.size());
-  for (size_t u = 0; u < unique.size(); ++u) keys[u] = shared_key_kdf(gs[u]);
-  std::vector<Bytes> out;
-  out.reserve(peers.size());
-  for (size_t s : slot) out.push_back(keys[s]);
-  return out;
 }
 
 }  // namespace hcpp::ibc

@@ -11,9 +11,7 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "src/curve/pairing.h"
 #include "src/curve/params.h"
@@ -98,14 +96,6 @@ class SharedKeyDeriver {
   [[nodiscard]] Bytes with_id(std::string_view peer_id) const;
   /// K = KDF(ê(my_private, peer)). Same value as shared_key_with_point.
   [[nodiscard]] Bytes with_point(const curve::Point& peer_public) const;
-
-  /// with_point(peers[i]) for every i. Each distinct peer is paired once
-  /// (repeats copy its key) and all of them share one curve::miller_batch,
-  /// sharded onto `pool` when given. Throws std::logic_error when
-  /// default-constructed.
-  [[nodiscard]] std::vector<Bytes> with_points(
-      std::span<const curve::Point> peers,
-      par::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const curve::CurveCtx* ctx() const noexcept { return ctx_; }
 

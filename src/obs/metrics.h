@@ -68,8 +68,9 @@ inline constexpr const char* kCheckedPointMemoHits =
 inline constexpr const char* kCheckedPointMemoMisses =
     "crypto.checked_point_memo_misses";
 
-// Pairings a batch skipped outright versus the one-at-a-time path: repeated
-// peers that ibc::SharedKeyDeriver::with_points did not pair again.
+// Pairings a batch skipped outright versus the one-at-a-time path. Nothing
+// in src/ counts it; the name stays because the traced benchmark
+// (perfbench/layers.cpp) reads it.
 inline constexpr const char* kCoalescePairingsSaved = "coalesce.pairings_saved";
 
 // Network substrate (src/sim/network.cpp).
@@ -144,7 +145,6 @@ inline constexpr const char* kStoreTornTails = "store.torn_tails";
 inline constexpr const char* kLoadOpNs = "load.op_ns";  // all op classes
 inline constexpr const char* kLoadStoreNs = "load.store_ns";
 inline constexpr const char* kLoadUpdateNs = "load.update_ns";
-inline constexpr const char* kLoadSearchNs = "load.search_ns";
 inline constexpr const char* kLoadRetrieveNs = "load.retrieve_ns";
 inline constexpr const char* kLoadEmergencyNs = "load.emergency_ns";
 

@@ -341,19 +341,6 @@ std::vector<FileId> search(const SecureIndex& index, const Trapdoor& td) {
   return result;
 }
 
-std::vector<std::vector<FileId>> search_many(const SecureIndex& index,
-                                             std::span<const Trapdoor> tds,
-                                             par::ThreadPool* pool) {
-  std::vector<std::vector<FileId>> out(tds.size());
-  auto one = [&](size_t i) { out[i] = search(index, tds[i]); };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < tds.size(); ++i) one(i);
-  } else {
-    pool->parallel_for(tds.size(), one);
-  }
-  return out;
-}
-
 Bytes Trapdoor::to_bytes() const {
   Bytes out = concat(address, mask);
   append(out, trapdoor_tag(address, mask));
@@ -379,25 +366,6 @@ std::optional<Trapdoor> unwrap_trapdoor(BytesView d, BytesView wrapped) {
   if (wrapped.size() != kTrapdoorSize) return std::nullopt;
   prf::FeistelPrp theta(Bytes(d.begin(), d.end()), kTrapdoorSize);
   return Trapdoor::from_bytes(theta.inverse(wrapped));
-}
-
-std::vector<std::optional<Trapdoor>> unwrap_trapdoors(
-    BytesView d, std::span<const Bytes> wrapped, par::ThreadPool* pool) {
-  // One θ_d key schedule for the whole batch; FeistelPrp is immutable, so
-  // the workers share it freely.
-  prf::FeistelPrp theta(Bytes(d.begin(), d.end()), kTrapdoorSize);
-  std::vector<std::optional<Trapdoor>> out(wrapped.size());
-  auto one = [&](size_t i) {
-    if (wrapped[i].size() == kTrapdoorSize) {
-      out[i] = Trapdoor::from_bytes(theta.inverse(wrapped[i]));
-    }
-  };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < wrapped.size(); ++i) one(i);
-  } else {
-    pool->parallel_for(wrapped.size(), one);
-  }
-  return out;
 }
 
 Bytes SecureIndex::to_bytes() const {

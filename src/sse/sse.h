@@ -146,13 +146,6 @@ Trapdoor make_trapdoor(const Keys& keys, std::string_view kw);
 /// the matching file ids (empty when the keyword is absent).
 std::vector<FileId> search(const SecureIndex& index, const Trapdoor& td);
 
-/// Batch SEARCH over a read-only index: result[i] = search(index, tds[i]).
-/// The index is never written, so with a pool the walks run concurrently
-/// without locks.
-std::vector<std::vector<FileId>> search_many(const SecureIndex& index,
-                                             std::span<const Trapdoor> tds,
-                                             par::ThreadPool* pool = nullptr);
-
 // ---- ASSIGN / REVOKE extension ------------------------------------------
 
 /// θ_d(TD): the wrapped trapdoor a privileged entity submits.
@@ -161,12 +154,5 @@ Bytes wrap_trapdoor(BytesView d, const Trapdoor& td);
 /// Server-side unwrap + validity check; nullopt when `d` is stale (i.e. the
 /// submitter has been revoked) or the blob is malformed.
 std::optional<Trapdoor> unwrap_trapdoor(BytesView d, BytesView wrapped);
-
-/// Batch unwrap: one θ_d key schedule shared across the whole batch, spread
-/// over the pool. result[i] is nullopt exactly when unwrap_trapdoor(d,
-/// wrapped[i]) would be.
-std::vector<std::optional<Trapdoor>> unwrap_trapdoors(
-    BytesView d, std::span<const Bytes> wrapped,
-    par::ThreadPool* pool = nullptr);
 
 }  // namespace hcpp::sse

@@ -1,17 +1,14 @@
 // §IV.E emergency flows: family-based and P-device-based retrieval, access
 // control (on-duty check, passcode), fail-open, the §VI.A alerting
-// countermeasure, and the batched front-ends
-// (SearchService::search_batch_privileged,
-// AServer::handle_emergency_auth_batch).
+// countermeasure, and the A-server's refusal of replayed or forged
+// authentication requests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "src/core/cluster.h"
-#include "src/core/search_service.h"
 #include "src/core/setup.h"
 #include "src/obs/metrics.h"
-#include "src/par/pool.h"
 #include "src/sim/transport.h"
 
 namespace hcpp::core {
@@ -311,121 +308,7 @@ TEST(PDeviceEmergency, FailOpenWhenFamilyAbsent) {
   EXPECT_EQ(got.size(), d.patient->files().size());
 }
 
-// ---- SearchService::search_batch_privileged --------------------------------
-
-PrivilegedRetrieveRequest make_priv_request(const Deployment& d,
-                                            const PrivilegeBundle& pb,
-                                            std::span<const std::string> kws,
-                                            uint64_t t_offset) {
-  // White-box construction of §IV.E.1 message 3 (emergency.cpp shape): the
-  // current privilege key d comes straight off the server snapshot instead
-  // of the BE round, which is not under test here.
-  auto snaps = d.sserver->snapshot_accounts();
-  const AccountSnapshot& acct =
-      snaps.at(SServer::account_key(pb.tp, pb.collection));
-  PrivilegedRetrieveRequest req;
-  req.tp = pb.tp;
-  req.collection = pb.collection;
-  sse::TrapdoorGen gen(pb.keys);
-  for (const std::string& kw : kws) {
-    req.wrapped_trapdoors.push_back(
-        sse::wrap_trapdoor(acct.d, gen.make(keyword_alias(kw, 0))));
-  }
-  req.t = d.net->clock().now() + t_offset;
-  req.mac = protocol_mac(pb.nu, req.kLabel, req.body(), req.t);
-  return req;
-}
-
-std::vector<sse::FileId> file_ids(const RetrieveResponse& resp) {
-  std::vector<sse::FileId> ids;
-  for (const auto& [id, blob] : resp.files) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-TEST(SearchBatchPrivileged, MatchesLiveHandlerAndRejectsBadRequests) {
-  Deployment d = Deployment::create(small_config(16));
-  ASSERT_TRUE(d.family->has_bundle());
-  const PrivilegeBundle& pb = d.family->bundle();
-  std::vector<std::string> kws = {d.all_keywords().front()};
-
-  // Live handler first (its own timestamp, so no replay interference).
-  PrivilegedRetrieveRequest single = make_priv_request(d, pb, kws, 0);
-  std::optional<RetrieveResponse> live =
-      d.sserver->handle_privileged_retrieve(single);
-  ASSERT_TRUE(live.has_value());
-
-  SearchService svc(nullptr);
-  svc.publish(*d.sserver);
-  PrivilegedRetrieveRequest good = make_priv_request(d, pb, kws, 1);
-  PrivilegedRetrieveRequest good2 = make_priv_request(d, pb, kws, 2);
-  PrivilegedRetrieveRequest bad_mac = make_priv_request(d, pb, kws, 3);
-  bad_mac.mac[0] ^= 1;
-  PrivilegedRetrieveRequest bad_tp = make_priv_request(d, pb, kws, 4);
-  bad_tp.tp[1] ^= 1;  // no longer a valid curve point encoding
-  bad_tp.mac = protocol_mac(pb.nu, bad_tp.kLabel, bad_tp.body(), bad_tp.t);
-  PrivilegedRetrieveRequest unknown = make_priv_request(d, pb, kws, 5);
-  unknown.collection = "no-such-collection";
-  unknown.mac = protocol_mac(pb.nu, unknown.kLabel, unknown.body(), unknown.t);
-
-  std::vector<PrivilegedRetrieveRequest> reqs = {good, good2, bad_mac,
-                                                 bad_tp, unknown};
-  std::vector<std::optional<RetrieveResponse>> got =
-      svc.search_batch_privileged(*d.sserver, reqs);
-  ASSERT_EQ(got.size(), reqs.size());
-  ASSERT_TRUE(got[0].has_value());
-  ASSERT_TRUE(got[1].has_value());  // same pseudonym: ν paired only once
-  EXPECT_EQ(file_ids(*got[0]), file_ids(*live));
-  EXPECT_EQ(file_ids(*got[1]), file_ids(*live));
-  // The batch responses authenticate under the same ν as the live ones.
-  EXPECT_TRUE(protocol_mac_ok(pb.nu, PrivilegedRetrieveRequest::kLabel,
-                              got[0]->body(), got[0]->t, got[0]->mac));
-  EXPECT_FALSE(got[2].has_value());
-  EXPECT_FALSE(got[3].has_value());
-  EXPECT_FALSE(got[4].has_value());
-}
-
-TEST(SearchBatchPrivileged, ReplayInsideBatchIsRejected) {
-  Deployment d = Deployment::create(small_config(17));
-  const PrivilegeBundle& pb = d.family->bundle();
-  std::vector<std::string> kws = {d.all_keywords().front()};
-  SearchService svc(nullptr);
-  svc.publish(*d.sserver);
-  PrivilegedRetrieveRequest req = make_priv_request(d, pb, kws, 0);
-  std::vector<PrivilegedRetrieveRequest> reqs = {req, req};  // same MAC
-  std::vector<std::optional<RetrieveResponse>> got =
-      svc.search_batch_privileged(*d.sserver, reqs);
-  EXPECT_TRUE(got[0].has_value());
-  EXPECT_FALSE(got[1].has_value());  // replay cache, arrival order
-}
-
-TEST(SearchBatchPrivileged, PooledMatchesSerial) {
-  Deployment d = Deployment::create(small_config(18));
-  const PrivilegeBundle& pb = d.family->bundle();
-  std::vector<std::string> kws = {d.all_keywords().front()};
-  par::ThreadPool pool(2, "test-search-batch");
-  SearchService serial(nullptr);
-  SearchService pooled(&pool);
-  serial.publish(*d.sserver);
-  pooled.publish(*d.sserver);
-  std::vector<PrivilegedRetrieveRequest> reqs_a, reqs_b;
-  for (uint64_t i = 0; i < 3; ++i) {
-    reqs_a.push_back(make_priv_request(d, pb, kws, i));
-    reqs_b.push_back(make_priv_request(d, pb, kws, 100 + i));
-  }
-  std::vector<std::optional<RetrieveResponse>> a =
-      serial.search_batch_privileged(*d.sserver, reqs_a);
-  std::vector<std::optional<RetrieveResponse>> b =
-      pooled.search_batch_privileged(*d.sserver, reqs_b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].has_value());
-    ASSERT_TRUE(b[i].has_value());
-    EXPECT_EQ(file_ids(*a[i]), file_ids(*b[i]));
-  }
-}
-
-// ---- AServer::handle_emergency_auth_batch ----------------------------------
+// ---- AServer::handle_emergency_auth ---------------------------------------
 
 EmergencyAuthRequest make_auth_request(Deployment& d, const std::string& id,
                                        cipher::Drbg& rng, uint64_t t_offset) {
@@ -439,51 +322,24 @@ EmergencyAuthRequest make_auth_request(Deployment& d, const std::string& id,
   return req;
 }
 
-TEST(EmergencyAuthBatch, MatchesSingleHandlerOutcomes) {
+TEST(EmergencyAuthReplay, ResentOrForgedRequestAppendsNoTrace) {
   Deployment d = Deployment::create(small_config(19));
-  cipher::Drbg rng = test_rng("auth-batch");
-  const std::string on = d.on_duty->id();
-  const std::string off = d.off_duty->id();
-
-  EmergencyAuthRequest ok1 = make_auth_request(d, on, rng, 0);
-  EmergencyAuthRequest ok2 = make_auth_request(d, on, rng, 1);
-  EmergencyAuthRequest off_duty = make_auth_request(d, off, rng, 2);
-  EmergencyAuthRequest bad_sig = make_auth_request(d, on, rng, 3);
-  bad_sig.sig[4] ^= 1;
-  EmergencyAuthRequest replay = ok1;
-
+  cipher::Drbg rng = test_rng("auth-replay");
   const size_t traces_before = d.aserver->traces().size();
-  std::vector<EmergencyAuthRequest> reqs = {ok1, ok2, off_duty, bad_sig,
-                                            replay};
-  std::vector<std::optional<AServer::EmergencyAuthOutcome>> got =
-      d.aserver->handle_emergency_auth_batch(reqs);
-  ASSERT_EQ(got.size(), reqs.size());
-  EXPECT_TRUE(got[0].has_value());
-  EXPECT_TRUE(got[1].has_value());
-  EXPECT_FALSE(got[2].has_value());  // verified IBS but not on duty
-  EXPECT_FALSE(got[3].has_value());  // signature rejected
-  EXPECT_FALSE(got[4].has_value());  // replay of ok1 inside the batch
-  // Each accepted request appended a TR trace, like the single handler.
-  EXPECT_EQ(d.aserver->traces().size(), traces_before + 2);
 
-  // The batched outcome drives the real passcode flow end to end.
+  EmergencyAuthRequest ok = make_auth_request(d, d.on_duty->id(), rng, 0);
+  std::optional<AServer::EmergencyAuthOutcome> got =
+      d.aserver->handle_emergency_auth(ok);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(d.aserver->handle_emergency_auth(ok).has_value());  // replay
+  EmergencyAuthRequest bad_sig = make_auth_request(d, d.on_duty->id(), rng, 1);
+  bad_sig.sig[4] ^= 1;
+  EXPECT_FALSE(d.aserver->handle_emergency_auth(bad_sig).has_value());
+  EXPECT_EQ(d.aserver->traces().size(), traces_before + 1);
+
+  // The accepted outcome drives the real passcode flow.
   d.pdevice->press_emergency_button();
-  ASSERT_TRUE(d.pdevice->deliver_passcode(*d.aserver, got[0]->to_pdevice));
-}
-
-TEST(EmergencyAuthBatch, PooledDrainSameAcceptance) {
-  Deployment d = Deployment::create(small_config(20));
-  cipher::Drbg rng = test_rng("auth-batch-pool");
-  std::vector<EmergencyAuthRequest> reqs;
-  for (uint64_t i = 0; i < 4; ++i) {
-    reqs.push_back(make_auth_request(d, d.on_duty->id(), rng, i));
-  }
-  par::ThreadPool pool(2, "test-auth-batch");
-  std::vector<std::optional<AServer::EmergencyAuthOutcome>> got =
-      d.aserver->handle_emergency_auth_batch(reqs, &pool);
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(got[i].has_value()) << i;
-  }
+  EXPECT_TRUE(d.pdevice->deliver_passcode(*d.aserver, got->to_pdevice));
 }
 
 TEST(EmergencyAuthReplay, PaddedSignatureIsNotAFreshRequest) {
@@ -499,19 +355,7 @@ TEST(EmergencyAuthReplay, PaddedSignatureIsNotAFreshRequest) {
   EmergencyAuthRequest padded = first;
   padded.sig.push_back(0x00);
   EXPECT_FALSE(d.aserver->handle_emergency_auth(padded).has_value());
-  std::vector<EmergencyAuthRequest> resent = {padded};
-  EXPECT_FALSE(d.aserver->handle_emergency_auth_batch(resent)[0].has_value());
-
-  // Inside one batch: the original is accepted, its padded copy is not.
-  EmergencyAuthRequest second = make_auth_request(d, d.on_duty->id(), rng, 1);
-  EmergencyAuthRequest second_padded = second;
-  second_padded.sig.push_back(0x00);
-  std::vector<EmergencyAuthRequest> batch = {second, second_padded};
-  std::vector<std::optional<AServer::EmergencyAuthOutcome>> got =
-      d.aserver->handle_emergency_auth_batch(batch);
-  EXPECT_TRUE(got[0].has_value());
-  EXPECT_FALSE(got[1].has_value());
-  EXPECT_EQ(d.aserver->traces().size(), traces_before + 2);
+  EXPECT_EQ(d.aserver->traces().size(), traces_before + 1);
 }
 
 }  // namespace

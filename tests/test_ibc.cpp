@@ -447,37 +447,5 @@ TEST(IbsBatch, EmptyBatchIsEmpty) {
   EXPECT_TRUE(ibs_verify_batch(d.pub(), {}, nullptr).empty());
 }
 
-TEST(SharedKeyDeriver, WithPoints) {
-  Domain d = make_domain("skd-points");
-  cipher::Drbg rng(to_bytes("skd-points-rng"));
-  SharedKeyDeriver deriver(ctx(), d.extract("sserver"));
-  const curve::Point tp = d.issue_pseudonym(rng).tp;
-  std::vector<curve::Point> peers = {
-      tp,
-      Domain::public_key(ctx(), "peer-a"),
-      Domain::public_key(ctx(), "peer-b"),
-      tp,                                   // repeat
-      Domain::public_key(ctx(), "peer-a"),  // repeat
-  };
-  obs::Registry reg;
-  obs::Registry* previous = obs::attached();
-  obs::attach(&reg);
-  std::vector<Bytes> serial = deriver.with_points(peers, nullptr);
-  obs::attach(previous);
-  ASSERT_EQ(serial.size(), peers.size());
-  for (size_t i = 0; i < peers.size(); ++i) {
-    EXPECT_EQ(serial[i], deriver.with_point(peers[i])) << "peer " << i;
-  }
-  // Each distinct peer paired once: the two repeats are the saving.
-  EXPECT_EQ(reg.counter(obs::kPairingFixed), 3u);
-  EXPECT_EQ(reg.counter(obs::kCoalescePairingsSaved), 2u);
-
-  par::ThreadPool pool(3, "skd");
-  EXPECT_EQ(deriver.with_points(peers, &pool), serial);
-  EXPECT_TRUE(deriver.with_points({}, &pool).empty());
-  EXPECT_THROW((void)SharedKeyDeriver().with_points(peers),
-               std::logic_error);
-}
-
 }  // namespace
 }  // namespace hcpp::ibc

@@ -4,6 +4,8 @@
 // S-server handlers behind SServer::dispatch.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/be/broadcast.h"
 #include "src/cipher/aead.h"
 #include "src/cipher/drbg.h"
@@ -368,6 +370,75 @@ TEST(WireSweep, UpdateWithOneMalformedInsertIsRefusedWhole) {
   const Bytes before = server.export_state();
   EXPECT_FALSE(server.dispatch(r.label, r.wire).has_value());
   EXPECT_EQ(server.export_state(), before);
+}
+
+// §IV.E.1 message 3 through the wire seam: of five θ_d-wrapped blobs, only
+// the two that unwrap under the current d (one static, one dynamic) match;
+// garbage, a tampered wrap and a wrap under the pre-REVOKE d match nothing.
+TEST(WireSweep, PrivilegedRetrieveAnswersOnlyValidWrappedTrapdoors) {
+  core::DeploymentConfig cfg;
+  cfg.n_phi_files = 6;
+  cfg.file_content_bytes = 32;
+  core::Deployment d = core::Deployment::create(cfg);
+  core::SServer& server = *d.sserver;
+  core::Patient& pt = *d.patient;
+  const auto entries = pt.keyword_index().entries;  // static keywords only
+  const sse::FileId dyn_id = pt.files().back().id + 1;
+  const std::string dyn_kw = "category:dyn-only";
+  ASSERT_TRUE(
+      pt.try_update_phi(server, {{dyn_id, "dyn", to_bytes("dyn"), {dyn_kw}}})
+          .ok());
+  const Bytes stale_d = pt.keys().d;
+  ASSERT_TRUE(pt.try_revoke_member(server, core::kPDeviceSlot).ok());
+  const Bytes d_now = pt.keys().d;
+  ASSERT_NE(d_now, stale_d);
+
+  // The static keyword's files, and a keyword reaching a file outside them
+  // for the blobs that must not match.
+  const std::string static_kw = entries.begin()->first;
+  std::set<sse::FileId> want(entries.begin()->second.begin(),
+                             entries.begin()->second.end());
+  std::string other_kw;
+  for (const auto& [kw, ids] : entries) {
+    for (sse::FileId id : ids) {
+      if (!want.contains(id)) other_kw = kw;
+    }
+  }
+  ASSERT_FALSE(other_kw.empty());
+  want.insert(dyn_id);
+
+  sse::TrapdoorGen gen(pt.keys());
+  sse::Updater up(pt.keys(), pt.update_state());
+  Bytes tampered =
+      sse::wrap_trapdoor(d_now, gen.make(core::keyword_alias(other_kw, 0)));
+  tampered[7] ^= 0x01;
+  const Bytes nu = pt.shared_key_nu();
+  core::PrivilegedRetrieveRequest req{
+      pt.tp_bytes(),
+      pt.collection(),
+      {sse::wrap_trapdoor(d_now, gen.make(core::keyword_alias(static_kw, 0))),
+       sse::wrap_dyn_trapdoor(d_now,
+                              up.trapdoor(core::keyword_alias(dyn_kw, 0))),
+       Bytes(17, 0xab), tampered,
+       sse::wrap_trapdoor(stale_d,
+                          gen.make(core::keyword_alias(other_kw, 0)))},
+      d.net->clock().now(),
+      {}};
+  ASSERT_EQ(req.wrapped_trapdoors[1].size(), sse::kDynTrapdoorSize);
+  Recorded r = record(req, nu);
+  std::optional<Bytes> reply = server.dispatch(r.label, r.wire);
+  ASSERT_TRUE(reply.has_value());
+  core::RetrieveResponse resp = core::RetrieveResponse::from_wire(*reply);
+  EXPECT_TRUE(core::protocol_mac_ok(nu, r.label, resp.body(), resp.t,
+                                    resp.mac));
+  std::set<sse::FileId> got;
+  for (const auto& [id, blob] : resp.files) got.insert(id);
+  EXPECT_EQ(got, want);
+
+  // The same request for a collection the pseudonym does not hold.
+  req.collection = "no-such-collection";
+  Recorded unknown = record(req, nu);
+  EXPECT_FALSE(server.dispatch(unknown.label, unknown.wire).has_value());
 }
 
 }  // namespace

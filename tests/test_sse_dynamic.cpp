@@ -9,8 +9,8 @@
 //     derivable from (i.e. collides with) anything a pre-update trapdoor
 //     reveals;
 //   * the end-to-end UPDATE/COMPACT protocol, store write-through +
-//     hydration, export/import, ASSIGN-bundle staleness and the snapshot
-//     SEARCH front-end.
+//     hydration, export/import, ASSIGN-bundle staleness and the log walk
+//     behind both read protocols (owner and θ_d-wrapped privileged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <set>
 
 #include "src/cipher/chacha20.h"
-#include "src/core/search_service.h"
 #include "src/core/setup.h"
 #include "src/hash/sha256.h"
 #include "src/par/pool.h"
@@ -441,36 +440,24 @@ TEST(SseDynamicProtocol, ExportImportCarriesUpdateLog) {
   EXPECT_EQ(got[0].name, "exported");
 }
 
-// ---- Snapshot SEARCH front-end ----------------------------------------------
+// ---- Log walk behind both read protocols -----------------------------------
 
-TEST(SseDynamicProtocol, SearchServiceServesLogThroughSnapshots) {
+TEST(SseDynamicProtocol, OwnerAndPrivilegedReadsWalkTheLog) {
   Deployment d = Deployment::create({.n_phi_files = 3});
   sse::FileId nid = d.patient->files().back().id + 1;
   ASSERT_TRUE(d.patient->try_update_phi(
-      *d.sserver, {{nid, "snap-new", to_bytes("x"), {"kw-snap"}}}).ok());
+      *d.sserver, {{nid, "log-new", to_bytes("x"), {"kw-log"}}}).ok());
+  ASSERT_TRUE(assign_privilege(*d.patient, *d.family, d.mu_family));
 
-  par::ThreadPool pool(2, "dyn-snap");
-  SearchService svc(&pool, 1);
-  svc.publish(*d.sserver);
-
-  sse::Updater up(d.patient->keys(), d.patient->update_state());
-  SearchService::Query q;
-  q.account =
-      SServer::account_key(d.patient->tp_bytes(), d.patient->collection());
-  q.trapdoor_blobs.push_back(
-      up.trapdoor(keyword_alias("kw-snap", 0)).to_bytes());
-
-  // Owner path (raw mixed-width blobs) and privileged path (θ_d-wrapped),
-  // batched so the pool actually fans out.
-  std::vector<SearchService::Query> batch(8, q);
-  batch[3].privileged = true;
-  batch[3].trapdoor_blobs.clear();
-  batch[3].wrapped.push_back(sse::wrap_dyn_trapdoor(
-      d.patient->keys().d, up.trapdoor(keyword_alias("kw-snap", 0))));
-  for (const auto& res : svc.search_batch(batch)) {
-    ASSERT_TRUE(res.account_found);
-    ASSERT_EQ(res.matches.size(), 1u);
-    EXPECT_EQ(res.matches[0].id, nid);
+  // The owner sends the raw 100-byte dynamic trapdoor, the family its
+  // θ_d-wrapped form; both reach the file only the update log holds.
+  std::vector<std::string> kws = {"kw-log"};
+  for (Result<std::vector<sse::PlainFile>> got :
+       {d.patient->try_retrieve(*d.sserver, kws),
+        d.family->try_emergency_retrieve(*d.sserver, kws)}) {
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), 1u);
+    EXPECT_EQ(got.value()[0].id, nid);
   }
 }
 

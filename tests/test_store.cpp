@@ -1,7 +1,8 @@
 // Log-structured account store (src/store): segment frames, recovery with
 // torn-tail truncation, crash points mid-append and mid-compaction, shard
-// routing through SServerGroup, per-shard SearchService snapshots, and the
-// SServer write-through + hydration path with its differential oracle.
+// routing through SServerGroup (each retrieval answered by its owner shard
+// alone), and the SServer write-through + hydration path with its
+// differential oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 #include "src/common/serialize.h"
 #include "src/core/cluster.h"
 #include "src/core/record.h"
-#include "src/core/search_service.h"
 #include "src/core/setup.h"
 #include "src/hash/sha256.h"
 #include "src/store/shard.h"
@@ -488,7 +488,7 @@ TEST(StoreIntegration, ImportStateRewritesStore) {
   fs::remove_all(dir);
 }
 
-// ---- sharded group + per-shard search service ------------------------------
+// ---- sharded group ---------------------------------------------------------
 
 TEST(StoreIntegration, ShardedGroupRoutesToOwners) {
   core::Deployment d = core::Deployment::create({.n_phi_files = 4});
@@ -584,7 +584,7 @@ TEST(StoreIntegration, ShardedOwnerDownGivesReadsAndWritesItsOwnError) {
   expect_owner_timeout(revoked.error());
 }
 
-TEST(StoreIntegration, PerShardSnapshotPublication) {
+TEST(StoreIntegration, ShardedRetrievalsStayOnTheirOwnerShard) {
   core::Deployment d = core::Deployment::create({.n_phi_files = 4});
   constexpr size_t kShards = 3;
   core::SServerGroup group(*d.net, *d.aserver, d.sserver->service_id(),
@@ -593,43 +593,36 @@ TEST(StoreIntegration, PerShardSnapshotPublication) {
   std::vector<std::unique_ptr<core::Patient>> patients;
   for (int i = 0; i < 6; ++i) {
     auto p = std::make_unique<core::Patient>(
-        *d.net, "snap-patient-" + std::to_string(i), *d.rng);
+        *d.net, "shard-read-patient-" + std::to_string(i), *d.rng);
     p->setup(*d.aserver, group.service_id());
     p->add_files({{static_cast<sse::FileId>(i + 1),
-                   "snap-file-" + std::to_string(i),
-                   to_bytes("snap body " + std::to_string(i)),
-                   {"kw-snap"}}});
+                   "shard-read-file-" + std::to_string(i),
+                   to_bytes("shard read body " + std::to_string(i)),
+                   {"kw-shard-read"}}});
     ASSERT_TRUE(p->try_store_phi(group).ok());
     patients.push_back(std::move(p));
   }
 
-  core::SearchService service(nullptr, kShards);
-  EXPECT_THROW(service.publish(group.replica(0)), std::logic_error);
-  service.publish(group);
-  EXPECT_EQ(service.account_count(), patients.size());
-
-  // Every patient's account is found through the shard-routed lookup.
-  for (auto& p : patients) {
-    core::SearchService::Query q;
-    q.account = core::SServer::account_key(p->tp_bytes(), p->collection());
-    sse::TrapdoorGen gen(p->keys());
-    q.trapdoors.push_back(gen.make(core::keyword_alias("kw-snap", 0)));
-    auto res = service.search(q);
-    EXPECT_TRUE(res.account_found);
-    EXPECT_EQ(res.matches.size(), 1u);
+  // Every patient's keyword, shared by all six, reaches only its own file.
+  const std::vector<std::string> kws = {"kw-shard-read"};
+  for (size_t i = 0; i < patients.size(); ++i) {
+    auto got = patients[i]->try_retrieve(group, kws);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), 1u);
+    EXPECT_EQ(got.value()[0].name, "shard-read-file-" + std::to_string(i));
   }
 
-  // Republishing one shard with an empty server only empties that shard.
-  core::SServer empty(*d.net, *d.aserver, "empty-instance",
-                      group.service_id());
-  size_t victim = group.shard_of(patients[0]->tp_bytes());
-  size_t victim_accounts = group.replica(victim).account_count();
-  service.publish_shard(victim, empty);
-  EXPECT_EQ(service.account_count(), patients.size() - victim_accounts);
-  core::SearchService::Query q;
-  q.account = core::SServer::account_key(patients[0]->tp_bytes(),
-                                         patients[0]->collection());
-  EXPECT_FALSE(service.search(q).account_found);
+  // One shard down fails exactly the retrievals it owns.
+  const size_t victim = group.shard_of(patients[0]->tp_bytes());
+  group.set_up(victim, false);
+  size_t failed = 0;
+  for (auto& p : patients) {
+    bool owned = group.shard_of(p->tp_bytes()) == victim;
+    auto got = p->try_retrieve(group, kws);
+    EXPECT_EQ(got.ok(), !owned);
+    failed += owned;
+  }
+  EXPECT_EQ(failed, group.replica(victim).account_count());
 }
 
 }  // namespace

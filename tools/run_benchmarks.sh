@@ -7,20 +7,23 @@
 #                           (crypto-op counters, transport stats, latency
 #                           histograms with p50/p95/p99)
 #   BENCH_throughput.json — bench_throughput (ops/sec for the parallel SSE
-#                           build / SEARCH serving / collection AEAD / batch
-#                           IBS paths at 1/2/4/8 threads; context records
+#                           index build / collection AEAD / batch IBS verify
+#                           paths at 1/2/4/8 threads, plus one ChaCha20 row
+#                           per kernel variant; context records
 #                           hardware_concurrency so flat scaling on small
 #                           containers is self-explanatory)
 #   BENCH_ledger.json     — bench_ledger (audit-ledger appends/s with and
 #                           without the WAL, chain verify, recovery replay,
 #                           Merkle proofs/s; proof-verify latency p50/p95/p99
 #                           sourced from the obs histogram)
-#   BENCH_load.json       — bench_load (closed/open-loop mixed traffic over
-#                           the sharded persistent account store + SEARCH
-#                           front-end: p50/p95/p99 per QPS point from the obs
-#                           load.*_ns histograms — including the §12 UPDATE
-#                           op in both loops — plus the post-run
-#                           differential-oracle verdict). Population size
+#   BENCH_load.json       — bench_load (closed-loop store put/update/get over
+#                           the sharded persistent account store, open-loop
+#                           store/update/retrieve/family-emergency mix with
+#                           the reads sent through the protocol clients to a
+#                           sharded SServerGroup: p50/p95/p99 per QPS
+#                           point from the obs load.*_ns histograms, plus
+#                           the post-run differential-oracle verdict).
+#                           Population size
 #                           defaults to 100000 accounts; BENCH_LOAD_ACCOUNTS
 #                           shrinks it for smoke runs.
 #   BENCH_sse.json        — bench_sse (index build serial + pooled, SEARCH,
