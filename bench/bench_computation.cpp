@@ -331,6 +331,24 @@ BENCHMARK(BM_ScalarMulFixedBase)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// a·P + b·Q from the fixed-base tables of P and Q, as IbsSigner::sign runs
+// it: eight width-5 wNAF chunk streams sharing one doubling chain.
+void BM_Mul2Fixed(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-mul2-fixed"));
+  const curve::FixedBaseTable tp(
+      ctx, curve::mul_generator(ctx, curve::random_scalar(ctx, rng)));
+  const curve::FixedBaseTable tq(
+      ctx, curve::mul_generator(ctx, curve::random_scalar(ctx, rng)));
+  const mp::U512 a = curve::random_scalar(ctx, rng);
+  const mp::U512 b = curve::random_scalar(ctx, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::mul2_fixed(ctx, tp, a, tq, b));
+  }
+  state.SetLabel(set_name(state.range(0)));
+}
+BENCHMARK(BM_Mul2Fixed)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_HashToPoint(benchmark::State& state) {
   const curve::CurveCtx& ctx = ctx_for(state.range(0));
   uint64_t i = 0;

@@ -293,6 +293,10 @@ mp::U512 bit_slice(const mp::U512& k, size_t lo, size_t len) {
   return r;
 }
 
+// The wNAF width of the scalar multiplications: digits ±1, ±3, …, ±15,
+// exactly the eight odd multiples of each table below.
+constexpr unsigned kWnafWidth = 5;
+
 // Odd multiples 1a, 3a, …, 15a of every point in `pts`, grown in Jacobian
 // form and flattened to affine with one shared batch inversion; entry
 // 8·i + j is (2j+1)·pts[i]. An infinite input yields infinite entries.
@@ -321,7 +325,7 @@ Jac add_digit(const CurveCtx& ctx, const Jac& acc, const Point* table,
 Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
   obs::count(obs::kPointMul);
   if (a.infinity || k.is_zero()) return Point::at_infinity();
-  std::vector<int8_t> naf = wnaf(k, 4);
+  std::vector<int8_t> naf = wnaf(k, kWnafWidth);
   const Jac base = to_jac(ctx, a);
   std::vector<Point> table = odd_multiples(ctx, std::span(&base, 1));
   Jac acc;
@@ -334,8 +338,8 @@ Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k) {
 Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
            const Point& q, const mp::U512& b) {
   obs::count(obs::kPointMul);
-  std::vector<int8_t> na = wnaf(a, 4);
-  std::vector<int8_t> nb = wnaf(b, 4);
+  std::vector<int8_t> na = wnaf(a, kWnafWidth);
+  std::vector<int8_t> nb = wnaf(b, kWnafWidth);
   const Jac pts[2] = {to_jac(ctx, p), to_jac(ctx, q)};
   std::vector<Point> table = odd_multiples(ctx, pts);
   Jac acc;
@@ -378,7 +382,7 @@ Point mul2_fixed(const CurveCtx& ctx, const FixedBaseTable& p,
     }
     for (size_t j = 0; j < FixedBaseTable::kChunks; ++j) {
       std::vector<int8_t>& naf = nafs[FixedBaseTable::kChunks * t + j];
-      naf = wnaf(bit_slice(*scalars[t], c * j, c), 4);
+      naf = wnaf(bit_slice(*scalars[t], c * j, c), kWnafWidth);
       len = std::max(len, naf.size());
     }
   }

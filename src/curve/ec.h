@@ -94,10 +94,10 @@ bool in_prime_subgroup(const CurveCtx& ctx, const Point& pt);
 Point add(const CurveCtx& ctx, const Point& a, const Point& b);
 Point dbl(const CurveCtx& ctx, const Point& a);
 Point negate(const Point& a);
-/// Scalar multiplication k·P: one width-4 wNAF pass over Jacobian
+/// Scalar multiplication k·P: one width-5 wNAF pass over Jacobian
 /// coordinates with a batch-normalized table of odd multiples.
 Point mul(const CurveCtx& ctx, const Point& a, const mp::U512& k);
-/// a·P + b·Q in one interleaved width-4 wNAF pass (Straus–Shamir): the two
+/// a·P + b·Q in one interleaved width-5 wNAF pass (Straus–Shamir): the two
 /// scalars share every doubling. Counts as one point multiplication.
 Point mul2(const CurveCtx& ctx, const Point& p, const mp::U512& a,
            const Point& q, const mp::U512& b);
@@ -114,7 +114,7 @@ struct FixedBaseTable {
   std::vector<Point> odd;  // entry 8·j + i is (2i+1)·2^{c·j}·B
 };
 /// a·P + b·Q from the fixed-base tables of P and Q: each scalar splits into
-/// four c-bit chunks, and the eight width-4 wNAF chunk streams share c + 1
+/// four c-bit chunks, and the eight width-5 wNAF chunk streams share c + 1
 /// doublings. Same point as mul2, and likewise one point multiplication.
 /// Scalars must be below 2^{4c} (every scalar mod q is); throws
 /// std::invalid_argument otherwise.

@@ -37,8 +37,7 @@ Fp Fp::one(const FpCtx* ctx) {
 }
 
 Fp Fp::from_raw(const FpCtx* ctx, const mp::U512& mont_value) {
-  Fp r;
-  r.ctx_ = ctx;
+  Fp r(ctx);
   r.v_ = mont_value;
   return r;
 }
@@ -46,31 +45,6 @@ Fp Fp::from_raw(const FpCtx* ctx, const mp::U512& mont_value) {
 mp::U512 Fp::value() const {
   assert(ctx_ != nullptr);
   return ctx_->mont.from_mont(v_);
-}
-
-Fp Fp::operator+(const Fp& o) const {
-  assert(ctx_ != nullptr && ctx_ == o.ctx_);
-  return from_raw(ctx_, ctx_->mont.add(v_, o.v_));
-}
-
-Fp Fp::operator-(const Fp& o) const {
-  assert(ctx_ != nullptr && ctx_ == o.ctx_);
-  return from_raw(ctx_, ctx_->mont.sub(v_, o.v_));
-}
-
-Fp Fp::operator*(const Fp& o) const {
-  assert(ctx_ != nullptr && ctx_ == o.ctx_);
-  return from_raw(ctx_, ctx_->mont.mul(v_, o.v_));
-}
-
-Fp Fp::neg() const {
-  assert(ctx_ != nullptr);
-  return from_raw(ctx_, ctx_->mont.sub(mp::U512{}, v_));
-}
-
-Fp Fp::sqr() const {
-  assert(ctx_ != nullptr);
-  return from_raw(ctx_, ctx_->mont.sqr(v_));
 }
 
 Fp Fp::inv() const {

@@ -3,6 +3,7 @@
 // contexts outlive all elements (they live in the Params registry).
 #pragma once
 
+#include <cassert>
 #include <optional>
 
 #include "src/mp/mont.h"
@@ -36,11 +37,37 @@ class Fp {
   [[nodiscard]] mp::U512 value() const;
   [[nodiscard]] bool is_zero() const noexcept { return v_.is_zero(); }
 
-  [[nodiscard]] Fp operator+(const Fp& o) const;
-  [[nodiscard]] Fp operator-(const Fp& o) const;
-  [[nodiscard]] Fp operator*(const Fp& o) const;
-  [[nodiscard]] Fp neg() const;
-  [[nodiscard]] Fp sqr() const;
+  // The ring operations: the kernel writes straight into the result's limbs.
+  [[nodiscard]] Fp operator+(const Fp& o) const {
+    assert(ctx_ != nullptr && ctx_ == o.ctx_);
+    Fp r(ctx_);
+    ctx_->mont.add(r.v_, v_, o.v_);
+    return r;
+  }
+  [[nodiscard]] Fp operator-(const Fp& o) const {
+    assert(ctx_ != nullptr && ctx_ == o.ctx_);
+    Fp r(ctx_);
+    ctx_->mont.sub(r.v_, v_, o.v_);
+    return r;
+  }
+  [[nodiscard]] Fp operator*(const Fp& o) const {
+    assert(ctx_ != nullptr && ctx_ == o.ctx_);
+    Fp r(ctx_);
+    ctx_->mont.mul(r.v_, v_, o.v_);
+    return r;
+  }
+  [[nodiscard]] Fp neg() const {
+    assert(ctx_ != nullptr);
+    Fp r(ctx_);
+    ctx_->mont.sub(r.v_, mp::U512{}, v_);
+    return r;
+  }
+  [[nodiscard]] Fp sqr() const {
+    assert(ctx_ != nullptr);
+    Fp r(ctx_);
+    ctx_->mont.sqr(r.v_, v_);
+    return r;
+  }
   [[nodiscard]] Fp inv() const;
   [[nodiscard]] Fp pow(const mp::U512& e) const;
   /// Square root if one exists (p ≡ 3 mod 4 method).
@@ -55,6 +82,11 @@ class Fp {
   static Fp from_raw(const FpCtx* ctx, const mp::U512& mont_value);
 
  private:
+  friend class Fp2;
+  // A result in ctx, its limbs left for a kernel to write.
+  explicit Fp(const FpCtx* ctx) noexcept
+      : ctx_(ctx), v_(mp::U512::NoInit{}) {}
+
   const FpCtx* ctx_ = nullptr;
   mp::U512 v_;  // Montgomery form
 };

@@ -1,7 +1,5 @@
 #include "src/field/fp2.h"
 
-#include <cassert>
-
 namespace hcpp::field {
 
 bool Fp2::is_one() const {
@@ -11,26 +9,6 @@ bool Fp2::is_one() const {
 Fp2 Fp2::operator+(const Fp2& o) const { return {a_ + o.a_, b_ + o.b_}; }
 
 Fp2 Fp2::operator-(const Fp2& o) const { return {a_ - o.a_, b_ - o.b_}; }
-
-Fp2 Fp2::operator*(const Fp2& o) const {
-  // Lazy-reduction Karatsuba in the Montgomery engine: three wide products,
-  // one reduction per output coefficient (vs. three fully reduced muls plus
-  // five modular add/subs of the element-wise formulation).
-  const FpCtx* c = ctx();
-  assert(c != nullptr && c == o.ctx());
-  mp::U512 re, im;
-  c->mont.fp2_mul(re, im, a_.raw(), b_.raw(), o.a_.raw(), o.b_.raw());
-  return {Fp::from_raw(c, re), Fp::from_raw(c, im)};
-}
-
-Fp2 Fp2::sqr() const {
-  // (a+bi)^2 = (a^2 - b^2) + 2ab·i, lazily reduced in the engine.
-  const FpCtx* c = ctx();
-  assert(c != nullptr);
-  mp::U512 re, im;
-  c->mont.fp2_sqr(re, im, a_.raw(), b_.raw());
-  return {Fp::from_raw(c, re), Fp::from_raw(c, im)};
-}
 
 Fp2 Fp2::conj() const { return {a_, b_.neg()}; }
 
@@ -71,20 +49,9 @@ Fp2 Fp2::pow_unitary(const mp::U512& e, const Fp& inv_2b) const {
   //   V_2k = V_k² − 2,   V_(2k+1) = V_k·V_(k+1) − V_1.
   // Re(t^(e+1)) = a·Re(t^e) − b·Im(t^e) then gives the imaginary part:
   //   t^e = V_e/2 + ((a·V_e − V_(e+1))/(2b))·i,   1/2 = b·inv_2b.
-  const Fp two = Fp::one(ctx()) + Fp::one(ctx());
-  const Fp v1 = a_ + a_;
-  Fp lo = two;
-  Fp hi = v1;
-  for (size_t i = e.bit_length(); i-- > 0;) {
-    Fp cross = lo * hi - v1;
-    if (e.bit(i)) {
-      lo = cross;
-      hi = hi.sqr() - two;
-    } else {
-      hi = cross;
-      lo = lo.sqr() - two;
-    }
-  }
+  // The ladder is one MontCtx kernel on raw limbs.
+  Fp lo(ctx()), hi(ctx());
+  ctx()->mont.lucas(lo.v_, hi.v_, (a_ + a_).v_, e);
   return {lo * (b_ * inv_2b), (a_ * lo - hi) * inv_2b};
 }
 

@@ -282,7 +282,6 @@ void fp2_sqr_impl(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
   uint64_t c2 = add_n(s2, ar, diff, n);
   uint64_t t[kWide];
   mul_wide_sum<NF>(t, s1, c1, s2, c2, n);
-  redc_wide<NF>(c_re, t, m, n0inv, n);
   uint64_t t3[kWide] = {0};
   mul_wide_n<NF>(t3, ar, ai, n);
   // Double in place: 2·a_re·a_im < 2m² fits 2n+1 limbs.
@@ -292,6 +291,7 @@ void fp2_sqr_impl(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
     t3[i] = (t3[i] << 1) | carry;
     carry = next;
   }
+  redc_wide<NF>(c_re, t, m, n0inv, n);  // the inputs are read: may alias
   redc_wide<NF>(c_im, t3, m, n0inv, n);
 }
 
@@ -422,8 +422,7 @@ void MontCtx::batch_inv(std::span<U512> xs) const {
 void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
                       const U512& a_im, const U512& b_re,
                       const U512& b_im) const noexcept {
-  U512 re, im;  // locals: the outputs may alias the inputs
-  uint64_t *r0 = re.w.data(), *r1 = im.w.data();
+  uint64_t *r0 = c_re.w.data(), *r1 = c_im.w.data();
   const uint64_t *ar = a_re.w.data(), *ai = a_im.w.data(),
                  *br = b_re.w.data(), *bi = b_im.w.data(), *m = m_.w.data();
   kernel(
@@ -435,24 +434,47 @@ void MontCtx::fp2_mul(U512& c_re, U512& c_im, const U512& a_re,
         portable(n_, [&](auto NF) {
           fp2_mul_impl<NF>(r0, r1, ar, ai, br, bi, m, n0inv_, mm2_.data(), n_);
         });
-      });
-  c_re = re;
-  c_im = im;
+      },
+      c_re, c_im);
 }
 
 void MontCtx::fp2_sqr(U512& c_re, U512& c_im, const U512& a_re,
                       const U512& a_im) const noexcept {
-  U512 re, im;
-  uint64_t *r0 = re.w.data(), *r1 = im.w.data();
+  uint64_t *r0 = c_re.w.data(), *r1 = c_im.w.data();
   const uint64_t *ar = a_re.w.data(), *ai = a_im.w.data(), *m = m_.w.data();
   kernel([&](auto N) { mulx::fp2_sqr<N>(r0, r1, ar, ai, m, n0inv_); },
          [&] {
            portable(n_, [&](auto NF) {
              fp2_sqr_impl<NF>(r0, r1, ar, ai, m, n0inv_, n_);
            });
-         });
-  c_re = re;
-  c_im = im;
+         },
+         c_re, c_im);
+}
+
+void MontCtx::lucas(U512& lo, U512& hi, const U512& v1,
+                    const U512& e) const noexcept {
+  const U512 two = add(one_, one_);
+  kernel(
+      [&](auto N) {
+        mulx::lucas<N>(lo.w.data(), hi.w.data(), v1.w.data(), two.w.data(),
+                       e.w.data(), e.bit_length(), m_.w.data(), n0inv_);
+      },
+      [&] {  // the same ladder on the portable kernels
+        U512 buf[3] = {two, v1, {}};
+        U512 *x = &buf[0], *y = &buf[1], *c = &buf[2];
+        for (size_t i = e.bit_length(); i-- > 0;) {
+          const bool bit = e.bit(i);
+          portable_mul(*c, *x, *y);
+          portable_sub(*c, *c, v1);
+          U512* s = bit ? y : x;  // squared; the other one takes c
+          portable_mul(*s, *s, *s);
+          portable_sub(*s, *s, two);
+          std::swap(bit ? x : y, c);
+        }
+        lo = *x;
+        hi = *y;
+      },
+      lo, hi);
 }
 
 const char* mont_kernel_name() noexcept {

@@ -9,6 +9,7 @@
 // for those widths, with a generic any-width loop as fallback.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <type_traits>
 
@@ -39,45 +40,58 @@ class MontCtx {
   /// aR -> a.
   [[nodiscard]] U512 from_mont(const U512& a) const noexcept;
 
-  /// Montgomery product: (aR)(bR)R^{-1} = abR. Operands must be < m.
-  [[nodiscard]] U512 mul(const U512& a, const U512& b) const noexcept {
-    U512 r;
+  /// Montgomery product: (aR)(bR)R^{-1} = abR. Operands must be < m. The
+  /// in-place forms write straight into r, which may alias an operand.
+  void mul(U512& r, const U512& a, const U512& b) const noexcept {
     kernel(
         [&](auto N) {
           mulx::mul<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data(),
                        n0inv_);
         },
-        [&] { portable_mul(r, a, b); });
-    return r;
+        [&] { portable_mul(r, a, b); }, r);
   }
   /// Montgomery square a²R^{-1}; the MULX kernel skips the symmetric half
   /// of the product, the portable one is mul(a, a).
-  [[nodiscard]] U512 sqr(const U512& a) const noexcept {
-    U512 r;
+  void sqr(U512& r, const U512& a) const noexcept {
     kernel(
         [&](auto N) {
           mulx::sqr<N>(r.w.data(), a.w.data(), m_.w.data(), n0inv_);
         },
-        [&] { portable_mul(r, a, a); });
-    return r;
+        [&] { portable_mul(r, a, a); }, r);
   }
   /// Modular add/sub on Montgomery (or plain) residues < m.
-  [[nodiscard]] U512 add(const U512& a, const U512& b) const noexcept {
-    U512 r;
+  void add(U512& r, const U512& a, const U512& b) const noexcept {
     kernel(
         [&](auto N) {
           mulx::add_mod<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data());
         },
-        [&] { portable_add(r, a, b); });
-    return r;
+        [&] { portable_add(r, a, b); }, r);
   }
-  [[nodiscard]] U512 sub(const U512& a, const U512& b) const noexcept {
-    U512 r;
+  void sub(U512& r, const U512& a, const U512& b) const noexcept {
     kernel(
         [&](auto N) {
           mulx::sub_mod<N>(r.w.data(), a.w.data(), b.w.data(), m_.w.data());
         },
-        [&] { portable_sub(r, a, b); });
+        [&] { portable_sub(r, a, b); }, r);
+  }
+  [[nodiscard]] U512 mul(const U512& a, const U512& b) const noexcept {
+    U512 r(U512::NoInit{});
+    mul(r, a, b);
+    return r;
+  }
+  [[nodiscard]] U512 sqr(const U512& a) const noexcept {
+    U512 r(U512::NoInit{});
+    sqr(r, a);
+    return r;
+  }
+  [[nodiscard]] U512 add(const U512& a, const U512& b) const noexcept {
+    U512 r(U512::NoInit{});
+    add(r, a, b);
+    return r;
+  }
+  [[nodiscard]] U512 sub(const U512& a, const U512& b) const noexcept {
+    U512 r(U512::NoInit{});
+    sub(r, a, b);
     return r;
   }
   /// (base in Montgomery form)^exp, result in Montgomery form. `exp` plain.
@@ -100,22 +114,36 @@ class MontCtx {
   /// imaginary channel too, as its Karatsuba sums are reduced mod m). The
   /// portable square is lazy as well; the MULX square is two asm CIOS
   /// products. All give the same fully reduced outputs in [0, m).
-  /// Inputs/outputs are Montgomery residues; output references may alias
-  /// the inputs.
+  /// Inputs/outputs are Montgomery residues; every kernel reads its inputs
+  /// before it writes an output, so the outputs may alias the inputs.
   void fp2_mul(U512& c_re, U512& c_im, const U512& a_re, const U512& a_im,
                const U512& b_re, const U512& b_im) const noexcept;
   void fp2_sqr(U512& c_re, U512& c_im, const U512& a_re,
                const U512& a_im) const noexcept;
 
+  /// The Lucas ladder of a unitary power (Fp2::pow_unitary): (lo, hi) =
+  /// (V_e, V_{e+1}) of V_0 = 2, V_1 = v1, V_{2k} = V_k² − 2 and
+  /// V_{2k+1} = V_k·V_{k+1} − v1, one product and one square per bit of e.
+  /// v1 and the outputs are Montgomery residues; e is plain.
+  void lucas(U512& lo, U512& hi, const U512& v1, const U512& e) const noexcept;
+
  private:
   // Runs fast(N), the MULX kernel of width N = 4 or 8, when the context
   // selected one — inline, so an Fp operation costs one call — else slow(),
-  // the portable kernel, out of line.
-  template <typename Fast, typename Slow>
-  void kernel(Fast&& fast, Slow&& slow) const {
-    if (mulx_ == 8) fast(std::integral_constant<size_t, 8>{});
-    else if (mulx_ == 4) fast(std::integral_constant<size_t, 4>{});
-    else slow();
+  // the portable kernel, out of line. Either stores the n active limbs of
+  // each result in `outs`; their limbs n..7 are zeroed here, as U512
+  // comparisons and encodings read all eight.
+  template <typename Fast, typename Slow, typename... Out>
+  void kernel(Fast&& fast, Slow&& slow, Out&... outs) const {
+    if (mulx_ == 8) {
+      fast(std::integral_constant<size_t, 8>{});
+    } else if (mulx_ == 4) {
+      fast(std::integral_constant<size_t, 4>{});
+      (std::fill_n(outs.w.data() + 4, kLimbs - 4, 0), ...);
+    } else {
+      slow();
+      (std::fill(outs.w.begin() + n_, outs.w.end(), 0), ...);
+    }
   }
   void portable_mul(U512& r, const U512& a, const U512& b) const noexcept;
   void portable_add(U512& r, const U512& a, const U512& b) const noexcept;

@@ -360,6 +360,20 @@ void product(Frame<N>& f, uint64_t* r, const uint64_t* a,
   mont_mul<N>(&f);
 }
 
+// r = a²·R^{-1} through frame f; r may alias a. Under m ≥ R/2 (a may be
+// ≥ R/2 too) the square is the CIOS product a·a.
+template <size_t N>
+void square(Frame<N>& f, uint64_t* r, const uint64_t* a) noexcept {
+  if (f.m[N - 1] >> 63 != 0) return product<N>(f, r, a, a);
+  for (size_t j = 0; j < N; ++j) {
+    f.a[j] = a[j];
+    f.b[j] = a[j] << 1;
+    f.d[j] = f.b[j] | (j > 0 ? a[j - 1] >> 63 : 0);
+  }
+  f.out = r;
+  mont_sqr<N>(&f);
+}
+
 }  // namespace
 
 template <size_t N>
@@ -384,15 +398,32 @@ void mul(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* m,
 template <size_t N>
 void sqr(uint64_t* r, const uint64_t* a, const uint64_t* m,
          uint64_t n0inv) noexcept {
-  if (m[N - 1] >> 63 != 0) return mul<N>(r, a, a, m, n0inv);  // a may be ≥ R/2
   Frame<N> f = frame<N>(m, n0inv);
-  for (size_t j = 0; j < N; ++j) {
-    f.a[j] = a[j];
-    f.b[j] = a[j] << 1;
-    f.d[j] = f.b[j] | (j > 0 ? a[j - 1] >> 63 : 0);
+  square<N>(f, r, a);
+}
+
+// (lo, hi) = (V_e, V_{e+1}) with one frame for the whole ladder and three
+// buffers rotated by pointer: x = V_k, y = V_{k+1}, c the next cross term.
+template <size_t N>
+void lucas(uint64_t* lo, uint64_t* hi, const uint64_t* v1, const uint64_t* two,
+           const uint64_t* e, size_t bits, const uint64_t* m,
+           uint64_t n0inv) noexcept {
+  Frame<N> f = frame<N>(m, n0inv);
+  uint64_t buf[3][N];
+  uint64_t *x = buf[0], *y = buf[1], *c = buf[2];
+  std::copy_n(two, N, x);
+  std::copy_n(v1, N, y);
+  for (size_t i = bits; i-- > 0;) {
+    const bool bit = (e[i / 64] >> (i % 64)) & 1;
+    product<N>(f, c, x, y);
+    sub_k<N>(c, c, v1, m);
+    uint64_t* s = bit ? y : x;  // squared; the other one takes c
+    square<N>(f, s, s);
+    sub_k<N>(s, s, two, m);
+    std::swap(bit ? x : y, c);
   }
-  f.out = r;
-  mont_sqr<N>(&f);
+  std::copy_n(x, N, lo);
+  std::copy_n(y, N, hi);
 }
 
 // Karatsuba over wide products t0 = a_re·b_re, t1 = a_im·b_im and
@@ -412,14 +443,14 @@ void fp2_mul(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
   f.in = ai;
   std::copy_n(bi, N, f.b);
   mul_wide<N, 1>(&f);
+  add_k<N>(f.a, ar, ai, m);  // the last reads of the inputs: the outputs
+  add_k<N>(f.b, br, bi, m);  // may alias them
   auto& t = f.t;
   wide<N, true>(t[1], mm2, t[1]);    // w
   wide<N, false>(t[2], t[0], t[1]);  // re
   wide<N, true>(t[1], t[1], t[0]);   // w − t0
   f.out = c_re;
   redc<N, 2>(&f);  // its serial REDC rows overlap the independent product
-  add_k<N>(f.a, ar, ai, m);
-  add_k<N>(f.b, br, bi, m);
   f.in = f.a;
   mul_wide<N, 0>(&f);
   wide<N, false>(t[0], t[0], t[1]);  // im
@@ -427,18 +458,22 @@ void fp2_mul(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
   redc<N, 0>(&f);
 }
 
-// re = (a_re + a_im)(a_re − a_im), im = (2·a_re)·a_im.
+// re = (a_re + a_im)(a_re − a_im), im = (2·a_re)·a_im. 2·a_re and a_im
+// wait in f.d and the wide slot, which the CIOS product leaves alone, so
+// every input is read before an output is written.
 template <size_t N>
 void fp2_sqr(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
              const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept {
   Frame<N> f = frame<N>(m, n0inv);
+  add_k<N>(f.d, ar, ar, m);
+  std::copy_n(ai, N, f.t[0]);
   f.in = f.a;
   add_k<N>(f.a, ar, ai, m);
   sub_k<N>(f.b, ar, ai, m);
   f.out = c_re;
   mont_mul<N>(&f);
-  add_k<N>(f.a, ar, ar, m);
-  std::copy_n(ai, N, f.b);
+  f.in = f.d;
+  std::copy_n(f.t[0], N, f.b);
   f.out = c_im;
   mont_mul<N>(&f);
 }
@@ -457,7 +492,10 @@ void fp2_sqr(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
                            const uint64_t*, uint64_t, const uint64_t*,        \
                            uint64_t) noexcept;                                \
   template void fp2_sqr<N>(uint64_t*, uint64_t*, const uint64_t*,            \
-                           const uint64_t*, const uint64_t*, uint64_t) noexcept;
+                           const uint64_t*, const uint64_t*, uint64_t) noexcept; \
+  template void lucas<N>(uint64_t*, uint64_t*, const uint64_t*,              \
+                         const uint64_t*, const uint64_t*, size_t,            \
+                         const uint64_t*, uint64_t) noexcept;
 HCPP_INSTANTIATE(4)
 HCPP_INSTANTIATE(8)
 

@@ -47,8 +47,8 @@ void sub_mod(uint64_t* r, const uint64_t* a, const uint64_t* b,
 // (Karatsuba) and two REDCs, both channels kept non-negative by the bias
 // mm2 = 2m² (2N + 1 limbs). A REDC of a channel < 3m² ends in `subs`
 // = ⌈3m/R⌉ (or one more) branch-free conditional subtractions. The square
-// is two CIOS products. Outputs are fully reduced and must not alias the
-// inputs.
+// is two CIOS products. Outputs are fully reduced; every input is read
+// before an output is written, so they may alias.
 template <size_t N>
 void fp2_mul(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
              const uint64_t* ai, const uint64_t* br, const uint64_t* bi,
@@ -57,5 +57,11 @@ void fp2_mul(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
 template <size_t N>
 void fp2_sqr(uint64_t* c_re, uint64_t* c_im, const uint64_t* ar,
              const uint64_t* ai, const uint64_t* m, uint64_t n0inv) noexcept;
+
+// The ladder of MontCtx::lucas for the `bits`-bit exponent e, V_0 = two.
+template <size_t N>
+void lucas(uint64_t* lo, uint64_t* hi, const uint64_t* v1, const uint64_t* two,
+           const uint64_t* e, size_t bits, const uint64_t* m,
+           uint64_t n0inv) noexcept;
 
 }  // namespace hcpp::mp::mulx

@@ -21,9 +21,13 @@ inline constexpr size_t kLimbs = 8;
 inline constexpr size_t kBits = kLimbs * 64;
 
 struct U512 {
-  std::array<uint64_t, kLimbs> w{};  // w[0] least significant
+  std::array<uint64_t, kLimbs> w;  // w[0] least significant
 
-  constexpr U512() = default;
+  constexpr U512() noexcept : w{} {}
+  /// Leaves the limbs unset, for a result that a kernel writes in full
+  /// (MontCtx stores all eight limbs of every result it writes).
+  struct NoInit {};
+  explicit U512(NoInit) noexcept {}
   static U512 from_u64(uint64_t v);
   /// Parses big-endian hex (at most 128 digits, leading zeros optional).
   static U512 from_hex(std::string_view hex);

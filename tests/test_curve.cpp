@@ -1,6 +1,8 @@
 // Group-law and encoding tests for the supersingular curve G1.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cipher/drbg.h"
 #include "src/curve/params.h"
 #include "src/mp/prime.h"
@@ -138,18 +140,61 @@ Point mul_binary(const CurveCtx& c, const Point& a, const mp::U512& k) {
   return acc;
 }
 
+// The scalar multiplications recode at width 5: every nonzero digit is odd
+// and at most 15 in magnitude, so it indexes one of the eight odd multiples
+// 1·P … 15·P of a table, and ±15 does occur. The edge scalars sit on the
+// width-5 digit boundary (31, 32, 33) and, for mul2_fixed, on either side
+// of its first chunk boundary (2^c ± 1).
 TEST(Curve, WnafMatchesDoubleAndAdd) {
   cipher::Drbg rng(to_bytes("curve-wnaf"));
-  Point g = generator(ctx());
-  for (int i = 0; i < 10; ++i) {
-    mp::U512 k = random_scalar(ctx(), rng);
-    EXPECT_EQ(mul(ctx(), g, k), mul_binary(ctx(), g, k));
+  bool reaches_15 = false;
+  for (int i = 0; i < 64; ++i) {
+    for (int8_t d : wnaf(random_scalar(ctx(), rng), 5)) {
+      if (d == 0) continue;
+      EXPECT_EQ(d & 1, 1) << int{d};
+      EXPECT_LE(d < 0 ? -d : d, 15) << int{d};
+      reaches_15 = reaches_15 || d == 15 || d == -15;
+    }
   }
-  // Edge scalars.
-  for (uint64_t k : {0ull, 1ull, 2ull, 15ull, 16ull, 17ull, 255ull}) {
-    EXPECT_EQ(mul(ctx(), g, mp::U512::from_u64(k)),
-              mul_binary(ctx(), g, mp::U512::from_u64(k)))
-        << "k=" << k;
+  EXPECT_TRUE(reaches_15);
+  EXPECT_EQ(wnaf(mp::U512::from_u64(17), 5),
+            (std::vector<int8_t>{-15, 0, 0, 0, 0, 1}));
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    Point g = generator(c);
+    for (int i = 0; i < 4; ++i) {
+      mp::U512 k = random_scalar(c, rng);
+      EXPECT_EQ(mul(c, g, k), mul_binary(c, g, k)) << c.name;
+    }
+    for (uint64_t k :
+         {0ull, 1ull, 2ull, 15ull, 16ull, 17ull, 31ull, 32ull, 33ull, 255ull}) {
+      EXPECT_EQ(mul(c, g, mp::U512::from_u64(k)),
+                mul_binary(c, g, mp::U512::from_u64(k)))
+          << c.name << " k=" << k;
+    }
+    Point h = mul_generator(c, random_scalar(c, rng));
+    FixedBaseTable tg(c, g);
+    FixedBaseTable th(c, h);
+    mp::U512 chunk;  // 2^c
+    chunk.w[tg.chunk_bits / 64] = 1ull << (tg.chunk_bits % 64);
+    std::vector<mp::U512> edges = {mp::U512::from_u64(31),
+                                   mp::U512::from_u64(32),
+                                   mp::U512::from_u64(33), chunk, chunk};
+    mp::sub(edges[3], chunk, mp::U512::from_u64(1));
+    mp::add(edges[4], chunk, mp::U512::from_u64(1));
+    std::vector<Point> hb;
+    for (const mp::U512& b : edges) hb.push_back(mul_binary(c, h, b));
+    for (const mp::U512& a : edges) {
+      const Point ga = mul_binary(c, g, a);
+      for (size_t j = 0; j < edges.size(); ++j) {
+        const mp::U512& b = edges[j];
+        const Point want = add(c, ga, hb[j]);
+        EXPECT_EQ(mul2(c, g, a, h, b), want)
+            << c.name << " a=" << a.to_hex() << " b=" << b.to_hex();
+        EXPECT_EQ(mul2_fixed(c, tg, a, th, b), want)
+            << c.name << " a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+    }
   }
   EXPECT_TRUE(
       mul(ctx(), Point::at_infinity(), mp::U512::from_u64(3)).infinity);

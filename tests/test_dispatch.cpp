@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cipher/chacha20.h"
@@ -501,6 +503,67 @@ TEST(DispatchMont, BatchInvAndInvMatchForcedGeneric) {
       EXPECT_EQ(fast_xs[i], slow_xs[i]) << "slot " << i;
       EXPECT_EQ(fast.inv(xs[i]), slow.inv(xs[i])) << "slot " << i;
     }
+  }
+}
+
+/// The oracle of MontCtx::lucas, by a route of its own: with the matrix
+/// M = [[v1, −1], [1, 0]], (V_{k+1}, V_k) = M^k·(v1, 2), and M^e comes from
+/// square-and-multiply over ctx's Montgomery products.
+std::pair<mp::U512, mp::U512> lucas_by_matrix(const mp::MontCtx& ctx,
+                                              const mp::U512& v1,
+                                              const mp::U512& e) {
+  using Mat = std::array<mp::U512, 4>;  // row-major 2×2
+  auto prod = [&ctx](const Mat& x, const Mat& y) {
+    auto dot = [&](const mp::U512& a, const mp::U512& b, const mp::U512& c,
+                   const mp::U512& d) {
+      return ctx.add(ctx.mul(a, b), ctx.mul(c, d));
+    };
+    return Mat{dot(x[0], y[0], x[1], y[2]), dot(x[0], y[1], x[1], y[3]),
+               dot(x[2], y[0], x[3], y[2]), dot(x[2], y[1], x[3], y[3])};
+  };
+  const mp::U512 zero;
+  const Mat step = {v1, ctx.sub(zero, ctx.one()), ctx.one(), zero};
+  Mat acc = {ctx.one(), zero, zero, ctx.one()};
+  for (size_t i = e.bit_length(); i-- > 0;) {
+    acc = prod(acc, acc);
+    if (e.bit(i)) acc = prod(acc, step);
+  }
+  const mp::U512 two = ctx.add(ctx.one(), ctx.one());
+  const Mat col = prod(acc, Mat{v1, zero, two, zero});
+  return {col[2], col[0]};  // (V_e, V_{e+1})
+}
+
+// The final exponentiation's ladder: the MULX body against the portable
+// twin, and both against the matrix oracle, over every kernel modulus (the
+// full-width ones square through the product) and the exponents 0, 1, 2,
+// the production cofactor, all ones and random ones.
+TEST(DispatchMont, LucasLadderMatchesForcedGeneric) {
+  cipher::Drbg rng(to_bytes("dispatch-mont-lucas"));
+  mp::U512 ones;
+  for (uint64_t& w : ones.w) w = ~0ull;
+  std::vector<mp::U512> exps = {
+      mp::U512{}, mp::U512::from_u64(1), mp::U512::from_u64(2),
+      curve::params(curve::ParamSet::kProduction).cofactor, ones};
+  for (int i = 0; i < 3; ++i) exps.push_back(random_residue(rng, ones));
+  for (const WidthModulus& wc : kernel_moduli()) {
+    SCOPED_TRACE(wc.name);
+    auto [fast, slow] = ctx_pair(wc.m);
+    std::vector<mp::U512> v1s = adversarial(fast);
+    for (int i = 0; i < 4; ++i) v1s.push_back(random_residue(rng, wc.m));
+    size_t mismatches = 0;
+    for (const mp::U512& v1 : v1s) {
+      for (const mp::U512& e : exps) {
+        mp::U512 lo, hi, slo, shi;
+        fast.lucas(lo, hi, v1, e);
+        slow.lucas(slo, shi, v1, e);
+        const auto [want_lo, want_hi] = lucas_by_matrix(slow, v1, e);
+        if ((lo != slo || hi != shi || lo != want_lo || hi != want_hi) &&
+            mismatches++ == 0) {
+          ADD_FAILURE() << "v1=" << v1.to_hex() << " e=" << e.to_hex();
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
   }
 }
 

@@ -1,9 +1,16 @@
 // Field-law tests for F_p and F_{p^2}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <string>
+
 #include "src/cipher/drbg.h"
 #include "src/curve/params.h"
 #include "src/field/fp2.h"
+#include "src/mp/dispatch.h"
 #include "src/mp/prime.h"
 
 namespace hcpp::field {
@@ -207,6 +214,67 @@ TEST(Fp2, NormMultiplicativity) {
     return x.re().sqr() + x.im().sqr();
   };
   EXPECT_EQ(norm(a * b), norm(a) * norm(b));
+}
+
+// make()'s result, constructed in 0xA5-filled storage.
+template <typename Make>
+auto in_dirty_storage(Make make) {
+  using T = decltype(make());
+  alignas(T) unsigned char buf[sizeof(T)];
+  std::memset(buf, 0xA5, sizeof buf);
+  return *new (buf) T(make());
+}
+
+// Every Fp and Fp2 operation writes its result in place through an n-limb
+// kernel, into storage it does not clear first. On the 256-bit test set
+// (n = 4) limbs 4..7 must still read zero, since U512 comparison, is_zero and
+// encoding read all eight. Results land in dirty storage, under a context
+// built with HCPP_FORCE_GENERIC unset (the MULX kernels on a host with
+// BMI2/ADX) and one built with it set (the portable kernels).
+TEST(Field, InPlaceResultsKeepHighLimbsZero) {
+  const char* prev = std::getenv("HCPP_FORCE_GENERIC");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (bool generic : {false, true}) {
+    ::setenv("HCPP_FORCE_GENERIC", generic ? "1" : "0", 1);
+    mp::refresh_dispatch();
+    const FpCtx f(test_field().p);
+    SCOPED_TRACE(f.mont.kernel_name());
+    ASSERT_EQ(f.mont.limbs(), 4u);
+    auto check = [&f](const Fp& x) {
+      mp::U512 low;
+      std::copy_n(x.raw().w.begin(), 4, low.w.begin());
+      EXPECT_EQ(x, Fp::from_raw(&f, low));
+      EXPECT_TRUE(x.raw() < f.p);
+    };
+    auto check2 = [&check](const Fp2& x) {
+      check(x.re());
+      check(x.im());
+    };
+    cipher::Drbg rng(to_bytes("fp-in-place"));
+    for (int i = 0; i < 50; ++i) {
+      const Fp a = random_fp(f, rng), b = random_fp(f, rng);
+      const Fp2 x(a, b), y(b, a.neg());
+      check(in_dirty_storage([&] { return a + b; }));
+      check(in_dirty_storage([&] { return a - b; }));
+      check(in_dirty_storage([&] { return b - a; }));
+      check(in_dirty_storage([&] { return a * b; }));
+      check(in_dirty_storage([&] { return a.neg(); }));
+      check(in_dirty_storage([&] { return a.sqr(); }));
+      EXPECT_TRUE(in_dirty_storage([&] { return a - a; }).is_zero());
+      check2(in_dirty_storage([&] { return x * y; }));
+      check2(in_dirty_storage([&] { return x.sqr(); }));
+      check2(in_dirty_storage([&] { return x + y; }));
+      check2(in_dirty_storage([&] { return x - y; }));
+      check2(in_dirty_storage([&] { return x.conj(); }));
+      if (!x.is_zero()) check2(in_dirty_storage([&] { return x.inv(); }));
+    }
+  }
+  if (prev != nullptr) {
+    ::setenv("HCPP_FORCE_GENERIC", saved.c_str(), 1);
+  } else {
+    ::unsetenv("HCPP_FORCE_GENERIC");
+  }
+  mp::refresh_dispatch();
 }
 
 TEST(Fp2, SerializationIsCanonical) {

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "src/ledger/ledger.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::ledger {
 namespace {
@@ -48,10 +49,7 @@ AnchoredCheckpoint anchor_prefix(const Ledger& led, uint64_t count,
 }
 
 std::string temp_wal(const char* name) {
-  std::filesystem::path p =
-      std::filesystem::temp_directory_path() / (std::string("hcpp-") + name);
-  std::filesystem::remove(p);
-  return p.string();
+  return fresh_temp_path(name).string();
 }
 
 TEST(Ledger, EventRoundTrip) {

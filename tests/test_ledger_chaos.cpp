@@ -13,6 +13,7 @@
 #include "src/core/setup.h"
 #include "src/par/pool.h"
 #include "src/sim/transport.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::core {
 namespace {
@@ -168,9 +169,7 @@ TEST(LedgerChaos, ForkAttemptYieldsDivergenceEvidence) {
 
 TEST(LedgerChaos, CrashMidAppendRecoversToAnchoredPrefix) {
   LedgerFixture f(64);
-  std::filesystem::path wal =
-      std::filesystem::temp_directory_path() / "hcpp-chaos-wal";
-  std::filesystem::remove(wal);
+  std::filesystem::path wal = fresh_temp_path("chaos-wal");
   ASSERT_TRUE(f.d.aserver->trace_ledger().attach_wal(wal.string()));
 
   f.run_emergency();

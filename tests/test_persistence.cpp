@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "src/core/setup.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::core {
 namespace {
@@ -55,8 +56,7 @@ TEST(Persistence, ExportImportRoundTrip) {
 
 TEST(Persistence, FileRoundTrip) {
   Deployment d = with_mhi(91);
-  std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "hcpp-sserver-state.bin";
+  std::filesystem::path path = fresh_temp_path("sserver-state.bin");
   ASSERT_TRUE(d.sserver->save_to_file(path.string()));
   SServer restored(*d.net, *d.aserver, d.sserver->id());
   ASSERT_TRUE(restored.load_from_file(path.string()));

@@ -22,6 +22,7 @@
 #include "src/hash/sha256.h"
 #include "src/par/pool.h"
 #include "src/sse/dynamic.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::core {
 namespace {
@@ -364,8 +365,7 @@ TEST(SseDynamicProtocol, AliasedAccountsFanUpdatesAcrossAliases) {
 // ---- Store write-through + hydration ----------------------------------------
 
 TEST(SseDynamicProtocol, UpdatesWriteThroughAndHydrate) {
-  fs::path dir = fs::temp_directory_path() / "hcpp-test-dyn-store";
-  fs::remove_all(dir);
+  fs::path dir = fresh_temp_path("dyn-store");
   Deployment d = Deployment::create({.n_phi_files = 3});
   ASSERT_TRUE(d.sserver->attach_store(dir.string()));
 
@@ -402,8 +402,7 @@ TEST(SseDynamicProtocol, UpdatesWriteThroughAndHydrate) {
 // Removing a file and re-adding the same id in one UPDATE (the retagging
 // recipe) must leave the new blob, both in memory and in the store.
 TEST(SseDynamicProtocol, RemoveThenReaddInOneUpdateKeepsNewBlob) {
-  fs::path dir = fs::temp_directory_path() / "hcpp-test-dyn-readd";
-  fs::remove_all(dir);
+  fs::path dir = fresh_temp_path("dyn-readd");
   Deployment d = Deployment::create({.n_phi_files = 3});
   ASSERT_TRUE(d.sserver->attach_store(dir.string()));
   const sse::FileId id = d.patient->files().front().id;

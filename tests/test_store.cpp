@@ -17,6 +17,7 @@
 #include "src/hash/sha256.h"
 #include "src/store/shard.h"
 #include "src/store/store.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::store {
 namespace {
@@ -24,9 +25,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path fresh_dir(const std::string& name) {
-  fs::path p = fs::temp_directory_path() / ("hcpp-store-" + name);
-  fs::remove_all(p);
-  return p;
+  return fresh_temp_path("store-" + name);
 }
 
 Bytes value_for(uint64_t i, size_t len = 48) {

@@ -16,6 +16,7 @@
 #include "src/common/serialize.h"
 #include "src/hash/sha256.h"
 #include "src/store/store.h"
+#include "tests/temp_path.h"
 
 namespace hcpp::store {
 namespace {
@@ -23,9 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path fresh_dir(const std::string& name) {
-  fs::path p = fs::temp_directory_path() / ("hcpp-store-chaos-" + name);
-  fs::remove_all(p);
-  return p;
+  return fresh_temp_path("store-chaos-" + name);
 }
 
 using Oracle = std::map<std::string, Bytes>;
