@@ -7,12 +7,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <ctime>
 #include <span>
 #include <string>
-#include <string_view>
 
-#include "src/cipher/chacha20.h"
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
@@ -557,105 +555,8 @@ BENCHMARK(BM_SharedKeyDerivationFixedKey)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// JSON reporting.
-//
-// The distro's prebuilt libbenchmark bakes "library_build_type" into the
-// shared library from the library's OWN compile flags, so every JSON report
-// says "debug" regardless of how this binary was built — which is the field
-// tools/run_benchmarks.sh gates on. This reporter emits the same context
-// block with library_build_type derived from THIS translation unit's NDEBUG,
-// i.e. the build type of the code actually under measurement.
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-class HonestJsonReporter : public benchmark::JSONReporter {
- public:
-  bool ReportContext(const Context& context) override {
-    std::ostream& out = GetOutputStream();
-    char date[64];
-    std::time_t now = std::time(nullptr);
-    std::tm tm_buf{};
-    localtime_r(&now, &tm_buf);
-    std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S%z", &tm_buf);
-    out << "{\n  \"context\": {\n";
-    out << "    \"date\": \"" << date << "\",\n";
-    out << "    \"host_name\": \"" << json_escape(context.sys_info.name)
-        << "\",\n";
-    if (Context::executable_name != nullptr) {
-      out << "    \"executable\": \""
-          << json_escape(Context::executable_name) << "\",\n";
-    }
-    const benchmark::CPUInfo& cpu = context.cpu_info;
-    out << "    \"num_cpus\": " << cpu.num_cpus << ",\n";
-    out << "    \"mhz_per_cpu\": "
-        << static_cast<int64_t>(cpu.cycles_per_second / 1e6 + 0.5) << ",\n";
-    if (cpu.scaling != benchmark::CPUInfo::UNKNOWN) {
-      out << "    \"cpu_scaling_enabled\": "
-          << (cpu.scaling == benchmark::CPUInfo::ENABLED ? "true" : "false")
-          << ",\n";
-    }
-    out << "    \"load_avg\": [";
-    for (size_t i = 0; i < cpu.load_avg.size(); ++i) {
-      if (i != 0) out << ",";
-      out << cpu.load_avg[i];
-    }
-    out << "],\n";
-    // Which vectorized kernels this process dispatched to — the ablation
-    // benches above only make sense alongside this record.
-    const auto& feat = mp::cpu_features();
-    out << "    \"cpu_features\": {\"bmi2\": "
-        << (feat.bmi2 ? "true" : "false")
-        << ", \"adx\": " << (feat.adx ? "true" : "false")
-        << ", \"avx2\": " << (feat.avx2 ? "true" : "false") << "},\n";
-    out << "    \"mont_kernel\": \"" << mp::mont_kernel_name() << "\",\n";
-    out << "    \"chacha_kernel\": \"" << cipher::chacha20_kernel_name()
-        << "\",\n";
-#ifdef NDEBUG
-    out << "    \"library_build_type\": \"release\"\n";
-#else
-    out << "    \"library_build_type\": \"debug\"\n";
-#endif
-    out << "  },\n";
-    out << "  \"benchmarks\": [\n";
-    return true;
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // When --benchmark_out is requested, substitute the honest JSON reporter
-  // for the library's file reporter (the library still opens the file and
-  // owns the stream). Detect the flag before Initialize consumes it; passing
-  // a file reporter without the flag is a hard error in the library.
-  bool want_file = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg.rfind("--benchmark_out=", 0) == 0 || arg == "--benchmark_out") {
-      want_file = true;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (want_file) {
-    HonestJsonReporter file_reporter;
-    benchmark::RunSpecifiedBenchmarks(nullptr, &file_reporter);
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  benchmark::Shutdown();
-  return 0;
+  return hcpp::bench::run_google_benchmarks(argc, argv, "bench_computation");
 }

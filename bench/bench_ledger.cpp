@@ -5,16 +5,15 @@
 // the numbers are the ones a deployment's metrics endpoint would report.
 //
 // Plain main() harness (like bench_throughput): prints a table and, with
-// --json-out=PATH, a JSON report whose context records library_build_type
-// so tools/run_benchmarks.sh can refuse debug-build numbers.
+// --json-out=PATH, writes BENCH_ledger.json through bench/report.h — only
+// when the proof workload left latency samples in the histogram.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/ledger/ledger.h"
 #include "src/obs/metrics.h"
 
@@ -115,58 +114,21 @@ Row bench_proofs(const ledger::Ledger& led) {
   return {"prove_and_verify", ops, "proofs/s"};
 }
 
-void write_json(const char* path, const std::vector<Row>& rows,
-                const obs::HistogramSummary& verify_lat) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_ledger\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"chain_entries\": %zu\n  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(), kEntries);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"ops_per_sec\": %.2f, "
-                 "\"unit\": \"%s\"}%s\n",
-                 r.workload.c_str(), r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"proof_verify_latency_ns\": {\n"
-               "    \"source_histogram\": \"%s\",\n"
-               "    \"count\": %llu,\n"
-               "    \"p50\": %.1f,\n    \"p95\": %.1f,\n    \"p99\": %.1f,\n"
-               "    \"max\": %.1f\n  }\n}\n",
-               obs::kLedgerProofVerifyNs,
-               static_cast<unsigned long long>(verify_lat.count),
-               verify_lat.percentile(0.50), verify_lat.percentile(0.95),
-               verify_lat.percentile(0.99), verify_lat.max);
-  std::fclose(f);
+bench::Json latency_json(const char* histogram,
+                         const obs::HistogramSummary& h) {
+  return bench::Json::object()
+      .set("source_histogram", histogram)
+      .set("count", h.count)
+      .set("p50", h.percentile(0.50))
+      .set("p95", h.percentile(0.95))
+      .set("p99", h.percentile(0.99))
+      .set("max", h.max);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::json_out_arg(argc, argv);
 
   // A populated chain for the read-side workloads, plus a WAL image of it
   // for the recovery workload.
@@ -208,9 +170,25 @@ int main(int argc, char** argv) {
               verify_lat.percentile(0.99),
               static_cast<unsigned long long>(verify_lat.count));
 
-  if (json_out != nullptr) {
-    write_json(json_out, rows, verify_lat);
-    std::printf("wrote %s\n", json_out);
+  if (json_out == nullptr) return 0;
+  if (verify_lat.count == 0) {
+    std::fprintf(stderr, "error: no proof-verify latency samples; was the "
+                         "obs registry attached?\n");
+    return 1;
   }
-  return 0;
+  bench::Json benchmarks = bench::Json::array();
+  for (const Row& r : rows) {
+    benchmarks.push(bench::Json::object()
+                        .set("name", r.workload)
+                        .set("ops_per_sec", r.ops_per_sec)
+                        .set("unit", r.unit));
+  }
+  bench::Json report =
+      bench::Json::object()
+          .set("context",
+               bench::context("bench_ledger").set("chain_entries", kEntries))
+          .set("benchmarks", std::move(benchmarks))
+          .set("proof_verify_latency_ns",
+               latency_json(obs::kLedgerProofVerifyNs, verify_lat));
+  return bench::write_report(json_out, report) ? 0 : 1;
 }

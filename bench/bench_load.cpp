@@ -23,17 +23,14 @@
 // Latency percentiles come from the library's obs histograms (load.*_ns),
 // diffed per QPS point. After the run every key the workload mutated (and a
 // sample of untouched ones) is read back and compared against a differential
-// oracle map; the verdict lands in the JSON so tools/run_benchmarks.sh can
-// refuse a report whose store diverged.
+// oracle map; a run whose store diverged exits 1 and writes no report.
 //
 // Plain main() harness (like bench_ledger): prints tables and, with
-// --json-out=PATH, writes BENCH_load.json whose context records
-// library_build_type so run_benchmarks.sh can refuse debug-build numbers.
+// --json-out=PATH, writes BENCH_load.json through bench/report.h.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -41,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/common/serialize.h"
 #include "src/core/cluster.h"
@@ -84,9 +82,8 @@ Args parse_args(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const char* s = argv[i];
-    auto num = [&](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return std::strncmp(s, prefix, n) == 0 ? s + n : nullptr;
+    auto num = [&](const char* prefix) {
+      return bench::flag_value(s, prefix);
     };
     if (const char* v = num("--accounts=")) {
       a.accounts = std::strtoull(v, nullptr, 10);
@@ -119,6 +116,7 @@ Args parse_args(int argc, char** argv) {
       a.qps.empty()) {
     usage(argv[0]);
   }
+  bench::refuse_unoptimized_output(a.json_out);
   return a;
 }
 
@@ -223,76 +221,63 @@ void print_pct(const char* name, const Pct& p) {
               p.p99, p.max);
 }
 
-void json_pct(std::FILE* f, const char* name, const Pct& p, bool comma) {
-  std::fprintf(f,
-               "        \"%s\": {\"count\": %llu, \"p50_us\": %.1f, "
-               "\"p95_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f}%s\n",
-               name, static_cast<unsigned long long>(p.count), p.p50 / 1e3,
-               p.p95 / 1e3, p.p99 / 1e3, p.max / 1e3, comma ? "," : "");
+bench::Json pct_json(const Pct& p) {
+  return bench::Json::object()
+      .set("count", p.count)
+      .set("p50_us", p.p50 / 1e3)
+      .set("p95_us", p.p95 / 1e3)
+      .set("p99_us", p.p99 / 1e3)
+      .set("max_us", p.max / 1e3);
 }
 
-void write_json(const Args& args, size_t template_bytes,
-                const ClosedRow& closed, const std::vector<OpenRow>& rows,
-                const OracleReport& oracle) {
-  std::FILE* f = std::fopen(args.json_out, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
+bench::Json report_json(const Args& args, size_t template_bytes,
+                        const ClosedRow& closed,
+                        const std::vector<OpenRow>& rows,
+                        const OracleReport& oracle) {
+  bench::Json open_loop = bench::Json::array();
+  for (const OpenRow& r : rows) {
+    open_loop.push(bench::Json::object()
+                       .set("qps_target", r.qps_target)
+                       .set("qps_achieved", r.qps_achieved)
+                       .set("ops", r.ops)
+                       .set("p50_us", r.all.p50 / 1e3)
+                       .set("p95_us", r.all.p95 / 1e3)
+                       .set("p99_us", r.all.p99 / 1e3)
+                       .set("max_us", r.all.max / 1e3)
+                       .set("per_op", bench::Json::object()
+                                          .set("store", pct_json(r.store))
+                                          .set("update", pct_json(r.update))
+                                          .set("retrieve",
+                                               pct_json(r.retrieve))
+                                          .set("emergency",
+                                               pct_json(r.emergency))));
   }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_load\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"accounts\": %zu,\n"
-               "    \"shards\": %zu,\n"
-               "    \"hot_accounts\": %zu,\n"
-               "    \"template_account_bytes\": %zu\n  },\n",
-               build_type, std::thread::hardware_concurrency(), args.accounts,
-               args.shards, args.hot, template_bytes);
-  std::fprintf(f,
-               "  \"closed_loop\": {\n"
-               "    \"clients\": %zu,\n    \"ops\": %zu,\n"
-               "    \"ops_per_sec\": %.1f,\n"
-               "    \"update_ops_per_sec\": %.1f,\n    \"latency\": {\n",
-               closed.clients, closed.ops, closed.ops_per_sec,
-               closed.update_ops_per_sec);
-  json_pct(f, "store_put", closed.store_put, true);
-  json_pct(f, "update", closed.update, true);
-  json_pct(f, "store_get", closed.store_get, false);
-  std::fprintf(f, "    }\n  },\n  \"open_loop\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const OpenRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\n      \"qps_target\": %.0f,\n"
-                 "      \"qps_achieved\": %.1f,\n      \"ops\": %zu,\n"
-                 "      \"p50_us\": %.1f,\n      \"p95_us\": %.1f,\n"
-                 "      \"p99_us\": %.1f,\n      \"max_us\": %.1f,\n"
-                 "      \"per_op\": {\n",
-                 r.qps_target, r.qps_achieved, r.ops, r.all.p50 / 1e3,
-                 r.all.p95 / 1e3, r.all.p99 / 1e3, r.all.max / 1e3);
-    json_pct(f, "store", r.store, true);
-    json_pct(f, "update", r.update, true);
-    json_pct(f, "retrieve", r.retrieve, true);
-    json_pct(f, "emergency", r.emergency, false);
-    std::fprintf(f, "      }\n    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"oracle\": {\n"
-               "    \"checked_keys\": %zu,\n    \"mutated_keys\": %zu,\n"
-               "    \"mismatches\": %zu,\n    \"self_check_ok\": %s,\n"
-               "    \"group_store_consistent\": %s,\n    \"pass\": %s\n"
-               "  }\n}\n",
-               oracle.checked, oracle.mutated, oracle.mismatches,
-               oracle.self_check_ok ? "true" : "false",
-               oracle.group_consistent ? "true" : "false",
-               oracle.pass() ? "true" : "false");
-  std::fclose(f);
+  return bench::Json::object()
+      .set("context", bench::context("bench_load")
+                          .set("accounts", args.accounts)
+                          .set("shards", args.shards)
+                          .set("hot_accounts", args.hot)
+                          .set("template_account_bytes", template_bytes))
+      .set("closed_loop",
+           bench::Json::object()
+               .set("clients", closed.clients)
+               .set("ops", closed.ops)
+               .set("ops_per_sec", closed.ops_per_sec)
+               .set("update_ops_per_sec", closed.update_ops_per_sec)
+               .set("latency", bench::Json::object()
+                                   .set("store_put", pct_json(closed.store_put))
+                                   .set("update", pct_json(closed.update))
+                                   .set("store_get",
+                                        pct_json(closed.store_get))))
+      .set("open_loop", std::move(open_loop))
+      .set("oracle", bench::Json::object()
+                         .set("checked_keys", oracle.checked)
+                         .set("mutated_keys", oracle.mutated)
+                         .set("mismatches", oracle.mismatches)
+                         .set("self_check_ok", oracle.self_check_ok)
+                         .set("group_store_consistent",
+                              oracle.group_consistent)
+                         .set("pass", oracle.pass()));
 }
 
 }  // namespace
@@ -641,10 +626,13 @@ int main(int argc, char** argv) {
               orep.group_consistent ? "ok" : "FAILED",
               orep.pass() ? "PASS" : "FAIL");
 
-  if (args.json_out != nullptr) {
-    write_json(args, templ.size(), closed, rows, orep);
-    std::printf("wrote %s\n", args.json_out);
-  }
   fs::remove_all(args.dir);
-  return orep.pass() ? 0 : 1;
+  // A store that diverged from the oracle publishes no numbers.
+  if (!orep.pass()) return 1;
+  if (args.json_out == nullptr) return 0;
+  return bench::write_report(
+             args.json_out,
+             report_json(args, templ.size(), closed, rows, orep))
+             ? 0
+             : 1;
 }

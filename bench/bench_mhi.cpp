@@ -1,40 +1,33 @@
-// Streaming MHI pipeline costs (DESIGN.md §13): the encrypt-side g_r cache,
-// the batched PEKS test against a standing trapdoor, and the end-to-end
-// MhiIngestor → MhiStreamHub window path. The headline numbers are the two
-// amortization ratios the design claims:
+// Streaming MHI kernel costs (DESIGN.md §13): the encrypt-side g_r cache and
+// the batched PEKS test against a standing trapdoor. The headline numbers
+// are the two amortization ratios the design claims:
 //   * peks_encrypt_cached vs peks_encrypt_cold — the per-epoch
 //     hash-to-point + pairing hoisted out of the tag loop;
 //   * peks_test_batch vs peks_test_scalar — precomputed Miller loops plus
 //     ONE batched final exponentiation across all candidate tags.
-// Both fast paths are checked against their scalar oracles inline; a report
-// is only written if the verdict vectors agree bit-for-bit. The standing-
-// query match latency distribution comes from the library's own
-// mhi.ingest_ns obs histogram, not a bench-side timer.
+// The batched verdicts are checked against the scalar oracle inline; a
+// report is only written if they agree bit-for-bit. The end-to-end window
+// path (ingestor → hub → hit fetch) is perfbench's mhi_stream workload.
 //
 // Plain main() harness (like bench_ledger): prints a table and, with
-// --json-out=PATH, a JSON report whose context records library_build_type
-// so tools/run_benchmarks.sh can refuse debug-build numbers.
+// --json-out=PATH, writes BENCH_mhi.json through bench/report.h.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/core/mhi_stream.h"
 #include "src/curve/params.h"
 #include "src/ibc/domain.h"
-#include "src/obs/metrics.h"
 #include "src/peks/peks.h"
 
 using namespace hcpp;
 
 namespace {
 
-constexpr size_t kTags = 64;           // candidate tags per batched test
-constexpr size_t kRegistrations = 4;   // standing physicians on the hub
-constexpr size_t kWindowSamples = 16;  // vital-sign samples per window
+constexpr size_t kTags = 64;  // candidate tags per batched test
 
 const char* kDay = "2011-04-12";
 const char* kDayKeyword = "day:2011-04-12";
@@ -134,108 +127,10 @@ Row bench_test_batch(const curve::CurveCtx& ctx,
   return {"peks_test_batch", ops, "tests/s"};
 }
 
-Row bench_stream_encode(const ibc::PublicParams& pub, const std::string& role,
-                        RandomSource& rng) {
-  core::MhiIngestor ingestor(pub, role);
-  core::MhiWindow win = core::generate_mhi_window(kDay, kWindowSamples, rng);
-  std::vector<std::string> extra = {"vitals:anomalous"};
-  double ops = measure(0.3, 1, [&] {
-    core::MhiIngestor::EncodedWindow enc = ingestor.encode(win, extra, rng);
-    if (enc.peks_tags.size() != 2) std::abort();
-  });
-  return {"stream_encode", ops, "windows/s"};
-}
-
-Row bench_stream_ingest(const curve::CurveCtx& ctx,
-                        const ibc::PublicParams& pub,
-                        const curve::Point& role_key, const std::string& role,
-                        RandomSource& rng) {
-  // Standing registrations: one physician searching for the day keyword
-  // (matches every window), the rest parked on keywords that never land.
-  core::MhiStreamHub hub(ctx);
-  hub.register_trapdoor("dr-0", role,
-                        peks::peks_trapdoor(ctx, role_key, kDayKeyword));
-  for (size_t i = 1; i < kRegistrations; ++i) {
-    hub.register_trapdoor(
-        "dr-" + std::to_string(i), role,
-        peks::peks_trapdoor(ctx, role_key, "code:" + std::to_string(i)));
-  }
-
-  core::MhiIngestor ingestor(pub, role);
-  core::MhiWindow win = core::generate_mhi_window(kDay, kWindowSamples, rng);
-  std::vector<std::string> extra = {"vitals:anomalous"};
-  core::MhiIngestor::EncodedWindow enc = ingestor.encode(win, extra, rng);
-  std::vector<peks::PeksCiphertext> tags;
-  for (const Bytes& t : enc.peks_tags) {
-    tags.push_back(peks::PeksCiphertext::from_bytes(ctx, t));
-  }
-
-  double ops = measure(0.3, 1, [&] {
-    if (hub.ingest(role, tags, enc.ibe_blob) != 1) std::abort();
-    (void)hub.drain_hits("dr-0");  // bound the queue during the run
-  });
-  return {"stream_ingest", ops, "windows/s"};
-}
-
-void write_json(const char* path, const std::vector<Row>& rows,
-                double encrypt_speedup, double test_speedup,
-                const obs::HistogramSummary& ingest_lat) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_mhi\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"candidate_tags\": %zu,\n"
-               "    \"standing_registrations\": %zu\n"
-               "  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(), kTags,
-               kRegistrations);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"ops_per_sec\": %.2f, "
-                 "\"unit\": \"%s\"}%s\n",
-                 r.workload.c_str(), r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"speedups\": {\n"
-               "    \"peks_encrypt_cached_vs_cold\": %.2f,\n"
-               "    \"peks_test_batch_vs_scalar\": %.2f\n  },\n"
-               "  \"ingest_latency_ns\": {\n"
-               "    \"source_histogram\": \"%s\",\n"
-               "    \"count\": %llu,\n"
-               "    \"p50\": %.1f,\n    \"p95\": %.1f,\n    \"p99\": %.1f,\n"
-               "    \"max\": %.1f\n  }\n}\n",
-               encrypt_speedup, test_speedup, obs::kMhiIngestNs,
-               static_cast<unsigned long long>(ingest_lat.count),
-               ingest_lat.percentile(0.50), ingest_lat.percentile(0.95),
-               ingest_lat.percentile(0.99), ingest_lat.max);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::json_out_arg(argc, argv);
 
   const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kProduction);
   cipher::Drbg rng(to_bytes("bench-mhi"));
@@ -268,21 +163,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  rows.push_back(bench_stream_encode(domain.pub(), role, rng));
-
-  // The ingest workload runs with a registry attached so the library's own
-  // mhi.ingest_ns histogram captures the standing-query match latency.
-  obs::Registry reg;
-  obs::attach(&reg);
-  rows.push_back(bench_stream_ingest(ctx, domain.pub(), role_key, role, rng));
-  obs::attach(nullptr);
-  obs::HistogramSummary ingest_lat;
-  obs::Snapshot snap = reg.snapshot();
-  if (auto it = snap.histograms.find(obs::kMhiIngestNs);
-      it != snap.histograms.end()) {
-    ingest_lat = it->second;
-  }
-
   double encrypt_speedup = rows[1].ops_per_sec / rows[0].ops_per_sec;
   double test_speedup = rows[3].ops_per_sec / rows[2].ops_per_sec;
 
@@ -294,15 +174,23 @@ int main(int argc, char** argv) {
   std::printf("speedups: encrypt cached/cold=%.2fx, test batch/scalar=%.2fx "
               "(%zu tags)\n",
               encrypt_speedup, test_speedup, kTags);
-  std::printf("ingest latency (ns): p50=%.0f p95=%.0f p99=%.0f "
-              "(%llu samples)\n",
-              ingest_lat.percentile(0.50), ingest_lat.percentile(0.95),
-              ingest_lat.percentile(0.99),
-              static_cast<unsigned long long>(ingest_lat.count));
 
-  if (json_out != nullptr) {
-    write_json(json_out, rows, encrypt_speedup, test_speedup, ingest_lat);
-    std::printf("wrote %s\n", json_out);
+  if (json_out == nullptr) return 0;
+  bench::Json benchmarks = bench::Json::array();
+  for (const Row& r : rows) {
+    benchmarks.push(bench::Json::object()
+                        .set("name", r.workload)
+                        .set("ops_per_sec", r.ops_per_sec)
+                        .set("unit", r.unit));
   }
-  return 0;
+  bench::Json report =
+      bench::Json::object()
+          .set("context",
+               bench::context("bench_mhi").set("candidate_tags", kTags))
+          .set("benchmarks", std::move(benchmarks))
+          .set("speedups",
+               bench::Json::object()
+                   .set("peks_encrypt_cached_vs_cold", encrypt_speedup)
+                   .set("peks_test_batch_vs_scalar", test_speedup));
+  return bench::write_report(json_out, report) ? 0 : 1;
 }

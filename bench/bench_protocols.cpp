@@ -1,6 +1,7 @@
 // E3 (§V.B.2 communication analysis): runs every HCPP protocol once on the
-// simulated network and prints rounds (messages) and bytes per protocol
-// phase — the quantities the paper's analysis reports qualitatively:
+// simulated network and prints (and, with --json-out=PATH, writes) rounds
+// (messages) and bytes per protocol phase — the quantities the paper's
+// analysis reports qualitatively:
 //   * PHI storage: one (large) upload message
 //   * privilege ASSIGN: local, one sealed bundle per entity
 //   * REVOKE: one message to the S-server
@@ -10,10 +11,10 @@
 //   * MHI storage/retrieval: one message per window / one round per query
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/core/setup.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
@@ -40,19 +41,27 @@ sim::TrafficStats drain(sim::Network& net) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --metrics-out=PATH: dump the full metrics-registry snapshot (crypto-op
-  // counts, transport delivery stats, latency histograms) as JSON after the
-  // protocol sweep. The registry is attached either way so the table and
-  // the snapshot describe the same run.
+  // --json-out=PATH: the per-phase rows below as BENCH_protocols.json.
+  // --metrics-out=PATH: the full metrics-registry snapshot (crypto-op
+  // counts, transport delivery stats, latency histograms), exactly as
+  // obs::to_json writes it. The registry is attached either way so the rows
+  // and the snapshot describe the same run.
+  const char* json_out = nullptr;
   const char* metrics_out = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out = argv[i] + 14;
+    if (const char* v = bench::flag_value(argv[i], "--json-out=")) {
+      json_out = v;
+    } else if (const char* v = bench::flag_value(argv[i], "--metrics-out=")) {
+      metrics_out = v;
     } else {
-      std::fprintf(stderr, "usage: %s [--metrics-out=PATH]\n", argv[0]);
+      std::fprintf(stderr,
+                   "usage: %s [--json-out=PATH] [--metrics-out=PATH]\n",
+                   argv[0]);
       return 2;
     }
   }
+  bench::refuse_unoptimized_output(json_out);
+  bench::refuse_unoptimized_output(metrics_out);
   obs::attach(&obs::global());
 
   DeploymentConfig cfg;
@@ -137,16 +146,24 @@ int main(int argc, char** argv) {
       "(2); the P-device path\nadds only the 3-message role-based "
       "authentication — §V.B.2's \"one more round per security add-on\".\n");
 
-  if (metrics_out != nullptr) {
-    std::string json = obs::to_json(obs::global().snapshot());
-    std::FILE* f = std::fopen(metrics_out, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_out);
-      return 1;
+  if (json_out != nullptr) {
+    bench::Json benchmarks = bench::Json::array();
+    for (const PhaseRow& r : rows) {
+      benchmarks.push(bench::Json::object()
+                          .set("name", r.phase)
+                          .set("messages", r.messages)
+                          .set("bytes", r.bytes)
+                          .set("expectation", r.expectation));
     }
-    std::fputs(json.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    bench::Json report = bench::Json::object()
+                             .set("context", bench::context("bench_protocols"))
+                             .set("benchmarks", std::move(benchmarks));
+    if (!bench::write_report(json_out, report)) return 1;
+  }
+  if (metrics_out != nullptr &&
+      !bench::write_text(metrics_out,
+                         obs::to_json(obs::global().snapshot()))) {
+    return 1;
   }
   return 0;
 }

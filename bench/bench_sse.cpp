@@ -5,15 +5,11 @@
 // files, plus SEARCH over a static index carrying an update log.
 #include <benchmark/benchmark.h>
 
-#include <ctime>
 #include <string>
-#include <string_view>
 
-#include "src/cipher/chacha20.h"
+#include "bench/report.h"
 #include "src/cipher/drbg.h"
 #include "src/core/record.h"
-#include "src/mp/dispatch.h"
-#include "src/mp/mont.h"
 #include "src/par/pool.h"
 #include "src/sse/adaptive.h"
 #include "src/sse/dynamic.h"
@@ -322,85 +318,8 @@ BENCHMARK(BM_CompactFold)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Honest JSON reporter ---------------------------------------------------
-//
-// Same reason as bench_computation: the distro's prebuilt libbenchmark bakes
-// "library_build_type" from the LIBRARY's compile flags into every report, so
-// it always says "debug". tools/run_benchmarks.sh gates on that field, so
-// this reporter re-derives it from THIS translation unit's NDEBUG — the
-// build type of the code actually measured.
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-class HonestJsonReporter : public benchmark::JSONReporter {
- public:
-  bool ReportContext(const Context& context) override {
-    std::ostream& out = GetOutputStream();
-    char date[64];
-    std::time_t now = std::time(nullptr);
-    std::tm tm_buf{};
-    localtime_r(&now, &tm_buf);
-    std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S%z", &tm_buf);
-    out << "{\n  \"context\": {\n";
-    out << "    \"date\": \"" << date << "\",\n";
-    out << "    \"host_name\": \"" << json_escape(context.sys_info.name)
-        << "\",\n";
-    if (Context::executable_name != nullptr) {
-      out << "    \"executable\": \"" << json_escape(Context::executable_name)
-          << "\",\n";
-    }
-    const benchmark::CPUInfo& cpu = context.cpu_info;
-    out << "    \"num_cpus\": " << cpu.num_cpus << ",\n";
-    out << "    \"mhz_per_cpu\": "
-        << static_cast<int64_t>(cpu.cycles_per_second / 1e6 + 0.5) << ",\n";
-    const auto& feat = mp::cpu_features();
-    out << "    \"cpu_features\": {\"bmi2\": " << (feat.bmi2 ? "true" : "false")
-        << ", \"adx\": " << (feat.adx ? "true" : "false")
-        << ", \"avx2\": " << (feat.avx2 ? "true" : "false") << "},\n";
-    out << "    \"mont_kernel\": \"" << mp::mont_kernel_name() << "\",\n";
-    out << "    \"chacha_kernel\": \"" << cipher::chacha20_kernel_name()
-        << "\",\n";
-#ifdef NDEBUG
-    out << "    \"library_build_type\": \"release\"\n";
-#else
-    out << "    \"library_build_type\": \"debug\"\n";
-#endif
-    out << "  },\n";
-    out << "  \"benchmarks\": [\n";
-    return true;
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool want_file = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg.rfind("--benchmark_out=", 0) == 0 || arg == "--benchmark_out") {
-      want_file = true;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (want_file) {
-    HonestJsonReporter file_reporter;
-    benchmark::RunSpecifiedBenchmarks(nullptr, &file_reporter);
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  benchmark::Shutdown();
-  return 0;
+  return hcpp::bench::run_google_benchmarks(argc, argv, "bench_sse");
 }

@@ -10,14 +10,13 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
 #include "src/mp/dispatch.h"
@@ -134,60 +133,17 @@ Row bench_chacha_xor(bool force_generic) {
   return {workload, 1, ops, "MiB/s"};
 }
 
-void write_json(const char* path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("fopen --json-out");
-    std::exit(1);
-  }
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
-  const auto& feat = mp::cpu_features();
-  std::fprintf(f,
-               "{\n  \"context\": {\n"
-               "    \"source\": \"bench_throughput\",\n"
-               "    \"library_build_type\": \"%s\",\n"
-               "    \"hardware_concurrency\": %u,\n"
-               "    \"cpu_features\": {\"bmi2\": %s, \"adx\": %s, "
-               "\"avx2\": %s},\n"
-               "    \"mont_kernel\": \"%s\",\n"
-               "    \"chacha_kernel\": \"%s\",\n"
-               "    \"speedup_note\": \"thread scaling is bounded by "
-               "hardware_concurrency; on a single-core host all thread "
-               "counts measure the same core\"\n  },\n  \"benchmarks\": [\n",
-               build_type, std::thread::hardware_concurrency(),
-               feat.bmi2 ? "true" : "false", feat.adx ? "true" : "false",
-               feat.avx2 ? "true" : "false", mp::mont_kernel_name(),
-               cipher::chacha20_kernel_name());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s/threads:%zu\", \"workload\": \"%s\", "
-                 "\"threads\": %zu, \"ops_per_sec\": %.2f, \"unit\": "
-                 "\"%s\"}%s\n",
-                 r.workload.c_str(), r.threads, r.workload.c_str(), r.threads,
-                 r.ops_per_sec, r.unit.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json-out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const char* json_out = bench::json_out_arg(argc, argv);
+  // Taken before the ChaCha20 rows, which flip HCPP_FORCE_GENERIC: these are
+  // the kernels the thread-scaling rows run on.
+  bench::Json context =
+      bench::context("bench_throughput")
+          .set("speedup_note",
+               "thread scaling is bounded by hardware_concurrency; on a "
+               "single-core host all thread counts measure the same core");
 
   auto files = make_files(64);
 
@@ -227,9 +183,20 @@ int main(int argc, char** argv) {
   std::printf("hardware_concurrency=%u\n",
               std::thread::hardware_concurrency());
 
-  if (json_out != nullptr) {
-    write_json(json_out, rows);
-    std::printf("wrote %s\n", json_out);
+  if (json_out == nullptr) return 0;
+  bench::Json benchmarks = bench::Json::array();
+  for (const Row& r : rows) {
+    benchmarks.push(bench::Json::object()
+                        .set("name", r.workload + "/threads:" +
+                                         std::to_string(r.threads))
+                        .set("workload", r.workload)
+                        .set("threads", r.threads)
+                        .set("ops_per_sec", r.ops_per_sec)
+                        .set("unit", r.unit));
   }
-  return 0;
+  bench::Json report =
+      bench::Json::object()
+          .set("context", std::move(context))
+          .set("benchmarks", std::move(benchmarks));
+  return bench::write_report(json_out, report) ? 0 : 1;
 }

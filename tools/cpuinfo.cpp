@@ -5,9 +5,9 @@
 //    "force_generic": false, "mont_kernel": "mulx-adx",
 //    "chacha_kernel": "avx2", "sha256_kernel": "sha-ni"}
 //
-// tools/run_benchmarks.sh runs this and injects the result into the context
-// block of every BENCH_*.json, so throughput numbers are comparable across
-// machines. Honors HCPP_FORCE_GENERIC like the library itself.
+// The same fields open every BENCH_*.json context block (bench/report.h);
+// CI's forced-generic job reads this output to confirm the portable kernels
+// are selected. Honors HCPP_FORCE_GENERIC like the library itself.
 #include <cstdio>
 
 #include "src/cipher/chacha20.h"
