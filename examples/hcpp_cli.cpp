@@ -26,7 +26,7 @@
 //   mhi register <dr> <day> <kw>  park a §13 standing trapdoor on the hub
 //   mhi ingest <day> [kw...]  stream one vital-sign window (amortized PEKS)
 //   mhi match <dr> <day>      drain + decrypt the physician's queued hits
-//   mhi stats                 hub counters + the P-device's stream epoch
+//   mhi stats                 obs MHI counters + the P-device's stream epoch
 //   onduty <physician> on|off   edit the published on-duty list
 //   revoke family|pdevice     §IV.C REVOKE
 //   audit                     verify RD/TR records (§V.A)
@@ -255,6 +255,12 @@ Physician* find_physician(Deployment& d, const std::string& id) {
   return nullptr;
 }
 
+// Hits queued at the hub for the deployment's two physicians.
+size_t pending_mhi_hits(const Deployment& d) {
+  const MhiStreamHub& hub = d.sserver->mhi_hub();
+  return hub.pending_hits(d.on_duty->id()) + hub.pending_hits(d.off_duty->id());
+}
+
 void cmd_mhi(Deployment& d, std::istringstream& in) {
   auto role_for = [](const std::string& day) {
     return mhi_role_id(day, "emergency", "gainesville");
@@ -298,7 +304,7 @@ void cmd_mhi(Deployment& d, std::istringstream& in) {
                 "%zu window(s) stored, %zu hit(s) pending\n",
                 day.c_str(), kws.size(), ok ? "ok" : "FAILED",
                 d.sserver->mhi_entry_count(),
-                d.sserver->mhi_hub().stats().pending);
+                pending_mhi_hits(d));
   } else if (sub == "match") {
     std::string dr, day;
     in >> dr >> day;
@@ -322,16 +328,21 @@ void cmd_mhi(Deployment& d, std::istringstream& in) {
     }
     std::printf("\n");
   } else if (sub == "stats") {
-    MhiStreamHub::Stats st = d.sserver->mhi_hub().stats();
+    const MhiStreamHub& hub = d.sserver->mhi_hub();
+    obs::Snapshot snap = obs::global().snapshot();
     std::printf("hub: %llu window(s) ingested, %llu (registration, tag) "
                 "pair(s) tested, %llu hit(s), %zu pending\n",
-                static_cast<unsigned long long>(st.windows_ingested),
-                static_cast<unsigned long long>(st.tags_tested),
-                static_cast<unsigned long long>(st.hits), st.pending);
+                static_cast<unsigned long long>(
+                    snap.counter(obs::kMhiWindowsIngested)),
+                static_cast<unsigned long long>(
+                    snap.counter(obs::kMhiTagsTested)),
+                static_cast<unsigned long long>(snap.counter(obs::kMhiHits)),
+                pending_mhi_hits(d));
     std::printf("registrations: %zu standing, %llu expired by rollover; "
                 "%zu window(s) in role buckets\n",
-                st.registrations,
-                static_cast<unsigned long long>(st.expired_registrations),
+                hub.registration_count(),
+                static_cast<unsigned long long>(
+                    snap.counter(obs::kMhiExpiredRegistrations)),
                 d.sserver->mhi_entry_count());
     std::string epoch = d.pdevice->mhi_stream_epoch();
     std::printf("P-device stream epoch: %s\n",

@@ -360,18 +360,7 @@ Bytes SServer::export_state() const {
     w.bytes(acct.d);
     w.bytes(acct.be_blob);
   }
-  // Role-bucketed in memory, but the wire format is unchanged from v2: a
-  // flat entry list carrying its role_id (bucket order instead of arrival
-  // order — import rebuilds the same buckets either way).
-  w.u32(static_cast<uint32_t>(mhi_entry_count()));
-  for (const auto& [role_id, entries] : mhi_store_) {
-    for (const MhiEntry& e : entries) {
-      w.str(role_id);
-      w.u32(static_cast<uint32_t>(e.tags.size()));
-      for (const peks::PeksCiphertext& t : e.tags) w.bytes(t.to_bytes());
-      w.bytes(e.ibe_blob);
-    }
-  }
+  mhi_hub_.shelf().write(w);
   return w.take();
 }
 
@@ -391,21 +380,10 @@ bool SServer::import_state(BytesView state) {
       acct.be_blob = r.bytes();
       accounts.emplace(std::move(key), std::move(acct));
     }
-    std::map<std::string, std::vector<MhiEntry>> mhi;
-    size_t m = r.count32(12);  // each entry: three u32 prefixes
-    for (size_t i = 0; i < m; ++i) {
-      std::string role_id = r.str();
-      MhiEntry e;
-      size_t tags = r.count32(4);  // each tag: u32 length prefix
-      for (size_t t = 0; t < tags; ++t) {
-        e.tags.push_back(peks::PeksCiphertext::from_bytes(*ctx_, r.bytes()));
-      }
-      e.ibe_blob = r.bytes();
-      mhi[role_id].push_back(std::move(e));
-    }
+    MhiStreamHub::Shelf mhi = MhiStreamHub::Shelf::read(*ctx_, r);
     if (!r.done()) return false;  // trailing junk
     accounts_ = std::move(accounts);
-    mhi_store_ = std::move(mhi);
+    mhi_hub_.replace_shelf(std::move(mhi));
     store_replace_all();
     return true;
   } catch (const std::exception&) {
@@ -436,13 +414,7 @@ size_t SServer::stored_bytes() const {
     total += acct.index.size_bytes() + acct.files.size_bytes() +
              acct.log.size_bytes() + acct.d.size() + acct.be_blob.size();
   }
-  for (const auto& [role_id, entries] : mhi_store_) {
-    for (const MhiEntry& e : entries) {
-      total += e.ibe_blob.size();
-      for (const peks::PeksCiphertext& t : e.tags) total += t.size();
-    }
-  }
-  return total;
+  return total + mhi_hub_.shelf().bytes();
 }
 
 // ---- PrivilegeBundle --------------------------------------------------------

@@ -145,8 +145,9 @@ class AServer {
 
 // ---------------------------------------------------------------------------
 /// Hospital storage server (§III.A): public, honest-but-curious. Stores
-/// per-pseudonym accounts of (SI, Λ, d, BE_U(d)) plus the MHI store, and
-/// answers searches without learning keywords, contents, or ownership.
+/// per-pseudonym accounts of (SI, Λ, d, BE_U(d)) plus, in its MhiStreamHub,
+/// MHI windows; answers searches without learning keywords, contents, or
+/// ownership.
 class SServer {
  public:
   /// `service_id` is the identity whose Γ_S this server holds for deriving
@@ -185,9 +186,8 @@ class SServer {
   bool handle_compact(const CompactRequest& req);
   // §IV.C REVOKE — re-key d and replace BE_U(d).
   bool handle_revoke(const RevokeRequest& req);
-  // §IV.E.2 — MHI storage and role-based PEKS search. Stored windows are
-  // also fed through the streaming hub (DESIGN.md §13), so standing
-  // registrations see them the moment they land.
+  // §IV.E.2 — MHI storage and role-based PEKS search, both answered by the
+  // hub, which also tests each landing window against standing queries.
   bool handle_mhi_store(const MhiStoreRequest& req);
   std::optional<MhiRetrieveResponse> handle_mhi_retrieve(
       const MhiRetrieveRequest& req);
@@ -195,14 +195,13 @@ class SServer {
   bool handle_mhi_register(const MhiRegisterRequest& req);
   std::optional<MhiHitsResponse> handle_mhi_hits(const MhiHitsRequest& req);
 
-  /// The streaming-MHI hub holding standing trapdoor registrations.
+  /// The MHI hub: shelved windows and standing trapdoor registrations.
   [[nodiscard]] MhiStreamHub& mhi_hub() noexcept { return mhi_hub_; }
   [[nodiscard]] const MhiStreamHub& mhi_hub() const noexcept {
     return mhi_hub_;
   }
-  /// Shards the hub's and the retrieval path's batched PEKS tests
-  /// (curve::miller_batch) onto `pool` (nullptr = serial). The pool must
-  /// outlive the server.
+  /// Shards the hub's batched PEKS tests (peks::peks_test_matrix) onto
+  /// `pool` (nullptr = serial). The pool must outlive the server.
   void attach_mhi_pool(par::ThreadPool* pool) noexcept { mhi_pool_ = pool; }
 
   /// ν for a presented pseudonym: ê(Γ_S, TPp).
@@ -213,7 +212,7 @@ class SServer {
   }
 
   /// Durable state: everything the hospital must retain across restarts
-  /// (accounts and the MHI store — all ciphertext). Versioned format;
+  /// (accounts and the hub's MHI shelf — all ciphertext). Versioned format;
   /// import replaces the current state and rejects malformed blobs.
   [[nodiscard]] Bytes export_state() const;
   bool import_state(BytesView state);
@@ -228,9 +227,7 @@ class SServer {
   [[nodiscard]] std::vector<std::string> visible_account_ids() const;
   [[nodiscard]] size_t stored_bytes() const;
   [[nodiscard]] size_t mhi_entry_count() const noexcept {
-    size_t n = 0;
-    for (const auto& [role, entries] : mhi_store_) n += entries.size();
-    return n;
+    return mhi_hub_.shelf().windows();
   }
 
   /// The account-map key for a pseudonym + collection pair — also the key of
@@ -243,8 +240,8 @@ class SServer {
   /// every account mutation into the log. The map stays the serving copy —
   /// the store is the durable one — which is exactly what makes it a
   /// differential oracle: store_consistent() can compare the two byte for
-  /// byte at any point. The MHI store is not yet persisted (ciphertext-only
-  /// side table; see DESIGN.md §11).
+  /// byte at any point. The hub's MHI shelf is not in the store; it is kept
+  /// only by export_state (ciphertext-only; see DESIGN.md §11).
   bool attach_store(const std::string& dir,
                     store::StoreRecoveryReport* report = nullptr);
   [[nodiscard]] bool has_store() const noexcept { return store_.is_open(); }
@@ -266,10 +263,6 @@ class SServer {
     sse::UpdateLog log;  // forward-private ADD/DELETE entries
     Bytes d;
     Bytes be_blob;
-  };
-  struct MhiEntry {
-    std::vector<peks::PeksCiphertext> tags;
-    Bytes ibe_blob;
   };
 
   /// The one authenticated door every handle_* opens with (DESIGN.md §5):
@@ -316,9 +309,6 @@ class SServer {
   curve::Point self_key_;  // Γ_S (for service_id_)
   ibc::SharedKeyDeriver nu_deriver_;  // fixed-Γ_S ν/ρ precomputation
   std::map<std::string, Account> accounts_;
-  // Indexed by role_id so a retrieve or streamed ingest touches only its
-  // role's bucket, never the whole store.
-  std::map<std::string, std::vector<MhiEntry>> mhi_store_;
   MhiStreamHub mhi_hub_;
   par::ThreadPool* mhi_pool_ = nullptr;
   store::AccountStore store_;  // unopened until attach_store()

@@ -64,19 +64,16 @@ Result<void> PDevice::try_store_mhi(
 bool SServer::handle_mhi_store(const MhiStoreRequest& req) {
   obs::Span span("sserver:mhi_store");
   if (!admit(req)) return false;
-  MhiEntry entry;
+  std::vector<peks::PeksCiphertext> tags;
   try {
     for (const Bytes& tag : req.peks_tags) {
-      entry.tags.push_back(peks::PeksCiphertext::from_bytes(*ctx_, tag));
+      tags.push_back(peks::PeksCiphertext::from_bytes(*ctx_, tag));
     }
   } catch (const std::exception&) {
     return false;
   }
-  entry.ibe_blob = req.ibe_blob;
-  // Feed the streaming hub before shelving: standing registrations for this
-  // role see the window the moment it lands (DESIGN.md §13).
-  mhi_hub_.ingest(req.role_id, entry.tags, entry.ibe_blob, mhi_pool_);
-  mhi_store_[req.role_id].push_back(std::move(entry));
+  // Tested against standing registrations (DESIGN.md §13), then shelved.
+  mhi_hub_.shelve(req.role_id, std::move(tags), req.ibe_blob, mhi_pool_);
   return true;
 }
 
@@ -143,27 +140,7 @@ std::optional<MhiRetrieveResponse> SServer::handle_mhi_retrieve(
     return std::nullopt;
   }
   MhiRetrieveResponse resp;
-  // Only this role's bucket is scanned, and the whole bucket is tested as
-  // one peks_test_batch: the trapdoor's Miller lines are cached once, each
-  // tag costs a precomputed Miller loop, and one pool-sharded miller_batch
-  // finishes every (entry, tag) pair.
-  auto bucket = mhi_store_.find(req.role_id);
-  if (bucket != mhi_store_.end() && !bucket->second.empty()) {
-    std::vector<peks::PeksCiphertext> flat;
-    for (const MhiEntry& entry : bucket->second) {
-      flat.insert(flat.end(), entry.tags.begin(), entry.tags.end());
-    }
-    std::vector<uint8_t> match =
-        peks::peks_test_batch(*ctx_, flat, td, mhi_pool_);
-    size_t k = 0;
-    for (const MhiEntry& entry : bucket->second) {
-      bool hit = false;
-      for (size_t i = 0; i < entry.tags.size(); ++i, ++k) {
-        if (match[k]) hit = true;
-      }
-      if (hit) resp.ibe_blobs.push_back(entry.ibe_blob);
-    }
-  }
+  resp.ibe_blobs = mhi_hub_.search(req.role_id, td, mhi_pool_);
   seal(resp, *rho, req.kLabel, net_->clock().now());
   return resp;
 }

@@ -1,5 +1,6 @@
 #include "src/core/mhi_stream.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/obs/metrics.h"
@@ -49,26 +50,71 @@ void MhiIngestor::roll_epoch(const std::string& new_role_id) {
 
 // ---- MhiStreamHub ---------------------------------------------------------
 
+namespace {
+// True when a verdict in [begin, end) of a peks_test_matrix row is a match.
+bool any_match(const std::vector<uint8_t>& v, size_t begin, size_t end) {
+  return std::find(v.begin() + begin, v.begin() + end, 1) != v.begin() + end;
+}
+}  // namespace
+
+size_t MhiStreamHub::Shelf::bytes() const noexcept {
+  size_t total = 0;
+  for (const auto& [role_id, role] : roles) {
+    for (const peks::PeksCiphertext& t : role.tags) total += t.size();
+    for (const Bytes& blob : role.blobs) total += blob.size();
+  }
+  return total;
+}
+
+void MhiStreamHub::Shelf::write(io::Writer& w) const {
+  w.u32(static_cast<uint32_t>(windows()));
+  for (const auto& [role_id, role] : roles) {
+    size_t t = 0;
+    for (size_t i = 0; i < role.ends.size(); ++i) {
+      w.str(role_id);
+      w.u32(static_cast<uint32_t>(role.ends[i] - t));
+      for (; t < role.ends[i]; ++t) w.bytes(role.tags[t].to_bytes());
+      w.bytes(role.blobs[i]);
+    }
+  }
+}
+
+MhiStreamHub::Shelf MhiStreamHub::Shelf::read(const curve::CurveCtx& ctx,
+                                              io::Reader& r) {
+  Shelf shelf;
+  size_t n = r.count32(12);  // each window: three u32 prefixes
+  for (size_t i = 0; i < n; ++i) {
+    Role& role = shelf.roles[r.str()];
+    size_t tags = r.count32(4);  // each tag: u32 length prefix
+    for (size_t t = 0; t < tags; ++t) {
+      role.tags.push_back(peks::PeksCiphertext::from_bytes(ctx, r.bytes()));
+    }
+    role.ends.push_back(role.tags.size());
+    role.blobs.push_back(r.bytes());
+  }
+  return shelf;
+}
+
 void MhiStreamHub::register_trapdoor(const std::string& physician_id,
                                      const std::string& role_id,
                                      const peks::Trapdoor& td) {
-  std::vector<Registration>& regs = by_role_[role_id];
-  for (Registration& reg : regs) {
-    if (reg.physician_id == physician_id) {
-      reg.precomp = peks::TrapdoorPrecomp(*ctx_, td);
+  Standing& st = standing_[role_id];
+  for (size_t i = 0; i < st.physicians.size(); ++i) {
+    if (st.physicians[i] == physician_id) {
+      st.precomps[i] = peks::TrapdoorPrecomp(*ctx_, td.td);
       return;
     }
   }
-  regs.push_back(Registration{physician_id, peks::TrapdoorPrecomp(*ctx_, td)});
+  st.physicians.push_back(physician_id);
+  st.precomps.emplace_back(*ctx_, td.td);
   obs::count(obs::kMhiRegistrations);
 }
 
 size_t MhiStreamHub::expire_role(const std::string& role_id) {
-  auto it = by_role_.find(role_id);
-  if (it == by_role_.end()) return 0;
-  size_t n = it->second.size();
-  by_role_.erase(it);
-  expired_ += n;
+  auto it = standing_.find(role_id);
+  if (it == standing_.end()) return 0;
+  size_t n = it->second.physicians.size();
+  standing_.erase(it);
   obs::count(obs::kMhiExpiredRegistrations, n);
   return n;
 }
@@ -76,68 +122,71 @@ size_t MhiStreamHub::expire_role(const std::string& role_id) {
 size_t MhiStreamHub::ingest(const std::string& role_id,
                             std::span<const peks::PeksCiphertext> tags,
                             const Bytes& ibe_blob, par::ThreadPool* pool) {
-  ++windows_ingested_;
   obs::count(obs::kMhiWindowsIngested);
-  auto it = by_role_.find(role_id);
-  if (it == by_role_.end() || it->second.empty() || tags.empty()) return 0;
-  const std::vector<Registration>& regs = it->second;
+  auto it = standing_.find(role_id);
+  if (it == standing_.end() || it->second.physicians.empty() || tags.empty()) {
+    return 0;
+  }
+  const Standing& st = it->second;
 
-  auto t0 = std::chrono::steady_clock::now();
-  // One Miller value per (registration, tag) pair — all over cached lines —
-  // finished by one batched final exponentiation for the whole window.
-  const size_t tested = regs.size() * tags.size();
-  std::vector<curve::Gt> gs = curve::miller_batch(
-      *ctx_, tested,
-      [&](size_t k) {
-        return regs[k / tags.size()].precomp.miller(tags[k % tags.size()]);
-      },
-      pool);
-
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<uint8_t> match =
+      peks::peks_test_matrix(*ctx_, st.precomps, tags, pool);
   size_t queued = 0;
-  size_t k = 0;
-  for (const Registration& reg : regs) {
-    bool matched = false;
-    for (size_t i = 0; i < tags.size(); ++i, ++k) {
-      if (!matched && peks::TrapdoorPrecomp::matches(tags[i], gs[k])) {
-        matched = true;
-      }
-    }
-    if (matched) {
-      hits_[reg.physician_id].push_back(MhiHit{role_id, ibe_blob});
+  for (size_t i = 0; i < st.physicians.size(); ++i) {
+    if (any_match(match, i * tags.size(), (i + 1) * tags.size())) {
+      hits_[st.physicians[i]].push_back(MhiHit{role_id, ibe_blob});
       ++queued;
     }
   }
-  tags_tested_ += tested;
-  hits_total_ += queued;
-  obs::count(obs::kMhiTagsTested, tested);
+  obs::count(obs::kMhiTagsTested, match.size());
   if (queued > 0) obs::count(obs::kMhiHits, queued);
   obs::observe(obs::kMhiIngestNs,
-               static_cast<double>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count()));
+               std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - t0).count());
   return queued;
+}
+
+size_t MhiStreamHub::shelve(const std::string& role_id,
+                            std::vector<peks::PeksCiphertext> tags,
+                            Bytes ibe_blob, par::ThreadPool* pool) {
+  size_t queued = ingest(role_id, tags, ibe_blob, pool);
+  Shelf::Role& role = shelf_.roles[role_id];
+  role.tags.insert(role.tags.end(), std::make_move_iterator(tags.begin()),
+                   std::make_move_iterator(tags.end()));
+  role.ends.push_back(role.tags.size());
+  role.blobs.push_back(std::move(ibe_blob));
+  return queued;
+}
+
+std::vector<Bytes> MhiStreamHub::search(const std::string& role_id,
+                                        const peks::Trapdoor& td,
+                                        par::ThreadPool* pool) const {
+  std::vector<Bytes> blobs;
+  auto it = shelf_.roles.find(role_id);
+  if (it == shelf_.roles.end() || it->second.tags.empty()) return blobs;
+  const Shelf::Role& role = it->second;
+  const std::vector<uint8_t> match =
+      peks::peks_test_batch(*ctx_, role.tags, td, pool);
+  for (size_t i = 0, begin = 0; i < role.ends.size(); begin = role.ends[i++]) {
+    if (any_match(match, begin, role.ends[i])) blobs.push_back(role.blobs[i]);
+  }
+  return blobs;
 }
 
 std::vector<MhiHit> MhiStreamHub::drain_hits(const std::string& physician_id,
                                              const std::string& role_id) {
   auto it = hits_.find(physician_id);
   if (it == hits_.end()) return {};
-  if (role_id.empty()) {
-    std::vector<MhiHit> out = std::move(it->second);
-    hits_.erase(it);
-    return out;
-  }
-  std::vector<MhiHit> out;
-  std::vector<MhiHit> kept;
-  for (MhiHit& hit : it->second) {
-    (hit.role_id == role_id ? out : kept).push_back(std::move(hit));
-  }
-  if (kept.empty()) {
-    hits_.erase(it);
-  } else {
-    it->second = std::move(kept);
-  }
+  std::vector<MhiHit>& queue = it->second;
+  auto drained = std::stable_partition(
+      queue.begin(), queue.end(), [&](const MhiHit& hit) {
+        return !role_id.empty() && hit.role_id != role_id;
+      });
+  std::vector<MhiHit> out(std::make_move_iterator(drained),
+                          std::make_move_iterator(queue.end()));
+  queue.erase(drained, queue.end());
+  if (queue.empty()) hits_.erase(it);
   return out;
 }
 
@@ -148,19 +197,8 @@ size_t MhiStreamHub::pending_hits(const std::string& physician_id) const {
 
 size_t MhiStreamHub::registration_count() const noexcept {
   size_t n = 0;
-  for (const auto& [role, regs] : by_role_) n += regs.size();
+  for (const auto& [role, st] : standing_) n += st.physicians.size();
   return n;
-}
-
-MhiStreamHub::Stats MhiStreamHub::stats() const {
-  Stats s;
-  s.windows_ingested = windows_ingested_;
-  s.tags_tested = tags_tested_;
-  s.hits = hits_total_;
-  s.expired_registrations = expired_;
-  s.registrations = registration_count();
-  for (const auto& [phys, queue] : hits_) s.pending += queue.size();
-  return s;
 }
 
 }  // namespace hcpp::core

@@ -1,18 +1,16 @@
 // Streaming MHI pipeline (DESIGN.md §13): the continuous body-area-network
 // workload of RSPP layered over §IV.E.2's one-shot MHI protocol. P-devices
 // emit sensor windows at high rate; the S-server holds *standing* trapdoor
-// registrations for the on-duty physicians and tests every window's PEKS
-// tags as they land, queueing emergency hits for real-time delivery instead
-// of waiting for a poll-time scan.
+// registrations for the on-duty physicians, tests every window's PEKS tags
+// as they land and queues hits for real-time delivery.
 //
 // Every pairing on the path is amortized:
 //   * Ingest (MhiIngestor): g_r = ê(PK_r, Ppub) and the IBE base are cached
 //     per role epoch, so a steady-state window costs Gt exponentiations and
 //     fixed-base generator muls only — no pairing, no hash-to-point.
-//   * Match (MhiStreamHub): each registration carries the trapdoor's Miller
-//     line cache (peks::TrapdoorPrecomp), so a landing window pays one cheap
-//     precomputed Miller loop per (registration, tag) pair and ONE batched
-//     final exponentiation per ingest across all of them.
+//   * Match (MhiStreamHub): each registration caches the trapdoor's Miller
+//     lines, so a landing window pays one precomputed Miller loop per
+//     (registration, tag) pair and ONE batched final exponentiation.
 //   * Epoch rollover: IDr = Date‖Duty‖ServiceArea changes → expire_role()
 //     drops stale registrations server-side and roll_epoch() rolls the
 //     encrypt-side cache, so tags and trapdoors from different epochs never
@@ -23,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/serialize.h"
 #include "src/core/record.h"
 #include "src/ibc/ibe.h"
 #include "src/peks/peks.h"
@@ -79,32 +78,64 @@ struct MhiHit {
   Bytes ibe_blob;  // IBE_IDr(window) — only the role-key holder can open it
 };
 
-/// S-server side of the stream: standing trapdoor registrations per on-duty
-/// physician, tested against every window as it lands.
+/// S-server side of MHI, the one holder of stored windows and standing
+/// registrations. Both are tested through peks::peks_test_matrix.
 class MhiStreamHub {
  public:
   explicit MhiStreamHub(const curve::CurveCtx& ctx) : ctx_(&ctx) {}
 
-  /// Parks TDr(kw) for `physician_id`, building its Miller line cache once.
-  /// A re-registration by the same physician for the same role replaces the
-  /// previous trapdoor (standing queries are one-per-physician-per-role).
+  /// Stored windows by role id. A role's tags lie back to back in arrival
+  /// order; window i owns tags [ends[i − 1], ends[i]) and blobs[i].
+  struct Shelf {
+    struct Role {
+      std::vector<peks::PeksCiphertext> tags;
+      std::vector<size_t> ends;
+      std::vector<Bytes> blobs;  // IBE_IDr(window)
+    };
+    std::map<std::string, Role, std::less<>> roles;
+
+    [[nodiscard]] size_t windows() const noexcept {
+      size_t n = 0;
+      for (const auto& [role_id, role] : roles) n += role.ends.size();
+      return n;
+    }
+    [[nodiscard]] size_t bytes() const noexcept;  // serialized tags + blobs
+    /// The MHI part of SServer's v2 state: a u32 window count, then per
+    /// window (role order, then arrival order) its role id, a u32 tag
+    /// count, the tags and the blob. read() throws on malformed input.
+    void write(io::Writer& w) const;
+    static Shelf read(const curve::CurveCtx& ctx, io::Reader& r);
+  };
+
+  /// Parks TDr(kw) for `physician_id`, its Miller lines cached once. A
+  /// re-registration for the same role replaces it (one query per role).
   void register_trapdoor(const std::string& physician_id,
                          const std::string& role_id,
                          const peks::Trapdoor& td);
 
-  /// Epoch rollover: drops every standing registration for `role_id` (their
-  /// trapdoors can never match another epoch's tags — see header comment).
-  /// Returns how many were dropped. Queued hits survive until drained.
+  /// Epoch rollover: drops and counts `role_id`'s standing registrations
+  /// (they never match another epoch's tags). Hits and the shelf stay.
   size_t expire_role(const std::string& role_id);
 
-  /// Tests one freshly-landed window against all standing registrations for
-  /// its role. One precomputed Miller loop per (registration, tag) pair and
-  /// ONE pool-sharded batched final exponentiation per call; a matching
-  /// registration queues one MhiHit for its physician. Returns the number of
-  /// hits queued.
+  /// Tests a landing window against its role's standing registrations in
+  /// one peks_test_matrix call; each match queues one MhiHit for its
+  /// physician. Returns the number of hits queued. Shelves nothing.
   size_t ingest(const std::string& role_id,
                 std::span<const peks::PeksCiphertext> tags,
                 const Bytes& ibe_blob, par::ThreadPool* pool = nullptr);
+
+  /// §IV.E.2 MHI storage: ingest(), then moves the window onto its role's
+  /// shelf. Returns the number of hits queued.
+  size_t shelve(const std::string& role_id,
+                std::vector<peks::PeksCiphertext> tags, Bytes ibe_blob,
+                par::ThreadPool* pool = nullptr);
+
+  /// One-shot search (§IV.E.2 RETRIEVE_MHI): the blobs of `role_id`'s
+  /// shelved windows with a tag matching `td`, in arrival order, from one
+  /// peks_test_batch over the role's tags.
+  [[nodiscard]] std::vector<Bytes> search(
+      const std::string& role_id, const peks::Trapdoor& td,
+      par::ThreadPool* pool = nullptr) const;
 
   /// Hands over (and clears) the hits queued for `physician_id`. With a
   /// non-empty `role_id`, only that epoch's hits are drained — a fetch
@@ -115,29 +146,19 @@ class MhiStreamHub {
   [[nodiscard]] size_t pending_hits(const std::string& physician_id) const;
   [[nodiscard]] size_t registration_count() const noexcept;
 
-  struct Stats {
-    uint64_t windows_ingested = 0;
-    uint64_t tags_tested = 0;  // (registration, tag) pairs evaluated
-    uint64_t hits = 0;
-    uint64_t expired_registrations = 0;
-    size_t registrations = 0;  // currently standing
-    size_t pending = 0;        // queued, not yet drained
-  };
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] const Shelf& shelf() const noexcept { return shelf_; }
+  void replace_shelf(Shelf shelf) noexcept { shelf_ = std::move(shelf); }
 
  private:
-  struct Registration {
-    std::string physician_id;
-    peks::TrapdoorPrecomp precomp;
+  struct Standing {  // parallel vectors: precomps pass as one span
+    std::vector<std::string> physicians;
+    std::vector<peks::TrapdoorPrecomp> precomps;
   };
 
   const curve::CurveCtx* ctx_;
-  std::map<std::string, std::vector<Registration>> by_role_;
+  std::map<std::string, Standing> standing_;
   std::map<std::string, std::vector<MhiHit>> hits_;  // physician → queue
-  uint64_t windows_ingested_ = 0;
-  uint64_t tags_tested_ = 0;
-  uint64_t hits_total_ = 0;
-  uint64_t expired_ = 0;
+  Shelf shelf_;
 };
 
 }  // namespace hcpp::core

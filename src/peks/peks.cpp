@@ -120,26 +120,24 @@ std::vector<uint8_t> peks_test_batch(const curve::CurveCtx& ctx,
                                      std::span<const PeksCiphertext> cts,
                                      const Trapdoor& td,
                                      par::ThreadPool* pool) {
-  const TrapdoorPrecomp pre(ctx, td);
+  const TrapdoorPrecomp pre(ctx, td.td);
+  return peks_test_matrix(ctx, std::span(&pre, 1), cts, pool);
+}
+
+std::vector<uint8_t> peks_test_matrix(const curve::CurveCtx& ctx,
+                                      std::span<const TrapdoorPrecomp> tds,
+                                      std::span<const PeksCiphertext> tags,
+                                      par::ThreadPool* pool) {
+  const size_t t = tags.size();
   std::vector<curve::Gt> gs = curve::miller_batch(
-      ctx, cts.size(), [&](size_t i) { return pre.miller(cts[i]); }, pool);
-  std::vector<uint8_t> out(cts.size());
-  for (size_t i = 0; i < cts.size(); ++i) {
-    out[i] = TrapdoorPrecomp::matches(cts[i], gs[i]) ? 1 : 0;
+      ctx, tds.size() * t,
+      [&](size_t k) { return tds[k / t].miller_with(tags[k % t].a); },
+      pool);
+  std::vector<uint8_t> out(gs.size());
+  for (size_t k = 0; k < gs.size(); ++k) {
+    out[k] = tag_matches(tags[k % t], gs[k]) ? 1 : 0;
   }
   return out;
-}
-
-TrapdoorPrecomp::TrapdoorPrecomp(const curve::CurveCtx& ctx,
-                                 const Trapdoor& td)
-    : pre_(ctx, td.td) {}
-
-field::Fp2 TrapdoorPrecomp::miller(const PeksCiphertext& ct) const {
-  return pre_.miller_with(ct.a);
-}
-
-bool TrapdoorPrecomp::matches(const PeksCiphertext& ct, const curve::Gt& g) {
-  return tag_matches(ct, g);
 }
 
 Bytes PeksCiphertext::to_bytes() const {

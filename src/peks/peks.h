@@ -60,32 +60,26 @@ Trapdoor peks_trapdoor(const curve::CurveCtx& ctx,
 bool peks_test(const curve::CurveCtx& ctx, const PeksCiphertext& ct,
                const Trapdoor& td);
 
-/// Batched server-side test: one `TrapdoorPrecomp` caches the trapdoor's
-/// Miller lines, each candidate tag then costs one cheap precomputed Miller
-/// loop, and one curve::miller_batch (one shared modular inversion,
-/// pool-sharded Miller loops and cofactor powers) finishes all of them.
-/// Element i equals `peks_test(ctx, cts[i], td)`.
+/// Batched server-side test: element i equals `peks_test(ctx, cts[i], td)`.
+/// The one-trapdoor case of peks_test_matrix.
 std::vector<uint8_t> peks_test_batch(const curve::CurveCtx& ctx,
                                      std::span<const PeksCiphertext> cts,
                                      const Trapdoor& td,
                                      par::ThreadPool* pool = nullptr);
 
-/// A trapdoor's Miller line cache, built once and reused across many tags
-/// (peks_test_batch, and the standing registrations of src/core/mhi_stream.h).
-/// `miller()` is the pre-final-exponentiation pairing value, so callers can
-/// finish many (trapdoor, tag) pairs in one curve::miller_batch; `matches()`
-/// applies the per-variant tag comparison to the finished value.
-class TrapdoorPrecomp {
- public:
-  TrapdoorPrecomp(const curve::CurveCtx& ctx, const Trapdoor& td);
+/// A trapdoor's Miller line cache, `TrapdoorPrecomp(ctx, td.td)`: built once
+/// per standing registration (src/core/mhi_stream.h) and reused across tags.
+using TrapdoorPrecomp = curve::PairingPrecomp;
 
-  [[nodiscard]] field::Fp2 miller(const PeksCiphertext& ct) const;
-  [[nodiscard]] static bool matches(const PeksCiphertext& ct,
-                                    const curve::Gt& g);
-
- private:
-  curve::PairingPrecomp pre_;
-};
+/// The one batched PEKS test: R trapdoors against T tags. Each (trapdoor,
+/// tag) pair costs one precomputed Miller loop over the trapdoor's cached
+/// lines, and ONE curve::miller_batch (pool-sharded Miller loops, one shared
+/// modular inversion and final-exponentiation batch) finishes all R×T of
+/// them. Element r·T + t equals `peks_test(ctx, tags[t], trapdoor r)`.
+std::vector<uint8_t> peks_test_matrix(const curve::CurveCtx& ctx,
+                                      std::span<const TrapdoorPrecomp> tds,
+                                      std::span<const PeksCiphertext> tags,
+                                      par::ThreadPool* pool = nullptr);
 
 /// Encrypt-side amortization for streaming tag generation. `peks_encrypt`
 /// pays a hash-to-point H1(IDr) plus a full pairing ê(PK_r, Ppub) per tag,

@@ -5,6 +5,7 @@
 
 #include "src/core/mhi_stream.h"
 #include "src/core/setup.h"
+#include "src/obs/metrics.h"
 #include "src/par/pool.h"
 
 namespace hcpp::core {
@@ -43,8 +44,24 @@ TEST(MhiRoleId, ComposesTheEpochIdentity) {
   EXPECT_EQ(mhi_role_id("2011-04-12", "emergency", "gainesville"), kRole);
 }
 
+// Attaches a private obs registry for one test's lifetime: the hub's
+// ingest/expire tallies live in the obs counters only.
+class ScopedRegistry {
+ public:
+  ScopedRegistry() : previous_(obs::attached()) { obs::attach(&reg_); }
+  ~ScopedRegistry() { obs::attach(previous_); }
+  [[nodiscard]] uint64_t counter(std::string_view name) const {
+    return reg_.counter(name);
+  }
+
+ private:
+  obs::Registry reg_;
+  obs::Registry* previous_;
+};
+
 TEST(MhiStreamHub, RegisterIngestDrain) {
   HubSetup s = make("hub-basic");
+  ScopedRegistry reg;
   MhiStreamHub hub(ctx());
   hub.register_trapdoor("dr-a", kRole,
                         peks::peks_trapdoor(ctx(), s.role_key, "anomaly"));
@@ -69,11 +86,11 @@ TEST(MhiStreamHub, RegisterIngestDrain) {
   EXPECT_EQ(hits[0].ibe_blob, blob_hit);
   EXPECT_TRUE(hub.drain_hits("dr-a").empty());  // drained
 
-  MhiStreamHub::Stats st = hub.stats();
-  EXPECT_EQ(st.windows_ingested, 3u);
-  EXPECT_EQ(st.tags_tested, 3u);  // 1 reg × (2 + 1) tags; third window skipped
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.pending, 0u);
+  EXPECT_EQ(reg.counter(obs::kMhiWindowsIngested), 3u);
+  // 1 reg × (2 + 1) tags; the third window is skipped.
+  EXPECT_EQ(reg.counter(obs::kMhiTagsTested), 3u);
+  EXPECT_EQ(reg.counter(obs::kMhiHits), 1u);
+  EXPECT_EQ(hub.pending_hits("dr-a"), 0u);
 }
 
 TEST(MhiStreamHub, PoolWidthsAgreeWithSerial) {
@@ -99,10 +116,57 @@ TEST(MhiStreamHub, PoolWidthsAgreeWithSerial) {
     par::ThreadPool pool(width, "mhi-test");
     EXPECT_EQ(run(&pool), serial) << "pool width " << width;
   }
+
+  // One-shot search over shelved windows agrees with scalar peks_test over
+  // every shelved tag, at every pool width, and never returns another
+  // role's windows. The windows shelved under kNextRole carry tags made for
+  // kRole, so only the role buckets keep them out of a kRole search.
+  const std::vector<std::vector<std::string>> windows = {
+      {"day:2011-04-12", "anomaly"},
+      {"day:2011-04-12"},
+      {"x", "anomaly", "y"},
+      {},
+      {"y"}};
+  MhiStreamHub hub(ctx());
+  std::vector<std::vector<peks::PeksCiphertext>> shelved;
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const std::string n = std::to_string(w);
+    shelved.push_back(tags_for(s, "shelf-" + n, kRole, windows[w]));
+    hub.shelve(kRole, shelved.back(), to_bytes("blob-" + n));
+    hub.shelve(kNextRole, tags_for(s, "next-" + n, kRole, windows[w]),
+               to_bytes("next-blob-" + n));
+  }
+  EXPECT_EQ(hub.shelf().windows(), 2 * windows.size());
+  EXPECT_EQ(hub.registration_count(), 0u);
+  for (const char* kw : {"anomaly", "day:2011-04-12", "y", "absent"}) {
+    const peks::Trapdoor td = peks::peks_trapdoor(ctx(), s.role_key, kw);
+    std::vector<Bytes> expected;
+    for (size_t w = 0; w < shelved.size(); ++w) {
+      bool hit = false;
+      for (const peks::PeksCiphertext& t : shelved[w]) {
+        hit = peks::peks_test(ctx(), t, td) || hit;
+      }
+      if (hit) expected.push_back(to_bytes("blob-" + std::to_string(w)));
+    }
+    EXPECT_EQ(hub.search(kRole, td), expected) << kw;
+    for (size_t width : {size_t{1}, size_t{2}, size_t{8}}) {
+      par::ThreadPool pool(width, "mhi-search");
+      EXPECT_EQ(hub.search(kRole, td, &pool), expected)
+          << kw << " at pool width " << width;
+    }
+  }
+  const peks::Trapdoor anomaly =
+      peks::peks_trapdoor(ctx(), s.role_key, "anomaly");
+  EXPECT_EQ(hub.search(kRole, anomaly).size(), 2u);
+  EXPECT_EQ(hub.search(kNextRole, anomaly),
+            (std::vector<Bytes>{to_bytes("next-blob-0"),
+                                to_bytes("next-blob-2")}));
+  EXPECT_EQ(hub.registration_count(), 0u);  // a search registers nothing
 }
 
 TEST(MhiStreamHub, ReRegistrationReplacesAndExpireDrops) {
   HubSetup s = make("hub-expire");
+  ScopedRegistry reg;
   MhiStreamHub hub(ctx());
   hub.register_trapdoor("dr-a", kRole,
                         peks::peks_trapdoor(ctx(), s.role_key, "old-kw"));
@@ -131,7 +195,7 @@ TEST(MhiStreamHub, ReRegistrationReplacesAndExpireDrops) {
             0u);
   EXPECT_EQ(hub.pending_hits("dr-a"), 1u);
   EXPECT_EQ(hub.pending_hits("dr-b"), 1u);
-  EXPECT_EQ(hub.stats().expired_registrations, 2u);
+  EXPECT_EQ(reg.counter(obs::kMhiExpiredRegistrations), 2u);
 }
 
 TEST(MhiIngestor, BitIdenticalToColdPath) {

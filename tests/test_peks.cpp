@@ -236,7 +236,7 @@ TEST(PeksEncryptor, WarmTagsPayNoPairingOrHashToPoint) {
   obs::attach(previous);
 }
 
-// ---- Batched test path (peks_test_batch / TrapdoorPrecomp) -----------------
+// ---- Batched test path (peks_test_batch / peks_test_matrix) ----------------
 
 // A mixed batch: matches, keyword misses, role misses, and tampered tags in
 // both variants — the batched verdicts must agree with peks_test elementwise.
@@ -281,15 +281,32 @@ TEST(PeksTestBatch, MatchesScalarOracleAtPoolWidths) {
 TEST(PeksTestBatch, StandingPrecompMatchesScalar) {
   PeksSetup s = make("peks-standing", "role-a");
   std::vector<PeksCiphertext> tags = mixed_batch(s);
-  Trapdoor td = peks_trapdoor(ctx(), s.role_key, "kw");
-  TrapdoorPrecomp pre(ctx(), td);
-  for (size_t i = 0; i < tags.size(); ++i) {
-    const field::Fp2 f = pre.miller(tags[i]);
-    curve::Gt g = curve::final_exp_batch(ctx(), std::span(&f, 1))[0];
-    EXPECT_EQ(TrapdoorPrecomp::matches(tags[i], g),
-              peks_test(ctx(), tags[i], td))
-        << "tag " << i;
+  const std::vector<Trapdoor> tds = {
+      peks_trapdoor(ctx(), s.role_key, "kw"),
+      peks_trapdoor(ctx(), s.role_key, "other"),
+      peks_trapdoor(ctx(), s.role_key, "absent")};
+  std::vector<TrapdoorPrecomp> pre;
+  std::vector<uint8_t> expected;
+  for (const Trapdoor& td : tds) {
+    pre.emplace_back(ctx(), td.td);
+    for (const PeksCiphertext& tag : tags) {
+      expected.push_back(peks_test(ctx(), tag, td) ? 1 : 0);
+    }
   }
+  EXPECT_EQ(peks_test_matrix(ctx(), pre, tags), expected);
+  par::ThreadPool pool(2, "peks-matrix");
+  EXPECT_EQ(peks_test_matrix(ctx(), pre, tags, &pool), expected);
+  // Each row is that trapdoor's peks_test_batch.
+  for (size_t r = 0; r < tds.size(); ++r) {
+    EXPECT_EQ(peks_test_batch(ctx(), tags, tds[r]),
+              std::vector<uint8_t>(
+                  expected.begin() + static_cast<ptrdiff_t>(r * tags.size()),
+                  expected.begin() +
+                      static_cast<ptrdiff_t>((r + 1) * tags.size())))
+        << "row " << r;
+  }
+  EXPECT_TRUE(peks_test_matrix(ctx(), pre, {}).empty());
+  EXPECT_TRUE(peks_test_matrix(ctx(), {}, tags).empty());
 }
 
 TEST(PeksTestBatch, EmptyBatch) {

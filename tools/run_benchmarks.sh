@@ -15,7 +15,8 @@
 #   BENCH_sse.json        — bench_sse: index build, SEARCH, trapdoors and the
 #                           dynamic update layer (E1, E4, E11)
 #   BENCH_mhi.json        — bench_mhi: cold vs cached PEKS encryption and
-#                           scalar vs batched PEKS tests (E12)
+#                           scalar vs batched PEKS tests, medians and spread
+#                           over 7 alternating rounds (E12)
 #
 # Usage: tools/run_benchmarks.sh [build-dir]
 # Configures the build directory (default build-bench/, so a developer's
