@@ -15,7 +15,7 @@
 #include "src/ibc/domain.h"
 #include "src/sim/network.h"
 #include "src/sim/onion.h"
-#include "src/sim/scheduler.h"
+#include "study/sim/scheduler.h"
 
 using namespace hcpp;
 

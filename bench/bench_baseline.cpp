@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "src/baseline/leelee.h"
-#include "src/baseline/tan.h"
 #include "src/core/setup.h"
+#include "study/baseline/leelee.h"
+#include "study/baseline/tan.h"
 
 using namespace hcpp;
 

@@ -18,6 +18,7 @@
 #include "src/mp/mont.h"
 #include "src/mp/prime.h"
 #include "src/peks/peks.h"
+#include "tests/oracle/oracle.h"
 
 namespace {
 

@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/cipher/drbg.h"
-#include "src/oram/oram.h"
+#include "study/oram/oram.h"
 
 namespace {
 

@@ -11,9 +11,9 @@
 #include "src/cipher/drbg.h"
 #include "src/core/record.h"
 #include "src/par/pool.h"
-#include "src/sse/adaptive.h"
 #include "src/sse/dynamic.h"
 #include "src/sse/sse.h"
+#include "study/sse/adaptive.h"
 
 namespace {
 

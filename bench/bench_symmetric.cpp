@@ -7,12 +7,12 @@
 #include <cstdlib>
 
 #include "src/cipher/aead.h"
-#include "src/cipher/aes.h"
 #include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
 #include "src/hash/hmac.h"
 #include "src/hash/sha256.h"
 #include "src/mp/dispatch.h"
+#include "study/cipher/aes.h"
 
 namespace {
 

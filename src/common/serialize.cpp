@@ -36,6 +36,12 @@ void Reader::need(size_t n) const {
   }
 }
 
+void Reader::expect_done(std::string_view what) const {
+  if (!done()) {
+    throw std::invalid_argument(std::string(what) + ": trailing bytes");
+  }
+}
+
 uint8_t Reader::u8() {
   need(1);
   return buf_[pos_++];

@@ -52,6 +52,9 @@ class Reader {
   size_t count64(size_t min_elem_bytes = 1);
 
   [[nodiscard]] bool done() const noexcept { return pos_ == buf_.size(); }
+  /// Throws std::invalid_argument, naming `what`, unless every byte was read:
+  /// a parser that ignores trailing bytes lets two encodings decode alike.
+  void expect_done(std::string_view what) const;
   [[nodiscard]] size_t remaining() const noexcept { return buf_.size() - pos_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "src/core/entities.h"
 
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 
 #include "src/cipher/aead.h"
@@ -282,9 +280,7 @@ bool SServer::attach_store(const std::string& dir,
       acct.index = sse::SecureIndex::from_bytes(r.bytes());
       acct.d = r.bytes();
       acct.be_blob = r.bytes();
-      if (!r.done()) {
-        throw std::invalid_argument("SServer: trailing bytes in base record");
-      }
+      r.expect_done("SServer base record");
       if (auto it = files.find(key); it != files.end()) {
         for (auto& [id, blob] : it->second) {
           acct.files.files.emplace(id, std::move(blob));
@@ -389,23 +385,6 @@ bool SServer::import_state(BytesView state) {
   } catch (const std::exception&) {
     return false;
   }
-}
-
-bool SServer::save_to_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  Bytes state = export_state();
-  out.write(reinterpret_cast<const char*>(state.data()),
-            static_cast<std::streamsize>(state.size()));
-  return static_cast<bool>(out);
-}
-
-bool SServer::load_from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  Bytes state((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return import_state(state);
 }
 
 size_t SServer::stored_bytes() const {

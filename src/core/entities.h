@@ -216,8 +216,6 @@ class SServer {
   /// import replaces the current state and rejects malformed blobs.
   [[nodiscard]] Bytes export_state() const;
   bool import_state(BytesView state);
-  bool save_to_file(const std::string& path) const;
-  bool load_from_file(const std::string& path);
 
   /// What the curious server can see — used by the unlinkability tests and
   /// baseline comparison (E5).

@@ -162,9 +162,8 @@ M from_wire(BytesView bytes) {
   io::Reader r(body);
   std::apply(Decoder{r}, M::fields(m));
   std::apply(Decoder{frame}, auth(m));
-  if (!r.done() || !frame.done()) {
-    throw std::invalid_argument("wire: trailing bytes");
-  }
+  r.expect_done("wire");
+  frame.expect_done("wire");
   return m;
 }
 

@@ -25,8 +25,8 @@
 //     and one final exponentiation across all terms (use negate(P_i) for an
 //     inverse factor); what HIBC decrypt/verify use instead of ℓ+1
 //     independent pairings.
-// pairing_reference keeps the original affine loop as the cross-check oracle
-// for all of the above (tests/test_pairing.cpp, ctest pairing_consistency).
+// The affine-loop oracle all of the above are tested against is
+// curve::pairing_reference in tests/oracle.
 #pragma once
 
 #include <functional>
@@ -71,12 +71,6 @@ class Gt {
 
 /// ê(P, Q). Returns Gt::one if either input is the point at infinity.
 Gt pairing(const CurveCtx& ctx, const Point& p_in, const Point& q_in);
-
-/// The original affine Miller loop (one inversion per step). Kept as the
-/// slow, independently-derived oracle the optimized paths are tested
-/// against; never call it on a hot path.
-Gt pairing_reference(const CurveCtx& ctx, const Point& p_in,
-                     const Point& q_in);
 
 /// Cached Miller-loop line coefficients for a fixed first argument P. The
 /// loop emits each line as (c0, c1, c2) with value (c0 + c1·x_Q) +

@@ -144,6 +144,7 @@ IbeCcaCiphertext IbeCcaCiphertext::from_bytes(const curve::CurveCtx& ctx,
   ct.u = curve::point_from_bytes(ctx, r.bytes());
   ct.v = r.bytes();
   ct.w = r.bytes();
+  r.expect_done("IbeCcaCiphertext");
   return ct;
 }
 
@@ -162,6 +163,7 @@ IbeCiphertext IbeCiphertext::from_bytes(const curve::CurveCtx& ctx,
   IbeCiphertext ct;
   ct.u = curve::point_from_bytes(ctx, r.bytes());
   ct.box = r.bytes();
+  r.expect_done("IbeCiphertext");
   return ct;
 }
 

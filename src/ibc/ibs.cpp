@@ -1,7 +1,5 @@
 #include "src/ibc/ibs.h"
 
-#include <stdexcept>
-
 #include "src/common/serialize.h"
 
 namespace hcpp::ibc {
@@ -112,9 +110,7 @@ IbsSignature IbsSignature::from_bytes(const curve::CurveCtx& ctx,
   IbsSignature sig;
   sig.v = mp::U512::from_bytes_be(r.raw(64));
   sig.w = curve::point_from_bytes(ctx, r.bytes());
-  if (!r.done()) {
-    throw std::invalid_argument("IbsSignature: trailing bytes");
-  }
+  r.expect_done("IbsSignature");
   return sig;
 }
 

@@ -88,13 +88,4 @@ bool is_probable_prime(const U512& n, RandomSource& rng, int rounds) {
   return true;
 }
 
-U512 generate_prime(size_t bits, RandomSource& rng) {
-  if (bits < 3) throw std::invalid_argument("generate_prime: too small");
-  for (;;) {
-    U512 candidate = random_bits(bits, rng);
-    candidate.w[0] |= 1;  // odd
-    if (is_probable_prime(candidate, rng)) return candidate;
-  }
-}
-
 }  // namespace hcpp::mp

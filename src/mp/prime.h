@@ -1,4 +1,4 @@
-// Primality testing and prime/parameter generation for the pairing domain.
+// Primality testing and random sampling for parameter generation.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +17,5 @@ U512 random_bits(size_t bits, RandomSource& rng);
 /// Miller–Rabin with `rounds` random bases (deterministic small-prime
 /// trial division first). Error probability <= 4^-rounds.
 bool is_probable_prime(const U512& n, RandomSource& rng, int rounds = 32);
-
-/// Random prime with exactly `bits` bits.
-U512 generate_prime(size_t bits, RandomSource& rng);
 
 }  // namespace hcpp::mp

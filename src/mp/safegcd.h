@@ -5,8 +5,8 @@
 // matrix applied to (f, g) and, modulo m, to the Bézout coefficients (d, e).
 // One portable implementation serves every modulus width up to 512 bits.
 // Variable time: its running time depends on the operand, like the binary
-// extended Euclid (mp::inv_mod) it replaces; callers use it on public or
-// blinded values only.
+// extended Euclid it replaces (now the mp::inv_mod test oracle); callers use
+// it on public or blinded values only.
 #pragma once
 
 #include "src/mp/u512.h"

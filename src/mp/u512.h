@@ -88,9 +88,4 @@ U512 sub_mod(const U512& a, const U512& b, const U512& m) noexcept;
 /// MontCtx::mul on hot paths.
 U512 mul_mod(const U512& a, const U512& b, const U512& m);
 
-/// a^{-1} mod m for odd m, gcd(a, m) = 1 (throws std::domain_error otherwise).
-/// Binary extended Euclid: the reference the divstep MontCtx::inv is tested
-/// against, not a hot path.
-U512 inv_mod(const U512& a, const U512& m);
-
 }  // namespace hcpp::mp

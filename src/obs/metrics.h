@@ -3,10 +3,9 @@
 // can assert on deltas instead of absolute values.
 //
 // Cost model: every instrumentation site goes through the free functions at
-// the bottom (count/gauge_set/observe). They compile away entirely when
-// HCPP_OBS=0, and when compiled in they reduce to one relaxed atomic load
-// and a not-taken branch while no registry is attached — cheap enough to
-// stay on in benches. Attach a registry (obs::attach) to start recording;
+// the bottom (count/gauge_set/observe). They reduce to one relaxed atomic
+// load and a not-taken branch while no registry is attached — cheap enough
+// to stay on in benches. Attach a registry (obs::attach) to start recording;
 // the simulation is single-threaded but the registry still locks, so bench
 // binaries with worker threads stay correct.
 //
@@ -15,10 +14,6 @@
 // and Prometheus series. The kM* constants below are the canonical names
 // used across the stack — grep for them to find every instrumentation site.
 #pragma once
-
-#ifndef HCPP_OBS
-#define HCPP_OBS 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -42,7 +37,6 @@ class Tracer;
 
 // Crypto-op accounting (src/mp, src/curve, src/ibc).
 inline constexpr const char* kPairing = "crypto.pairing";
-inline constexpr const char* kPairingReference = "crypto.pairing_reference";
 inline constexpr const char* kPairingFixed = "crypto.pairing_fixed";
 inline constexpr const char* kPairingPrecompBuild =
     "crypto.pairing_precomp_build";
@@ -280,12 +274,10 @@ inline void attach(Registry* r) noexcept {
 
 // ---------------------------------------------------------------------------
 // Instrumentation entry points. These — not Registry methods — are what the
-// rest of the codebase calls, so that HCPP_OBS=0 builds drop every site.
+// rest of the codebase calls.
 
-#if HCPP_OBS
 /// True when a registry is attached. Lets call sites skip work (label
-/// concatenation, clock reads) that only matters while recording; constant
-/// false — so dead-code-eliminable — when HCPP_OBS=0.
+/// concatenation, clock reads) that only matters while recording.
 [[nodiscard]] inline bool recording() noexcept {
   return attached() != nullptr;
 }
@@ -298,11 +290,5 @@ inline void gauge_set(std::string_view name, int64_t value) {
 inline void observe(std::string_view name, double value) {
   if (Registry* r = attached()) r->observe(name, value);
 }
-#else
-[[nodiscard]] inline constexpr bool recording() noexcept { return false; }
-inline void count(std::string_view, uint64_t = 1) {}
-inline void gauge_set(std::string_view, int64_t) {}
-inline void observe(std::string_view, double) {}
-#endif
 
 }  // namespace hcpp::obs

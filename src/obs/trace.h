@@ -17,8 +17,7 @@
 // "aserver:*" server handlers, "sse:*" index ops, "crypto:*" key
 // derivations.
 //
-// Tracing is off until Tracer::enable(clock); with HCPP_OBS=0 the Span type
-// is an empty shell and every call site compiles to nothing.
+// Tracing is off until Tracer::enable(clock).
 #pragma once
 
 #include <cstdint>
@@ -105,7 +104,6 @@ class Tracer {
 // ---------------------------------------------------------------------------
 /// RAII span. Records only when a registry is attached *and* its tracer is
 /// enabled; otherwise construction is one atomic load.
-#if HCPP_OBS
 class Span {
  public:
   explicit Span(std::string_view name) {
@@ -136,14 +134,5 @@ class Span {
   Tracer* tracer_ = nullptr;
   int32_t index_ = -1;
 };
-#else
-class Span {
- public:
-  explicit Span(std::string_view) {}
-  Span(std::string_view, std::string_view) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-#endif
 
 }  // namespace hcpp::obs

@@ -159,6 +159,7 @@ PeksCiphertext PeksCiphertext::from_bytes(const curve::CurveCtx& ctx,
   ct.a = curve::point_from_bytes(ctx, r.bytes());
   ct.b = r.bytes();
   ct.check = r.bytes();
+  r.expect_done("PeksCiphertext");
   return ct;
 }
 

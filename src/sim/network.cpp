@@ -30,8 +30,6 @@ void Network::set_fault_plan(FaultPlan plan) {
   plan_ = std::make_unique<FaultPlan>(std::move(plan));
 }
 
-void Network::clear_fault_plan() { plan_.reset(); }
-
 void Network::set_node_up(const std::string& id, bool up) {
   if (up) {
     manually_down_.erase(id);

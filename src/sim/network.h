@@ -110,9 +110,8 @@ class Network {
   Delivery transmit(const std::string& from, const std::string& to,
                     size_t bytes, const std::string& protocol);
 
-  /// Installs (and seeds) / clears the fault schedule.
+  /// Installs (and seeds) the fault schedule.
   void set_fault_plan(FaultPlan plan);
-  void clear_fault_plan();
 
   /// Manual outage control (cluster failover tests, §VI.D DoS). Composes
   /// with any plan-scheduled downtime: a node is up only if both agree.
@@ -120,11 +119,11 @@ class Network {
   [[nodiscard]] bool node_up(const std::string& id) const;
 
   /// Dynamic partition control. Plan partitions are fixed when the plan is
-  /// installed; these compose with them and can be cut (and healed) at the
-  /// current clock time — what the ledger chaos tests need to sever a link
-  /// mid-anchoring. Works with or without a fault plan.
+  /// installed; these compose with them and can be cut at the current clock
+  /// time — what the ledger chaos tests need to sever a link mid-anchoring.
+  /// A window heals when the clock passes its until_ns. Works with or
+  /// without a fault plan.
   void add_partition(PartitionWindow window);
-  void clear_partitions() noexcept { dynamic_partitions_.clear(); }
 
   /// One draw from the fault DRBG — lets the transport's backoff jitter
   /// share the plan's deterministic stream.

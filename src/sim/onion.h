@@ -45,8 +45,6 @@ class OnionNetwork {
   }
   void clear_observations();
 
-  [[nodiscard]] size_t relay_count() const noexcept { return relays_.size(); }
-
  private:
   struct Relay {
     std::string name;

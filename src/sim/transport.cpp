@@ -12,11 +12,6 @@ void Transport::reset_stats() {
   total_ = DeliveryStats{};
 }
 
-void Transport::reset_idempotency_cache() {
-  idem_.clear();
-  idem_order_.clear();
-}
-
 void Transport::remember(const IdemKey& key, CacheEntry entry) {
   auto [it, inserted] = idem_.emplace(key, std::move(entry));
   (void)it;

@@ -85,8 +85,6 @@ class Transport {
   [[nodiscard]] DeliveryStats stats(const std::string& protocol) const;
   [[nodiscard]] DeliveryStats total() const noexcept { return total_; }
   void reset_stats();
-  /// Forgets cached responses (fresh server state between scenarios).
-  void reset_idempotency_cache();
 
   /// One request/response exchange with retries. `handler` is the in-process
   /// server endpoint: it returns the typed response, or nullopt for an

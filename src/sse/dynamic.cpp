@@ -301,6 +301,7 @@ UpdateLog UpdateLog::from_bytes(BytesView b) {
     std::string label = r.str();
     log.entries[label] = r.bytes();
   }
+  r.expect_done("UpdateLog");
   return log;
 }
 

@@ -396,6 +396,7 @@ SecureIndex SecureIndex::from_bytes(BytesView bv) {
     std::string k = r.str();
     si.table_t[k] = r.bytes();
   }
+  r.expect_done("SecureIndex");
   return si;
 }
 
@@ -428,6 +429,7 @@ EncryptedCollection EncryptedCollection::from_bytes(BytesView bv) {
     FileId id = r.u64();
     ec.files[id] = r.bytes();
   }
+  r.expect_done("EncryptedCollection");
   return ec;
 }
 

@@ -1,4 +1,4 @@
-#include "src/baseline/leelee.h"
+#include "study/baseline/leelee.h"
 
 #include <algorithm>
 

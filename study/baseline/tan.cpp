@@ -1,4 +1,4 @@
-#include "src/baseline/tan.h"
+#include "study/baseline/tan.h"
 
 namespace hcpp::baseline {
 

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "src/baseline/leelee.h"  // PrivacyProperties
 #include "src/ibc/ibe.h"
 #include "src/sim/network.h"
+#include "study/baseline/leelee.h"  // PrivacyProperties
 
 namespace hcpp::baseline {
 

@@ -1,4 +1,4 @@
-#include "src/oram/oram.h"
+#include "study/oram/oram.h"
 
 #include <cmath>
 #include <stdexcept>

@@ -1,4 +1,4 @@
-#include "src/sim/scheduler.h"
+#include "study/sim/scheduler.h"
 
 #include <cmath>
 #include <stdexcept>

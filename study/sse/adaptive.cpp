@@ -1,4 +1,4 @@
-#include "src/sse/adaptive.h"
+#include "study/sse/adaptive.h"
 
 #include <algorithm>
 #include <map>

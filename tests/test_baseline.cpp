@@ -4,9 +4,9 @@
 
 #include <algorithm>
 
-#include "src/baseline/leelee.h"
-#include "src/baseline/tan.h"
 #include "src/core/setup.h"
+#include "study/baseline/leelee.h"
+#include "study/baseline/tan.h"
 
 namespace hcpp::baseline {
 namespace {

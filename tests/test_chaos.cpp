@@ -297,7 +297,6 @@ TEST(StorageFailover, RevokeFansOutToAllReplicas) {
   }
 }
 
-#if HCPP_OBS
 /// Attaches a private registry for one test body, restoring the previous
 /// attachment even when an ASSERT bails out early.
 struct ScopedRegistry {
@@ -454,7 +453,6 @@ TEST(StorageFailover, GroupOfOneBehavesLikeALoneServer) {
     }
   }
 }
-#endif  // HCPP_OBS
 
 // ---- Replicated authority (§VI.D) -------------------------------------------
 

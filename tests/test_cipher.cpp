@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/cipher/aead.h"
-#include "src/cipher/aes.h"
 #include "src/cipher/chacha20.h"
 #include "src/cipher/drbg.h"
+#include "study/cipher/aes.h"
 
 namespace hcpp::cipher {
 namespace {

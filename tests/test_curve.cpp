@@ -7,6 +7,7 @@
 #include "src/curve/params.h"
 #include "src/mp/prime.h"
 #include "src/obs/metrics.h"
+#include "tests/oracle/oracle.h"
 
 namespace hcpp::curve {
 namespace {

@@ -105,10 +105,12 @@ TEST(LedgerChaos, PartitionMidAnchorIsTransientThenIdempotent) {
   f.run_emergency();
   const uint64_t count_at_pin = f.d.aserver->trace_ledger().size();
 
-  // Sever the link to the state registry before the drive starts: the
-  // hospital level signs, the state level never answers.
+  // Sever the link to the state registry for a minute from before the drive
+  // starts: the hospital level signs, the state level never answers.
+  sim::Clock& clock = f.d.net->clock();
+  const uint64_t heal_at = clock.now() + 60'000'000'000ull;
   f.d.net->add_partition(
-      {f.d.aserver->id(), "state-anchor", f.d.net->clock().now(), UINT64_MAX});
+      {f.d.aserver->id(), "state-anchor", clock.now(), heal_at});
   lg::AnchorOutcome cut = f.anchor_traces(/*epoch=*/0);
   EXPECT_FALSE(cut.anchored);
   EXPECT_FALSE(cut.divergence);  // transient, retriable — not a refusal
@@ -118,7 +120,9 @@ TEST(LedgerChaos, PartitionMidAnchorIsTransientThenIdempotent) {
   // not move with it.
   f.run_emergency();
 
-  f.d.net->clear_partitions();
+  // The outage outlasted both drives; the link heals once it is over.
+  ASSERT_LT(clock.now(), heal_at);
+  clock.advance(heal_at - clock.now());
   lg::AnchorOutcome healed = f.anchor_traces(/*epoch=*/0);
   ASSERT_TRUE(healed.anchored) << healed.detail;
   lg::Ledger& led = f.d.aserver->trace_ledger();

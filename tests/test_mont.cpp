@@ -15,6 +15,7 @@
 #include "src/mp/mont.h"
 #include "src/mp/prime.h"
 #include "src/mp/u512.h"
+#include "tests/oracle/oracle.h"
 
 namespace hcpp::mp {
 namespace {

@@ -89,11 +89,7 @@ TEST(HistogramEdge, PercentilesAreMonotoneInP) {
 }
 
 // ---- Registry + snapshot/diff ----------------------------------------------
-// The Registry type itself exists in every build; the free-function entry
-// points and Span record only when HCPP_OBS=1, so everything that observes
-// through them is compiled out alongside the instrumentation.
 
-#if HCPP_OBS
 TEST_F(ObsTest, FreeFunctionsFeedTheAttachedRegistry) {
   count("test.counter");
   count("test.counter", 4);
@@ -128,10 +124,8 @@ TEST_F(ObsTest, DiffSubtractsCountersAndHistogramCounts) {
   EXPECT_EQ(delta.counter("d.fresh"), 1u);
   EXPECT_EQ(delta.histograms.at("d.lat").count, 1u);
 }
-#endif  // HCPP_OBS
 
 TEST(ObsRegistry, DiffWorksThroughDirectRegistryCalls) {
-  // Registry methods are live in every build, HCPP_OBS=0 included.
   Registry r;
   r.add("d.ops", 10);
   r.observe("d.lat", 5e3);
@@ -197,7 +191,6 @@ TEST(ObsExport, PrometheusParseRecoversHistogramContents) {
 
 // ---- Tracer -----------------------------------------------------------------
 
-#if HCPP_OBS
 TEST_F(ObsTest, SpansNestAndCarryCryptoDeltas) {
   sim::Network net;
   reg_.tracer().enable(net.clock());
@@ -342,7 +335,6 @@ TEST_F(ObsTest, TransportStatsAndRegistryCountersAgree) {
                 .count,
             1u);
 }
-#endif  // HCPP_OBS
 
 
 // ---- Thread safety ---------------------------------------------------------

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "src/cipher/drbg.h"
-#include "src/oram/oram.h"
+#include "study/oram/oram.h"
 
 namespace hcpp::oram {
 namespace {

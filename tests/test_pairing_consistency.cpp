@@ -8,6 +8,7 @@
 #include "src/cipher/drbg.h"
 #include "src/curve/pairing.h"
 #include "src/curve/params.h"
+#include "tests/oracle/oracle.h"
 
 namespace hcpp::curve {
 namespace {

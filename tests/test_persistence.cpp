@@ -1,14 +1,10 @@
-// S-server durable state: export/import and file round-trips, with the
-// protocols still working against the restored server.
+// S-server durable state: export/import round trips, with the protocols
+// still working against the restored server.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
 
 #include "src/common/serialize.h"
 #include "src/core/setup.h"
 #include "src/hash/sha256.h"
-#include "tests/temp_path.h"
 
 namespace hcpp::core {
 namespace {
@@ -107,17 +103,6 @@ TEST(Persistence, ExportedStateBytesArePinned) {
   EXPECT_EQ(restored.export_state(), state);
 }
 
-TEST(Persistence, FileRoundTrip) {
-  Deployment d = with_mhi(91);
-  std::filesystem::path path = fresh_temp_path("sserver-state.bin");
-  ASSERT_TRUE(d.sserver->save_to_file(path.string()));
-  SServer restored(*d.net, *d.aserver, d.sserver->id());
-  ASSERT_TRUE(restored.load_from_file(path.string()));
-  EXPECT_EQ(restored.account_count(), d.sserver->account_count());
-  EXPECT_EQ(restored.mhi_entry_count(), d.sserver->mhi_entry_count());
-  std::filesystem::remove(path);
-}
-
 TEST(Persistence, RejectsBadInput) {
   Deployment d = with_mhi(92);
   const Bytes state = d.sserver->export_state();
@@ -164,8 +149,6 @@ TEST(Persistence, RejectsBadInput) {
   Bytes tail = w.take();
   bad_tail.insert(bad_tail.end(), tail.begin(), tail.end());
   rejected_untouched(bad_tail, "malformed PEKS tag");
-  EXPECT_FALSE(server.load_from_file("/nonexistent/path/state.bin"));
-  EXPECT_EQ(server.export_state(), before);
 }
 
 TEST(Persistence, ImportReplacesExistingState) {

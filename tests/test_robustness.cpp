@@ -18,8 +18,9 @@
 #include "src/ibc/ibe.h"
 #include "src/ibc/ibs.h"
 #include "src/peks/peks.h"
-#include "src/sse/adaptive.h"
+#include "src/sse/dynamic.h"
 #include "src/sse/sse.h"
+#include "study/sse/adaptive.h"
 
 namespace hcpp {
 namespace {
@@ -184,6 +185,16 @@ void expect_strict(const M& m) {
   EXPECT_THROW((void)M::from_wire(w.data()), std::exception);
 }
 
+// The same for an encoding a request carries inside one of its fields: the
+// handler stores the parsed value, so a byte the parser skipped would be
+// silently dropped on re-export.
+template <class Parse>
+void expect_strict_field(Bytes enc, Parse parse) {
+  ASSERT_NO_THROW((void)parse(enc));
+  enc.push_back(0);
+  EXPECT_THROW((void)parse(enc), std::exception);
+}
+
 TEST(StrictParse, ValidEncodingPlusOneByteIsRejected) {
   Bytes mac(32, 0x5A);
   expect_strict(core::StoreRequest{to_bytes("tp"), "c", to_bytes("i"),
@@ -228,6 +239,27 @@ TEST(StrictParse, ValidEncodingPlusOneByteIsRejected) {
                                   to_bytes("sig")});
   expect_strict(core::RdRecord{"dr", to_bytes("tp"), {"kw"}, 2,
                                to_bytes("sig")});
+
+  cipher::Drbg rng(to_bytes("strict-fields"));
+  ibc::Domain domain(ctx(), rng);
+  sse::Keys keys = sse::Keys::generate(rng);
+  auto files = core::generate_phi_collection(2, rng);
+  sse::UpdateLog log;
+  log.entries["label"] = to_bytes("entry");
+  expect_strict_field(sse::build_index(files, keys, rng).to_bytes(),
+                      sse::SecureIndex::from_bytes);
+  expect_strict_field(sse::encrypt_collection(files, keys, rng).to_bytes(),
+                      sse::EncryptedCollection::from_bytes);
+  expect_strict_field(log.to_bytes(), sse::UpdateLog::from_bytes);
+  expect_strict_field(
+      peks::peks_encrypt(domain.pub(), "r", "kw", rng).to_bytes(),
+      [](BytesView b) { return peks::PeksCiphertext::from_bytes(ctx(), b); });
+  expect_strict_field(
+      ibc::ibe_encrypt(domain.pub(), "id", to_bytes("m"), rng).to_bytes(),
+      [](BytesView b) { return ibc::IbeCiphertext::from_bytes(ctx(), b); });
+  expect_strict_field(
+      ibc::ibe_encrypt_cca(domain.pub(), "id", to_bytes("m"), rng).to_bytes(),
+      [](BytesView b) { return ibc::IbeCcaCiphertext::from_bytes(ctx(), b); });
 }
 
 // ---- Mutated wire bytes through the real handlers -------------------------
@@ -343,6 +375,46 @@ TEST(WireSweep, MutatedRequestsAreRejectedWithoutSideEffects) {
     EXPECT_TRUE(server.dispatch(r.label, r.wire).has_value()) << r.label;
     // The accepted original, sent again, is a replay.
     EXPECT_FALSE(server.dispatch(r.label, r.wire).has_value()) << r.label;
+  }
+}
+
+// Correctly sealed requests whose stored fields carry one byte too many: the
+// S-server must refuse them rather than store a value that re-exports
+// without the byte.
+TEST(WireSweep, StoredFieldWithTrailingByteIsRefused) {
+  core::DeploymentConfig cfg;
+  cfg.n_phi_files = 2;
+  cfg.keywords_per_file = 1;
+  cfg.file_content_bytes = 32;
+  core::Deployment d = core::Deployment::create(cfg);
+  core::SServer& server = *d.sserver;
+  const core::Patient& pt = *d.patient;
+  cipher::Drbg rng(to_bytes("wire-sweep-trailing"));
+  const uint64_t t = d.net->clock().now();
+  const std::string role = "2026-10-17|er|north";
+
+  Bytes index = sse::build_index(pt.files(), pt.keys(), rng).to_bytes();
+  index.push_back(0);
+  Bytes tag =
+      peks::peks_encrypt(d.aserver->pub(), role, "vitals", rng).to_bytes();
+  tag.push_back(0);
+  const Recorded reqs[] = {
+      record(core::StoreRequest{pt.tp_bytes(), pt.collection(), index,
+                                sse::encrypt_collection(pt.files(), pt.keys(),
+                                                        rng)
+                                    .to_bytes(),
+                                pt.keys().d, rng.bytes(48), t, {}},
+             pt.shared_key_nu()),
+      record(core::MhiStoreRequest{pt.tp_bytes(), role, {tag},
+                                   ibc::ibe_encrypt(d.aserver->pub(), role,
+                                                    to_bytes("window"), rng)
+                                       .to_bytes(),
+                                   t, {}},
+             pt.shared_key_nu())};
+  const Bytes before = server.export_state();
+  for (const Recorded& r : reqs) {
+    EXPECT_FALSE(server.dispatch(r.label, r.wire).has_value()) << r.label;
+    EXPECT_EQ(server.export_state(), before) << r.label;
   }
 }
 

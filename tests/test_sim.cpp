@@ -6,7 +6,7 @@
 #include "src/ibc/domain.h"
 #include "src/sim/network.h"
 #include "src/sim/onion.h"
-#include "src/sim/scheduler.h"
+#include "study/sim/scheduler.h"
 
 namespace hcpp::sim {
 namespace {

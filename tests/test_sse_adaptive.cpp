@@ -8,7 +8,7 @@
 
 #include "src/cipher/drbg.h"
 #include "src/core/record.h"
-#include "src/sse/adaptive.h"
+#include "study/sse/adaptive.h"
 
 namespace hcpp::sse::adaptive {
 namespace {
