@@ -17,6 +17,7 @@
 #include "src/mp/dispatch.h"
 #include "src/mp/mont.h"
 #include "src/mp/prime.h"
+#include "src/par/pool.h"
 #include "src/peks/peks.h"
 #include "tests/oracle/oracle.h"
 
@@ -51,6 +52,29 @@ void BM_MontMul(benchmark::State& state) {
   state.SetLabel(set_name(state.range(0)));
 }
 BENCHMARK(BM_MontMul)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
+// Two independent product chains per iteration. On a core whose multiplier
+// is the bottleneck a pair costs two BM_MontMul products: interleaving two
+// Montgomery reductions (the two channels of the lazy F_{p^2} product) has
+// no instruction-level parallelism left to take.
+void BM_MontMulPair(benchmark::State& state) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-montmul-pair"));
+  const mp::MontCtx& mont = ctx.fp.mont;
+  mp::U512 a = mont.to_mont(mp::random_below(ctx.p, rng));
+  mp::U512 b = mont.to_mont(mp::random_below(ctx.p, rng));
+  mp::U512 c = mont.to_mont(mp::random_below(ctx.p, rng));
+  mp::U512 d = mont.to_mont(mp::random_below(ctx.p, rng));
+  for (auto _ : state) {
+    a = mont.mul(a, b);
+    c = mont.mul(c, d);
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetLabel(std::string(set_name(state.range(0))) + " " +
+                 mont.kernel_name());
+}
+BENCHMARK(BM_MontMulPair)->Arg(1)->Unit(benchmark::kNanosecond);
 
 // Kernel ablation for the CIOS multiply: the same serial-dependency loop
 // through a context built with the runtime-dispatched kernel (MULX/ADX where
@@ -273,6 +297,53 @@ BENCHMARK(BM_PairingProduct)
     ->Args({1, 2})
     ->Args({1, 4})
     ->Unit(benchmark::kMillisecond);
+
+// The batched fixed-argument pairing stage: n Miller loops over four
+// precomputed first arguments — the R × T shape of peks_test_matrix — then
+// one final_exp_batch, serially (pool = nullptr) in BM_MillerBatch and on a
+// 2-thread pool, the perfbench pool's width, in BM_MillerBatchPool. With
+// IFMA lanes the terms run as ⌈n/8⌉ lane groups where that beats the scalar
+// rounds; the small n rows sit at that crossover. The label names the lane
+// kernel.
+void bench_miller_batch(benchmark::State& state, par::ThreadPool* pool) {
+  const curve::CurveCtx& ctx = ctx_for(state.range(0));
+  cipher::Drbg rng(to_bytes("bench-miller-batch"));
+  const curve::Point g = curve::generator(ctx);
+  std::vector<curve::PairingPrecomp> pres;
+  for (int i = 0; i < 4; ++i) {
+    pres.emplace_back(ctx, curve::mul(ctx, g, curve::random_scalar(ctx, rng)));
+  }
+  std::vector<curve::MillerTerm> terms;
+  for (int64_t i = 0; i < state.range(1); ++i) {
+    terms.push_back({&pres[i % 4],
+                     curve::mul(ctx, g, curve::random_scalar(ctx, rng))});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::final_exp_batch(
+        ctx, curve::miller_batch(ctx, terms, pool), pool));
+  }
+  state.SetLabel(std::string(set_name(state.range(0))) + " n=" +
+                 std::to_string(state.range(1)) + " lanes=" +
+                 mp::lane_kernel_name());
+}
+
+void BM_MillerBatch(benchmark::State& state) {
+  bench_miller_batch(state, nullptr);
+}
+BENCHMARK(BM_MillerBatch)
+    ->Args({0, 8})
+    ->Args({0, 12})
+    ->ArgsProduct({{1}, {2, 3, 4, 5, 6, 8, 12}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MillerBatchPool(benchmark::State& state) {
+  par::ThreadPool pool(2, "bench-miller");
+  bench_miller_batch(state, &pool);
+}
+BENCHMARK(BM_MillerBatchPool)
+    ->ArgsProduct({{1}, {2, 3, 4, 5, 6, 8, 12}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // The final exponentiation f^((p²−1)/q) of one Miller value, as every
 // pairing ends: one inversion, then the Lucas ladder over the cofactor c.

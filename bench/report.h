@@ -153,8 +153,10 @@ inline Json context(const char* source) {
                                .set("bmi2", f.bmi2)
                                .set("adx", f.adx)
                                .set("avx2", f.avx2)
-                               .set("sha", f.sha))
+                               .set("sha", f.sha)
+                               .set("avx512ifma", f.avx512ifma))
       .set("mont_kernel", mp::mont_kernel_name())
+      .set("lane_kernel", mp::lane_kernel_name())
       .set("chacha_kernel", cipher::chacha20_kernel_name())
       .set("sha256_kernel", hash::sha256_kernel_name());
 }

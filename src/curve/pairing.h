@@ -29,7 +29,6 @@
 // curve::pairing_reference in tests/oracle.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -72,6 +71,8 @@ class Gt {
 /// ê(P, Q). Returns Gt::one if either input is the point at infinity.
 Gt pairing(const CurveCtx& ctx, const Point& p_in, const Point& q_in);
 
+struct MillerTerm;
+
 /// Cached Miller-loop line coefficients for a fixed first argument P. The
 /// loop emits each line as (c0, c1, c2) with value (c0 + c1·x_Q) +
 /// (c2·y_Q)·i; the constructor divides every non-degenerate line by its c2
@@ -92,9 +93,9 @@ class PairingPrecomp {
   /// The Miller-loop value of ê(P_fixed, Q) *before* the final
   /// exponentiation. Raising it with final_exp_batch (or multiplying several
   /// such values first — FE is a group homomorphism) yields the same Gt as
-  /// pairing_with; miller_batch uses this to share the per-pairing
-  /// inversion across a whole batch. Returns 1 for a trivial precomp or
-  /// infinite Q (throws if default-constructed, like pairing_with).
+  /// pairing_with; miller_batch computes the same value for many terms at
+  /// once. Returns 1 for a trivial precomp or infinite Q (throws if
+  /// default-constructed, like pairing_with).
   [[nodiscard]] field::Fp2 miller_with(const Point& q) const;
 
   /// True when default-constructed or built from the point at infinity
@@ -104,6 +105,11 @@ class PairingPrecomp {
   }
 
  private:
+  // Runs lane groups over the cached lines.
+  friend std::vector<field::Fp2> miller_batch(
+      const CurveCtx& ctx, std::span<const MillerTerm> terms,
+      par::ThreadPool* pool);
+
   struct Line {
     field::Fp c0, c1;    // c2-normalized: value is (c0 + c1·x_Q) + y_Q·i
     bool ident = false;  // line degenerated to 1 (post-infinity steps)
@@ -124,21 +130,32 @@ Gt pairing_product(const CurveCtx& ctx, std::span<const PairingTerm> terms);
 /// `fs` at the cost of ONE modular inversion for the whole batch: each value
 /// needs the inverse of one F_p element (see the header note), and those are
 /// batch-inverted with Montgomery's trick. The cofactor powers (the bulk of
-/// the work) are sharded onto `pool` when given (nullptr = serial). Element
-/// i of the result equals final exponentiation of fs[i] exactly.
+/// the work) run in IFMA lane groups of up to eight when the field context
+/// has lanes (mont_ifma.h) and the batch is large enough for the pool's
+/// width (k ≥ 3 values serially, k ≥ 5 on two threads), and are sharded
+/// onto `pool` when given (nullptr = serial). Element i of the result
+/// equals final exponentiation of fs[i] exactly.
 std::vector<Gt> final_exp_batch(const CurveCtx& ctx,
                                 std::span<const field::Fp2> fs,
                                 par::ThreadPool* pool = nullptr);
 
-/// The one batched-pairing path: evaluates miller_of_i(i) for every i < n —
-/// element-wise on `pool`, serially when nullptr — and finishes all n Miller
-/// values with one final_exp_batch. Element i is the Gt of miller_of_i(i).
-/// miller_of_i runs concurrently on a pool, so it must only read shared
-/// state.
-std::vector<Gt> miller_batch(
-    const CurveCtx& ctx, size_t n,
-    const std::function<field::Fp2(size_t)>& miller_of_i,
-    par::ThreadPool* pool);
+/// One fixed-argument Miller loop of a batch: the loop of ê(P, q) over the
+/// cached lines of `pre` (built for P on the batch's context).
+struct MillerTerm {
+  const PairingPrecomp* pre;
+  Point q;
+};
+
+/// The one batched-pairing path: element i is terms[i].pre->miller_with(
+/// terms[i].q), byte for byte. With IFMA lanes, the terms run in lockstep
+/// groups of up to eight, one term per lane, when there are enough of them
+/// for the pool's width (as final_exp_batch); terms with a trivial precomp
+/// or an infinite q, and every term of a smaller batch or without lanes,
+/// run miller_with. Groups and scalar terms are sharded onto `pool`
+/// (nullptr = serial). Finish the values with final_exp_batch.
+std::vector<field::Fp2> miller_batch(const CurveCtx& ctx,
+                                     std::span<const MillerTerm> terms,
+                                     par::ThreadPool* pool = nullptr);
 
 /// Per-context PairingPrecomp for the group generator, built lazily and
 /// cached on the CurveCtx (thread-safe). Every protocol pairing with P as

@@ -1,6 +1,7 @@
 #include "src/ibc/ibs.h"
 
 #include "src/common/serialize.h"
+#include "src/par/pool.h"
 
 namespace hcpp::ibc {
 
@@ -32,15 +33,20 @@ bool malformed(const curve::CurveCtx& ctx, const IbsSignature& sig) {
   return sig.w.infinity || sig.v.is_zero() || !(sig.v < ctx.q);
 }
 
-/// u' = ê(W, P) · ê(H1(ID), Ppub)^{-v} before its final exponentiation: two
-/// fixed-argument Miller values fused into one, since the final
-/// exponentiation is a group homomorphism.
+/// u' = ê(W, P) · ê(H1(ID), Ppub)^{-v} before its final exponentiation,
+/// from the Miller values of ê(W, P) and ê(H1(ID), Ppub): two fixed-argument
+/// pairings fused into one, since the final exponentiation is a group
+/// homomorphism.
+field::Fp2 fuse(const curve::CurveCtx& ctx, const field::Fp2& w_p,
+                const field::Fp2& id_ppub, const mp::U512& v) {
+  return w_p * id_ppub.pow(mp::sub_mod(mp::U512{}, v, ctx.q));
+}
+
 field::Fp2 verify_miller(const PublicParams& pub, std::string_view id,
                          const IbsSignature& sig) {
   const curve::CurveCtx& ctx = *pub.ctx;
-  mp::U512 neg_v = mp::sub_mod(mp::U512{}, sig.v, ctx.q);
-  return curve::generator_precomp(ctx).miller_with(sig.w) *
-         pub.ppub_pre->miller_with(Domain::public_key(ctx, id)).pow(neg_v);
+  return fuse(ctx, curve::generator_precomp(ctx).miller_with(sig.w),
+              pub.ppub_pre->miller_with(Domain::public_key(ctx, id)), sig.v);
 }
 
 }  // namespace
@@ -83,12 +89,26 @@ std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
   for (size_t i = 0; i < items.size(); ++i) {
     if (!malformed(ctx, items[i].sig)) live.push_back(i);
   }
-  std::vector<curve::Gt> us = curve::miller_batch(
-      ctx, live.size(),
-      [&](size_t k) {
-        return verify_miller(pub, items[live[k]].id, items[live[k]].sig);
-      },
-      pool);
+  // Two fixed-argument terms per signature, ê(W, P) and ê(H1(ID), Ppub),
+  // fused once their Miller values are back.
+  std::vector<curve::MillerTerm> terms;
+  terms.reserve(2 * live.size());
+  for (size_t i : live) {
+    terms.push_back({&curve::generator_precomp(ctx), items[i].sig.w});
+    terms.push_back(
+        {pub.ppub_pre.get(), Domain::public_key(ctx, items[i].id)});
+  }
+  std::vector<field::Fp2> fs = curve::miller_batch(ctx, terms, pool);
+  std::vector<field::Fp2> fused(live.size());
+  auto fuse_k = [&](size_t k) {
+    fused[k] = fuse(ctx, fs[2 * k], fs[2 * k + 1], items[live[k]].sig.v);
+  };
+  if (pool != nullptr && live.size() > 1) {
+    pool->parallel_for(live.size(), fuse_k);
+  } else {
+    for (size_t k = 0; k < live.size(); ++k) fuse_k(k);
+  }
+  std::vector<curve::Gt> us = curve::final_exp_batch(ctx, fused, pool);
   std::vector<uint8_t> out(items.size(), 0);
   for (size_t k = 0; k < live.size(); ++k) {
     const IbsBatchItem& it = items[live[k]];

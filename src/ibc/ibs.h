@@ -68,10 +68,11 @@ struct IbsBatchItem {
 
 /// Batch verification: result[i] == ibs_verify(pub, items[i]...). Hess IBS
 /// cannot be merged into one product check (each u' feeds its own H3), so
-/// each well-formed signature contributes its fused Miller product
-/// ê_miller(W, P)·ê_miller(H1(ID), Ppub)^{−v} to one curve::miller_batch:
-/// the Miller loops spread across the pool and every u' shares one batched
-/// final exponentiation (one modular inversion for the whole batch).
+/// each well-formed signature puts its two fixed-argument Miller loops,
+/// ê(W, P) and ê(H1(ID), Ppub), into one curve::miller_batch (lane groups
+/// and pool shards), fuses them as ê_miller(W, P)·ê_miller(H1(ID),
+/// Ppub)^{−v}, and every u' shares one curve::final_exp_batch (one modular
+/// inversion for the whole batch).
 std::vector<uint8_t> ibs_verify_batch(const PublicParams& pub,
                                       std::span<const IbsBatchItem> items,
                                       par::ThreadPool* pool = nullptr);

@@ -27,17 +27,19 @@ CpuFeatures detect() {
     // The SHA-NI kernel also byte-shuffles (SSSE3) and blends (SSE4.1).
     f.sha = (ebx & bit_SHA) != 0 && (c1 & bit_SSSE3) != 0 &&
             (c1 & bit_SSE4_1) != 0;
-    // AVX2 additionally needs OS support for YMM state (XCR0 bits 1..2).
-    if (f.avx2) {
-      bool osxsave = (c1 & bit_OSXSAVE) != 0;
-      if (!osxsave) {
-        f.avx2 = false;
-      } else {
-        unsigned lo, hi;
-        __asm__("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
-        if ((lo & 0x6) != 0x6) f.avx2 = false;
-      }
+    // AVX-512 F (bit 16), IFMA (bit 21) and VL (bit 31).
+    f.avx512ifma = (ebx & (1u << 16)) != 0 && (ebx & (1u << 21)) != 0 &&
+                   (ebx & (1u << 31)) != 0;
+    // Both also need the OS to save their register state: XCR0 bits 1..2
+    // (XMM, YMM) for AVX2, and bits 5..7 (opmask, ZMM_Hi256, Hi16_ZMM) too
+    // for AVX-512.
+    unsigned xcr0 = 0;
+    if ((c1 & bit_OSXSAVE) != 0) {
+      unsigned hi;
+      __asm__("xgetbv" : "=a"(xcr0), "=d"(hi) : "c"(0));
     }
+    if ((xcr0 & 0x6) != 0x6) f.avx2 = false;
+    if ((xcr0 & 0xE6) != 0xE6) f.avx512ifma = false;
   }
 #endif
   return f;

@@ -2,8 +2,9 @@
 // Runtime CPU-feature detection for the vectorized kernel variants.
 //
 // The library is compiled once and must run correctly on any x86-64, so the
-// fast kernels (MULX/ADX Montgomery in src/mp, 4-way AVX2 ChaCha20 in
-// src/cipher, SHA-NI SHA-256 in src/hash) are selected at runtime: CPUID is
+// fast kernels (MULX/ADX Montgomery and the AVX-512 IFMA lane kernels in
+// src/mp, 4-way AVX2 ChaCha20 in src/cipher, SHA-NI SHA-256 in src/hash)
+// are selected at runtime: CPUID is
 // queried once per process and the result cached. Each accelerated
 // translation unit is built with the matching -m flags but only ever entered
 // after a positive runtime check, so no illegal instruction can execute on
@@ -22,6 +23,8 @@ struct CpuFeatures {
   bool adx = false;   // ADCX/ADOX
   bool avx2 = false;
   bool sha = false;  // SHA-NI (with the SSSE3/SSE4.1 it needs)
+  // AVX-512 F + IFMA + VL, with the OS saving the opmask and zmm state.
+  bool avx512ifma = false;
 };
 
 // CPUID-derived feature flags, detected once and cached. All-false on

@@ -22,6 +22,11 @@ bool mulx_available() noexcept {
          !force_generic();
 }
 
+// Whether the IFMA lane kernels are usable, sampled like mulx_available().
+bool ifma_available() noexcept {
+  return ifma::compiled() && cpu_features().avx512ifma && !force_generic();
+}
+
 // -m^{-1} mod 2^64 via Newton iteration (m odd).
 uint64_t neg_inv64(uint64_t m) noexcept {
   uint64_t x = m;  // 3-bit-correct seed: m * m ≡ 1 (mod 8) for odd m
@@ -327,6 +332,22 @@ MontCtx::MontCtx(const U512& modulus) : m_(modulus) {
   // ⌈3m/R⌉ or one more, from the top limb: 3m/R < 3·(m_top + 1)/2^64.
   fp2_subs_ = static_cast<uint64_t>(
                   (static_cast<uint128>(m_.w[n_ - 1]) * 3 + 3) >> 64) + 1;
+  // The lane domain R' = 2^(52L) of the IFMA kernels: L = 10 radix-2^52
+  // limbs at n = 8, 5 at n = 4, so R'/R = 2^(52L − 64n) and 4m < R' (one
+  // conditional subtraction finishes every lane reduction).
+  if (n_ == 4 || n_ == 8) {
+    lane_.limbs = n_ == 8 ? 10 : 5;
+    lane_.n0 = n0inv_ & ((1ull << 52) - 1);
+    lane_.m = m_;
+    lane_.from_lane = one_;
+    const size_t shift = 52 * lane_.limbs - 64 * n_;
+    U512 x = one_;
+    for (size_t i = 0; i < shift; ++i) x = add_mod(x, x, m_);
+    lane_.one = x;  // R'
+    for (size_t i = 0; i < shift; ++i) x = add_mod(x, x, m_);
+    lane_.to_lane = x;  // R'·R'/R
+    lanes_ = ifma_available();
+  }
 }
 
 U512 MontCtx::to_mont(const U512& a) const {
@@ -479,6 +500,10 @@ void MontCtx::lucas(U512& lo, U512& hi, const U512& v1,
 
 const char* mont_kernel_name() noexcept {
   return mulx_available() ? "mulx-adx" : "generic";
+}
+
+const char* lane_kernel_name() noexcept {
+  return ifma_available() ? "avx512ifma" : "none";
 }
 
 }  // namespace hcpp::mp

@@ -6,13 +6,16 @@
 // — mul, sqr, add, sub and the F_{p^2} product and square — dispatches to
 // the MULX/ADX asm of mont_mulx.h for n = 4 (test set) and n = 8
 // (production set) when the CPU has it, else to portable kernels unrolled
-// for those widths, with a generic any-width loop as fallback.
+// for those widths, with a generic any-width loop as fallback. Batches of
+// pairings also run eight at a time in the AVX-512 IFMA lanes of
+// mont_ifma.h, whose constants the context holds (lanes()).
 #pragma once
 
 #include <algorithm>
 #include <span>
 #include <type_traits>
 
+#include "src/mp/mont_ifma.h"
 #include "src/mp/mont_mulx.h"
 #include "src/mp/u512.h"
 
@@ -33,6 +36,19 @@ class MontCtx {
   /// both extensions and HCPP_FORCE_GENERIC is unset), "generic" otherwise.
   [[nodiscard]] const char* kernel_name() const noexcept {
     return mulx_ ? "mulx-adx" : "generic";
+  }
+
+  /// The IFMA lane constants of this modulus (mont_ifma.h); set for the
+  /// fixed widths n = 4 and 8 only (limbs == 0 otherwise).
+  [[nodiscard]] const ifma::Consts& lane_consts() const noexcept {
+    return lane_;
+  }
+  /// The lane constants when this context runs the batched pairing stages
+  /// in IFMA lanes — n = 4 or 8, the CPU has AVX-512 IFMA (with VL and the
+  /// OS zmm state) and HCPP_FORCE_GENERIC was unset at construction — else
+  /// nullptr.
+  [[nodiscard]] const ifma::Consts* lanes() const noexcept {
+    return lanes_ ? &lane_ : nullptr;
   }
 
   /// a (plain, any value — reduced mod m first if needed) -> aR mod m.
@@ -164,6 +180,8 @@ class MontCtx {
   // Conditional subtractions that fully reduce the MULX fp2_mul's REDC of a
   // channel below 3m^2: ⌈3m/R⌉, or one more.
   uint64_t fp2_subs_ = 0;
+  ifma::Consts lane_;
+  bool lanes_ = false;
 };
 
 /// The kernel variant a freshly constructed fixed-width (n = 4 or 8) MontCtx
@@ -171,5 +189,9 @@ class MontCtx {
 /// Benchmarks record this in their JSON context so numbers are comparable
 /// across machines.
 [[nodiscard]] const char* mont_kernel_name() noexcept;
+
+/// The lane kernel the batched pairing stages run on this host right now:
+/// "avx512ifma", or "none" when they run the scalar kernels above.
+[[nodiscard]] const char* lane_kernel_name() noexcept;
 
 }  // namespace hcpp::mp

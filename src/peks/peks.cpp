@@ -129,10 +129,13 @@ std::vector<uint8_t> peks_test_matrix(const curve::CurveCtx& ctx,
                                       std::span<const PeksCiphertext> tags,
                                       par::ThreadPool* pool) {
   const size_t t = tags.size();
-  std::vector<curve::Gt> gs = curve::miller_batch(
-      ctx, tds.size() * t,
-      [&](size_t k) { return tds[k / t].miller_with(tags[k % t].a); },
-      pool);
+  std::vector<curve::MillerTerm> terms;
+  terms.reserve(tds.size() * t);
+  for (const TrapdoorPrecomp& td : tds) {
+    for (const PeksCiphertext& tag : tags) terms.push_back({&td, tag.a});
+  }
+  std::vector<curve::Gt> gs = curve::final_exp_batch(
+      ctx, curve::miller_batch(ctx, terms, pool), pool);
   std::vector<uint8_t> out(gs.size());
   for (size_t k = 0; k < gs.size(); ++k) {
     out[k] = tag_matches(tags[k % t], gs[k]) ? 1 : 0;

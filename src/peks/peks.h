@@ -73,9 +73,9 @@ using TrapdoorPrecomp = curve::PairingPrecomp;
 
 /// The one batched PEKS test: R trapdoors against T tags. Each (trapdoor,
 /// tag) pair costs one precomputed Miller loop over the trapdoor's cached
-/// lines, and ONE curve::miller_batch (pool-sharded Miller loops, one shared
-/// modular inversion and final-exponentiation batch) finishes all R×T of
-/// them. Element r·T + t equals `peks_test(ctx, tags[t], trapdoor r)`.
+/// lines: all R×T of them go through one curve::miller_batch (lane groups
+/// and pool shards) and one curve::final_exp_batch (one shared modular
+/// inversion). Element r·T + t equals `peks_test(ctx, tags[t], trapdoor r)`.
 std::vector<uint8_t> peks_test_matrix(const curve::CurveCtx& ctx,
                                       std::span<const TrapdoorPrecomp> tds,
                                       std::span<const PeksCiphertext> tags,

@@ -13,7 +13,8 @@ namespace hcpp::curve {
 
 /// ê(P, Q) by the original affine Miller loop (one field inversion per
 /// step). The oracle for pairing, PairingPrecomp, pairing_product and
-/// miller_batch (tests/test_pairing.cpp, ctest pairing_consistency).
+/// miller_batch with final_exp_batch (tests/test_pairing.cpp, ctest
+/// pairing_consistency).
 Gt pairing_reference(const CurveCtx& ctx, const Point& p_in,
                      const Point& q_in);
 

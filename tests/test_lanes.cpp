@@ -1,0 +1,292 @@
+// Differential tests for the AVX-512 IFMA lane kernels (src/mp/mont_ifma.h)
+// and the batched pairing stages built on them:
+//   * every lane primitive against the MULX and the portable MontCtx
+//     kernels on both parameter sets, at 0, 1, p − 1, residues whose
+//     radix-2^52 limbs are all 2^52 − 1, random residues, 1..8 lanes and
+//     aliased outputs;
+//   * curve::miller_batch and curve::final_exp_batch on a lane context
+//     against per-term PairingPrecomp::miller_with and a one-element (so
+//     scalar) final exponentiation on a MULX and on a portable context,
+//     byte for byte, with infinite Q, trivial precomps and t = ±1 values
+//     mixed in.
+// The kernels are called directly and the lane context is built with
+// HCPP_FORCE_GENERIC cleared, so a forced-generic run still checks them
+// against the portable kernels. Hosts without AVX-512 IFMA skip the suite.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/cipher/drbg.h"
+#include "src/curve/pairing.h"
+#include "src/curve/params.h"
+#include "src/mp/dispatch.h"
+#include "src/mp/mont.h"
+#include "src/mp/mont_ifma.h"
+#include "src/mp/prime.h"
+#include "src/par/pool.h"
+
+namespace hcpp {
+namespace {
+
+using mp::U512;
+namespace ifma = mp::ifma;
+
+/// Scoped HCPP_FORCE_GENERIC toggle; restores the previous value and
+/// re-reads the dispatch state on destruction.
+class ForceGenericGuard {
+ public:
+  explicit ForceGenericGuard(bool on) {
+    const char* prev = std::getenv("HCPP_FORCE_GENERIC");
+    had_prev_ = prev != nullptr;
+    if (had_prev_) prev_ = prev;
+    if (on) {
+      ::setenv("HCPP_FORCE_GENERIC", "1", 1);
+    } else {
+      ::unsetenv("HCPP_FORCE_GENERIC");
+    }
+    mp::refresh_dispatch();
+  }
+  ~ForceGenericGuard() {
+    if (had_prev_) {
+      ::setenv("HCPP_FORCE_GENERIC", prev_.c_str(), 1);
+    } else {
+      ::unsetenv("HCPP_FORCE_GENERIC");
+    }
+    mp::refresh_dispatch();
+  }
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
+
+bool host_has_lanes() {
+  return ifma::compiled() && mp::cpu_features().avx512ifma;
+}
+
+const curve::ParamSet kSets[] = {curve::ParamSet::kTest,
+                                 curve::ParamSet::kProduction};
+
+// x·2^(−s) mod m, one halving at a time.
+U512 halve(U512 x, const U512& m, size_t s) {
+  for (size_t i = 0; i < s; ++i) {
+    uint64_t carry = 0;
+    if (x.is_odd()) carry = mp::add(x, x, m);
+    x = mp::shr1_carry(x, carry);
+  }
+  return x;
+}
+
+// x·2^s mod m.
+U512 twice(U512 x, const U512& m, size_t s) {
+  for (size_t i = 0; i < s; ++i) x = mp::add_mod(x, x, m);
+  return x;
+}
+
+// 0, 1, 2, m − 1, m − 2, residues whose low k radix-2^52 limbs are all
+// 2^52 − 1 (k = 1..L−1, then the same with the top limb set too, reduced),
+// and random residues.
+std::vector<U512> residues(const ifma::Consts& c, RandomSource& rng) {
+  const U512 one = U512::from_u64(1);
+  std::vector<U512> xs = {U512{}, one, U512::from_u64(2)};
+  U512 m1, m2;
+  mp::sub(m1, c.m, one);
+  mp::sub(m2, m1, one);
+  xs.push_back(m1);
+  xs.push_back(m2);
+  U512 ones;
+  for (size_t k = 1; k <= c.limbs; ++k) {
+    for (size_t b = 52 * (k - 1); b < 52 * k && b < mp::kBits; ++b) {
+      ones.w[b / 64] |= 1ull << (b % 64);
+    }
+    xs.push_back(ones < c.m ? ones : mp::mod(ones, c.m));
+  }
+  for (int i = 0; i < 24; ++i) xs.push_back(mp::random_below(c.m, rng));
+  return xs;
+}
+
+TEST(LaneKernels, OpsMatchMulxAndPortableOnBothSets) {
+  if (!host_has_lanes()) GTEST_SKIP() << "no AVX-512 IFMA on this host";
+  cipher::Drbg rng(to_bytes("lane-ops"));
+  for (curve::ParamSet set : kSets) {
+    const U512 p = curve::params(set).p;
+    for (bool forced : {false, true}) {
+      ForceGenericGuard guard(forced);
+      const mp::MontCtx ctx(p);
+      const ifma::Consts& c = ctx.lane_consts();
+      ASSERT_EQ(c.limbs, ctx.limbs() == 8 ? 10u : 5u);
+      const size_t s = 52 * c.limbs - 64 * ctx.limbs();
+      // One round: lanes 0..n−1 of every primitive against the MontCtx
+      // kernel, then the product and the subtraction with aliased outputs.
+      auto round = [&](size_t n, const U512* a, const U512* b) {
+        U512 r[ifma::kLanes];
+        auto check = [&](ifma::Op op, auto&& expect, const char* what) {
+          ifma::apply(c, op, n, r, a, b);
+          for (size_t l = 0; l < n; ++l) {
+            ASSERT_EQ(r[l], expect(a[l], b[l]))
+                << what << " set=" << static_cast<int>(set)
+                << " forced=" << forced << " lane=" << l << " of " << n;
+          }
+        };
+        check(ifma::Op::kMul,
+              [&](const U512& x, const U512& y) {
+                return halve(ctx.mul(x, y), p, s);
+              },
+              "mul");
+        check(ifma::Op::kAdd,
+              [&](const U512& x, const U512& y) { return ctx.add(x, y); },
+              "add");
+        check(ifma::Op::kSub,
+              [&](const U512& x, const U512& y) { return ctx.sub(x, y); },
+              "sub");
+        check(ifma::Op::kToLane,
+              [&](const U512& x, const U512&) { return twice(x, p, s); },
+              "to_lane");
+        check(ifma::Op::kFromLane,
+              [&](const U512& x, const U512&) { return halve(x, p, s); },
+              "from_lane");
+        std::copy(a, a + n, r);  // r = a
+        ifma::apply(c, ifma::Op::kMul, n, r, r, b);
+        for (size_t l = 0; l < n; ++l) {
+          ASSERT_EQ(r[l], halve(ctx.mul(a[l], b[l]), p, s)) << "r=a";
+        }
+        std::copy(b, b + n, r);  // r = b
+        ifma::apply(c, ifma::Op::kSub, n, r, a, r);
+        for (size_t l = 0; l < n; ++l) {
+          ASSERT_EQ(r[l], ctx.sub(a[l], b[l])) << "r=b";
+        }
+      };
+      // The edge residues: lane l of round k pairs xs[k + l] with
+      // xs[(k·7 + 3·l) % size]; the lane count cycles through 1..8.
+      const std::vector<U512> xs = residues(c, rng);
+      for (size_t k = 0; k < xs.size(); ++k) {
+        const size_t n = 1 + k % ifma::kLanes;
+        U512 a[ifma::kLanes], b[ifma::kLanes];
+        for (size_t l = 0; l < n; ++l) {
+          a[l] = xs[(k + l) % xs.size()];
+          b[l] = xs[(k * 7 + 3 * l) % xs.size()];
+        }
+        round(n, a, b);
+      }
+      // Random residues, enough that a reduction lands in [m, 2m) and needs
+      // its final subtraction (about m/(4R') of products: 1 in 64–128 on the
+      // test set, 1 in 1000 on the production set).
+      for (size_t k = 0; k < 4096; ++k) {
+        U512 a[ifma::kLanes], b[ifma::kLanes];
+        for (size_t l = 0; l < ifma::kLanes; ++l) {
+          a[l] = mp::random_below(p, rng);
+          b[l] = mp::random_below(p, rng);
+        }
+        round(ifma::kLanes, a, b);
+      }
+    }
+  }
+}
+
+// Points moved between contexts by their encoding.
+curve::Point on(const curve::CurveCtx& ctx, const curve::Point& pt) {
+  return curve::point_from_bytes(ctx, curve::point_to_bytes(pt));
+}
+
+void expect_same(const field::Fp2& got, const field::Fp2& want,
+                 const std::string& what) {
+  EXPECT_EQ(got.re().raw(), want.re().raw()) << what;
+  EXPECT_EQ(got.im().raw(), want.im().raw()) << what;
+}
+
+TEST(LaneBatch, MillerAndFinalExpMatchScalarPerTerm) {
+  if (!host_has_lanes()) GTEST_SKIP() << "no AVX-512 IFMA on this host";
+  cipher::Drbg rng(to_bytes("lane-batch"));
+  par::ThreadPool pool(3, "lanes");
+  for (curve::ParamSet set : kSets) {
+    const curve::CurveCtx& named = curve::params(set);
+    const curve::GeneratedParams gp{named.p, named.q, named.gx, named.gy};
+    std::unique_ptr<curve::CurveCtx> lanes;
+    {
+      ForceGenericGuard guard(false);
+      lanes = curve::make_curve(gp, "lanes");
+    }
+    ASSERT_NE(lanes->fp.mont.lanes(), nullptr);
+    // Three fixed arguments, a trivial precomp, and 17 second arguments of
+    // which every fifth is at infinity.
+    std::vector<curve::Point> ps, qs;
+    for (int i = 0; i < 3; ++i) {
+      ps.push_back(curve::mul(*lanes, curve::generator(*lanes),
+                              curve::random_scalar(*lanes, rng)));
+    }
+    ps.push_back(curve::Point::at_infinity());
+    for (int i = 0; i < 17; ++i) {
+      qs.push_back(i % 5 == 4 ? curve::Point::at_infinity()
+                              : curve::mul(*lanes, curve::generator(*lanes),
+                                           curve::random_scalar(*lanes, rng)));
+    }
+    std::vector<curve::PairingPrecomp> lane_pre;
+    for (const curve::Point& pt : ps) lane_pre.emplace_back(*lanes, pt);
+    // The term of index i: precomp (i·5 + i/4) % 4, so the trivial one and
+    // the infinite q's land at varied lanes.
+    auto pre_of = [](size_t i) { return (i * 5 + i / 4) % 4; };
+
+    for (bool forced : {false, true}) {
+      std::unique_ptr<curve::CurveCtx> ref;
+      {
+        ForceGenericGuard guard(forced);
+        ref = curve::make_curve(gp, "reference");
+      }
+      std::vector<curve::PairingPrecomp> ref_pre;
+      for (const curve::Point& pt : ps) ref_pre.emplace_back(*ref, on(*ref, pt));
+      for (size_t n : {0, 1, 7, 8, 9, 12, 17}) {
+        for (par::ThreadPool* pl : {static_cast<par::ThreadPool*>(nullptr),
+                                    &pool}) {
+          const std::string what = "set=" + std::to_string(int(set)) +
+                                   " forced=" + std::to_string(forced) +
+                                   " n=" + std::to_string(n) +
+                                   " pool=" + std::to_string(pl != nullptr);
+          std::vector<curve::MillerTerm> terms;
+          for (size_t i = 0; i < n; ++i) {
+            terms.push_back({&lane_pre[pre_of(i)], qs[i]});
+          }
+          std::vector<field::Fp2> fs = curve::miller_batch(*lanes, terms, pl);
+          ASSERT_EQ(fs.size(), n);
+          std::vector<field::Fp2> want;
+          for (size_t i = 0; i < n; ++i) {
+            want.push_back(ref_pre[pre_of(i)].miller_with(on(*ref, qs[i])));
+            expect_same(fs[i], want[i], what + " miller i=" + std::to_string(i));
+          }
+          // t = ±1 values (f₀f₁ = 0) ride along in the final exponentiation.
+          const U512 a = mp::random_below(named.p, rng);
+          fs.emplace_back(field::Fp(&lanes->fp, a), field::Fp::zero(&lanes->fp));
+          fs.emplace_back(field::Fp::zero(&lanes->fp), field::Fp(&lanes->fp, a));
+          want.emplace_back(field::Fp(&ref->fp, a), field::Fp::zero(&ref->fp));
+          want.emplace_back(field::Fp::zero(&ref->fp), field::Fp(&ref->fp, a));
+          std::vector<curve::Gt> gs = curve::final_exp_batch(*lanes, fs, pl);
+          ASSERT_EQ(gs.size(), fs.size());
+          for (size_t i = 0; i < fs.size(); ++i) {
+            const curve::Gt g =
+                curve::final_exp_batch(*ref, std::span(&want[i], 1))[0];
+            EXPECT_EQ(gs[i].to_bytes(), g.to_bytes())
+                << what << " gt i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, KernelNameFollowsForcedGeneric) {
+  {
+    ForceGenericGuard guard(false);
+    EXPECT_STREQ(mp::lane_kernel_name(),
+                 host_has_lanes() ? "avx512ifma" : "none");
+  }
+  ForceGenericGuard guard(true);
+  EXPECT_STREQ(mp::lane_kernel_name(), "none");
+  const mp::MontCtx ctx(curve::params(curve::ParamSet::kTest).p);
+  EXPECT_EQ(ctx.lanes(), nullptr);
+}
+
+}  // namespace
+}  // namespace hcpp

@@ -294,6 +294,38 @@ TEST(FinalExp, BatchMatchesSinglePathAndOracle) {
   }
 }
 
+// The batched fixed-argument path — IFMA lane groups where the host has
+// them — against the affine oracle, one count of crypto.pairing_fixed per
+// term whichever way a term runs.
+TEST(MillerBatch, MatchesReferenceAndCountsEveryTerm) {
+  for (ParamSet set : {ParamSet::kTest, ParamSet::kProduction}) {
+    const CurveCtx& c = params(set);
+    cipher::Drbg rng(to_bytes("miller-batch-reference"));
+    std::vector<Point> ps;
+    for (int i = 0; i < 3; ++i) {
+      ps.push_back(mul(c, generator(c), random_scalar(c, rng)));
+    }
+    std::vector<PairingPrecomp> pres;
+    for (const Point& p : ps) pres.emplace_back(c, p);
+    std::vector<MillerTerm> terms;
+    for (size_t i = 0; i < 10; ++i) {
+      terms.push_back({&pres[i % 3], i == 6 ? Point::at_infinity()
+                                            : hash_to_point(c, rng.bytes(32))});
+    }
+    obs::Registry reg;
+    obs::Registry* previous = obs::attached();
+    obs::attach(&reg);
+    std::vector<Gt> gs = final_exp_batch(c, miller_batch(c, terms));
+    obs::attach(previous);
+    EXPECT_EQ(reg.counter(obs::kPairingFixed), terms.size());
+    ASSERT_EQ(gs.size(), terms.size());
+    for (size_t i = 0; i < terms.size(); ++i) {
+      EXPECT_EQ(gs[i], pairing_reference(c, ps[i % 3], terms[i].q))
+          << c.name << " i=" << i;
+    }
+  }
+}
+
 // The Lucas ladder's 1/(2·Im t) comes out of the one inversion that was
 // already there: a pairing costs one F_p inversion, a batch of n costs one.
 TEST(FinalExp, OneInversionPerPairingAndPerBatch) {

@@ -2,8 +2,9 @@
 // library dispatches to, as one JSON object on stdout:
 //
 //   {"bmi2": true, "adx": true, "avx2": true, "sha": true,
-//    "force_generic": false, "mont_kernel": "mulx-adx",
-//    "chacha_kernel": "avx2", "sha256_kernel": "sha-ni"}
+//    "avx512ifma": true, "force_generic": false, "mont_kernel": "mulx-adx",
+//    "lane_kernel": "avx512ifma", "chacha_kernel": "avx2",
+//    "sha256_kernel": "sha-ni"}
 //
 // The same fields open every BENCH_*.json context block (bench/report.h);
 // CI's forced-generic job reads this output to confirm the portable kernels
@@ -19,12 +20,14 @@ int main() {
   const hcpp::mp::CpuFeatures& f = hcpp::mp::cpu_features();
   std::printf(
       "{\"bmi2\": %s, \"adx\": %s, \"avx2\": %s, \"sha\": %s, "
-      "\"force_generic\": %s, \"mont_kernel\": \"%s\", "
-      "\"chacha_kernel\": \"%s\", \"sha256_kernel\": \"%s\"}\n",
+      "\"avx512ifma\": %s, \"force_generic\": %s, \"mont_kernel\": \"%s\", "
+      "\"lane_kernel\": \"%s\", \"chacha_kernel\": \"%s\", "
+      "\"sha256_kernel\": \"%s\"}\n",
       f.bmi2 ? "true" : "false", f.adx ? "true" : "false",
       f.avx2 ? "true" : "false", f.sha ? "true" : "false",
+      f.avx512ifma ? "true" : "false",
       hcpp::mp::force_generic() ? "true" : "false",
-      hcpp::mp::mont_kernel_name(), hcpp::cipher::chacha20_kernel_name(),
-      hcpp::hash::sha256_kernel_name());
+      hcpp::mp::mont_kernel_name(), hcpp::mp::lane_kernel_name(),
+      hcpp::cipher::chacha20_kernel_name(), hcpp::hash::sha256_kernel_name());
   return 0;
 }
