@@ -9,20 +9,27 @@
 namespace hcpp::core {
 
 namespace {
-/// Decrypts the role-encrypted windows of an MHI reply with Γr. One
-/// precomputation of Γr's Miller lines amortizes across the whole batch:
-/// each blob's pairing ê(Γr, U) is line evaluations only.
+/// Decrypts the role-encrypted windows of an MHI reply with Γr, in blob
+/// order, skipping malformed or undecryptable blobs. Γr's Miller lines are
+/// cached once and every ê(Γr, U) runs in one IbeDecryptor::decrypt_batch.
 std::vector<MhiWindow> decrypt_windows(const curve::CurveCtx& ctx,
                                        const curve::Point& role_key,
                                        const std::vector<Bytes>& blobs) {
-  std::vector<MhiWindow> windows;
-  ibc::IbeDecryptor decryptor(ctx, role_key);
+  std::vector<ibc::IbeCiphertext> cts;
+  cts.reserve(blobs.size());
   for (const Bytes& blob : blobs) {
     try {
-      ibc::IbeCiphertext ct = ibc::IbeCiphertext::from_bytes(ctx, blob);
-      windows.push_back(MhiWindow::from_bytes(decryptor.decrypt(ct)));
+      cts.push_back(ibc::IbeCiphertext::from_bytes(ctx, blob));
     } catch (const std::exception&) {
-      // skip undecryptable entries
+    }
+  }
+  std::vector<MhiWindow> windows;
+  for (const std::optional<Bytes>& pt :
+       ibc::IbeDecryptor(ctx, role_key).decrypt_batch(cts)) {
+    if (!pt) continue;
+    try {
+      windows.push_back(MhiWindow::from_bytes(*pt));
+    } catch (const std::exception&) {
     }
   }
   return windows;

@@ -11,6 +11,19 @@ Bytes kem_key(const curve::Gt& g) {
   return hash::hkdf(g.to_bytes(), {}, to_bytes("hcpp-ibe-kem"), 32);
 }
 
+// The KEM/AEAD tail of every decryption: K = KDF(ê(Γ, U)), then the box;
+// nullopt when the AEAD refuses it.
+std::optional<Bytes> open_box(const curve::Gt& g, BytesView box) {
+  Bytes key = kem_key(g);
+  std::optional<Bytes> pt;
+  try {
+    pt = cipher::aead_decrypt(key, box, {});
+  } catch (const cipher::AuthError&) {
+  }
+  secure_wipe(key);
+  return pt;
+}
+
 IbeCiphertext encrypt_to_q(const PublicParams& pub, const curve::Point& q_id,
                            BytesView plaintext, RandomSource& rng) {
   const curve::CurveCtx& ctx = *pub.ctx;
@@ -40,22 +53,43 @@ IbeCiphertext ibe_encrypt_to_point(const PublicParams& pub,
 Bytes ibe_decrypt(const curve::CurveCtx& ctx, const curve::Point& private_key,
                   const IbeCiphertext& ct) {
   // ê(Γ, U) = ê(s0·Q, rP) = ê(Q, Ppub)^r
-  curve::Gt g = curve::pairing(ctx, private_key, ct.u);
-  Bytes key = kem_key(g);
-  Bytes pt = cipher::aead_decrypt(key, ct.box, {});
-  secure_wipe(key);
-  return pt;
+  std::optional<Bytes> pt =
+      open_box(curve::pairing(ctx, private_key, ct.u), ct.box);
+  if (!pt) throw cipher::AuthError();
+  return std::move(*pt);
 }
 
 IbeDecryptor::IbeDecryptor(const curve::CurveCtx& ctx,
                            const curve::Point& private_key)
-    : pre_(ctx, private_key) {}
+    : ctx_(&ctx), pre_(ctx, private_key) {}
 
 Bytes IbeDecryptor::decrypt(const IbeCiphertext& ct) const {
-  Bytes key = kem_key(pre_.pairing_with(ct.u));
-  Bytes pt = cipher::aead_decrypt(key, ct.box, {});
-  secure_wipe(key);
-  return pt;
+  std::optional<Bytes> pt = open_box(pre_.pairing_with(ct.u), ct.box);
+  if (!pt) throw cipher::AuthError();
+  return std::move(*pt);
+}
+
+std::vector<std::optional<Bytes>> IbeDecryptor::decrypt_batch(
+    std::span<const IbeCiphertext> cts) const {
+  std::vector<curve::MillerTerm> terms;
+  terms.reserve(cts.size());
+  for (const IbeCiphertext& ct : cts) terms.push_back({&pre_, ct.u});
+  std::vector<field::Fp2> fs = curve::miller_batch(*ctx_, terms);
+  // As in pairing_with, a pairing with a trivial argument is 1 and takes no
+  // final exponentiation.
+  auto trivial = [&](size_t i) { return pre_.trivial() || cts[i].u.infinity; };
+  std::vector<field::Fp2> live;
+  for (size_t i = 0; i < cts.size(); ++i) {
+    if (!trivial(i)) live.push_back(std::move(fs[i]));
+  }
+  const std::vector<curve::Gt> gs = curve::final_exp_batch(*ctx_, live);
+  std::vector<std::optional<Bytes>> out;
+  out.reserve(cts.size());
+  for (size_t i = 0, k = 0; i < cts.size(); ++i) {
+    out.push_back(
+        open_box(trivial(i) ? curve::Gt::one(*ctx_) : gs[k++], cts[i].box));
+  }
+  return out;
 }
 
 IbePrecomputed::IbePrecomputed(const PublicParams& pub, std::string_view id)

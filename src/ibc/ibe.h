@@ -6,6 +6,10 @@
 //   * the P-device encrypting MHI under the role identity IDr.
 #pragma once
 
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "src/cipher/aead.h"
 #include "src/ibc/domain.h"
 
@@ -62,7 +66,8 @@ class IbePrecomputed {
 /// Fixed-key decryption context: precomputes the Miller-loop lines of the
 /// recipient's private key Γ, so each decryption's pairing ê(Γ, U) costs
 /// only line evaluations. Pays off from the second ciphertext on — the MHI
-/// retrieval path decrypts whole batches under one role key.
+/// retrieval path decrypts whole batches under one role key, through
+/// decrypt_batch.
 class IbeDecryptor {
  public:
   IbeDecryptor(const curve::CurveCtx& ctx, const curve::Point& private_key);
@@ -70,7 +75,15 @@ class IbeDecryptor {
   /// Same result as ibe_decrypt; throws cipher::AuthError on tampering.
   [[nodiscard]] Bytes decrypt(const IbeCiphertext& ct) const;
 
+  /// Element i is decrypt(cts[i]), or nullopt where that throws
+  /// cipher::AuthError. Every ê(Γ, U_i) runs in one curve::miller_batch
+  /// and one curve::final_exp_batch (IFMA lane groups when there are
+  /// enough of them), serially; the KEM/AEAD tail is decrypt's.
+  [[nodiscard]] std::vector<std::optional<Bytes>> decrypt_batch(
+      std::span<const IbeCiphertext> cts) const;
+
  private:
+  const curve::CurveCtx* ctx_;
   curve::PairingPrecomp pre_;
 };
 

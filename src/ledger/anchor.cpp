@@ -27,19 +27,12 @@ std::optional<Bytes> AnchorAuthority::handle_anchor(
     const AnchoredCheckpoint& partial) {
   Bytes stmt = partial.cp.statement();
 
-  // Lower levels must have countersigned this exact statement; a forged or
-  // transplanted signature chain is an authoritative rejection.
-  for (const AnchorSignature& s : partial.sigs) {
-    ibc::IbsSignature sig;
-    try {
-      sig = ibc::IbsSignature::from_bytes(*pub_.ctx, s.sig);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-    if (!ibc::ibs_verify(pub_, s.authority_id, stmt, sig)) {
-      return std::nullopt;
-    }
-  }
+  // Lower levels must have countersigned this exact statement; a forged,
+  // malformed or transplanted signature chain is an authoritative rejection.
+  // All their signatures are checked in one batch, as an auditor would.
+  std::vector<std::string> lower;
+  for (const AnchorSignature& s : partial.sigs) lower.push_back(s.authority_id);
+  if (!verify_anchor_sigs(pub_, partial, lower)) return std::nullopt;
 
   auto key = std::make_pair(partial.cp.ledger_id, partial.cp.epoch);
   auto it = accepted_.find(key);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,38 +21,10 @@
 #include "src/mp/dispatch.h"
 #include "src/mp/mont.h"
 #include "src/mp/u512.h"
+#include "tests/force_generic.h"
 
 namespace hcpp {
 namespace {
-
-/// Scoped HCPP_FORCE_GENERIC toggle; restores the previous value and
-/// re-reads the dispatch state on destruction.
-class ForceGenericGuard {
- public:
-  explicit ForceGenericGuard(bool on) {
-    const char* prev = std::getenv("HCPP_FORCE_GENERIC");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (on) {
-      ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-  ~ForceGenericGuard() {
-    if (had_prev_) {
-      ::setenv("HCPP_FORCE_GENERIC", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 // ---- ChaCha20: dispatched bulk kernel vs the one-block scalar core ---------
 

@@ -1,6 +1,8 @@
 // IBC domain, pseudonyms, shared keys, BF-IBE and Hess IBS.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <thread>
 
 #include "src/cipher/drbg.h"
@@ -8,6 +10,7 @@
 #include "src/ibc/ibs.h"
 #include "src/obs/metrics.h"
 #include "src/par/pool.h"
+#include "tests/force_generic.h"
 
 namespace hcpp::ibc {
 namespace {
@@ -158,6 +161,99 @@ TEST(Ibe, EmptyPlaintext) {
   cipher::Drbg rng(to_bytes("ibe-rng6"));
   IbeCiphertext ct = ibe_encrypt(d.pub(), "id", Bytes{}, rng);
   EXPECT_TRUE(ibe_decrypt(ctx(), d.extract("id"), ct).empty());
+}
+
+// decrypt_batch against per-item decrypt: the batch runs on a context with
+// IFMA lanes (when the host has them) and on a forced-generic one, and the
+// per-item reference on both (MULX and portable scalar kernels). Positions
+// 2, 4, 5 and 6 of every seven hold an item decrypt refuses: a tampered box,
+// a wrong-key ciphertext, U = infinity and U = (0, 0), whose Miller value is
+// real, so a lane batch sends it down the scalar t = ±1 branch.
+TEST(IbeBatch, MatchesPerItemDecryptOnLaneMulxAndPortableContexts) {
+  const curve::GeneratedParams gp{ctx().p, ctx().q, ctx().gx, ctx().gy};
+  std::unique_ptr<curve::CurveCtx> lanes, portable;
+  {
+    ForceGenericGuard guard(false);
+    lanes = curve::make_curve(gp, "lanes");
+  }
+  {
+    ForceGenericGuard guard(true);
+    portable = curve::make_curve(gp, "portable");
+  }
+  ASSERT_EQ(portable->fp.mont.lanes(), nullptr);
+  cipher::Drbg rng(to_bytes("ibe-batch"));
+  const Domain d(*lanes, rng);
+  const curve::Point key = d.extract("role:er-physician");
+  const curve::Point zero{field::Fp::zero(&lanes->fp),
+                          field::Fp::zero(&lanes->fp), false};
+  auto make = [&](size_t i) {
+    const Bytes msg = to_bytes("window " + std::to_string(i));
+    const bool wrong_key = i % 7 == 4;
+    IbeCiphertext ct = ibe_encrypt(
+        d.pub(), wrong_key ? "role:nurse" : "role:er-physician", msg, rng);
+    switch (i % 7) {
+      case 2: ct.box[ct.box.size() / 2] ^= 1; break;  // tampered box
+      case 5: ct.u = curve::Point::at_infinity(); break;
+      case 6: ct.u = zero; break;  // on the curve; a real Miller value
+      default: break;
+    }
+    return std::make_pair(ct, i % 7 == 0 || i % 7 == 1 || i % 7 == 3
+                                  ? std::optional<Bytes>(msg)
+                                  : std::nullopt);
+  };
+  // Points and ciphertexts moved to another context by their encoding.
+  auto on = [](const curve::CurveCtx& c, const curve::Point& pt) {
+    return curve::point_from_bytes(c, curve::point_to_bytes(pt));
+  };
+  auto per_item = [](const IbeDecryptor& dec, const IbeCiphertext& ct) {
+    try {
+      return std::optional<Bytes>(dec.decrypt(ct));
+    } catch (const cipher::AuthError&) {
+      return std::optional<Bytes>();
+    }
+  };
+  const IbeDecryptor lane_dec(*lanes, key);
+  const IbeDecryptor portable_dec(*portable, on(*portable, key));
+  for (size_t n : {0, 1, 2, 3, 8, 9, 33}) {
+    std::vector<IbeCiphertext> cts, moved;
+    std::vector<std::optional<Bytes>> want;
+    for (size_t i = 0; i < n; ++i) {
+      auto [ct, pt] = make(i);
+      moved.push_back({on(*portable, ct.u), ct.box});
+      cts.push_back(std::move(ct));
+      want.push_back(std::move(pt));
+    }
+    obs::Registry batch_reg, item_reg;
+    obs::Registry* previous = obs::attached();
+    obs::attach(&batch_reg);
+    const std::vector<std::optional<Bytes>> got = lane_dec.decrypt_batch(cts);
+    obs::attach(&item_reg);
+    for (const IbeCiphertext& ct : cts) (void)per_item(lane_dec, ct);
+    obs::attach(previous);
+    ASSERT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(portable_dec.decrypt_batch(moved), want) << "n=" << n;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(per_item(lane_dec, cts[i]), want[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(per_item(portable_dec, moved[i]), want[i])
+          << "n=" << n << " i=" << i;
+    }
+    // One fixed pairing per item; a final exponentiation per finite U.
+    for (const char* name : {obs::kPairingFixed, obs::kPairing}) {
+      EXPECT_EQ(batch_reg.counter(name), item_reg.counter(name))
+          << name << " n=" << n;
+    }
+    EXPECT_EQ(batch_reg.counter(obs::kFinalExpBatched),
+              item_reg.counter(obs::kFinalExp))
+        << "n=" << n;
+  }
+  // Each refused kind alone, through the scalar path of a one-item batch.
+  for (size_t i : {2, 4, 5, 6}) {
+    auto [ct, pt] = make(i);
+    ASSERT_FALSE(pt.has_value());
+    EXPECT_EQ(lane_dec.decrypt_batch(std::span(&ct, 1)),
+              std::vector<std::optional<Bytes>>{std::nullopt})
+        << "kind " << i;
+  }
 }
 
 TEST(IbePrecomp, MatchesOnlineEncryption) {

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,41 +27,13 @@
 #include "src/mp/mont_ifma.h"
 #include "src/mp/prime.h"
 #include "src/par/pool.h"
+#include "tests/force_generic.h"
 
 namespace hcpp {
 namespace {
 
 using mp::U512;
 namespace ifma = mp::ifma;
-
-/// Scoped HCPP_FORCE_GENERIC toggle; restores the previous value and
-/// re-reads the dispatch state on destruction.
-class ForceGenericGuard {
- public:
-  explicit ForceGenericGuard(bool on) {
-    const char* prev = std::getenv("HCPP_FORCE_GENERIC");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (on) {
-      ::setenv("HCPP_FORCE_GENERIC", "1", 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-  ~ForceGenericGuard() {
-    if (had_prev_) {
-      ::setenv("HCPP_FORCE_GENERIC", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("HCPP_FORCE_GENERIC");
-    }
-    mp::refresh_dispatch();
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 bool host_has_lanes() {
   return ifma::compiled() && mp::cpu_features().avx512ifma;

@@ -1,13 +1,17 @@
 // src/ledger unit suite: hash-chain commitments, tamper detection on
 // arbitrary (possibly forged) entry vectors, Merkle inclusion proofs,
-// checkpoint pinning, the patient notification stream, and the WAL
-// crash/recovery path including torn-tail truncation.
+// checkpoint pinning, the patient notification stream, the WAL
+// crash/recovery path including torn-tail truncation, and an anchor
+// authority's check of the lower levels' countersignatures.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "src/cipher/drbg.h"
+#include "src/curve/params.h"
+#include "src/ledger/anchor.h"
 #include "src/ledger/ledger.h"
 #include "tests/temp_path.h"
 
@@ -354,6 +358,43 @@ TEST(LedgerWal, MissingFileRecoversEmpty) {
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_EQ(Ledger::recover(path, "tr").size(), 1u);
   std::filesystem::remove(path);
+}
+
+// An authority checks every lower level's countersignature (one batched IBS
+// verification) and refuses the chain if any fails — here only the second
+// of two, well-formed but made with the wrong key — before it looks at its
+// acceptance map.
+TEST(Anchor, SecondForgedCountersignatureRefused) {
+  const curve::CurveCtx& ctx = curve::params(curve::ParamSet::kTest);
+  cipher::Drbg rng(to_bytes("anchor-forged"));
+  const ibc::Domain d(ctx, rng);
+  AnchorAuthority hospital(d.pub(), "hospital-anchor",
+                           d.extract("hospital-anchor"));
+  AnchorAuthority state(d.pub(), "state-anchor", d.extract("state-anchor"));
+  AnchorAuthority federal(d.pub(), "federal-anchor",
+                          d.extract("federal-anchor"));
+  Ledger led = make_ledger(4, "anchored");
+  AnchoredCheckpoint partial = anchor_prefix(led, 4);
+  std::optional<Bytes> s1 = hospital.handle_anchor(partial);
+  ASSERT_TRUE(s1.has_value());
+  partial.sigs.push_back({"hospital-anchor", *s1});
+  std::optional<Bytes> s2 = state.handle_anchor(partial);
+  ASSERT_TRUE(s2.has_value());
+  partial.sigs.push_back({"state-anchor", *s2});
+
+  AnchoredCheckpoint forged = partial;
+  forged.sigs[1].sig = ibc::ibs_sign(ctx, d.extract("hospital-anchor"),
+                                     "state-anchor", partial.cp.statement(),
+                                     rng)
+                           .to_bytes();
+  EXPECT_FALSE(federal.handle_anchor(forged).has_value());
+  // A malformed encoding is refused the same way.
+  AnchoredCheckpoint garbled = partial;
+  garbled.sigs[1].sig.resize(3);
+  EXPECT_FALSE(federal.handle_anchor(garbled).has_value());
+  // Neither refusal reached the acceptance map: the honest chain still signs.
+  EXPECT_TRUE(federal.handle_anchor(partial).has_value());
+  EXPECT_TRUE(federal.divergence_log().empty());
 }
 
 }  // namespace

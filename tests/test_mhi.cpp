@@ -129,6 +129,45 @@ TEST(Mhi, ServerStoresOnlyCiphertext) {
           .empty());
 }
 
+// The reply's windows are decrypted as one batch under Γr: a tampered blob
+// among valid ones drops only its own window, and the rest keep their order.
+TEST(Mhi, TamperedBlobDropsOnlyItsWindow) {
+  Deployment d = Deployment::create([] {
+    DeploymentConfig cfg;
+    cfg.n_phi_files = 4;
+    cfg.seed = 27;
+    return cfg;
+  }());
+  cipher::Drbg rng(to_bytes("mhi-tamper"));
+  std::vector<std::string> days;
+  for (int i = 1; i <= 6; ++i) {
+    days.push_back("2011-04-0" + std::to_string(i));
+    d.pdevice->collect_mhi(generate_mhi_window(days.back(), 20, rng));
+  }
+  std::vector<std::string> extra = {"patient-risk:cardiac"};
+  ASSERT_TRUE(
+      d.pdevice->try_store_mhi(*d.aserver, *d.sserver, kRole, extra).ok());
+  MhiStreamHub::Shelf shelf = d.sserver->mhi_hub().shelf();
+  std::vector<Bytes>& blobs = shelf.roles.at(kRole).blobs;
+  ASSERT_EQ(blobs.size(), days.size());
+  blobs[2].back() ^= 1;  // the AEAD tag of the third window
+  d.sserver->mhi_hub().replace_shelf(std::move(shelf));
+  days.erase(days.begin() + 2);
+
+  auto role_key = d.on_duty->try_request_role_key(*d.aserver, kRole);
+  ASSERT_TRUE(role_key.ok());
+  std::vector<MhiWindow> got =
+      d.on_duty
+          ->try_retrieve_mhi(*d.sserver, kRole, role_key.value(),
+                             "patient-risk:cardiac")
+          .value_or({});
+  ASSERT_EQ(got.size(), days.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].day, days[i]) << "window " << i;
+    EXPECT_EQ(got[i].samples.size(), 20u);
+  }
+}
+
 TEST(Mhi, StoreRequiresBundle) {
   Deployment d = Deployment::create([] {
     DeploymentConfig cfg;
