@@ -53,22 +53,29 @@ int main() {
 
   // --- The patient recovers and audits. --------------------------------------
   std::printf("\n== audit ==\n");
+  // The two logs are the A-server's and the P-device's ledgers.
+  const std::vector<ledger::AccessEvent> traces =
+      d.aserver->trace_ledger().events();
+  const std::vector<ledger::AccessEvent> records =
+      d.pdevice->rd_ledger().events();
   std::printf("P-device RD records: %zu; A-server TR traces: %zu; alerts "
               "sent to patient: %d\n",
-              d.pdevice->records().size(), d.aserver->traces().size(),
-              d.pdevice->alert_count());
-  for (const RdRecord& rd : d.pdevice->records()) {
+              records.size(), traces.size(), d.pdevice->alert_count());
+  for (const ledger::AccessEvent& rd : records) {
+    // One RD audited alone: its A-server signature holds iff the audit
+    // finds no bad RD signature (it lacks the traces, so it is orphaned).
+    bool valid = audit(d.aserver->pub(), d.aserver->id(), {},
+                       std::span(&rd, 1), {})
+                     .bad_rd_signatures == 0;
     std::printf("  RD: physician=%s keywords=%zu signature=%s\n",
-                rd.physician_id.c_str(), rd.keywords.size(),
-                verify_rd(d.aserver->pub(), d.aserver->id(), rd) ? "valid"
-                                                                 : "INVALID");
+                rd.actor_id.c_str(), rd.keywords.size(),
+                valid ? "valid" : "INVALID");
   }
 
   // Treatment for a cardiac emergency justified only the cardiology keyword.
   std::set<std::string> permitted(narrow.begin(), narrow.end());
   AuditReport report =
-      audit(d.aserver->pub(), d.aserver->id(), d.aserver->traces(),
-            d.pdevice->records(), permitted);
+      audit(d.aserver->pub(), d.aserver->id(), traces, records, permitted);
   std::printf("\naccountable physicians (provable interaction):\n");
   for (const std::string& id : report.accountable) {
     std::printf("  %s\n", id.c_str());

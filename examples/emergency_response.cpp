@@ -91,7 +91,7 @@ int main() {
   // Accountability artifacts exist on both sides.
   std::printf("\naccountability: P-device holds %zu RD record(s), A-server "
               "holds %zu trace(s), patient alerted %d time(s)\n",
-              d.pdevice->records().size(), d.aserver->traces().size(),
+              d.pdevice->rd_ledger().size(), d.aserver->trace_ledger().size(),
               d.pdevice->alert_count());
 
   // --- The same rescue over a degraded network -------------------------------

@@ -238,7 +238,7 @@ void cmd_emergency(Deployment& d, const std::string& physician,
   auto files = d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   std::printf("P-device retrieved %zu file(s); RD records: %zu; patient "
               "alerts: %d\n",
-              files.size(), d.pdevice->records().size(),
+              files.size(), d.pdevice->rd_ledger().size(),
               d.pdevice->alert_count());
 }
 
@@ -358,8 +358,9 @@ void cmd_audit(Deployment& d) {
   std::vector<std::string> all = d.all_keywords();
   std::set<std::string> permitted(all.begin(), all.end());
   AuditReport report =
-      audit(d.aserver->pub(), d.aserver->id(), d.aserver->traces(),
-            d.pdevice->records(), permitted);
+      audit(d.aserver->pub(), d.aserver->id(),
+            d.aserver->trace_ledger().events(), d.pdevice->rd_ledger().events(),
+            permitted);
   std::printf("accountable:");
   for (const auto& id : report.accountable) std::printf(" %s", id.c_str());
   std::printf("\nimproper searchers:");

@@ -8,39 +8,15 @@
 
 namespace hcpp::core {
 
-bool verify_rd(const ibc::PublicParams& pub, const std::string& aserver_id,
-               const RdRecord& rd) {
-  try {
-    ibc::IbsSignature sig =
-        ibc::IbsSignature::from_bytes(*pub.ctx, rd.aserver_sig);
-    return ibc::ibs_verify(pub, aserver_id,
-                           rd_statement(rd.physician_id, rd.tp, rd.t11), sig);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool verify_trace(const ibc::PublicParams& pub, const TraceRecord& tr) {
-  try {
-    ibc::IbsSignature sig =
-        ibc::IbsSignature::from_bytes(*pub.ctx, tr.physician_sig);
-    EmergencyAuthRequest req;
-    req.physician_id = tr.physician_id;
-    req.tp = tr.tp;
-    req.t = tr.t10;
-    return ibc::ibs_verify(pub, tr.physician_id, req.body(), sig);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
+using ledger::AccessEvent;
 
 namespace {
 /// The trace matching rd (same physician, pseudonym, t11), or nullptr.
-const TraceRecord* find_trace(std::span<const TraceRecord> traces,
-                              const RdRecord& rd) {
-  for (const TraceRecord& tr : traces) {
-    if (tr.physician_id == rd.physician_id && tr.t11 == rd.t11 &&
-        ct_equal(tr.tp, rd.tp)) {
+const AccessEvent* find_trace(std::span<const AccessEvent> traces,
+                              const AccessEvent& rd) {
+  for (const AccessEvent& tr : traces) {
+    if (tr.actor_id == rd.actor_id && tr.t11 == rd.t11 &&
+        ct_equal(tr.subject, rd.subject)) {
       return &tr;
     }
   }
@@ -49,26 +25,25 @@ const TraceRecord* find_trace(std::span<const TraceRecord> traces,
 
 std::optional<ibc::IbsBatchItem> rd_batch_item(const ibc::PublicParams& pub,
                                                const std::string& aserver_id,
-                                               const RdRecord& rd) {
+                                               const AccessEvent& rd) {
   try {
     return ibc::IbsBatchItem{
-        aserver_id, rd_statement(rd.physician_id, rd.tp, rd.t11),
-        ibc::IbsSignature::from_bytes(*pub.ctx, rd.aserver_sig)};
+        aserver_id, rd_statement(rd.actor_id, rd.subject, rd.t11),
+        ibc::IbsSignature::from_bytes(*pub.ctx, rd.sig)};
   } catch (const std::exception&) {
     return std::nullopt;
   }
 }
 
 std::optional<ibc::IbsBatchItem> trace_batch_item(const ibc::PublicParams& pub,
-                                                  const TraceRecord& tr) {
+                                                  const AccessEvent& tr) {
   try {
     EmergencyAuthRequest req;
-    req.physician_id = tr.physician_id;
-    req.tp = tr.tp;
+    req.physician_id = tr.actor_id;
+    req.tp = tr.subject;
     req.t = tr.t10;
-    return ibc::IbsBatchItem{
-        tr.physician_id, req.body(),
-        ibc::IbsSignature::from_bytes(*pub.ctx, tr.physician_sig)};
+    return ibc::IbsBatchItem{tr.actor_id, req.body(),
+                             ibc::IbsSignature::from_bytes(*pub.ctx, tr.sig)};
   } catch (const std::exception&) {
     return std::nullopt;
   }
@@ -76,8 +51,8 @@ std::optional<ibc::IbsBatchItem> trace_batch_item(const ibc::PublicParams& pub,
 }  // namespace
 
 AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
-                  std::span<const TraceRecord> traces,
-                  std::span<const RdRecord> records,
+                  std::span<const AccessEvent> traces,
+                  std::span<const AccessEvent> records,
                   const std::set<std::string>& permitted_keywords,
                   par::ThreadPool* pool) {
   AuditReport report;
@@ -101,12 +76,12 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
 
   // Round 2: traces matched by a verified RD, keyed by trace pointer so a
   // trace referenced twice is only verified once.
-  std::vector<const TraceRecord*> rd_match(records.size(), nullptr);
-  std::vector<const TraceRecord*> tr_of_item;
+  std::vector<const AccessEvent*> rd_match(records.size(), nullptr);
+  std::vector<const AccessEvent*> tr_of_item;
   items.clear();
   for (size_t i = 0; i < records.size(); ++i) {
     if (rd_slot[i] == SIZE_MAX || !rd_ok[rd_slot[i]]) continue;
-    const TraceRecord* match = find_trace(traces, records[i]);
+    const AccessEvent* match = find_trace(traces, records[i]);
     if (match == nullptr) continue;
     rd_match[i] = match;
     if (std::find(tr_of_item.begin(), tr_of_item.end(), match) ==
@@ -119,7 +94,7 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
     }
   }
   std::vector<uint8_t> tr_ok = ibc::ibs_verify_batch(pub, items, pool);
-  auto trace_verified = [&](const TraceRecord* tr) {
+  auto trace_verified = [&](const AccessEvent* tr) {
     for (size_t j = 0; j < tr_of_item.size(); ++j) {
       if (tr_of_item[j] == tr) return tr_ok[j] != 0;
     }
@@ -127,7 +102,7 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
   };
 
   for (size_t i = 0; i < records.size(); ++i) {
-    const RdRecord& rd = records[i];
+    const AccessEvent& rd = records[i];
     if (rd_slot[i] == SIZE_MAX || !rd_ok[rd_slot[i]]) {
       ++report.bad_rd_signatures;
       continue;
@@ -141,8 +116,8 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
       continue;
     }
     if (std::find(report.accountable.begin(), report.accountable.end(),
-                  rd.physician_id) == report.accountable.end()) {
-      report.accountable.push_back(rd.physician_id);
+                  rd.actor_id) == report.accountable.end()) {
+      report.accountable.push_back(rd.actor_id);
     }
     bool improper = false;
     for (const std::string& kw : rd.keywords) {
@@ -151,43 +126,11 @@ AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
     if (improper &&
         std::find(report.improper_searchers.begin(),
                   report.improper_searchers.end(),
-                  rd.physician_id) == report.improper_searchers.end()) {
-      report.improper_searchers.push_back(rd.physician_id);
+                  rd.actor_id) == report.improper_searchers.end()) {
+      report.improper_searchers.push_back(rd.actor_id);
     }
   }
   return report;
-}
-
-// ---- ledger event conversion ----------------------------------------------
-
-ledger::AccessEvent event_from_trace(const TraceRecord& tr) {
-  ledger::AccessEvent ev;
-  ev.kind = ledger::EventKind::kTrace;
-  ev.actor_id = tr.physician_id;
-  ev.subject = tr.tp;
-  ev.t10 = tr.t10;
-  ev.t11 = tr.t11;
-  ev.sig = tr.physician_sig;
-  return ev;
-}
-
-TraceRecord trace_from_event(const ledger::AccessEvent& ev) {
-  return {ev.actor_id, ev.subject, ev.t10, ev.t11, ev.sig};
-}
-
-ledger::AccessEvent event_from_rd(const RdRecord& rd) {
-  ledger::AccessEvent ev;
-  ev.kind = ledger::EventKind::kAccess;
-  ev.actor_id = rd.physician_id;
-  ev.subject = rd.tp;
-  ev.keywords = rd.keywords;
-  ev.t11 = rd.t11;
-  ev.sig = rd.aserver_sig;
-  return ev;
-}
-
-RdRecord rd_from_event(const ledger::AccessEvent& ev) {
-  return {ev.actor_id, ev.subject, ev.keywords, ev.t11, ev.sig};
 }
 
 // ---- chain-verifying audit -------------------------------------------------
@@ -246,26 +189,11 @@ LedgerAuditReport audit_ledgers(
   check_proofs(trace_ledger);
   check_proofs(rd_ledger);
 
-  // 4. Record-level audit over the decoded events. Undecodable payloads
-  // cannot occur on an intact chain (the entry hash commits to the encoding
-  // verified above), so decoding failures are already counted in the chain
-  // verdicts and skipped here.
-  std::vector<TraceRecord> traces;
-  for (const ledger::LedgerEntry& e : trace_ledger.entries()) {
-    try {
-      traces.push_back(trace_from_event(e.event()));
-    } catch (const std::exception&) {
-    }
-  }
-  std::vector<RdRecord> records;
-  for (const ledger::LedgerEntry& e : rd_ledger.entries()) {
-    try {
-      records.push_back(rd_from_event(e.event()));
-    } catch (const std::exception&) {
-    }
-  }
-  out.records =
-      audit(pub, aserver_id, traces, records, permitted_keywords, pool);
+  // 4. Record-level audit over the decoded events (Ledger::events() skips
+  // an undecodable payload, which only a rewritten chain holds; step 1
+  // judges the rewrite against the anchor).
+  out.records = audit(pub, aserver_id, trace_ledger.events(),
+                      rd_ledger.events(), permitted_keywords, pool);
   return out;
 }
 

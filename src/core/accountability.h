@@ -3,12 +3,15 @@
 // cross-checks them against the A-server's TR log, and flags physicians who
 // searched beyond the keyword set a treatment justified.
 //
-// Two tiers. audit() judges the *records* (signatures + cross-referencing).
-// audit_ledgers() additionally judges the *history*: both logs live in
-// tamper-evident hash-chained ledgers (src/ledger) whose epoch checkpoints
-// are IBS-countersigned up the hospital → state → federal anchor hierarchy,
-// so a holder who truncates, reorders or forks its log is caught by chain
-// verification against the anchors — even when every surviving record still
+// Both logs are tamper-evident hash-chained ledgers (src/ledger): the
+// A-server's trace_ledger() holds one kTrace event per accepted emergency
+// authentication, the P-device's rd_ledger() one kAccess event per emergency
+// retrieval. Two tiers judge them. audit() judges the *records* — the events'
+// embedded signatures and their cross-references. audit_ledgers()
+// additionally judges the *history*: the epoch checkpoints are
+// IBS-countersigned up the hospital → state → federal anchor hierarchy, so a
+// holder who truncates, reorders or forks its log is caught by chain
+// verification against the anchors — even when every surviving event still
 // carries a valid signature.
 #pragma once
 
@@ -18,22 +21,6 @@
 #include "src/ledger/anchor.h"
 
 namespace hcpp::core {
-
-/// Verifies the A-server's audit signature inside one RD record.
-bool verify_rd(const ibc::PublicParams& pub, const std::string& aserver_id,
-               const RdRecord& rd);
-
-/// Verifies the physician's request signature inside one TR trace.
-bool verify_trace(const ibc::PublicParams& pub, const TraceRecord& tr);
-
-// ---- ledger event conversion ----------------------------------------------
-// The ledger layer is core-agnostic; these adapters are the single place the
-// TR/RD structs map onto ledger::AccessEvent and back.
-
-ledger::AccessEvent event_from_trace(const TraceRecord& tr);
-TraceRecord trace_from_event(const ledger::AccessEvent& ev);
-ledger::AccessEvent event_from_rd(const RdRecord& rd);
-RdRecord rd_from_event(const ledger::AccessEvent& ev);
 
 struct AuditReport {
   /// Physicians with a verified RD + matching verified TR: provably
@@ -54,13 +41,16 @@ struct AuditReport {
   }
 };
 
-/// Cross-checks the P-device's RD log against the A-server's TR log. The
-/// signature checks dominate (two pairings each); with a pool they run as
-/// two ibs_verify_batch rounds — all RD signatures, then the traces matched
-/// by verified RDs — before the serial cross-referencing pass.
+/// Cross-checks the P-device's RD events against the A-server's TR events
+/// (ledger::Ledger::events()). An RD's A-server signature covers
+/// rd_statement(actor_id, subject, t11); a trace's physician signature
+/// covers its EmergencyAuthRequest body (actor_id, subject, t10). The
+/// signature checks dominate (two pairings each); they run as two
+/// ibs_verify_batch rounds — all RD signatures, then the traces matched by
+/// verified RDs — before the serial cross-referencing pass.
 AuditReport audit(const ibc::PublicParams& pub, const std::string& aserver_id,
-                  std::span<const TraceRecord> traces,
-                  std::span<const RdRecord> records,
+                  std::span<const ledger::AccessEvent> traces,
+                  std::span<const ledger::AccessEvent> records,
                   const std::set<std::string>& permitted_keywords,
                   par::ThreadPool* pool = nullptr);
 

@@ -39,11 +39,11 @@ std::vector<AServer*> AServerCluster::holders(BytesView) const {
   return out;
 }
 
-std::vector<TraceRecord> AServerCluster::all_traces() const {
-  std::vector<TraceRecord> out;
+std::vector<ledger::AccessEvent> AServerCluster::all_traces() const {
+  std::vector<ledger::AccessEvent> out;
   for (const auto& replica : replicas_) {
-    out.insert(out.end(), replica->traces().begin(),
-               replica->traces().end());
+    std::vector<ledger::AccessEvent> events = replica->trace_ledger().events();
+    out.insert(out.end(), events.begin(), events.end());
   }
   return out;
 }

@@ -46,8 +46,9 @@ class AServerCluster {
   /// Mirrors the published on-duty list to every office.
   void set_on_duty(const std::string& physician_id, bool on_duty);
 
-  /// Union of all offices' TR logs (for audits spanning a failover).
-  [[nodiscard]] std::vector<TraceRecord> all_traces() const;
+  /// Union of all offices' TR ledger events (for audits spanning a
+  /// failover), office by office.
+  [[nodiscard]] std::vector<ledger::AccessEvent> all_traces() const;
 
  private:
   sim::Network* net_;

@@ -19,7 +19,6 @@
 #include <algorithm>
 
 #include "src/cipher/aead.h"
-#include "src/core/accountability.h"
 #include "src/core/call.h"
 #include "src/obs/trace.h"
 
@@ -161,19 +160,7 @@ Result<std::vector<sse::PlainFile>> Family::try_emergency_retrieve(
 std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
     const EmergencyAuthRequest& req) {
   obs::Span span("aserver:emergency_auth");
-  if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
-  ibc::IbsSignature sig;
-  try {
-    sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!ibc::ibs_verify(pub(), req.physician_id, req.body(), sig)) {
-    return std::nullopt;
-  }
-  if (!is_on_duty(req.physician_id)) return std::nullopt;
+  if (!admit(req)) return std::nullopt;
 
   // Small-subgroup guard: the passcode IBE keys to ê(TP, Ppub)^r.
   curve::Point tp;
@@ -211,11 +198,16 @@ std::optional<AServer::EmergencyAuthOutcome> AServer::handle_emergency_auth(
       signer_.sign(rd_statement(req.physician_id, req.tp, t11), rng_)
           .to_bytes();
 
-  // TR: the accountability trace (§IV.E.2) — the loose log the legacy audit
-  // reads, plus the tamper-evident hash-chained mirror the ledger audit
-  // verifies against the anchored checkpoints.
-  traces_.push_back({req.physician_id, req.tp, req.t, t11, req.sig});
-  trace_ledger_.append(event_from_trace(traces_.back()));
+  // TR: the accountability trace (§IV.E.2), appended to the hash-chained
+  // log the audit verifies against the anchored checkpoints.
+  ledger::AccessEvent tr;
+  tr.kind = ledger::EventKind::kTrace;
+  tr.actor_id = req.physician_id;
+  tr.subject = req.tp;
+  tr.t10 = req.t;
+  tr.t11 = t11;
+  tr.sig = req.sig;
+  trace_ledger_.append(tr);
   return out;
 }
 
@@ -345,9 +337,14 @@ Result<std::vector<sse::PlainFile>> PDevice::try_emergency_retrieve(
   // network failed the retrieval, because the secrets were touched. The
   // ledger append also queues the patient notification ("your data was just
   // accessed") behind rd_ledger().drain_notifications().
-  rd_log_.push_back({*session_physician_, bundle_->tp, valid, session_t11_,
-                     session_aserver_sig_});
-  rd_ledger_.append(event_from_rd(rd_log_.back()));
+  ledger::AccessEvent rd;
+  rd.kind = ledger::EventKind::kAccess;
+  rd.actor_id = *session_physician_;
+  rd.subject = bundle_->tp;
+  rd.keywords = std::move(valid);
+  rd.t11 = session_t11_;
+  rd.sig = session_aserver_sig_;
+  rd_ledger_.append(rd);
   session_physician_.reset();  // one retrieval per passcode session
   return result;
 }

@@ -115,14 +115,10 @@ class AServer {
   std::optional<curve::Point> handle_role_key_request(
       const RoleKeyRequest& req);
 
-  /// TR log (audited in accountability.h).
-  [[nodiscard]] const std::vector<TraceRecord>& traces() const noexcept {
-    return traces_;
-  }
-
-  /// Tamper-evident mirror of the TR log: every handle_emergency_auth also
-  /// appends the trace as a hash-chained ledger entry, so the audit can
-  /// detect a truncated/reordered/forked history, not just bad signatures.
+  /// The TR log (audited in accountability.h): every accepted
+  /// handle_emergency_auth appends its trace as a hash-chained kTrace event,
+  /// so the audit can detect a truncated/reordered/forked history, not just
+  /// bad signatures.
   [[nodiscard]] ledger::Ledger& trace_ledger() noexcept {
     return trace_ledger_;
   }
@@ -131,6 +127,13 @@ class AServer {
   }
 
  private:
+  /// The one door both IBS-signed requests open with: the freshness/replay
+  /// guard on the signature bytes first, so a replay is refused before any
+  /// pairing runs, then a strict signature decode, the physician's IBS over
+  /// req.body(), and the on-duty list.
+  template <class Req>
+  bool admit(const Req& req);
+
   sim::Network* net_;
   std::string id_;
   ibc::Domain domain_;
@@ -138,7 +141,6 @@ class AServer {
   ibc::SharedKeyDeriver key_deriver_;  // fixed-Γ_A NIKE precomputation
   ibc::IbsSigner signer_;              // fixed-Γ_A IBS signing tables
   std::map<std::string, bool> on_duty_;
-  std::vector<TraceRecord> traces_;
   ledger::Ledger trace_ledger_;
   mutable cipher::Drbg rng_;
 };
@@ -329,6 +331,21 @@ std::optional<Bytes> SServer::admit(const Req& req) {
     return std::nullopt;
   }
   return key;
+}
+
+template <class Req>
+bool AServer::admit(const Req& req) {
+  if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
+    return false;
+  }
+  ibc::IbsSignature sig;
+  try {
+    sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return ibc::ibs_verify(pub(), req.physician_id, req.body(), sig) &&
+         is_on_duty(req.physician_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -556,16 +573,13 @@ class PDevice {
     return mhi_ingestor_ ? mhi_ingestor_->role_id() : std::string{};
   }
 
-  [[nodiscard]] const std::vector<RdRecord>& records() const noexcept {
-    return rd_log_;
-  }
   /// §VI.A: count of "your secrets were accessed" alerts sent to the
   /// patient's phone.
   [[nodiscard]] int alert_count() const noexcept { return alerts_; }
 
-  /// Tamper-evident mirror of the RD log: every emergency retrieval appends
-  /// the record as a hash-chained entry and queues a patient notification
-  /// (Ledger::drain_notifications — the phone's alert feed).
+  /// The RD log (audited in accountability.h): every emergency retrieval
+  /// appends its record as a hash-chained kAccess event and queues a patient
+  /// notification (Ledger::drain_notifications — the phone's alert feed).
   [[nodiscard]] ledger::Ledger& rd_ledger() noexcept { return rd_ledger_; }
   [[nodiscard]] const ledger::Ledger& rd_ledger() const noexcept {
     return rd_ledger_;
@@ -595,7 +609,6 @@ class PDevice {
   Bytes session_aserver_sig_;
   std::vector<MhiWindow> mhi_;
   std::optional<MhiIngestor> mhi_ingestor_;  // lazy, rolled per epoch
-  std::vector<RdRecord> rd_log_;
   ledger::Ledger rd_ledger_;
   int alerts_ = 0;
   mutable cipher::Drbg rng_;

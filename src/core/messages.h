@@ -465,37 +465,6 @@ struct MhiHitsResponse {
   HCPP_WIRE_CODEC(MhiHitsResponse)
 };
 
-// ---- Accountability artifacts (§IV.E.2, §V.A) ------------------------------
-/// TR, kept by the A-server: proof the physician requested emergency access.
-struct TraceRecord {
-  std::string physician_id;
-  Bytes tp;
-  uint64_t t10 = 0;
-  uint64_t t11 = 0;
-  Bytes physician_sig;  // the IBS from the request
-
-  static auto fields(auto& m) {
-    return std::tie(m.physician_id, m.tp, m.t10, m.t11);
-  }
-  static auto auth(auto& m) { return std::tie(m.physician_sig); }
-  HCPP_WIRE_CODEC(TraceRecord)
-};
-
-/// RD, kept by the P-device: proof of which physician searched what.
-struct RdRecord {
-  std::string physician_id;
-  Bytes tp;
-  std::vector<std::string> keywords;
-  uint64_t t11 = 0;
-  Bytes aserver_sig;  // the IBS from the passcode delivery
-
-  static auto fields(auto& m) {
-    return std::tie(m.physician_id, m.tp, m.keywords, m.t11);
-  }
-  static auto auth(auto& m) { return std::tie(m.aserver_sig); }
-  HCPP_WIRE_CODEC(RdRecord)
-};
-
 #undef HCPP_WIRE_CODEC
 
 }  // namespace hcpp::core

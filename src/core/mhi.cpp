@@ -101,19 +101,7 @@ Result<curve::Point> Physician::try_request_role_key(
 
 std::optional<curve::Point> AServer::handle_role_key_request(
     const RoleKeyRequest& req) {
-  if (!net_->accept_fresh(id_, req.sig, req.t, kFreshnessWindowNs)) {
-    return std::nullopt;
-  }
-  ibc::IbsSignature sig;
-  try {
-    sig = ibc::IbsSignature::from_bytes(domain_.ctx(), req.sig);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!ibc::ibs_verify(pub(), req.physician_id, req.body(), sig)) {
-    return std::nullopt;
-  }
-  if (!is_on_duty(req.physician_id)) return std::nullopt;
+  if (!admit(req)) return std::nullopt;
   return domain_.extract(req.role_id);
 }
 

@@ -42,10 +42,10 @@ namespace {
 
 // One 64-byte big-endian point coordinate. Values ≥ p are refused: Fp would
 // reduce them, so x + p would decode to x's point under different bytes.
-Fp coordinate_from_bytes(const CurveCtx& ctx, BytesView b, const char* who) {
+Fp coordinate_from_bytes(const CurveCtx& ctx, BytesView b) {
   mp::U512 v = mp::U512::from_bytes_be(b);
   if (!(v < ctx.p)) {
-    throw std::invalid_argument(std::string(who) + ": coordinate not below p");
+    throw std::invalid_argument("point_from_bytes: coordinate not below p");
   }
   return Fp(&ctx.fp, v);
 }
@@ -521,9 +521,8 @@ Point point_from_bytes(const CurveCtx& ctx, BytesView b) {
   if (b[0] != 1 || b.size() != 1 + 2 * 64) {
     throw std::invalid_argument("point_from_bytes: bad length");
   }
-  Point pt{coordinate_from_bytes(ctx, b.subspan(1, 64), "point_from_bytes"),
-           coordinate_from_bytes(ctx, b.subspan(65, 64), "point_from_bytes"),
-           false};
+  Point pt{coordinate_from_bytes(ctx, b.subspan(1, 64)),
+           coordinate_from_bytes(ctx, b.subspan(65, 64)), false};
   if (!on_curve(ctx, pt)) {
     throw std::invalid_argument("point_from_bytes: not on curve");
   }
@@ -544,48 +543,6 @@ Point checked_point_from_bytes(const CurveCtx& ctx, BytesView b) {
     throw std::invalid_argument("point not in the prime-order subgroup");
   }
   ctx.checked_point_memo.insert(std::move(key), pt);
-  return pt;
-}
-
-Bytes point_to_bytes_compressed(const Point& pt) {
-  Bytes out;
-  if (pt.infinity) {
-    out.push_back(0);
-    return out;
-  }
-  // Flag 2 | parity-of-y distinguishes the two roots.
-  out.push_back(static_cast<uint8_t>(2 | (pt.y.value().w[0] & 1)));
-  append(out, pt.x.value().to_bytes_be());
-  return out;
-}
-
-Point point_from_bytes_compressed(const CurveCtx& ctx, BytesView b) {
-  if (b.empty()) {
-    throw std::invalid_argument("point_from_bytes_compressed: empty");
-  }
-  if (b[0] == 0) {
-    if (b.size() != 1) {
-      throw std::invalid_argument(
-          "point_from_bytes_compressed: bad infinity encoding");
-    }
-    return Point::at_infinity();
-  }
-  if ((b[0] & ~1) != 2 || b.size() != 1 + 64) {
-    throw std::invalid_argument("point_from_bytes_compressed: bad layout");
-  }
-  Fp x = coordinate_from_bytes(ctx, b.subspan(1),
-                               "point_from_bytes_compressed");
-  field::Fp rhs = x.sqr() * x + x;
-  std::optional<field::Fp> y = rhs.sqrt();
-  if (!y.has_value()) {
-    throw std::invalid_argument("point_from_bytes_compressed: no such point");
-  }
-  uint64_t want_parity = b[0] & 1;
-  if ((y->value().w[0] & 1) != want_parity) *y = y->neg();
-  Point pt{x, *y, false};
-  if (!on_curve(ctx, pt)) {
-    throw std::invalid_argument("point_from_bytes_compressed: off curve");
-  }
   return pt;
 }
 

@@ -154,11 +154,4 @@ Point point_from_bytes(const CurveCtx& ctx, BytesView b);
 /// are memoised on the context, so a repeated pseudonym skips the check.
 Point checked_point_from_bytes(const CurveCtx& ctx, BytesView b);
 
-/// Compressed serialization: 1 flag byte (2 | y-parity) + 64-byte x; the
-/// decoder recovers y via the curve equation (p ≡ 3 mod 4 square root).
-/// Halves point wire size at the cost of one field exponentiation. Like
-/// point_from_bytes, the decoder refuses an x that is not below p.
-Bytes point_to_bytes_compressed(const Point& pt);
-Point point_from_bytes_compressed(const CurveCtx& ctx, BytesView b);
-
 }  // namespace hcpp::curve

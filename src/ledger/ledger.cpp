@@ -181,6 +181,18 @@ Bytes Ledger::head_hash() const {
   return entries_.empty() ? genesis_hash() : entries_.back().entry_hash;
 }
 
+std::vector<AccessEvent> Ledger::events() const {
+  std::vector<AccessEvent> out;
+  out.reserve(entries_.size());
+  for (const LedgerEntry& e : entries_) {
+    try {
+      out.push_back(e.event());
+    } catch (const std::exception&) {
+    }
+  }
+  return out;
+}
+
 uint64_t Ledger::append(const AccessEvent& ev) {
   double t0 = obs::recording() ? steady_ns() : 0.0;
   LedgerEntry e;

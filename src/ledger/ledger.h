@@ -24,8 +24,9 @@
 //     surviving prefix against the last anchored checkpoint.
 //
 // The ledger layer is deliberately core-agnostic: events carry plain fields
-// (actor, subject pseudonym, keywords, timestamps, an embedded signature)
-// and core::accountability converts TraceRecord/RdRecord to and from them.
+// (actor, subject pseudonym, keywords, timestamps, an embedded signature).
+// The A-server's and P-device's ledgers are the TR and RD logs themselves:
+// the protocol handlers append AccessEvents and core::audit() reads them.
 #pragma once
 
 #include <cstdint>
@@ -165,6 +166,11 @@ class Ledger {
   [[nodiscard]] const LedgerEntry& entry(uint64_t seq) const {
     return entries_.at(seq);
   }
+  /// Every entry's decoded event, in sequence order. A payload that does not
+  /// decode is skipped: append() writes none, so only a rewritten chain
+  /// holds one, and like a dropped entry it shows against an anchor
+  /// (verify_against()).
+  [[nodiscard]] std::vector<AccessEvent> events() const;
   /// Hash of the newest entry; genesis_hash() when empty.
   [[nodiscard]] Bytes head_hash() const;
   static Bytes genesis_hash();

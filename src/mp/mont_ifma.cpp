@@ -5,7 +5,15 @@
 
 #if defined(__x86_64__) && defined(__AVX512F__) && defined(__AVX512IFMA__)
 #define HCPP_HAVE_IFMA 1
+// GCC 12's _mm512_undefined_* are written `__m512i __Y = __Y;`, and every
+// shift and gather inlined from them warns -Wuninitialized or
+// -Wmaybe-uninitialized. The pragma covers the header only, so this file's
+// own code still warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace hcpp::mp::ifma {

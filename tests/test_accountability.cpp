@@ -1,11 +1,13 @@
-// §V.A accountability: RD/TR verification, cross-check audit, detection of
-// forged records and over-broad searches.
+// §V.A accountability: the TR and RD ledgers' events, the cross-check audit,
+// detection of forged or tampered events and of over-broad searches.
 #include <gtest/gtest.h>
 
 #include "src/core/setup.h"
 
 namespace hcpp::core {
 namespace {
+
+using ledger::AccessEvent;
 
 struct AuditFixture {
   Deployment d;
@@ -17,16 +19,32 @@ struct AuditFixture {
           return cfg;
         }())) {}
 
-  // Runs one full P-device emergency retrieval searching `kws`.
-  void run_emergency(std::span<const std::string> kws) {
+  // Runs one full P-device emergency retrieval searching `kws`, by the
+  // on-duty physician unless `doc` names another.
+  void run_emergency(std::span<const std::string> kws,
+                     Physician* doc = nullptr) {
+    Physician& physician = doc != nullptr ? *doc : *d.on_duty;
     d.pdevice->press_emergency_button();
     auto pass =
-        d.on_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
+        physician.try_request_passcode(*d.aserver, d.patient->tp_bytes());
     ASSERT_TRUE(pass.ok());
     ASSERT_TRUE(
         d.pdevice->deliver_passcode(*d.aserver, pass.value().for_device));
-    ASSERT_TRUE(d.pdevice->enter_passcode(d.on_duty->id(), pass.value().nonce));
+    ASSERT_TRUE(d.pdevice->enter_passcode(physician.id(), pass.value().nonce));
     (void)d.pdevice->try_emergency_retrieve(*d.sserver, kws);
+  }
+
+  [[nodiscard]] std::vector<AccessEvent> traces() const {
+    return d.aserver->trace_ledger().events();
+  }
+  [[nodiscard]] std::vector<AccessEvent> records() const {
+    return d.pdevice->rd_ledger().events();
+  }
+  AuditReport audit_events(std::span<const AccessEvent> traces,
+                           std::span<const AccessEvent> records,
+                           const std::set<std::string>& permitted) const {
+    return audit(d.aserver->pub(), d.aserver->id(), traces, records,
+                 permitted);
   }
 };
 
@@ -34,11 +52,21 @@ TEST(Accountability, RdAndTraceVerify) {
   AuditFixture f(30);
   std::vector<std::string> kws = {f.d.all_keywords().front()};
   f.run_emergency(kws);
-  ASSERT_EQ(f.d.pdevice->records().size(), 1u);
-  ASSERT_EQ(f.d.aserver->traces().size(), 1u);
-  EXPECT_TRUE(verify_rd(f.d.aserver->pub(), f.d.aserver->id(),
-                        f.d.pdevice->records()[0]));
-  EXPECT_TRUE(verify_trace(f.d.aserver->pub(), f.d.aserver->traces()[0]));
+  std::vector<AccessEvent> traces = f.traces();
+  std::vector<AccessEvent> records = f.records();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(records[0].kind, ledger::EventKind::kAccess);
+  EXPECT_EQ(traces[0].kind, ledger::EventKind::kTrace);
+  EXPECT_EQ(records[0].t11, traces[0].t11);
+  // Both embedded signatures verify: the RD's A-server IBS and the matched
+  // trace's physician IBS.
+  std::set<std::string> permitted(kws.begin(), kws.end());
+  AuditReport report = f.audit_events(traces, records, permitted);
+  EXPECT_EQ(report.bad_rd_signatures, 0u);
+  EXPECT_EQ(report.rd_without_trace, 0u);
+  EXPECT_EQ(report.bad_trace_signatures, 0u);
+  EXPECT_EQ(report.accountable, std::vector<std::string>{"dr-on-duty"});
 }
 
 TEST(Accountability, AuditLinksPhysician) {
@@ -47,9 +75,7 @@ TEST(Accountability, AuditLinksPhysician) {
   f.run_emergency(kws);
   std::vector<std::string> all = f.d.all_keywords();
   std::set<std::string> permitted(all.begin(), all.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            f.d.pdevice->records(), permitted);
+  AuditReport report = f.audit_events(f.traces(), f.records(), permitted);
   ASSERT_EQ(report.accountable.size(), 1u);
   EXPECT_EQ(report.accountable[0], "dr-on-duty");
   EXPECT_TRUE(report.improper_searchers.empty());
@@ -63,9 +89,7 @@ TEST(Accountability, OverBroadSearchFlagged) {
   std::vector<std::string> all = f.d.all_keywords();
   f.run_emergency(all);
   std::set<std::string> permitted = {all.front()};
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            f.d.pdevice->records(), permitted);
+  AuditReport report = f.audit_events(f.traces(), f.records(), permitted);
   ASSERT_EQ(report.improper_searchers.size(), 1u);
   EXPECT_EQ(report.improper_searchers[0], "dr-on-duty");
 }
@@ -74,14 +98,11 @@ TEST(Accountability, ForgedRdDetected) {
   AuditFixture f(33);
   std::vector<std::string> kws = {f.d.all_keywords().front()};
   f.run_emergency(kws);
-  RdRecord forged = f.d.pdevice->records()[0];
-  forged.physician_id = "dr-framed";  // pin it on someone else
-  EXPECT_FALSE(verify_rd(f.d.aserver->pub(), f.d.aserver->id(), forged));
-  std::vector<RdRecord> records = {forged};
+  AccessEvent forged = f.records()[0];
+  forged.actor_id = "dr-framed";  // pin it on someone else
+  std::vector<AccessEvent> records = {forged};
   std::set<std::string> permitted(kws.begin(), kws.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            records, permitted);
+  AuditReport report = f.audit_events(f.traces(), records, permitted);
   EXPECT_TRUE(report.accountable.empty());
   EXPECT_EQ(report.inconsistencies(), 1u);
   EXPECT_EQ(report.bad_rd_signatures, 1u);  // typed: it was the RD signature
@@ -95,11 +116,8 @@ TEST(Accountability, RdWithoutMatchingTraceIsInconsistent) {
   f.run_emergency(kws);
   // Present the RD against an empty trace log (e.g. a colluding A-server
   // that deleted its trace cannot silently pass the audit).
-  std::vector<TraceRecord> no_traces;
   std::set<std::string> permitted(kws.begin(), kws.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), no_traces,
-            f.d.pdevice->records(), permitted);
+  AuditReport report = f.audit_events({}, f.records(), permitted);
   EXPECT_TRUE(report.accountable.empty());
   EXPECT_EQ(report.inconsistencies(), 1u);
   EXPECT_EQ(report.rd_without_trace, 1u);  // typed: orphan RD, not a bad sig
@@ -110,9 +128,16 @@ TEST(Accountability, TamperedTraceDetected) {
   AuditFixture f(35);
   std::vector<std::string> kws = {f.d.all_keywords().front()};
   f.run_emergency(kws);
-  TraceRecord tampered = f.d.aserver->traces()[0];
+  AccessEvent tampered = f.traces()[0];
   tampered.t10 += 1;  // altered timestamp breaks the physician's signature
-  EXPECT_FALSE(verify_trace(f.d.aserver->pub(), tampered));
+  std::vector<AccessEvent> traces = {tampered};
+  std::set<std::string> permitted(kws.begin(), kws.end());
+  AuditReport report = f.audit_events(traces, f.records(), permitted);
+  EXPECT_TRUE(report.accountable.empty());
+  EXPECT_EQ(report.inconsistencies(), 1u);
+  EXPECT_EQ(report.bad_trace_signatures, 1u);  // typed: the TR signature
+  EXPECT_EQ(report.bad_rd_signatures, 0u);
+  EXPECT_EQ(report.rd_without_trace, 0u);
 }
 
 TEST(Accountability, MultipleEmergenciesAllAudited) {
@@ -120,12 +145,10 @@ TEST(Accountability, MultipleEmergenciesAllAudited) {
   std::vector<std::string> kws = {f.d.all_keywords().front()};
   f.run_emergency(kws);
   f.run_emergency(kws);
-  EXPECT_EQ(f.d.pdevice->records().size(), 2u);
-  EXPECT_EQ(f.d.aserver->traces().size(), 2u);
+  EXPECT_EQ(f.d.pdevice->rd_ledger().size(), 2u);
+  EXPECT_EQ(f.d.aserver->trace_ledger().size(), 2u);
   std::set<std::string> permitted(kws.begin(), kws.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            f.d.pdevice->records(), permitted);
+  AuditReport report = f.audit_events(f.traces(), f.records(), permitted);
   EXPECT_EQ(report.accountable.size(), 1u);  // same physician, deduplicated
   EXPECT_EQ(report.inconsistencies(), 0u);
 }
@@ -137,8 +160,7 @@ TEST(Accountability, EmptyLogsAuditCleanly) {
   // Nothing happened: no traces, no RDs. The audit must report all-zero
   // typed counts rather than tripping over the empty spans.
   std::set<std::string> permitted;
-  AuditReport report = audit(f.d.aserver->pub(), f.d.aserver->id(), {}, {},
-                             permitted);
+  AuditReport report = f.audit_events({}, {}, permitted);
   EXPECT_TRUE(report.accountable.empty());
   EXPECT_TRUE(report.improper_searchers.empty());
   EXPECT_EQ(report.inconsistencies(), 0u);
@@ -153,12 +175,9 @@ TEST(Accountability, DuplicateRdForSameAccessIsConsistent) {
   f.run_emergency(kws);
   // A retransmitted RD (same access, same signature) is not tampering: both
   // copies match the single trace and the physician stays accountable once.
-  std::vector<RdRecord> records = {f.d.pdevice->records()[0],
-                                   f.d.pdevice->records()[0]};
+  std::vector<AccessEvent> records = {f.records()[0], f.records()[0]};
   std::set<std::string> permitted(kws.begin(), kws.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            records, permitted);
+  AuditReport report = f.audit_events(f.traces(), records, permitted);
   EXPECT_EQ(report.accountable.size(), 1u);
   EXPECT_EQ(report.inconsistencies(), 0u);
 }
@@ -170,11 +189,8 @@ TEST(Accountability, TraceWithoutRdIsNotAnInconsistency) {
   // A trace with no matching RD means the passcode was issued but never used
   // for a retrieval — suspicious at a higher layer, but the records
   // themselves are consistent, so the typed counts stay zero.
-  std::vector<RdRecord> no_records;
   std::set<std::string> permitted(kws.begin(), kws.end());
-  AuditReport report =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            no_records, permitted);
+  AuditReport report = f.audit_events(f.traces(), {}, permitted);
   EXPECT_TRUE(report.accountable.empty());
   EXPECT_TRUE(report.improper_searchers.empty());
   EXPECT_EQ(report.inconsistencies(), 0u);
@@ -186,41 +202,64 @@ TEST(Accountability, PermittedKeywordBoundaries) {
   ASSERT_GE(all.size(), 2u);
   std::vector<std::string> kws = {all[0], all[1]};
   f.run_emergency(kws);
+  std::vector<AccessEvent> traces = f.traces();
+  std::vector<AccessEvent> records = f.records();
 
   // Exact cover: searching precisely the permitted set is proper.
   std::set<std::string> exact(kws.begin(), kws.end());
-  AuditReport ok = audit(f.d.aserver->pub(), f.d.aserver->id(),
-                         f.d.aserver->traces(), f.d.pdevice->records(), exact);
+  AuditReport ok = f.audit_events(traces, records, exact);
   EXPECT_TRUE(ok.improper_searchers.empty());
 
   // One keyword over the line is already improper — the boundary is strict.
   std::set<std::string> minus_one = {kws[0]};
-  AuditReport over =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            f.d.pdevice->records(), minus_one);
+  AuditReport over = f.audit_events(traces, records, minus_one);
   ASSERT_EQ(over.improper_searchers.size(), 1u);
   EXPECT_EQ(over.improper_searchers[0], "dr-on-duty");
 
   // An empty permitted set flags any non-empty search.
   std::set<std::string> none;
-  AuditReport strict =
-      audit(f.d.aserver->pub(), f.d.aserver->id(), f.d.aserver->traces(),
-            f.d.pdevice->records(), none);
+  AuditReport strict = f.audit_events(traces, records, none);
   EXPECT_EQ(strict.improper_searchers.size(), 1u);
   // Improper scope is a policy violation, not a record inconsistency.
   EXPECT_EQ(strict.inconsistencies(), 0u);
 }
 
-TEST(Accountability, RdSerializationRoundTrip) {
-  AuditFixture f(37);
-  std::vector<std::string> kws = {f.d.all_keywords().front()};
-  f.run_emergency(kws);
-  const RdRecord& rd = f.d.pdevice->records()[0];
-  RdRecord back = RdRecord::from_wire(rd.to_wire());
-  EXPECT_EQ(back.physician_id, rd.physician_id);
-  EXPECT_EQ(back.keywords, rd.keywords);
-  EXPECT_EQ(back.t11, rd.t11);
-  EXPECT_TRUE(verify_rd(f.d.aserver->pub(), f.d.aserver->id(), back));
+// The ledger payloads are the stored TR and RD: a fixed-seed deployment
+// through two emergencies, the second over-broad, pins both head hashes, so
+// any change to a payload byte, an entry hash or a signature fails here.
+TEST(Accountability, LedgerHeadsPinnedAcrossTwoEmergencies) {
+  AuditFixture f(1234);
+  std::vector<std::string> all = f.d.all_keywords();
+  std::vector<std::string> narrow = {all.front()};
+  f.run_emergency(narrow);
+  Physician nosy(*f.d.net, *f.d.aserver, "dr-nosy");
+  f.d.aserver->set_on_duty("dr-nosy", true);
+  f.run_emergency(all, &nosy);
+
+  const ledger::Ledger& tr = f.d.aserver->trace_ledger();
+  const ledger::Ledger& rd = f.d.pdevice->rd_ledger();
+  ASSERT_EQ(tr.size(), 2u);
+  ASSERT_EQ(rd.size(), 2u);
+  EXPECT_EQ(hex_encode(tr.head_hash()),
+            "14d05f8e257b660a68bec81f6e3c5a4c6f00c1f89414fa27efa6b8945aa26e18");
+  EXPECT_EQ(hex_encode(rd.head_hash()),
+            "da27438e3a5d8cc555b5c71db2a66afba3e230d88ef156f521e17962649b54a5");
+
+  std::set<std::string> permitted(narrow.begin(), narrow.end());
+  LedgerAuditReport report =
+      audit_ledgers(f.d.aserver->pub(), f.d.aserver->id(), tr, rd,
+                    f.d.anchors->authority_ids(), permitted);
+  EXPECT_TRUE(report.trace_chain.ok());
+  EXPECT_TRUE(report.rd_chain.ok());
+  EXPECT_EQ(report.trace_chain.checked, 2u);
+  EXPECT_EQ(report.rd_chain.checked, 2u);
+  EXPECT_TRUE(report.anchors_ok);
+  EXPECT_EQ(report.records.accountable,
+            (std::vector<std::string>{"dr-on-duty", "dr-nosy"}));
+  EXPECT_EQ(report.records.improper_searchers,
+            std::vector<std::string>{"dr-nosy"});
+  EXPECT_EQ(report.records.inconsistencies(), 0u);
+  EXPECT_TRUE(report.ok());
 }
 
 }  // namespace

@@ -89,8 +89,8 @@ TEST(Chaos, PDeviceEmergencyCompletesUnderLossAndDuplication) {
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got.value().empty());
   // Retries never double-book the accountability state.
-  EXPECT_EQ(d.aserver->traces().size(), 1u);
-  EXPECT_EQ(d.pdevice->records().size(), 1u);
+  EXPECT_EQ(d.aserver->trace_ledger().size(), 1u);
+  EXPECT_EQ(d.pdevice->rd_ledger().size(), 1u);
   EXPECT_EQ(d.pdevice->alert_count(), 1);
 }
 

@@ -48,12 +48,18 @@ TEST(Collusion, StolenDeviceWindowSucceedsButLeavesEvidence) {
   // But: the patient's phone was alerted and RD + TR records name the
   // accomplice with signatures (the §VI.A countermeasures).
   EXPECT_GE(d.pdevice->alert_count(), 1);
-  ASSERT_EQ(d.pdevice->records().size(), 1u);
-  EXPECT_EQ(d.pdevice->records()[0].physician_id, d.on_duty->id());
-  EXPECT_TRUE(verify_rd(d.aserver->pub(), d.aserver->id(),
-                        d.pdevice->records()[0]));
-  ASSERT_EQ(d.aserver->traces().size(), 1u);
-  EXPECT_TRUE(verify_trace(d.aserver->pub(), d.aserver->traces()[0]));
+  std::vector<ledger::AccessEvent> records = d.pdevice->rd_ledger().events();
+  std::vector<ledger::AccessEvent> traces = d.aserver->trace_ledger().events();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].actor_id, d.on_duty->id());
+  ASSERT_EQ(traces.size(), 1u);
+  // Both signatures verify, so the audit pins the access on the accomplice.
+  std::vector<std::string> all = d.all_keywords();
+  std::set<std::string> permitted(all.begin(), all.end());
+  AuditReport report =
+      audit(d.aserver->pub(), d.aserver->id(), traces, records, permitted);
+  EXPECT_EQ(report.inconsistencies(), 0u);
+  EXPECT_EQ(report.accountable, std::vector<std::string>{d.on_duty->id()});
 }
 
 TEST(Collusion, RevocationClosesTheWindow) {
@@ -192,7 +198,7 @@ TEST(Collusion, AlertsAccumulatePerAccess) {
   (void)stolen_device_attack(d, *d.on_duty);
   (void)stolen_device_attack(d, *d.on_duty);
   EXPECT_EQ(d.pdevice->alert_count(), 2);
-  EXPECT_EQ(d.pdevice->records().size(), 2u);
+  EXPECT_EQ(d.pdevice->rd_ledger().size(), 2u);
 }
 
 }  // namespace

@@ -350,13 +350,8 @@ TEST(Curve, NonCanonicalCoordinatesAreRefused) {
   Bytes y_alias = {1};
   append(y_alias, good.x.value().to_bytes_be());
   append(y_alias, plus_p(good.y));
-  Bytes compressed_alias = point_to_bytes_compressed(good);
-  Bytes alias_x = plus_p(good.x);
-  std::copy(alias_x.begin(), alias_x.end(), compressed_alias.begin() + 1);
   EXPECT_THROW(point_from_bytes(c, x_alias), std::invalid_argument);
   EXPECT_THROW(point_from_bytes(c, y_alias), std::invalid_argument);
-  EXPECT_THROW(point_from_bytes_compressed(c, compressed_alias),
-               std::invalid_argument);
   ASSERT_EQ(checked_point_from_bytes(c, point_to_bytes(good)), good);
   obs::Registry reg;
   obs::Registry* previous = obs::attached();
@@ -384,54 +379,6 @@ TEST(Curve, FixedBaseGeneratorMatchesGeneric) {
   mp::U512 huge;
   huge.w.fill(0xfedcba9876543210ull);
   EXPECT_EQ(mul_generator(ctx(), huge), mul(ctx(), g, huge));
-}
-
-TEST(Curve, CompressedSerializationRoundTrip) {
-  cipher::Drbg rng(to_bytes("curve-compress"));
-  for (int i = 0; i < 8; ++i) {
-    Point p = mul(ctx(), generator(ctx()), random_scalar(ctx(), rng));
-    Bytes enc = point_to_bytes_compressed(p);
-    EXPECT_EQ(enc.size(), 1u + 64u);  // half the uncompressed payload
-    EXPECT_EQ(point_from_bytes_compressed(ctx(), enc), p);
-  }
-  Bytes inf = point_to_bytes_compressed(Point::at_infinity());
-  EXPECT_EQ(inf.size(), 1u);
-  EXPECT_TRUE(point_from_bytes_compressed(ctx(), inf).infinity);
-}
-
-TEST(Curve, CompressedRejectsNonPoints) {
-  EXPECT_THROW(point_from_bytes_compressed(ctx(), Bytes{}),
-               std::invalid_argument);
-  Bytes bad(65, 0x00);
-  bad[0] = 7;  // invalid flag
-  EXPECT_THROW(point_from_bytes_compressed(ctx(), bad),
-               std::invalid_argument);
-  // An x with no square y: flip x until decompression fails.
-  cipher::Drbg rng(to_bytes("curve-compress-bad"));
-  int rejections = 0;
-  for (int i = 0; i < 32 && rejections == 0; ++i) {
-    Bytes candidate(65);
-    candidate[0] = 2;
-    Bytes x = mp::mod(mp::random_below(ctx().p, rng), ctx().p).to_bytes_be();
-    std::copy(x.begin(), x.end(), candidate.begin() + 1);
-    try {
-      (void)point_from_bytes_compressed(ctx(), candidate);
-    } catch (const std::invalid_argument&) {
-      ++rejections;
-    }
-  }
-  EXPECT_GT(rejections, 0);  // ~half of x values are non-residues
-}
-
-TEST(Curve, CompressedPreservesYParityChoice) {
-  cipher::Drbg rng(to_bytes("curve-parity"));
-  Point p = mul(ctx(), generator(ctx()), random_scalar(ctx(), rng));
-  Point minus_p = negate(p);
-  Bytes enc_p = point_to_bytes_compressed(p);
-  Bytes enc_m = point_to_bytes_compressed(minus_p);
-  EXPECT_NE(enc_p[0], enc_m[0]);  // parities differ, x identical
-  EXPECT_TRUE(std::equal(enc_p.begin() + 1, enc_p.end(), enc_m.begin() + 1));
-  EXPECT_EQ(point_from_bytes_compressed(ctx(), enc_m), minus_p);
 }
 
 TEST(Curve, RandomScalarNonzeroBelowQ) {

@@ -71,13 +71,17 @@ TEST(PDeviceEmergency, FullFlowSucceeds) {
       d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   EXPECT_FALSE(got.empty());
   // RD was recorded and the patient got an alert.
-  ASSERT_EQ(d.pdevice->records().size(), 1u);
-  EXPECT_EQ(d.pdevice->records()[0].physician_id, d.on_duty->id());
-  EXPECT_EQ(d.pdevice->records()[0].keywords, kws);
+  ASSERT_EQ(d.pdevice->rd_ledger().size(), 1u);
+  ledger::AccessEvent rd = d.pdevice->rd_ledger().entry(0).event();
+  EXPECT_EQ(rd.kind, ledger::EventKind::kAccess);
+  EXPECT_EQ(rd.actor_id, d.on_duty->id());
+  EXPECT_EQ(rd.keywords, kws);
   EXPECT_EQ(d.pdevice->alert_count(), 1);
   // TR was recorded at the A-server.
-  ASSERT_EQ(d.aserver->traces().size(), 1u);
-  EXPECT_EQ(d.aserver->traces()[0].physician_id, d.on_duty->id());
+  ASSERT_EQ(d.aserver->trace_ledger().size(), 1u);
+  ledger::AccessEvent tr = d.aserver->trace_ledger().entry(0).event();
+  EXPECT_EQ(tr.kind, ledger::EventKind::kTrace);
+  EXPECT_EQ(tr.actor_id, d.on_duty->id());
 }
 
 // Pins the §V.B.3 operation count of one P-device emergency (button to
@@ -128,7 +132,7 @@ TEST(PDeviceEmergency, OffDutyPhysicianDenied) {
   auto pass =
       d.off_duty->try_request_passcode(*d.aserver, d.patient->tp_bytes());
   EXPECT_FALSE(pass.ok());
-  EXPECT_TRUE(d.aserver->traces().empty());
+  EXPECT_EQ(d.aserver->trace_ledger().size(), 0u);
 }
 
 TEST(PDeviceEmergency, UnknownPhysicianDenied) {
@@ -210,8 +214,8 @@ TEST(PDeviceEmergency, NonDictionaryKeywordsFiltered) {
       d.pdevice->try_emergency_retrieve(*d.sserver, kws).value_or({});
   EXPECT_FALSE(got.empty());
   // The RD records only the dictionary-validated keyword.
-  ASSERT_EQ(d.pdevice->records().size(), 1u);
-  EXPECT_EQ(d.pdevice->records()[0].keywords,
+  ASSERT_EQ(d.pdevice->rd_ledger().size(), 1u);
+  EXPECT_EQ(d.pdevice->rd_ledger().entry(0).event().keywords,
             std::vector<std::string>{d.all_keywords().front()});
 }
 
@@ -274,7 +278,7 @@ TEST(AServerFailover, ReplicaServesWhenPrimaryIsDown) {
       pdevice.try_emergency_retrieve(sserver, kws).value_or({}).empty());
   // The trace landed at the replica and the cluster-wide view finds it.
   EXPECT_EQ(cluster.all_traces().size(), 1u);
-  EXPECT_EQ(cluster.all_traces()[0].physician_id, "dr-er");
+  EXPECT_EQ(cluster.all_traces()[0].actor_id, "dr-er");
 }
 
 TEST(AServerFailover, ReplicasShareDutyRegistry) {
@@ -325,7 +329,7 @@ EmergencyAuthRequest make_auth_request(Deployment& d, const std::string& id,
 TEST(EmergencyAuthReplay, ResentOrForgedRequestAppendsNoTrace) {
   Deployment d = Deployment::create(small_config(19));
   cipher::Drbg rng = test_rng("auth-replay");
-  const size_t traces_before = d.aserver->traces().size();
+  const size_t trace_count = d.aserver->trace_ledger().size();
 
   EmergencyAuthRequest ok = make_auth_request(d, d.on_duty->id(), rng, 0);
   std::optional<AServer::EmergencyAuthOutcome> got =
@@ -335,7 +339,7 @@ TEST(EmergencyAuthReplay, ResentOrForgedRequestAppendsNoTrace) {
   EmergencyAuthRequest bad_sig = make_auth_request(d, d.on_duty->id(), rng, 1);
   bad_sig.sig[4] ^= 1;
   EXPECT_FALSE(d.aserver->handle_emergency_auth(bad_sig).has_value());
-  EXPECT_EQ(d.aserver->traces().size(), traces_before + 1);
+  EXPECT_EQ(d.aserver->trace_ledger().size(), trace_count + 1);
 
   // The accepted outcome drives the real passcode flow.
   d.pdevice->press_emergency_button();
@@ -348,14 +352,14 @@ TEST(EmergencyAuthReplay, PaddedSignatureIsNotAFreshRequest) {
   // as fresh and append a second trace.
   Deployment d = Deployment::create(small_config(21));
   cipher::Drbg rng = test_rng("auth-padded");
-  const size_t traces_before = d.aserver->traces().size();
+  const size_t trace_count = d.aserver->trace_ledger().size();
 
   EmergencyAuthRequest first = make_auth_request(d, d.on_duty->id(), rng, 0);
   ASSERT_TRUE(d.aserver->handle_emergency_auth(first).has_value());
   EmergencyAuthRequest padded = first;
   padded.sig.push_back(0x00);
   EXPECT_FALSE(d.aserver->handle_emergency_auth(padded).has_value());
-  EXPECT_EQ(d.aserver->traces().size(), traces_before + 1);
+  EXPECT_EQ(d.aserver->trace_ledger().size(), trace_count + 1);
 }
 
 }  // namespace

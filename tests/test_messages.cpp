@@ -110,32 +110,6 @@ TEST(Messages, MhiBodiesCoverTagsAndBlob) {
   EXPECT_NE(a.body(), b.body());
 }
 
-TEST(Messages, RdRecordSerializationPreservesKeywords) {
-  RdRecord rd;
-  rd.physician_id = "dr-a";
-  rd.tp = to_bytes("tp");
-  rd.keywords = {"kw1", "kw2", "kw3"};
-  rd.t11 = 99;
-  rd.aserver_sig = to_bytes("sig");
-  RdRecord back = RdRecord::from_wire(rd.to_wire());
-  EXPECT_EQ(back.physician_id, rd.physician_id);
-  EXPECT_EQ(back.tp, rd.tp);
-  EXPECT_EQ(back.keywords, rd.keywords);
-  EXPECT_EQ(back.t11, rd.t11);
-  EXPECT_EQ(back.aserver_sig, rd.aserver_sig);
-}
-
-TEST(Messages, TraceRecordBodyStable) {
-  TraceRecord tr{"dr-a", to_bytes("tp"), 1, 2, to_bytes("sig")};
-  TraceRecord same{"dr-a", to_bytes("tp"), 1, 2, to_bytes("other-sig")};
-  // The body covers identity/tp/times (the signature is over the original
-  // request body, carried separately).
-  EXPECT_EQ(tr.body(), same.body());
-  TraceRecord diff{"dr-a", to_bytes("tp"), 1, 3, to_bytes("sig")};
-  EXPECT_NE(tr.body(), diff.body());
-}
-
-
 // ---- Layout: one fixed instance of every type -----------------------------
 
 Bytes b(std::string_view s) { return to_bytes(s); }
@@ -207,12 +181,6 @@ MhiHitsRequest sample_mhi_hits() {
 MhiHitsResponse sample_mhi_hits_response() {
   return {{b("ibe-3")}, 24, Bytes(32, 0xAF)};
 }
-TraceRecord sample_trace() {
-  return {"dr-a", b("tp-1"), 16, 17, b("physician-sig")};
-}
-RdRecord sample_rd() {
-  return {"dr-a", b("tp-1"), {"kw-1", "kw-2"}, 17, b("audit-sig")};
-}
 
 std::string sha256_hex(BytesView b) {
   return hex_encode(hash::sha256_bytes(b));
@@ -245,8 +213,6 @@ TEST(MessageLayout, EveryTypeRoundTripsThroughTheWire) {
   expect_round_trip(sample_mhi_register());
   expect_round_trip(sample_mhi_hits());
   expect_round_trip(sample_mhi_hits_response());
-  expect_round_trip(sample_trace());
-  expect_round_trip(sample_rd());
 
   // Signed fields survive the trip too (they sit outside the body).
   PasscodeToPDevice dev = PasscodeToPDevice::from_wire(
@@ -335,10 +301,6 @@ TEST(MessageLayout, BodiesMatchGoldenVectors) {
        "0bb5bc92bb992e91d022456989d6c19dbb73ed0fe633717d343bb904e5033842"},
       {"MhiHitsResponse",
        "12873ffb0d2b2cf88811e1b84d7ef6dec23bfb76f903fe8deccc85b94fa611ef"},
-      {"TraceRecord",
-       "cf2938913fcb9deba6ec5340536922d1651c07c54e96115db5104cb43d4d3750"},
-      {"RdRecord",
-       "f8a87204f413ff4fcd2914d958a76b0c6a3682ce4c0e64c215438f2eba13aca7"},
   };
   const std::map<std::string, Bytes> bodies = {
       {"StoreRequest", sample_store().body()},
@@ -360,8 +322,6 @@ TEST(MessageLayout, BodiesMatchGoldenVectors) {
       {"MhiRegisterRequest", sample_mhi_register().body()},
       {"MhiHitsRequest", sample_mhi_hits().body()},
       {"MhiHitsResponse", sample_mhi_hits_response().body()},
-      {"TraceRecord", sample_trace().body()},
-      {"RdRecord", sample_rd().body()},
   };
   ASSERT_EQ(bodies.size(), golden.size());
   for (const auto& [name, body] : bodies) {
@@ -369,8 +329,8 @@ TEST(MessageLayout, BodiesMatchGoldenVectors) {
   }
 }
 
-// The three encodings that were already carried as bytes (the §VI.B onion
-// paths and the RD log) keep their exact wire form.
+// The encodings that were already carried as bytes (the §VI.B onion paths)
+// keep their exact wire form.
 TEST(MessageLayout, PreexistingWireFormsMatchGoldenVectors) {
   EXPECT_EQ(sha256_hex(sample_store().to_wire()),
             "53c1e21d1ab25a617ac446d05edbd70f7aa46d854203756238234756d52d46ae");
@@ -378,8 +338,6 @@ TEST(MessageLayout, PreexistingWireFormsMatchGoldenVectors) {
             "036e87706be5922cd496483fddd12ce2610580d80efaf896dbff0d2f90c63505");
   EXPECT_EQ(sha256_hex(sample_retrieve_response().to_wire()),
             "f92f64abdaff5752fc256ee921688d99c9fb4e8129f32ab74c1fb5bf100acd8b");
-  EXPECT_EQ(sha256_hex(sample_rd().to_wire()),
-            "9acac2626febde44e1455d0bd827cbba854fbec965693f10214859731202ec08");
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ void feed(BytesView blob) {
     }
   };
   swallow([&] { (void)curve::point_from_bytes(ctx(), blob); });
-  swallow([&] { (void)curve::point_from_bytes_compressed(ctx(), blob); });
   swallow([&] { (void)ibc::IbeCiphertext::from_bytes(ctx(), blob); });
   swallow([&] { (void)ibc::IbeCcaCiphertext::from_bytes(ctx(), blob); });
   swallow([&] { (void)ibc::IbsSignature::from_bytes(ctx(), blob); });
@@ -74,8 +73,7 @@ void feed(BytesView blob) {
   swallow([&] { (void)core::MhiRegisterRequest::from_wire(blob); });
   swallow([&] { (void)core::MhiHitsRequest::from_wire(blob); });
   swallow([&] { (void)core::MhiHitsResponse::from_wire(blob); });
-  swallow([&] { (void)core::TraceRecord::from_wire(blob); });
-  swallow([&] { (void)core::RdRecord::from_wire(blob); });
+  swallow([&] { (void)ledger::AccessEvent::from_bytes(blob); });
 }
 
 class RandomBlob : public ::testing::TestWithParam<int> {};
@@ -235,10 +233,6 @@ TEST(StrictParse, ValidEncodingPlusOneByteIsRejected) {
                                          mac});
   expect_strict(core::MhiHitsRequest{"dr", "role", 17, mac});
   expect_strict(core::MhiHitsResponse{{to_bytes("ibe")}, 18, mac});
-  expect_strict(core::TraceRecord{"dr", to_bytes("tp"), 1, 2,
-                                  to_bytes("sig")});
-  expect_strict(core::RdRecord{"dr", to_bytes("tp"), {"kw"}, 2,
-                               to_bytes("sig")});
 
   cipher::Drbg rng(to_bytes("strict-fields"));
   ibc::Domain domain(ctx(), rng);
