@@ -1,5 +1,6 @@
 #include "src/curve/pairing.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <stdexcept>
@@ -260,11 +261,22 @@ PairingPrecomp::PairingPrecomp(const CurveCtx& ctx, const Point& p)
   size_t k = 0;
   for (const LineCoeffs& lc : raw) {
     if (lc.ident) {
-      lines_.push_back({Fp(), Fp(), true});
+      lines_.push_back({{}, Fp(), Fp(), true});
       continue;
     }
     Fp c2inv = Fp::from_raw(&ctx.fp, c2s[k++]);
-    lines_.push_back({lc.c0 * c2inv, lc.c1 * c2inv, false});
+    lines_.push_back({{}, lc.c0 * c2inv, lc.c1 * c2inv, false});
+  }
+  // The lane Miller loop adds c0 in the lane domain R' (mont_ifma.h), so a
+  // lane context converts it here once rather than per pairing.
+  if (const mp::ifma::Consts* lanes = ctx.fp.mont.lanes()) {
+    for (size_t b = 0; b < lines_.size(); b += mp::ifma::kLanes) {
+      const size_t n = std::min(mp::ifma::kLanes, lines_.size() - b);
+      mp::U512 c0[mp::ifma::kLanes];
+      for (size_t l = 0; l < n; ++l) c0[l] = lines_[b + l].c0.raw();
+      mp::ifma::apply(*lanes, mp::ifma::Op::kToLane, n, c0, c0, nullptr);
+      for (size_t l = 0; l < n; ++l) lines_[b + l].c0_lane = c0[l];
+    }
   }
 }
 
@@ -351,12 +363,12 @@ struct LanePlan {
   }
 };
 
-// A lane group costs about 2.5 scalar runs of the same step whatever its
-// width (production set: a Miller group 140–180 µs against 64–70 µs per
-// scalar loop, an FE group about 125 µs against about 47 µs per batched
-// scalar FE; EXPERIMENTS §E21). The k eligible items take lanes only when
+// A lane group costs about 1.5 scalar runs of the same step whatever its
+// width (production set: a group of Miller loops and FEs 200–240 µs against
+// about 150 µs per scalar term, a Miller group 105–125 µs and an FE group
+// 87–100 µs; EXPERIMENTS §E23). The k eligible items take lanes only when
 // the ⌈g/P⌉ rounds of g groups on a P-thread pool cost less than the ⌈k/P⌉
-// rounds of scalar runs: k ≥ 3 serially, k ≥ 5 on two threads.
+// rounds of scalar runs: k ≥ 2 serially, k ≥ 3 on two threads.
 LanePlan plan_lanes(const mp::ifma::Consts* lanes, size_t n,
                     par::ThreadPool* pool,
                     const std::function<bool(size_t)>& eligible) {
@@ -370,7 +382,7 @@ LanePlan plan_lanes(const mp::ifma::Consts* lanes, size_t n,
   auto rounds = [threads](size_t tasks) {
     return (tasks + threads - 1) / threads;
   };
-  if (5 * rounds(groups) >= 2 * rounds(k)) {
+  if (3 * rounds(groups) >= 2 * rounds(k)) {
     plan.scalar.insert(plan.scalar.end(), plan.laned.begin(),
                        plan.laned.end());
     plan.laned.clear();
@@ -455,11 +467,11 @@ std::vector<Fp2> miller_batch(const CurveCtx& ctx,
           for (size_t k = 0; k < lines.size(); ++k) {
             if (lines[k].ident) ident[k] |= static_cast<uint8_t>(1u << l);
           }
-          ls[l] = {lines[0].c0.raw().w.data(), &t.q.x.raw(), &t.q.y.raw(),
+          ls[l] = {lines[0].c0_lane.w.data(), &t.q.x.raw(), &t.q.y.raw(),
                    &re[l], &im[l]};
         }
         const size_t c1_offset = static_cast<size_t>(
-            first[0].c1.raw().w.data() - first[0].c0.raw().w.data());
+            first[0].c1.raw().w.data() - first[0].c0_lane.w.data());
         mp::ifma::miller(*lanes, ctx.miller_schedule,
                          sizeof(Line) / sizeof(uint64_t), c1_offset, ident,
                          std::span(ls, n));

@@ -111,6 +111,7 @@ class PairingPrecomp {
       par::ThreadPool* pool);
 
   struct Line {
+    mp::U512 c0_lane;    // c0 in the IFMA lane domain, on lane contexts
     field::Fp c0, c1;    // c2-normalized: value is (c0 + c1·x_Q) + y_Q·i
     bool ident = false;  // line degenerated to 1 (post-infinity steps)
   };
@@ -132,7 +133,7 @@ Gt pairing_product(const CurveCtx& ctx, std::span<const PairingTerm> terms);
 /// batch-inverted with Montgomery's trick. The cofactor powers (the bulk of
 /// the work) run in IFMA lane groups of up to eight when the field context
 /// has lanes (mont_ifma.h) and the batch is large enough for the pool's
-/// width (k ≥ 3 values serially, k ≥ 5 on two threads), and are sharded
+/// width (k ≥ 2 values serially, k ≥ 3 on two threads), and are sharded
 /// onto `pool` when given (nullptr = serial). Element i of the result
 /// equals final exponentiation of fs[i] exactly.
 std::vector<Gt> final_exp_batch(const CurveCtx& ctx,

@@ -77,6 +77,7 @@ AccessEvent AccessEvent::from_bytes(BytesView b) {
   ev.t10 = r.u64();
   ev.t11 = r.u64();
   ev.sig = r.bytes();
+  r.expect_done("AccessEvent");
   return ev;
 }
 

@@ -60,6 +60,9 @@ struct AccessEvent {
   Bytes sig;  // embedded IBS evidence (physician's for TR, A-server's for RD)
 
   [[nodiscard]] Bytes to_bytes() const;
+  /// Inverse of to_bytes. Throws on an unknown kind or a truncated encoding,
+  /// and std::invalid_argument on trailing bytes, so one event has one
+  /// encoding.
   static AccessEvent from_bytes(BytesView b);
 };
 

@@ -7,10 +7,17 @@
 // A lane holds an F_p element as L limbs of radix 2^52 (L = 10 for the
 // 512-bit production modulus, 5 for the 256-bit test one), in its own
 // Montgomery domain R' = 2^(52L) — not the R = 2^(64n) of MontCtx. Every
-// product is VPMADD52LUQ/HUQ columns and one Montgomery reduction, fully
-// reduced to [0, m) by a final conditional subtraction; sums of two
-// products share one reduction (lazy F_{p^2}). Values cross between R and
-// R' only where a kernel enters and leaves, by one lane product each:
+// product is VPMADD52LUQ/HUQ columns and one Montgomery reduction. Inside a
+// kernel values stay below 2m (every reduction input is below 16m² and
+// R' > 16m on both sets, so no reduction needs a final subtraction), and
+// each output is reduced to [0, m) once,
+// where the kernel writes it. The column loops are unrolled in full, so a
+// product's 2L columns stay in zmm registers, and each product shape is one
+// out-of-line body per width: a product, a square (L(L+1)/2 limb
+// products), a line value l0 = c1·x + c0 left below 3m, and the line
+// product f·(l0 + y·i) (four products, two reductions). Values cross between
+// R and R' only where a kernel enters and leaves, by one lane product
+// each:
 //   to R':   mont'(a·R, to_lane)   with to_lane   = R'²/R mod m,
 //   to R:    mont'(a·R', from_lane) with from_lane = R mod m.
 // So a kernel returns the same field element, limb for limb, as the scalar
@@ -45,20 +52,35 @@ struct Consts {
   U512 from_lane;  // R mod m
 };
 
-/// The lane primitives, for the differential tests. Lane l of the lanes
-/// (1 ≤ lanes ≤ 8) computes r[l] from a[l] (and b[l]); r may alias a or b.
-///   kMul     r = a·b·R'^(−1) mod m   (a, b < m)
+/// The lane primitives. Lane l of the lanes (1 ≤ lanes ≤ 8) computes r[l]
+/// from a[l] (and b[l]), each below 2m, and reduces it below m; r may alias
+/// a or b.
+///   kMul     r = a·b·R'^(−1) mod m
+///   kSqr     r = a²·R'^(−1) mod m    (b unused)
 ///   kAdd     r = a + b mod m
 ///   kSub     r = a − b mod m
-///   kToLane  r = a·R'/R mod m        (b unused)
+///   kToLane  r = a·R'/R mod m        (b unused; PairingPrecomp converts
+///                                     its lines' c0 with it)
 ///   kFromLane r = a·R/R' mod m       (b unused)
-enum class Op { kMul, kAdd, kSub, kToLane, kFromLane };
+enum class Op { kMul, kSqr, kAdd, kSub, kToLane, kFromLane };
 void apply(const Consts& c, Op op, size_t lanes, U512* r, const U512* a,
            const U512* b) noexcept;
 
+/// One step of the Miller loop, for the differential tests: lane l sets
+///   g = (f0 + f1·i)²·R'^(−1),   l0 = c1·x·R'^(−1) + c0,
+///   re + im·i = g·(l0 + y·i)·R'^(−1), reduced below m,
+/// from element l of each input: f0, f1, x and y below 2m (a kernel's
+/// values between products), c0 and c1 below m (a precomp's lines).
+struct MillerStep {
+  const U512 *f0, *f1, *c0, *c1, *x, *y;
+  U512 *re, *im;
+};
+void miller_step(const Consts& c, size_t lanes, const MillerStep& s) noexcept;
+
 /// One term of a fixed-argument Miller loop: the precomputed lines of P and
-/// the point Q, all MontCtx (R-domain) residues. Line k's c0 limbs are at
-/// c0 + k·stride, its c1 limbs at c0 + k·stride + c1_offset (in words).
+/// the point Q. Line k's c0 limbs are at c0 + k·stride, already in the lane
+/// domain (c0·R' mod m, as kToLane gives), and its c1 limbs at
+/// c0 + k·stride + c1_offset (in words), an R-domain residue like x_Q, y_Q.
 struct MillerLane {
   const uint64_t* c0;
   const U512* xq;

@@ -4,11 +4,14 @@
 //     kernels on both parameter sets, at 0, 1, p − 1, residues whose
 //     radix-2^52 limbs are all 2^52 − 1, random residues, 1..8 lanes and
 //     aliased outputs;
+//   * the lane square and one Miller step (F_p² square, line value and
+//     line product) the same way, on operands up to 2m − 1;
 //   * curve::miller_batch and curve::final_exp_batch on a lane context
 //     against per-term PairingPrecomp::miller_with and a one-element (so
 //     scalar) final exponentiation on a MULX and on a portable context,
 //     byte for byte, with infinite Q, trivial precomps and t = ±1 values
-//     mixed in.
+//     mixed in, and 512 terms on the test set so that the kernels' exit
+//     reductions are exercised.
 // The kernels are called directly and the lane context is built with
 // HCPP_FORCE_GENERIC cleared, so a forced-generic run still checks them
 // against the portable kernels. Hosts without AVX-512 IFMA skip the suite.
@@ -158,6 +161,89 @@ TEST(LaneKernels, OpsMatchMulxAndPortableOnBothSets) {
   }
 }
 
+// The product shapes of the kernels: the lane square (kSqr) and one Miller
+// step (miller_step: the F_p² square, the line value c1·x + c0, then the
+// line product), against the MULX and the portable MontCtx
+// kernels. Inside a kernel a value may lie anywhere below 2m, so the
+// operands that carry such values (f0, f1, x, y and the square's input)
+// are drawn below 2m here, the precomp's c0 and c1 below m. The edge
+// rounds put 0, m − 1, m and 2m − 1 against each other, so that the
+// products reach their widest and a1 − a0 its largest.
+TEST(LaneProducts, SquareAndMillerStepMatchMulxAndPortableOnBothSets) {
+  if (!host_has_lanes()) GTEST_SKIP() << "no AVX-512 IFMA on this host";
+  cipher::Drbg rng(to_bytes("lane-products"));
+  for (curve::ParamSet set : kSets) {
+    const U512 p = curve::params(set).p;
+    const U512 one = U512::from_u64(1);
+    U512 p2, p1, p2m1;  // 2p, p − 1, 2p − 1
+    mp::add(p2, p, p);
+    mp::sub(p1, p, one);
+    mp::sub(p2m1, p2, one);
+    for (bool forced : {false, true}) {
+      ForceGenericGuard guard(forced);
+      const mp::MontCtx ctx(p);
+      const ifma::Consts& c = ctx.lane_consts();
+      const size_t s = 52 * c.limbs - 64 * ctx.limbs();
+      auto red = [&](const U512& x) { return x < p ? x : mp::mod(x, p); };
+      auto lane_mul = [&](const U512& x, const U512& y) {
+        return halve(ctx.mul(red(x), red(y)), p, s);
+      };
+      const std::string what = "set=" + std::to_string(int(set)) +
+                               " forced=" + std::to_string(forced);
+      // Lanes 0..n−1 of operand j are ops[j][0..n): f0, f1, c0, c1, x, y.
+      auto round = [&](size_t n, const U512 (*ops)[ifma::kLanes]) {
+        U512 r[ifma::kLanes];
+        ifma::apply(c, ifma::Op::kSqr, n, r, ops[0], nullptr);
+        for (size_t l = 0; l < n; ++l) {
+          ASSERT_EQ(r[l], halve(ctx.sqr(red(ops[0][l])), p, s))
+              << "sqr " << what << " lane=" << l << " of " << n;
+        }
+        U512 re[ifma::kLanes], im[ifma::kLanes];
+        ifma::miller_step(c, n, {ops[0], ops[1], ops[2], ops[3], ops[4],
+                                 ops[5], re, im});
+        for (size_t l = 0; l < n; ++l) {
+          const U512 &f0 = ops[0][l], &f1 = ops[1][l], &y = ops[5][l];
+          const U512 g0 = ctx.sub(lane_mul(f0, f0), lane_mul(f1, f1));
+          const U512 g1 = ctx.add(lane_mul(f0, f1), lane_mul(f0, f1));
+          const U512 l0 = ctx.add(lane_mul(ops[3][l], ops[4][l]), ops[2][l]);
+          ASSERT_EQ(re[l], ctx.sub(lane_mul(g0, l0), lane_mul(g1, y)))
+              << "step re " << what << " lane=" << l << " of " << n;
+          ASSERT_EQ(im[l], ctx.add(lane_mul(g0, y), lane_mul(g1, l0)))
+              << "step im " << what << " lane=" << l << " of " << n;
+        }
+      };
+      // Edge rounds: every lane choice of {0, m − 1, m, 2m − 1} for the
+      // five wide operands (4⁵ = 1024 lanes in rounds of eight), with c0
+      // and c1 cycling through 0, 1 and m − 1.
+      const U512 wide[] = {U512{}, p1, p, p2m1};
+      const U512 narrow[] = {U512{}, one, p1};
+      for (size_t k = 0; k < 1024 / ifma::kLanes; ++k) {
+        U512 ops[6][ifma::kLanes];
+        for (size_t l = 0; l < ifma::kLanes; ++l) {
+          size_t code = k * ifma::kLanes + l;
+          for (size_t j : {0, 1, 4, 5}) {
+            ops[j][l] = wide[code % 4];
+            code /= 4;
+          }
+          ops[2][l] = narrow[(k + l) % 3];
+          ops[3][l] = narrow[(k + 2 * l + code) % 3];
+        }
+        round(1 + k % ifma::kLanes, ops);
+      }
+      // Random rounds: the wide operands below 2m, c0 and c1 below m.
+      for (size_t k = 0; k < 1024; ++k) {
+        U512 ops[6][ifma::kLanes];
+        for (size_t j = 0; j < 6; ++j) {
+          for (U512& x : ops[j]) {
+            x = mp::random_below(j == 2 || j == 3 ? p : p2, rng);
+          }
+        }
+        round(ifma::kLanes, ops);
+      }
+    }
+  }
+}
+
 // Points moved between contexts by their encoding.
 curve::Point on(const curve::CurveCtx& ctx, const curve::Point& pt) {
   return curve::point_from_bytes(ctx, curve::point_to_bytes(pt));
@@ -243,6 +329,60 @@ TEST(LaneBatch, MillerAndFinalExpMatchScalarPerTerm) {
           }
         }
       }
+    }
+  }
+}
+
+// Exit reductions: values inside a kernel may lie in [m, 2m), and the
+// Miller and final-exponentiation kernels subtract m once as they write.
+// An output needs that subtraction for about one value in a hundred on the
+// test set, so this runs 512 terms there (and 64 on the production set)
+// through miller_batch and final_exp_batch against the scalar path, limb
+// for limb.
+TEST(LaneExit, ManyBatchedValuesMatchScalar) {
+  if (!host_has_lanes()) GTEST_SKIP() << "no AVX-512 IFMA on this host";
+  cipher::Drbg rng(to_bytes("lane-exit"));
+  for (curve::ParamSet set : kSets) {
+    const curve::CurveCtx& named = curve::params(set);
+    const curve::GeneratedParams gp{named.p, named.q, named.gx, named.gy};
+    std::unique_ptr<curve::CurveCtx> lanes, ref;
+    {
+      ForceGenericGuard guard(false);
+      lanes = curve::make_curve(gp, "lanes");
+    }
+    {
+      ForceGenericGuard guard(true);
+      ref = curve::make_curve(gp, "reference");
+    }
+    ASSERT_NE(lanes->fp.mont.lanes(), nullptr);
+    std::vector<curve::PairingPrecomp> lane_pre, ref_pre;
+    for (int i = 0; i < 4; ++i) {
+      const curve::Point pt = curve::mul(*lanes, curve::generator(*lanes),
+                                         curve::random_scalar(*lanes, rng));
+      lane_pre.emplace_back(*lanes, pt);
+      ref_pre.emplace_back(*ref, on(*ref, pt));
+    }
+    const size_t n = set == curve::ParamSet::kTest ? 512 : 64;
+    std::vector<curve::MillerTerm> terms;
+    std::vector<field::Fp2> want;
+    for (size_t i = 0; i < n; ++i) {
+      const curve::Point q = curve::mul(*lanes, curve::generator(*lanes),
+                                        curve::random_scalar(*lanes, rng));
+      terms.push_back({&lane_pre[i % 4], q});
+      want.push_back(ref_pre[i % 4].miller_with(on(*ref, q)));
+    }
+    const std::vector<field::Fp2> fs = curve::miller_batch(*lanes, terms);
+    const std::vector<curve::Gt> gs = curve::final_exp_batch(*lanes, fs);
+    ASSERT_EQ(fs.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string what =
+          "set=" + std::to_string(int(set)) + " i=" + std::to_string(i);
+      expect_same(fs[i], want[i], what + " miller");
+      // A batch of one runs the scalar final exponentiation; == compares
+      // the raw limbs, which an unreduced lane output would not match.
+      const curve::Gt g =
+          curve::final_exp_batch(*lanes, std::span(&fs[i], 1))[0];
+      EXPECT_TRUE(gs[i] == g) << what << " gt";
     }
   }
 }

@@ -75,6 +75,16 @@ TEST(Ledger, MalformedEventRejected) {
   EXPECT_THROW((void)AccessEvent::from_bytes(Bytes{}), std::exception);
 }
 
+// One event has one encoding: a payload with a byte appended is refused,
+// not decoded to the same event.
+TEST(Ledger, EventWithTrailingByteRefused) {
+  for (uint64_t i : {0u, 3u}) {
+    Bytes b = make_event(i).to_bytes();
+    b.push_back(0);
+    EXPECT_THROW((void)AccessEvent::from_bytes(b), std::invalid_argument);
+  }
+}
+
 TEST(Ledger, ChainAppendsAndVerifies) {
   Ledger led = make_ledger(7);
   EXPECT_EQ(led.size(), 7u);
